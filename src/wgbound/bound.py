@@ -20,12 +20,12 @@ from numpy.polynomial.legendre import leggauss
 from ._util import config_hash, golden_min, pairwise_sum
 from . import fourier, groups, smoothing
 from .groups import GroupDescriptor
-from .smoothing import budget_interval, bump_transform, kernel_degree
+from .smoothing import (_C_EPS, as_profile_id, budget_interval, bump_transform,
+                        kernel_degree)
 
 CSV_HEADER = ("group", "g", "M", "psi", "phi", "fourier_sum", "total",
               "tolerance", "seed")
 
-_C_EPS = 1e-6
 _SUBADD_TOL = 1e-12
 
 
@@ -221,8 +221,7 @@ def psi_detailed(G: GroupDescriptor, g, t: float,
     if t < G.admissibility_threshold:
         raise ValueError(
             f"t={t} below admissibility threshold {G.admissibility_threshold}")
-    profile_id = profile.profile_id if isinstance(profile, smoothing.BumpProfile) \
-        else str(profile)
+    profile_id = as_profile_id(profile)
     m0 = kernel_degree(G, t)
     tables = _psi_nodes(G.group_id, profile_id)
     r, R, A, a_f, tf = tables["meta"]
@@ -351,10 +350,10 @@ class BoundReport:
                 "" if seed is None else seed]
 
 
-def _assemble(G: GroupDescriptor, g, M: float, profile_id: str,
-              fourier_sum: float, irreps_used: int, variant: str) -> BoundReport:
-    pd = psi_detailed(G, g, M, profile_id)
-    ph = phi(G.n, g, M)
+def _assemble(G: GroupDescriptor, g, M: float, pd: dict, ph: float,
+              profile_id: str, fourier_sum: float, irreps_used: int,
+              variant: str) -> BoundReport:
+    """Report from psi_detailed output pd, phi value ph and the Fourier sum."""
     fs = max(float(fourier_sum), 0.0)
     total = pd["value"] + ph * math.sqrt(fs)
     tol_quad = pd["quad_error"]
@@ -368,44 +367,10 @@ def _assemble(G: GroupDescriptor, g, M: float, profile_id: str,
         variant=variant, tail_warning=pd["tail_warning"])
 
 
-def _profile_id(profile) -> str:
-    return profile.profile_id if isinstance(profile, smoothing.BumpProfile) \
-        else str(profile)
-
-
-def wg_bound(G: GroupDescriptor, g, nu1, nu2, M: float,
-             profile="paper_bump", hs_data=None) -> BoundReport:
-    """Certified upper bound on the generalized Wasserstein distance.
-
-    ``nu2=None`` compares against Haar.  ``hs_data`` optionally supplies
-    precomputed (irreps, squared HS distances) covering every weight below
-    M, so M-sweeps can share one Fourier pass.
-    """
-    if M < G.admissibility_threshold:
-        raise ValueError(
-            f"M={M} below admissibility threshold {G.admissibility_threshold}")
-    profile_id = _profile_id(profile)
-    if nu2 is not None and nu1.identical_to(nu2):
-        n_irreps = groups.spectral_data(G, M)["weight_norm"].size
-        return _assemble(G, g, M, profile_id, 0.0, n_irreps, "exact")
-    if hs_data is None:
-        irreps = groups.enumerate_irreps(G, M)
-        hs_sq = fourier.hs_profile(G, nu1, nu2, irreps)
-    else:
-        irreps, hs_sq = hs_data
-        keep = [i for i, p in enumerate(irreps) if p.weight_norm < M]
-        irreps = [irreps[i] for i in keep]
-        hs_sq = np.asarray(hs_sq)[keep]
-    if irreps:
-        ratios = np.asarray([p.dim / p.casimir for p in irreps])
-        fs = float(pairwise_sum(ratios * np.maximum(hs_sq, 0.0)))
-    else:
-        fs = 0.0
-    return _assemble(G, g, M, profile_id, fs, len(irreps), "exact")
-
-
 _GRID_CAPS = {"torus(1)": 1e3, "torus(2)": 400.0, "torus(3)": 200.0,
               "su2": 400.0, "so3": 400.0}
+_GAP_GRID_CAPS = {"torus(1)": 1e4, "torus(2)": 2e3, "torus(3)": 500.0,
+                  "su2": 1e4, "so3": 1e4}
 
 
 def default_m_grid(G: GroupDescriptor, cap: Optional[float] = None) -> np.ndarray:
@@ -422,37 +387,103 @@ def default_m_grid(G: GroupDescriptor, cap: Optional[float] = None) -> np.ndarra
     return np.geomspace(lo, hi, n_pts)
 
 
+class CutoffSweep:
+    """psi and phi on a sorted, admissible cutoff grid, evaluated once.
+
+    The bound total at grid[i] is psis[i] + phis[i] * sqrt(cum[cuts[i]]),
+    where cum holds prefix sums of the Fourier sum over the spectrum below
+    the top of the grid and cuts[i] counts that spectrum below grid[i].
+    An exact sweep holds the irreps, with ratios d/kappa weighting squared
+    HS distances.  A relaxed sweep (the gap corollary) holds the scalar
+    spectrum only, with ratios d^2/kappa scaled by q^2, on a longer grid.
+    """
+
+    def __init__(self, G: GroupDescriptor, g, profile="paper_bump",
+                 grid=None, relaxed: bool = False):
+        if grid is None:
+            grid = default_m_grid(
+                G, cap=_GAP_GRID_CAPS[G.group_id] if relaxed else None)
+        grid = np.sort(np.asarray(grid, dtype=float))
+        grid = grid[grid >= G.admissibility_threshold]
+        if grid.size == 0:
+            raise ValueError("no admissible M in grid")
+        self.G, self.g, self.grid, self.relaxed = G, g, grid, relaxed
+        self.profile_id = as_profile_id(profile)
+        if relaxed:
+            sd = groups.spectral_data(G, float(grid[-1]))
+            self.irreps = None
+            lam = sd["weight_norm"]
+            self.ratios = sd["dim"] ** 2 / sd["casimir"]
+        else:
+            self.irreps = groups.enumerate_irreps(G, float(grid[-1]))
+            lam = np.asarray([p.weight_norm for p in self.irreps])
+            self.ratios = np.asarray([p.dim / p.casimir for p in self.irreps])
+        self.cuts = np.searchsorted(lam, grid, "left")
+        self._psi = [psi_detailed(G, g, float(M), self.profile_id) for M in grid]
+        self.psis = np.asarray([pd["value"] for pd in self._psi])
+        self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
+
+    def hs_profile(self, nu1, nu2) -> Optional[np.ndarray]:
+        """Squared HS distances over the irreps; None for identical measures."""
+        if nu2 is not None and nu1.identical_to(nu2):
+            return None
+        return fourier.hs_profile(self.G, nu1, nu2, self.irreps)
+
+    def prefix(self, values=1.0) -> np.ndarray:
+        """Prefix sums [0, r0 v0, r0 v0 + r1 v1, ...] of ratios times values."""
+        return np.concatenate(([0.0], np.cumsum(self.ratios * values)))
+
+    def totals(self, cum: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Totals at every grid point, and the first index of the least."""
+        totals = self.psis + self.phis * np.sqrt(np.maximum(cum[self.cuts], 0.0))
+        return totals, int(np.argmin(totals))
+
+    def report(self, i: int, hs_sq=None, q: Optional[float] = None) -> BoundReport:
+        """The certified report at grid[i].
+
+        Exact: d/kappa * hs_sq summed pairwise over the irreps below
+        grid[i], or 0 when hs_sq is None (identical measures).  Relaxed:
+        q^2 times the d^2/kappa prefix sum.
+        """
+        k = int(self.cuts[i])
+        if self.relaxed:
+            fs = q * q * float(self.prefix()[k])
+        elif hs_sq is None:
+            fs = 0.0
+        else:
+            fs = float(pairwise_sum(self.ratios[:k] * np.maximum(hs_sq[:k], 0.0)))
+        return _assemble(self.G, self.g, float(self.grid[i]), self._psi[i],
+                         float(self.phis[i]), self.profile_id, fs, k,
+                         "gap_relaxed" if self.relaxed else "exact")
+
+    def best(self, hs_sq=None, q: Optional[float] = None) -> Tuple[float, BoundReport]:
+        """Least total over the grid, ties to the smaller cutoff, and its report."""
+        if self.relaxed:
+            cum = q * q * self.prefix()
+        else:
+            cum = self.prefix(0.0 if hs_sq is None else np.maximum(hs_sq, 0.0))
+        i = self.totals(cum)[1]
+        return float(self.grid[i]), self.report(i, hs_sq, q)
+
+
+def wg_bound(G: GroupDescriptor, g, nu1, nu2, M: float,
+             profile="paper_bump") -> BoundReport:
+    """Certified upper bound on the generalized Wasserstein distance.
+
+    ``nu2=None`` compares against Haar.
+    """
+    if M < G.admissibility_threshold:
+        raise ValueError(
+            f"M={M} below admissibility threshold {G.admissibility_threshold}")
+    sweep = CutoffSweep(G, g, profile, [M])
+    return sweep.report(0, sweep.hs_profile(nu1, nu2))
+
+
 def optimize_M(G: GroupDescriptor, g, nu1, nu2, profile="paper_bump",
                M_grid=None) -> Tuple[float, BoundReport]:
     """Grid argmin of the bound total; ties go to the smaller cutoff."""
-    grid = np.sort(np.asarray(M_grid, dtype=float)) if M_grid is not None \
-        else default_m_grid(G)
-    grid = grid[grid >= G.admissibility_threshold]
-    if grid.size == 0:
-        raise ValueError("no admissible M in grid")
-    profile_id = _profile_id(profile)
-    degenerate = nu2 is not None and nu1.identical_to(nu2)
-    if degenerate:
-        hs_data = None
-        cum = None
-        lam = None
-    else:
-        irreps = groups.enumerate_irreps(G, float(grid[-1]))
-        hs_sq = np.maximum(fourier.hs_profile(G, nu1, nu2, irreps), 0.0)
-        lam = np.asarray([p.weight_norm for p in irreps])
-        ratios = np.asarray([p.dim / p.casimir for p in irreps])
-        cum = np.concatenate(([0.0], np.cumsum(ratios * hs_sq)))
-        hs_data = (irreps, hs_sq)
-    best_m = None
-    best_total = math.inf
-    for M in grid:
-        fs = 0.0 if degenerate else float(cum[np.searchsorted(lam, M, "left")])
-        pd = psi_detailed(G, g, float(M), profile_id)
-        total = pd["value"] + phi(G.n, g, float(M)) * math.sqrt(fs)
-        if total < best_total:
-            best_total = total
-            best_m = float(M)
-    return best_m, wg_bound(G, g, nu1, nu2, best_m, profile_id, hs_data=hs_data)
+    sweep = CutoffSweep(G, g, profile, M_grid)
+    return sweep.best(sweep.hs_profile(nu1, nu2))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +520,7 @@ def haar_bound_from_gap(G: GroupDescriptor, g, nu, M: float,
     it dominates variant (i) by construction.  With ``q_override`` and no
     measure, only the relaxed variant is produced.
     """
-    profile_id = _profile_id(profile)
+    profile_id = as_profile_id(profile)
     exact = None if nu is None else wg_bound(G, g, nu, None, M, profile_id)
     if q_override is not None:
         q = float(q_override)
@@ -498,12 +529,9 @@ def haar_bound_from_gap(G: GroupDescriptor, g, nu, M: float,
             raise ValueError("need a measure or an explicit gap value")
         q = fourier.spectral_gap_estimate(G, nu, M)
     fs, count = _relaxed_fourier_sum(G, M, q)
-    relaxed = _assemble(G, g, M, profile_id, fs, count, "gap_relaxed")
+    relaxed = _assemble(G, g, M, psi_detailed(G, g, M, profile_id),
+                        phi(G.n, g, M), profile_id, fs, count, "gap_relaxed")
     return GapBoundReport(exact=exact, relaxed=relaxed, q=q)
-
-
-_GAP_GRID_CAPS = {"torus(1)": 1e4, "torus(2)": 2e3, "torus(3)": 500.0,
-                  "su2": 1e4, "so3": 1e4}
 
 
 def optimized_gap_bound(G: GroupDescriptor, g, q: float, profile="paper_bump",
@@ -513,28 +541,7 @@ def optimized_gap_bound(G: GroupDescriptor, g, q: float, profile="paper_bump",
     Scalar spectral sums only, so the grid may extend far beyond what exact
     block enumeration could afford.
     """
-    profile_id = _profile_id(profile)
-    grid = np.sort(np.asarray(M_grid, dtype=float)) if M_grid is not None \
-        else default_m_grid(G, cap=_GAP_GRID_CAPS[G.group_id])
-    grid = grid[grid >= G.admissibility_threshold]
-    if grid.size == 0:
-        raise ValueError("no admissible M in grid")
-    sd = groups.spectral_data(G, float(grid[-1]))
-    lam = sd["weight_norm"]
-    cum = np.concatenate(([0.0], np.cumsum(sd["dim"] ** 2 / sd["casimir"])))
-    best_m = None
-    best_total = math.inf
-    best_fs = 0.0
-    best_count = 0
-    for M in grid:
-        idx = int(np.searchsorted(lam, M, "left"))
-        fs = q * q * float(cum[idx])
-        pd = psi_detailed(G, g, float(M), profile_id)
-        total = pd["value"] + phi(G.n, g, float(M)) * math.sqrt(fs)
-        if total < best_total:
-            best_total, best_m, best_fs, best_count = total, float(M), fs, idx
-    return best_m, _assemble(G, g, best_m, profile_id, best_fs, best_count,
-                             "gap_relaxed")
+    return CutoffSweep(G, g, profile, M_grid, relaxed=True).best(q=q)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -63,7 +62,6 @@ class RunConfig:
     gap_hint: Optional[float] = None
     out: str = "."
     verify: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -77,8 +75,6 @@ class RunConfig:
             raise ConfigError("give --M or --M-grid, not both")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         object.__setattr__(self, "points", tuple(self.points))
 
     @classmethod
@@ -200,8 +196,11 @@ def write_json_artifact(cfg: RunConfig, result: dict, tolerances: dict) -> str:
         "tolerances": tolerances,
         "result": result,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      default=json_default) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=json_default) + "\n"
+    except ValueError as exc:
+        raise SolverError(f"non-finite value in the result: {exc}") from None
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{cfg.command}_{cfg.hash}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -224,18 +223,6 @@ def write_csv_artifact(cfg: RunConfig, header, rows, tolerances: dict) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
     return path
-
-
-def _pmap(threads: int, fn, items: list) -> list:
-    """Order-preserving map over an optional worker pool.
-
-    Work items are independent and deterministic, so the reduction is the
-    plain index order and results do not depend on the pool size.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _tolerance_union(reports) -> dict:
@@ -312,17 +299,10 @@ def _cmd_bound(cfg: RunConfig) -> str:
             result["oracle_cost"] = oracle_cost
         click.echo(f"total={rep.total:.9g} (psi={rep.psi:.9g})")
         return write_json_artifact(cfg, result, rep.tolerances)
-    grid = parse_m_grid(cfg.M_grid, G) if cfg.M_grid else bound.default_m_grid(G)
-    if nu2 is not None and nu1.identical_to(nu2):
-        hs_data = None
-    else:
-        irreps = groups.enumerate_irreps(G, float(grid[-1]))
-        hs_data = (irreps, fourier.hs_profile(G, nu1, nu2, irreps))
-    reports = _pmap(
-        cfg.threads,
-        lambda M: bound.wg_bound(G, g, nu1, nu2, float(M), profile_id,
-                                 hs_data=hs_data),
-        list(grid))
+    sweep = bound.CutoffSweep(
+        G, g, profile_id, parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None)
+    hs = sweep.hs_profile(nu1, nu2)
+    reports = [sweep.report(i, hs) for i in range(sweep.grid.size)]
     _check_dominance(reports, oracle_cost)
     best = min(reports, key=lambda r: (r.total, r.M))
     click.echo(f"best M={best.M:g} total={best.total:.9g}")
@@ -498,7 +478,6 @@ def _common_options(fn):
         click.option("--verify", is_flag=True,
                      help="run transport oracles alongside and fail on "
                           "dominance violations"),
-        click.option("--threads", type=int, default=1, show_default=True),
     ]
     for dec in reversed(decorators):
         fn = dec(fn)

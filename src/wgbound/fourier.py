@@ -43,11 +43,13 @@ class DiscreteMeasure:
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
         if atoms.shape[1] != G.dim:
             raise ValueError(f"atoms must have {G.dim} coordinates for {self.group_id}")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size != atoms.shape[0] or w.size == 0:
             raise ValueError("weights must match a nonempty atom list")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}")
         self.atoms = groups.canonicalize(G, atoms)

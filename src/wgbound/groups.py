@@ -438,9 +438,12 @@ def load_points(path, expect_group: Optional[str] = None):
         if len(parts) != G.dim:
             raise ValueError(f"{path}:{ln_no}: expected {G.dim} fields, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{ln_no}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{ln_no}: non-finite coordinate")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no points")
     pts = canonicalize(G, np.asarray(rows, dtype=float))

@@ -86,6 +86,11 @@ def bump_profile(profile_id: str) -> BumpProfile:
     return BumpProfile(profile_id=profile_id, is_plateau=profile_id == "plateau")
 
 
+def as_profile_id(profile) -> str:
+    """Id of a profile given as a BumpProfile or as its id string."""
+    return profile.profile_id if isinstance(profile, BumpProfile) else str(profile)
+
+
 # ---------------------------------------------------------------------------
 # radial Fourier transforms
 
@@ -236,7 +241,7 @@ def bump_transform(profile, r: int) -> BumpTransform:
     """Fourier transform of a radial bump over R^r, with tail majorants."""
     if r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {r}")
-    profile_id = profile.profile_id if isinstance(profile, BumpProfile) else str(profile)
+    profile_id = as_profile_id(profile)
     if profile_id not in PROFILE_IDS:
         raise ValueError(f"unknown profile {profile_id!r}")
     return _bump_transform_cached(profile_id, r)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-import sympy
 
 from . import bound, fourier, groups, transport
 from ._util import DominanceError, SolverError, pairwise_sum
@@ -61,6 +60,11 @@ def _closed_under_inverse(rot: np.ndarray, inv: np.ndarray) -> bool:
     return True
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division; meant for the small n that lps_generators admits."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def lps_generators(p: int) -> LpsSet:
     """Rotations of the integer quaternions a+bi+cj+dk of norm p, a odd > 0.
 
@@ -69,7 +73,7 @@ def lps_generators(p: int) -> LpsSet:
     solutions; their rotations form a symmetric set.
     """
     p = int(p)
-    if not sympy.isprime(p) or p % 4 != 1 or p > 10 ** 4:
+    if p > 10 ** 4 or p % 4 != 1 or not _is_prime(p):
         raise ValueError(
             f"need a prime p = 1 (mod 4) with p <= 10^4, got {p}")
     quats = []
@@ -168,18 +172,11 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
     base = [fourier.measure_transform(G, nu, p).matrix for p in irreps]
     ratios = np.asarray([p.dim / p.casimir for p in irreps])
-    lam = np.asarray([p.weight_norm for p in irreps])
-
-    if m_grid is None:
-        grid = bound.default_m_grid(G, cap=float(M))
-    else:
-        grid = np.sort(np.asarray(m_grid, dtype=float))
-    grid = grid[(grid >= G.admissibility_threshold) & (grid <= M)]
-    if grid.size == 0:
-        raise ValueError("no admissible cutoff at or below M")
-    psis = np.asarray([bound.psi(G, g, float(m), profile) for m in grid])
-    phis = np.asarray([bound.phi(G.n, g, float(m)) for m in grid])
-    cuts = np.searchsorted(lam, grid, side="left")
+    grid = np.asarray(bound.default_m_grid(G, cap=float(M)) if m_grid is None
+                      else m_grid, dtype=float)
+    sweep = bound.CutoffSweep(G, g, profile, grid[grid <= M])
+    gap_sweep = None if q_hint is None else bound.CutoffSweep(
+        G, g, profile, relaxed=True)
 
     # one-dimensional blocks (every torus irrep) power as a single vector
     scalar = all(b.shape == (1, 1) for b in base)
@@ -218,16 +215,15 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         if prev_q is not None and q_hat > prev_q * q1 + _SUBMULT_TOL:
             raise SolverError(f"gap trace not submultiplicative at step {k}")
         contrib = ratios * hs_sq
-        cum = np.concatenate(([0.0], np.cumsum(contrib)))
-        totals = psis + phis * np.sqrt(np.maximum(cum[cuts], 0.0))
-        i_best = int(np.argmin(totals))
+        totals, i_best = sweep.totals(
+            np.concatenate(([0.0], np.cumsum(contrib))))
         fields = dict(
             step=k, q_hat=q_hat, fourier_sum=float(pairwise_sum(contrib)),
-            exact_m=float(grid[i_best]), exact_total=float(totals[i_best]),
-            power_check=check)
-        if q_hint is not None:
+            exact_m=float(sweep.grid[i_best]),
+            exact_total=float(totals[i_best]), power_check=check)
+        if gap_sweep is not None:
             qk = float(q_hint) ** k
-            rm, rrep = bound.optimized_gap_bound(G, g, qk, profile)
+            rm, rrep = gap_sweep.best(q=qk)
             fields.update(relaxed_q=qk, relaxed_m=rm,
                           relaxed_total=rrep.total)
         states.append(WalkState(**fields))
@@ -328,7 +324,9 @@ def empirical_experiment(G: groups.GroupDescriptor,
         raise ValueError(f"unknown source {source!r}")
     if not haar_source and source.group_id != G.group_id:
         raise ValueError("measure/group mismatch")
-    grid = None if m_cap is None else bound.default_m_grid(G, cap=m_cap)
+    sweep = bound.CutoffSweep(
+        G, g, profile,
+        None if m_cap is None else bound.default_m_grid(G, cap=m_cap))
     var_irreps = groups.enumerate_irreps(
         G, _VARIANCE_CUTOFF_FACTOR * G.admissibility_threshold + 0.1)
     nu2 = None if haar_source else source
@@ -348,8 +346,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
                 atoms = source.atoms[picks]
             nu_bar = fourier.DiscreteMeasure.uniform(G, atoms)
             var_acc += fourier.hs_profile(G, nu_bar, nu2, var_irreps)
-            best_m, rep = bound.optimize_M(G, g, nu_bar, nu2,
-                                           profile=profile, M_grid=grid)
+            best_m, rep = sweep.best(sweep.hs_profile(nu_bar, nu2))
             totals.append(rep.total)
             ms.append(best_m)
             if with_oracle and not haar_source:

@@ -48,9 +48,9 @@ def test_01_certified_dominance_trials():
             g = bound.ModulusOfContinuity.power(p)
             cost = transport.exact_wasserstein(G, g, nu1, nu2).cost
             hs = fourier.hs_profile(G, nu1, nu2, irreps)
-            for M in grid:
-                rep = bound.wg_bound(G, g, nu1, nu2, float(M),
-                                     hs_data=(irreps, hs))
+            sweep = bound.CutoffSweep(G, g, "paper_bump", grid)
+            for i, M in enumerate(grid):
+                rep = sweep.report(i, hs)
                 if rep.total + rep.tolerance + transport.GAP_TOL < cost:
                     violations.append((gid, trial, float(M), rep.total, cost))
             trial += 1

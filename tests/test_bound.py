@@ -164,18 +164,29 @@ class TestWgBound:
         with pytest.raises(ValueError, match="admissibility"):
             bound.wg_bound(G_SU2, LINEAR, nu, None, 1.2)
 
-    def test_hs_data_fast_path_matches(self, any_group):
+    def test_sweep_report_matches_wg_bound(self, any_group):
         nu1 = random_measure(any_group, 6, 80)
         nu2 = random_measure(any_group, 5, 81)
         top = 6.0 * any_group.admissibility_threshold
-        irreps = groups.enumerate_irreps(any_group, top)
-        hs = fourier.hs_profile(any_group, nu1, nu2, irreps)
-        for M in (0.5 * top, top):
-            a = bound.wg_bound(any_group, LINEAR, nu1, nu2, M)
-            b = bound.wg_bound(any_group, LINEAR, nu1, nu2, M,
-                               hs_data=(irreps, hs))
-            assert a.total == pytest.approx(b.total, abs=1e-12)
-            assert a.fourier_sum == pytest.approx(b.fourier_sum, abs=1e-14)
+        grid = bound.default_m_grid(any_group, cap=top)
+        sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid)
+        hs = sweep.hs_profile(nu1, nu2)
+        for i, M in enumerate(grid):
+            alone = bound.wg_bound(any_group, LINEAR, nu1, nu2, float(M))
+            # a sweep topped at M sees the same irreps as wg_bound at M
+            own = bound.CutoffSweep(any_group, LINEAR, "paper_bump",
+                                    grid[:i + 1])
+            assert own.report(i, own.hs_profile(nu1, nu2)) == alone
+            # the full sweep reuses one profile over more irreps; su2/so3
+            # levels do not depend on that, but the torus profile is one
+            # BLAS product whose last bits depend on the irrep count
+            rep = sweep.report(i, hs)
+            if not any_group.group_id.startswith("torus"):
+                assert rep == alone
+            assert rep.irreps_used == alone.irreps_used
+            assert rep.total == pytest.approx(alone.total, abs=1e-12)
+            assert rep.fourier_sum == pytest.approx(alone.fourier_sum,
+                                                    abs=1e-14)
 
     def test_dominates_circle_oracle_trials(self):
         g = LINEAR

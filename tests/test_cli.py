@@ -2,13 +2,18 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgbound import bound, cli, groups, transport, walks
 from wgbound._util import SolverError
+
+from conftest import GROUP_IDS
 
 G_T1 = groups.descriptor("torus(1)")
 
@@ -46,7 +51,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("command", "solve"), ("profile", "gauss"), ("seed", -1),
-        ("seed", 2 ** 64), ("reps", 0), ("threads", 0)])
+        ("seed", 2 ** 64), ("reps", 0)])
     def test_invalid_values(self, field, value):
         payload = {"command": "kernel", "group": "su2", field: value}
         with pytest.raises(cli.ConfigError):
@@ -199,19 +204,6 @@ class TestBoundCommand:
         assert res.exit_code == cli.EXIT_DOMINANCE
         assert "dominance" in res.output
 
-    def test_threads_do_not_change_values(self, runner, tmp_path,
-                                          circle_pair):
-        a, b = circle_pair
-        outs = {}
-        for threads in ("1", "4"):
-            res = runner.invoke(cli.main, [
-                "bound", "--group", "torus(1)", "--points", a, "--points", b,
-                "--M-grid", "4:64:8", "--threads", threads,
-                "--out", str(tmp_path / threads)])
-            assert res.exit_code == 0, res.output
-            lines = open(read_artifact(res.output)).read().splitlines()
-            outs[threads] = [ln for ln in lines if not ln.startswith("#")]
-        assert outs["1"] == outs["4"]
 
 
 class TestAuditCommand:
@@ -376,6 +368,38 @@ class TestExitPaths:
             "--M", "40", "--out", str(tmp_path)])
         assert res.exit_code == cli.EXIT_CONFIG
 
+    @given(group=st.sampled_from(GROUP_IDS),
+           token=st.sampled_from(("nan", "inf", "-inf")),
+           n_rows=st.integers(1, 4), data=st.data(), bad_first=st.booleans(),
+           single_m=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_coordinate(self, group, token, n_rows, data,
+                                   bad_first, single_m):
+        # a point file with a non-finite coordinate is an input error: exit
+        # 2 and no artifact, never a bound of nan
+        dim = groups.descriptor(group).dim
+        row = data.draw(st.integers(0, n_rows - 1))
+        col = data.draw(st.integers(0, dim - 1))
+        cells = [["0.5"] * dim for _ in range(n_rows)]
+        cells[row][col] = token
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, "bad.csv")
+            good = os.path.join(tmp, "good.csv")
+            with open(bad, "w") as fh:
+                fh.write(f"# group={group}\n")
+                fh.writelines(",".join(r) + "\n" for r in cells)
+            groups.save_points(good, group, np.full((2, dim), 0.5))
+            paths = [bad, good] if bad_first else [good, bad]
+            out = os.path.join(tmp, "art")
+            args = ["bound", "--group", group, "--points", paths[0],
+                    "--points", paths[1], "--out", out]
+            if single_m:
+                args += ["--M", "20"]
+            res = CliRunner().invoke(cli.main, args)
+            assert res.exit_code == cli.EXIT_CONFIG, res.output
+            assert "non-finite" in res.output
+            assert not os.path.exists(out)
+
     def test_unknown_group(self, runner, tmp_path):
         res = runner.invoke(cli.main, [
             "kernel", "--group", "su3", "--M", "5", "--out", str(tmp_path)])
@@ -428,3 +452,7 @@ class TestReproducibility:
         cfg = cli.RunConfig(command="kernel", group="su2", M=6.0,
                             out=str(tmp_path))
         assert cli.run(cfg) == 0
+        # a non-finite result is a solver failure (exit 4), never bare NaN
+        with pytest.raises(SolverError, match="non-finite"):
+            cli.write_json_artifact(cfg, {"total": math.nan}, {})
+        assert len(os.listdir(tmp_path)) == 1

@@ -22,6 +22,10 @@ def test_discrete_measure_validation():
         fourier.DiscreteMeasure("torus(1)", [[0.1], [0.2]], [0.5, 0.6])
     with pytest.raises(ValueError, match="nonneg"):
         fourier.DiscreteMeasure("torus(1)", [[0.1], [0.2]], [1.5, -0.5])
+    with pytest.raises(ValueError, match="finite"):
+        fourier.DiscreteMeasure("torus(1)", [[0.1], [0.2]], [1.0, math.nan])
+    with pytest.raises(ValueError, match="finite"):
+        fourier.DiscreteMeasure("torus(1)", [[0.1], [math.inf]], [0.5, 0.5])
     with pytest.raises(ValueError, match="coordinates"):
         fourier.DiscreteMeasure("su2", [[0.1]], [1.0])
     nu = fourier.DiscreteMeasure.uniform(G, [[0.25], [1.75]])

@@ -237,6 +237,10 @@ def test_point_file_errors(tmp_path):
     mism.write_text("# group=torus(1)\n0.5\n")
     with pytest.raises(ValueError, match="does not match"):
         groups.load_points(mism, expect_group="su2")
+    inf = tmp_path / "inf.csv"
+    inf.write_text("# group=su2\n1,0,0,0\n0,-inf,0,0\n")
+    with pytest.raises(ValueError, match="inf.csv:3: non-finite"):
+        groups.load_points(inf)
     with pytest.raises(OSError):
         groups.load_points(tmp_path / "nope.csv")
 

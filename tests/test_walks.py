@@ -44,6 +44,15 @@ class TestLpsGenerators:
         with pytest.raises(ValueError):
             walks.lps_generators(p)
 
+    def test_primality_matches_sieve(self):
+        top = 10 ** 4
+        sieve = np.ones(top + 1, dtype=bool)
+        sieve[:2] = False
+        for d in range(2, math.isqrt(top) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = False
+        assert [walks._is_prime(n) for n in range(top + 1)] == sieve.tolist()
+
     def test_closed_under_inverse(self):
         lps = walks.lps_generators(13)
         inv = groups.inverse(G_SO3, lps.rotations)
@@ -102,6 +111,16 @@ class TestWalkEvolve:
         assert hinted[1].relaxed_q == pytest.approx(5 / 9)
         assert hinted[1].relaxed_total is not None
         assert hinted[1].relaxed_total < hinted[0].relaxed_total
+
+    def test_relaxed_fields_match_optimized_gap_bound(self):
+        q = math.sqrt(5) / 3
+        states = walks.walk_evolve(G_SO3, walks.lps_generators(5).measure(),
+                                   40, 25.5, q_hint=q)
+        for k in (1, 8, 40):
+            m, rep = bound.optimized_gap_bound(G_SO3, LINEAR, q ** k)
+            s = states[k - 1]
+            assert (s.relaxed_q, s.relaxed_m, s.relaxed_total) == \
+                (q ** k, m, rep.total)
 
     def test_golden_rotation_polynomial_decay(self):
         golden = (math.sqrt(5) - 1) / 2
