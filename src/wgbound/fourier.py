@@ -8,11 +8,16 @@ action, so spin 1/2 reproduces the defining matrix of a unit quaternion
     [[w - iz, -y - ix],
      [ y - ix,  w + iz]]
 
+In that basis the generator along e3 is diagonal with the weights
+``m = k - j``.  A spin-j matrix is evaluated in double precision from the
+Euler factorization ``q = exp(a e3) exp(b e2) exp(c e3)`` and one
+eigendecomposition of the e2 generator per spin (the eigenvalue method for
+Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
+
 Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -22,10 +27,6 @@ from scipy.special import eval_chebyu
 
 from . import groups
 from ._util import SolverError, pairwise_sum
-
-# above this the monomial-basis entry sums lose too much to cancellation in
-# double precision, so terms are accumulated in extended precision
-_LONGDOUBLE_TWO_J = 36
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -121,97 +122,56 @@ class FourierBlock:
 # irreducible matrices
 
 
-@lru_cache(maxsize=256)
-def _wigner_plan(two_j: int):
-    """Flattened monomial-expansion plan for one spin.
-
-    Entry (l, k) of the matrix is sum_i coeff * a^i * c^(2j-k-i) * b^(2j-l-i)
-    * d^(k-2j+l+i); the plan stores the exponent quadruples and coefficients
-    for all entries in row-major order plus reduceat segment starts.
-    """
-    d = two_j + 1
-    lg = [math.lgamma(k + 1) for k in range(two_j + 1)]
-    idx = {"a": [], "b": [], "c": [], "d": []}
-    coeffs, starts = [], []
-    pos = 0
-    for l in range(d):
-        for k in range(d):
-            starts.append(pos)
-            i_lo = max(0, two_j - l - k)
-            i_hi = min(two_j - k, two_j - l)
-            log_ratio = 0.5 * (lg[two_j - l] + lg[l] - lg[two_j - k] - lg[k])
-            for i in range(i_lo, i_hi + 1):
-                t = two_j - l - i
-                log_binom = (lg[two_j - k] - lg[i] - lg[two_j - k - i]
-                             + lg[k] - lg[t] - lg[k - t])
-                coeffs.append(math.exp(log_binom + log_ratio))
-                idx["a"].append(i)
-                idx["c"].append(two_j - k - i)
-                idx["b"].append(two_j - l - i)
-                idx["d"].append(k - two_j + l + i)
-                pos += 1
-    return {
-        "dim": d,
-        "coeffs": np.asarray(coeffs),
-        "starts": np.asarray(starts, dtype=np.intp),
-        "ia": np.asarray(idx["a"], dtype=np.intp),
-        "ib": np.asarray(idx["b"], dtype=np.intp),
-        "ic": np.asarray(idx["c"], dtype=np.intp),
-        "id": np.asarray(idx["d"], dtype=np.intp),
-    }
-
-
-def _quat_to_su2_entries(Q: np.ndarray, dtype):
-    w, x, y, z = (Q[:, i].astype(np.longdouble if dtype is np.clongdouble else float)
-                  for i in range(4))
-    j = dtype(1j)
-    a = w - j * z
-    b = -y - j * x
-    c = y - j * x
-    dd = w + j * z
-    return a.astype(dtype), b.astype(dtype), c.astype(dtype), dd.astype(dtype)
-
-
-def _power_table(vals: np.ndarray, top: int) -> np.ndarray:
-    out = np.empty((vals.shape[0], top + 1), dtype=vals.dtype)
-    out[:, 0] = 1
-    for e in range(1, top + 1):
-        out[:, e] = out[:, e - 1] * vals
-    return out
-
-
 def _two_j_of(irrep: groups.Irrep) -> int:
     return irrep.dim - 1
 
 
+def _spin_ladder(two_j: int) -> np.ndarray:
+    """Real ladder L with L[k+1, k] = sqrt((2j - k)(k + 1))."""
+    k = np.arange(two_j)
+    L = np.zeros((two_j + 1, two_j + 1))
+    L[k + 1, k] = np.sqrt((two_j - k) * (k + 1.0))
+    return L
+
+
+@lru_cache(maxsize=256)
+def _jy_eigenbasis(two_j: int):
+    """Weights m = k - j and the eigendecomposition of -i A2 for one spin.
+
+    ``A2 = derived_rep(e2)`` is real and skew-symmetric, so ``-i A2`` is
+    Hermitian and ``expm(beta A2) = V diag(exp(i beta mu)) V^*``.
+    """
+    L = _spin_ladder(two_j)
+    mu, V = np.linalg.eigh(-0.5j * (L - L.T))
+    return np.arange(two_j + 1) - two_j / 2.0, mu, V
+
+
 def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
                    X: np.ndarray) -> np.ndarray:
-    """Stacked unitary matrices of an irrep at a batch of elements, (N, d, d)."""
+    """Stacked unitary matrices of an irrep at a batch of elements, (N, d, d).
+
+    On su2/so3 each quaternion is factored as exp(a e3) exp(b e2) exp(c e3)
+    and D = diag(e^{iam}) V diag(e^{ib mu}) V^* diag(e^{icm}).  The angles
+    a and c lie in (-2pi, 2pi] and are not reduced mod 2pi, so half-integer
+    weights carry the sign of the quaternion: D(-q) = (-1)^(2j) D(q).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d_t = groups.torus_dim(G.group_id)
     if d_t is not None:
         m = np.asarray(irrep.label, dtype=float)
         phases = np.exp(2j * np.pi * (X @ m))
         return phases.reshape(-1, 1, 1)
-    two_j = _two_j_of(irrep)
-    plan = _wigner_plan(two_j)
-    dtype = np.clongdouble if two_j >= _LONGDOUBLE_TWO_J else np.complex128
-    n_terms = plan["coeffs"].size
-    chunk = max(1, int(2e7 // max(1, n_terms)))
-    outs = []
-    for lo in range(0, X.shape[0], chunk):
-        Q = X[lo:lo + chunk]
-        a, b, c, dd = _quat_to_su2_entries(Q, dtype)
-        Pa = _power_table(a, two_j)
-        Pb = _power_table(b, two_j)
-        Pc = _power_table(c, two_j)
-        Pd = _power_table(dd, two_j)
-        terms = (plan["coeffs"][None, :].astype(dtype)
-                 * Pa[:, plan["ia"]] * Pc[:, plan["ic"]]
-                 * Pb[:, plan["ib"]] * Pd[:, plan["id"]])
-        mats = np.add.reduceat(terms, plan["starts"], axis=1)
-        outs.append(mats.reshape(-1, irrep.dim, irrep.dim).astype(np.complex128))
-    return np.concatenate(outs, axis=0)
+    w, x, y, z = X.T
+    half_b = np.arctan2(np.hypot(x, y), np.hypot(w, z))
+    s = np.arctan2(z, w)    # (a + c) / 2
+    t = np.arctan2(x, y)    # (c - a) / 2
+    m, mu, V = _jy_eigenbasis(_two_j_of(irrep))
+    n, d = X.shape[0], irrep.dim
+    inner = V[None, :, :] * np.exp(2j * half_b[:, None] * mu[None, :])[:, None, :]
+    D = (inner.reshape(n * d, d) @ V.conj().T).reshape(n, d, d)
+    D *= np.exp(1j * (s - t)[:, None] * m[None, :])[:, :, None]
+    D *= np.exp(1j * (s + t)[:, None] * m[None, :])[:, None, :]
+    return D
 
 
 def irrep_matrix(G: groups.GroupDescriptor, irrep: groups.Irrep,
@@ -324,8 +284,10 @@ def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
     if d_t is not None:
         mlat = np.asarray([p.label for p in irreps], dtype=float)
         ph = np.exp(-2j * np.pi * (atoms @ mlat.T))
-        z = coeffs @ ph
-        return np.abs(z) ** 2
+        # summed in place, column by column, so that an irrep's value does
+        # not depend on how many irreps the call holds
+        ph *= coeffs[:, None]
+        return np.abs(ph.sum(axis=0)) ** 2
     t = atoms @ atoms.T
     if G.group_id == "so3":
         t = np.abs(t)
@@ -389,15 +351,10 @@ def derived_rep(G: groups.GroupDescriptor, irrep: groups.Irrep,
         m = np.asarray(irrep.label, dtype=float)
         return np.array([[2j * np.pi * float(m @ X)]])
     two_j = _two_j_of(irrep)
-    d = two_j + 1
-    j = two_j / 2.0
-    k = np.arange(d)
-    ladder = np.sqrt((two_j - k[:-1]) * (k[:-1] + 1.0))  # entry (k+1, k)
-    L = np.zeros((d, d))
-    L[k[1:], k[:-1]] = ladder
+    L = _spin_ladder(two_j)
     A1 = -0.5j * (L + L.T)
     A2 = 0.5 * (L - L.T)
-    A3 = 1j * np.diag(k - j)
+    A3 = 1j * np.diag(np.arange(two_j + 1) - two_j / 2.0)
     return X[0] * A1 + X[1] * A2 + X[2] * A3
 
 

@@ -177,16 +177,9 @@ class TestWgBound:
             own = bound.CutoffSweep(any_group, LINEAR, "paper_bump",
                                     grid[:i + 1])
             assert own.report(i, own.hs_profile(nu1, nu2)) == alone
-            # the full sweep reuses one profile over more irreps; su2/so3
-            # levels do not depend on that, but the torus profile is one
-            # BLAS product whose last bits depend on the irrep count
-            rep = sweep.report(i, hs)
-            if not any_group.group_id.startswith("torus"):
-                assert rep == alone
-            assert rep.irreps_used == alone.irreps_used
-            assert rep.total == pytest.approx(alone.total, abs=1e-12)
-            assert rep.fourier_sum == pytest.approx(alone.fourier_sum,
-                                                    abs=1e-14)
+            # the full sweep reuses one profile over more irreps; no
+            # irrep's value depends on how many the profile holds
+            assert sweep.report(i, hs) == alone
 
     def test_dominates_circle_oracle_trials(self):
         g = LINEAR

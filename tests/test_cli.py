@@ -236,7 +236,7 @@ class TestAuditCommand:
             "audit", "--group", "so3", "--points", str(pts),
             "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        assert "gap=0.723406401371" in res.output
+        assert "gap=0.723406401366" in res.output
 
 
 class TestWalkCommand:

@@ -63,7 +63,8 @@ def test_su2_defining_representation():
     np.testing.assert_allclose(phases, [-theta / 2, theta / 2], atol=1e-10)
 
 
-@pytest.mark.parametrize("gid,M", [("su2", 3.0), ("so3", 3.5), ("torus(2)", 14.0)])
+@pytest.mark.parametrize("gid,M", [("su2", 3.0), ("so3", 3.5), ("torus(2)", 14.0),
+                                   ("su2", 25.5), ("so3", 25.5)])
 def test_irrep_matrix_is_exponential_of_derived_rep(gid, M):
     G, reps = _irreps(gid, M)
     rng = np.random.default_rng(8)
@@ -75,6 +76,57 @@ def test_irrep_matrix_is_exponential_of_derived_rep(gid, M):
             U = fourier.irrep_matrix(G, p, pt)
             D = fourier.derived_rep(G, p, X)
             assert np.linalg.norm(U - expm(u * D)) < 1e-9
+
+
+def _spin(G, two_j):
+    return next(p for p in groups.enumerate_irreps(G, two_j / 2.0 + 1.0)
+                if p.dim == two_j + 1)
+
+
+@pytest.mark.parametrize("two_j", [36, 50, 80])
+def test_high_spin_unitary_homomorphism(two_j):
+    G = groups.descriptor("su2")
+    p = _spin(G, two_j)
+    X = groups.haar_sample(G, 3, 64)
+    Y = groups.haar_sample(G, 4, 64)
+    UX = fourier.irrep_matrices(G, p, X)
+    UY = fourier.irrep_matrices(G, p, Y)
+    UXY = fourier.irrep_matrices(G, p, groups.multiply(G, X, Y))
+    gram = UX @ UX.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(gram - np.eye(p.dim))) < 1e-12
+    assert np.max(np.abs(UXY - UX @ UY)) < 1e-12
+
+
+@pytest.mark.parametrize("gid", ["su2", "so3"])
+def test_degenerate_euler_inputs(gid):
+    # points where the Euler factorization hits a pole or a branch cut:
+    # rotations about e3 (x = y = 0), half turns (w = 0; w = z = 0 when
+    # the axis lies in the e1-e2 plane), and so3's sign-fix tie at w = 0
+    G = groups.descriptor(gid)
+    rng = np.random.default_rng(12)
+    cases = [(u, np.array([0.0, 0.0, 1.0]))
+             for u in (0.0, 0.7, -2.5, np.pi, 2 * np.pi - 1e-9, 2 * np.pi)]
+    axes = [rng.normal(size=3) * [1.0, 1.0, 0.0] for _ in range(3)]
+    axes += [rng.normal(size=3) for _ in range(3)]
+    axes += [np.array([0.0, 0.0, -1.0]), np.array([-1.0, 0.0, 0.0])]
+    cases += [(np.pi, n / np.linalg.norm(n)) for n in axes]
+    h = groups.haar_sample(G, 13, 1)[0]
+    for p in groups.enumerate_irreps(G, 8.0):
+        Uh = fourier.irrep_matrix(G, p, h)
+        for u, n in cases:
+            q = groups.canonicalize(
+                G, np.concatenate([[np.cos(u / 2)], np.sin(u / 2) * n]))
+            U = fourier.irrep_matrix(G, p, q)
+            R = expm(u * fourier.derived_rep(G, p, n))
+            assert np.max(np.abs(U - R)) < 1e-12
+            Uqh = fourier.irrep_matrix(G, p, groups.multiply(G, q, h))
+            assert np.max(np.abs(Uqh - U @ Uh)) < 1e-12
+            if gid == "su2":
+                sign = (-1) ** (p.dim - 1)
+                for x in (q, h):
+                    neg = fourier.irrep_matrix(G, p, -x)
+                    pos = fourier.irrep_matrix(G, p, x)
+                    assert np.max(np.abs(neg - sign * pos)) < 1e-12
 
 
 def test_torus_weight_eigenphases():

@@ -14,9 +14,10 @@ G_SO3 = groups.descriptor("so3")
 G_SU2 = groups.descriptor("su2")
 G_T1 = groups.descriptor("torus(1)")
 LINEAR = bound.ModulusOfContinuity.power(1.0)
-# max op norm over ell <= 25 of the norm-5 set, attained at ell = 21; the
-# spherical-harmonic oracle (conftest.harmonic_block) reproduces it
-GAP_P5 = 0.7234064013708122
+# max op norm over ell <= 25 of the norm-5 set, attained at ell = 21, from a
+# 40-digit evaluation of the block; the spherical-harmonic oracle
+# (conftest.harmonic_block) reproduces it
+GAP_P5 = 0.7234064013664599
 DATA_P5 = os.path.join(os.path.dirname(walks.__file__), "data",
                        "lps_p5_so3.csv")
 
@@ -65,11 +66,12 @@ class TestLpsGenerators:
         np.testing.assert_allclose(nu.weights, 1 / 6, atol=1e-15)
 
     def test_blocks_hermitian(self):
-        # symmetric generating sets have self-adjoint transform blocks
+        # symmetric generating sets have self-adjoint transform blocks, and
+        # the irrep matrices keep that to roundoff at every level up to 25
         nu = walks.lps_generators(5).measure()
-        for p in groups.enumerate_irreps(G_SO3, 6.5):
+        for p in groups.enumerate_irreps(G_SO3, 25.5):
             m = fourier.measure_transform(G_SO3, nu, p).matrix
-            assert np.max(np.abs(m - m.conj().T)) < 1e-10
+            assert np.max(np.abs(m - m.conj().T)) < 1e-13
 
     def test_p5_gap_regression(self):
         nu = walks.lps_generators(5).measure()
@@ -294,6 +296,23 @@ class TestEquidistributionAudit:
             assert lbl == str(p.label) and dim == p.dim
             assert wn == pytest.approx(p.weight_norm)
             assert 0 <= hs_sq <= dim ** 2 + 1e-9
+
+    def test_energies_match_extended_precision_character_sums(self):
+        # hs_sq(l) = sum_kl w_k w_l chi_l(x_k^-1 x_l), where
+        # chi_l = sin((2l+1) theta/2) / sin(theta/2) and cos(theta/2) is
+        # |<x_k, x_l>|; the reference sums run in long double
+        n = 64
+        pts = groups.haar_sample(G_SO3, 11, n)
+        audit = walks.equidistribution_audit(G_SO3, pts, LINEAR)
+        atoms = pts.astype(np.longdouble)
+        half = np.arccos(np.clip(np.abs(atoms @ atoms.T), 0, 1))
+        sin_half = np.sin(half)
+        off = sin_half > 0
+        assert len(audit.character_profile) == 25
+        for _, _, dim, hs_sq in audit.character_profile:
+            chi = np.full_like(half, dim)
+            chi[off] = np.sin(dim * half[off]) / sin_half[off]
+            assert abs(hs_sq - float(chi.sum() / n ** 2)) < 1e-12
 
     def test_deterministic_json(self):
         pts = groups.haar_sample(G_SU2, 9, 16)
