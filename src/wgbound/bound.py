@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._util import config_hash, golden_min, pairwise_sum
+from ._util import SolverError, config_hash, golden_min, pairwise_sum
 from . import fourier, groups, smoothing
 from .groups import GroupDescriptor
 from .smoothing import (_C_EPS, as_profile_id, budget_interval, bump_transform,
@@ -135,25 +135,17 @@ def _psi_layout(G: GroupDescriptor):
         raise ValueError(f"no smoothing-cost layout for group {G.group_id!r}")
 
 
-def _noise_radius(tf, a_f: float, R: float) -> float:
-    """Radius past which |F| is certified below 1e-13 |F(0)|.
-
-    Sign changes beyond it are roundoff noise; panels need no alignment
-    there because the integrand is negligible against the quadrature
-    error estimate.
-    """
-    cut = 1e-13 * abs(tf.f0)
-    u, top = 1.0, a_f * R
-    while u < top and tf.tail_bound(u) > cut:
-        u *= 1.0905
-    return min(R, u / a_f)
+# the bracket width that 32 bisections of the torus scan step leave
+_ZERO_WIDTH = 3.7e-12
 
 
 def _f_sign_changes(tf, a_f: float, R: float) -> np.ndarray:
-    """Zeros of x -> F(a_f x) on (0, R), by dense scan plus bisection.
+    """Zeros of x -> F(a_f x) on (0, R), by dense scan plus Illinois refinement.
 
     The |F| factor of the integrand has kinks exactly there, so quadrature
-    panels must break at these points to converge.
+    panels must break at these points to converge.  A bracket stops once
+    it is _ZERO_WIDTH wide or |F| falls to 4u |F(0)|, the roundoff level of
+    the panelled sum, below which the sign of F is not determined.
     """
     # zero spacing is > 0.2/a_f in x; 1e-8 placement suffices because the
     # integrand vanishes at each kink (panel-edge error ~ |F'| delta^2)
@@ -161,16 +153,33 @@ def _f_sign_changes(tf, a_f: float, R: float) -> np.ndarray:
     xs = np.linspace(0.0, R, int(R / step) + 2)
     fv = tf.evaluate(a_f * xs)
     idx = np.nonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0)[0]
-    if idx.size == 0:
-        return np.empty(0)
-    lo, hi = xs[idx].copy(), xs[idx + 1].copy()
-    slo = np.sign(fv[idx])
-    for _ in range(32):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(tf.evaluate(a_f * mid)) * slo >= 0
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = xs[idx], xs[idx + 1]
+    flo, fhi = fv[idx], fv[idx + 1]
+    zeros = np.empty(idx.size)
+    floor = 2.0 * np.finfo(float).eps * abs(tf.f0)    # 4u |F(0)|
+    moved = np.zeros(idx.size)          # +1 / -1: end moved in the last round
+    live = np.arange(idx.size)
+    for _ in range(64):
+        wide = hi[live] - lo[live] > _ZERO_WIDTH
+        done = live[~wide]
+        zeros[done] = 0.5 * (lo[done] + hi[done])
+        live = live[wide]
+        if live.size == 0:
+            return zeros
+        a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = tf.evaluate(a_f * x)
+        left = np.sign(fx) == np.sign(fa)
+        # Illinois: halve the kept end's value when the same end moves twice
+        fhi[live] = np.where(left, np.where(moved[live] > 0, 0.5 * fb, fb), fx)
+        flo[live] = np.where(left, fx, np.where(moved[live] < 0, 0.5 * fa, fa))
+        lo[live] = np.where(left, x, a)
+        hi[live] = np.where(left, b, x)
+        moved[live] = np.where(left, 1.0, -1.0)
+        hit = np.abs(fx) <= floor
+        zeros[live[hit]] = x[hit]
+        live = live[~hit]
+    raise SolverError("zero refinement of the bump transform did not converge")
 
 
 def _panelled_nodes(breaks: np.ndarray, width: float, order: int):
@@ -202,17 +211,17 @@ def _psi_nodes(group_id: str, profile_id: str):
     G = groups.descriptor(group_id)
     r, R, A, a_f, xpow = _psi_layout(G)
     tf = bump_transform(profile_id, r)
-    zeros = _f_sign_changes(tf, a_f, _noise_radius(tf, a_f, R))
+    zeros = _f_sign_changes(tf, a_f, R)
     breaks = np.concatenate(([0.0], zeros, [R]))
-    out = {}
-    for tag, width in (("coarse", 0.5), ("fine", 0.25)):
-        x, wx = _panelled_nodes(breaks, width, 10)
-        base = np.abs(tf.evaluate(a_f * x)) * x ** xpow
-        if G.group_id in ("su2", "so3"):
-            base = base * np.sin(np.pi * x) ** 2
-        out[tag] = (x, A * wx * base)
-    out["meta"] = (r, R, A, a_f, tf)
-    return out
+    (xc, wc), (xf, wf) = (_panelled_nodes(breaks, width, 10) for width in (0.5, 0.25))
+    # segments shorter than both widths give the same nodes in both tables
+    union, inverse = np.unique(np.concatenate((xc, xf)), return_inverse=True)
+    base = np.abs(tf.evaluate(a_f * union)) * union ** xpow
+    if G.group_id in ("su2", "so3"):
+        base = base * np.sin(np.pi * union) ** 2
+    ic, jf = np.split(inverse, [xc.size])
+    return {"coarse": (xc, A * wc * base[ic]), "fine": (xf, A * wf * base[jf]),
+            "meta": (r, R, A, a_f, tf)}
 
 
 def psi_detailed(G: GroupDescriptor, g, t: float,

@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 import click
 import numpy as np
 import scipy
-import sympy
 
 from . import __version__, bound, fourier, groups, smoothing, transport, walks
 from ._util import DominanceError, SolverError, config_hash, json_default
@@ -185,7 +184,7 @@ def _load_measure(path: str, G: groups.GroupDescriptor) -> fourier.DiscreteMeasu
 
 def _versions() -> dict:
     return {"wgbound": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "sympy": sympy.__version__}
+            "scipy": scipy.__version__}
 
 
 def write_json_artifact(cfg: RunConfig, result: dict, tolerances: dict) -> str:

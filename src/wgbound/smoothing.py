@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import sympy as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
@@ -24,6 +23,36 @@ PROFILE_IDS = ("paper_bump", "plateau")
 
 _TAIL_ORDERS = (2, 4, 6)
 _MAJORANT_SAFETY = 1.1
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor jets: arrays whose row k is the k-th Taylor coefficient
+# (Griewank & Walther, Evaluating Derivatives, ch. 13)
+
+_JET_ORDER = max(_TAIL_ORDERS)
+
+
+def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    for k in range(len(a)):
+        out[k] = (a[k] - sum(out[j] * b[k - j] for j in range(k))) / b[0]
+    return out
+
+
+def _jet_exp(a: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
+    return out
+
+
+def _jet_sqrt(a: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    out[0] = np.sqrt(a[0])
+    for k in range(1, len(a)):
+        out[k] = (a[k] - sum(out[j] * out[k - j] for j in range(1, k))) / (2.0 * out[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +94,21 @@ class BumpProfile:
             return self.radial(np.linalg.norm(np.atleast_1d(X)))
         return self.radial(np.linalg.norm(X, axis=-1))
 
-    def _branches(self):
-        """Symbolic pieces of h(t,c) = radial(sqrt(t^2+c^2)) as (r_lo, r_hi, expr).
+    def _t_jet(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Taylor coefficients in t of h(t, c) = radial(sqrt(t^2 + c^2)).
 
-        Regions where the profile is constant are omitted: their
-        t-derivatives vanish identically.
+        Row k holds the k-th coefficient, so the k-th t-derivative is
+        k! * row k.  Valid where the profile is not locally constant.
         """
-        t, c = sp.symbols("t c", real=True)
-        q = t ** 2 + c ** 2
+        q = np.zeros((_JET_ORDER + 1,) + t.shape)
+        q[0], q[1], q[2] = t * t + c * c, 2.0 * t, 1.0
+        one = np.zeros_like(q)
+        one[0] = 1.0
         if self.is_plateau:
-            tau = 2 * (1 - sp.sqrt(q))
-            expr = 1 / (1 + sp.exp(1 / tau - 1 / (1 - tau)))
-            return t, c, [(0.5, 1.0, expr)]
-        return t, c, [(0.0, 1.0, sp.exp(-q / (1 - q)))]
+            tau = 2.0 * (one - _jet_sqrt(q))
+            z = _jet_div(one, tau) - _jet_div(one, one - tau)
+            return _jet_div(one, one + _jet_exp(z))
+        return _jet_exp(-_jet_div(q, one - q))
 
 
 def bump_profile(profile_id: str) -> BumpProfile:
@@ -162,43 +193,39 @@ def _tail_majorants(profile: BumpProfile, r: int) -> Dict[int, float]:
 
     C_k = (2 pi)^{-k} * L1 norm of the k-th partial derivative of eta along
     one coordinate axis, integrated over the ball.  Evaluated on a dense
-    midpoint grid per smooth branch and inflated by a safety factor.
+    midpoint grid over the shell where the profile is not constant, and
+    inflated by a safety factor; one Taylor jet per point gives every k.
     """
-    t, c, branches = profile._branches()
-    out: Dict[int, float] = {}
-    for k in _TAIL_ORDERS:
-        total = 0.0
-        for r_lo, r_hi, expr in branches:
-            dk = sp.diff(expr, t, k)
-            fn = sp.lambdify((t, c), dk, modules="numpy", cse=True)
-            if r == 1:
-                n = 20001
-                tv = np.linspace(r_lo, r_hi, n + 1)
-                tv = 0.5 * (tv[:-1] + tv[1:])
-                with np.errstate(all="ignore"):
-                    vals = np.abs(np.nan_to_num(fn(tv, np.zeros_like(tv)),
-                                                nan=0.0, posinf=0.0, neginf=0.0))
-                total += 2.0 * float(vals.sum()) * (r_hi - r_lo) / n
-            else:
-                nt, nc = 1601, 801
-                tv = np.linspace(0.0, r_hi, nt + 1)
-                tv = 0.5 * (tv[:-1] + tv[1:])
-                cv = np.linspace(0.0, r_hi, nc + 1)
-                cv = 0.5 * (cv[:-1] + cv[1:])
-                T, C = np.meshgrid(tv, cv, indexing="ij")
-                rad = np.hypot(T, C)
-                mask = (rad > r_lo) & (rad < r_hi)
-                with np.errstate(all="ignore"):
-                    vals = np.abs(np.nan_to_num(fn(T, C),
-                                                nan=0.0, posinf=0.0, neginf=0.0))
-                vals[~mask] = 0.0
-                cell = (r_hi / nt) * (r_hi / nc)
-                if r == 2:
-                    total += 4.0 * float(vals.sum()) * cell
-                else:
-                    total += 4.0 * np.pi * float((vals * C).sum()) * cell
-        out[k] = _MAJORANT_SAFETY * total / (2.0 * np.pi) ** k
-    return out
+    r_lo, r_hi = (0.5 if profile.is_plateau else 0.0), 1.0
+    if r == 1:
+        n = 20001
+        tv = np.linspace(r_lo, r_hi, n + 1)
+        tv = 0.5 * (tv[:-1] + tv[1:])
+        cv = np.zeros_like(tv)
+        wv = np.full_like(tv, 2.0 * (r_hi - r_lo) / n)
+    else:
+        nt, nc = 1601, 801
+        tv = np.linspace(0.0, r_hi, nt + 1)
+        tv = 0.5 * (tv[:-1] + tv[1:])
+        cv = np.linspace(0.0, r_hi, nc + 1)
+        cv = 0.5 * (cv[:-1] + cv[1:])
+        T, C = np.meshgrid(tv, cv, indexing="ij")
+        rad = np.hypot(T, C)
+        mask = (rad > r_lo) & (rad < r_hi)
+        tv, cv = T[mask], C[mask]
+        cell = (r_hi / nt) * (r_hi / nc)
+        wv = np.full_like(tv, 4.0 * cell) if r == 2 else 4.0 * np.pi * cell * cv
+    sums = dict.fromkeys(_TAIL_ORDERS, 0.0)
+    # in blocks, so the jets' temporaries stay a few MB
+    for lo in range(0, tv.size, 65536):
+        blk = slice(lo, lo + 65536)
+        with np.errstate(all="ignore"):
+            jet = np.nan_to_num(profile._t_jet(tv[blk], cv[blk]),
+                                nan=0.0, posinf=0.0, neginf=0.0)
+        for k in _TAIL_ORDERS:
+            sums[k] += float(np.abs(jet[k]) @ wv[blk])
+    return {k: _MAJORANT_SAFETY * math.factorial(k) * sums[k] / (2.0 * np.pi) ** k
+            for k in _TAIL_ORDERS}
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,61 @@ class TestPsi:
         assert not d["tail_warning"]
 
 
+class _RecordingTransform:
+    """A bump transform that records every batch it evaluates."""
+
+    def __init__(self, tf):
+        self.tf, self.f0, self.calls = tf, tf.f0, []
+
+    def evaluate(self, x):
+        v = self.tf.evaluate(x)
+        self.calls.append((np.array(x), v))
+        return v
+
+
+class TestPsiNodes:
+    @pytest.mark.parametrize("group_id", ["su2", "torus(1)", "torus(2)", "torus(3)"])
+    def test_zero_refinement(self, group_id):
+        r, R, _, a_f, _ = bound._PSI_LAYOUT[group_id]
+        rec = _RecordingTransform(smoothing.bump_transform("paper_bump", r))
+        zeros = a_f * bound._f_sign_changes(rec, a_f, R)
+        # one zero inside each sign change of the dense scan
+        scan_x, scan_f = rec.calls[0]
+        idx = np.nonzero(np.sign(scan_f[:-1]) * np.sign(scan_f[1:]) < 0)[0]
+        assert zeros.size == idx.size > 0
+        assert np.all(scan_x[idx] <= zeros) and np.all(zeros <= scan_x[idx + 1])
+        # each zero is either a point where |F| reached the roundoff floor,
+        # or the middle of a sign-changing bracket no wider than 3.7e-12
+        seen_x, order = np.unique(np.concatenate([x for x, _ in rec.calls]),
+                                  return_index=True)
+        seen_f = np.concatenate([f for _, f in rec.calls])[order]
+        floor = 2.0 * np.finfo(float).eps * abs(rec.f0)
+        i = np.searchsorted(seen_x, zeros)
+        hit = (seen_x[np.minimum(i, seen_x.size - 1)] == zeros) \
+            & (np.abs(seen_f[np.minimum(i, seen_x.size - 1)]) <= floor)
+        lo, hi = i[~hit] - 1, i[~hit]
+        assert np.all(np.sign(seen_f[lo]) * np.sign(seen_f[hi]) < 0)
+        assert np.all(seen_x[hi] - seen_x[lo] <= a_f * 3.7e-12 + 1e-13)
+
+    @pytest.mark.parametrize("group_id", ["su2", "torus(2)"])
+    def test_shared_nodes_match_per_table_evaluation(self, group_id):
+        r, R, A, a_f, xpow = bound._PSI_LAYOUT[group_id]
+        tf = smoothing.bump_transform("paper_bump", r)
+        tables = bound._psi_nodes(group_id, "paper_bump")
+        breaks = np.concatenate(([0.0], bound._f_sign_changes(tf, a_f, R), [R]))
+        for tag, width in (("coarse", 0.5), ("fine", 0.25)):
+            x, wx = bound._panelled_nodes(breaks, width, 10)
+            base = np.abs(tf.evaluate(a_f * x)) * x ** xpow
+            if group_id == "su2":
+                base = base * np.sin(np.pi * x) ** 2
+            ref = A * wx * base
+            got_x, got_w = tables[tag]
+            assert np.array_equal(got_x, x)
+            # a value's last bits depend on the batch it is summed in, so
+            # compare on the scale of the whole vector
+            assert np.max(np.abs(got_w - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestPhi:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_linear_modulus_is_sqrt_n(self, n):

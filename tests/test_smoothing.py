@@ -1,10 +1,15 @@
 """Bump profiles, radial transforms, kernel coefficients, decay budgets."""
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
+import wgbound
 from wgbound import bound, fourier, groups, smoothing
 from wgbound._util import pairwise_sum
 
@@ -64,6 +69,67 @@ def test_tail_majorants_valid(r, profile):
     for x in (10.0, 20.0, 40.0):
         assert abs(tf.evaluate(np.array([x]))[0]) <= c4 / x ** 4
         assert tf.tail_bound(x) >= abs(tf.evaluate(np.array([x]))[0])
+
+
+# interior points (t, c) of each profile's smooth shell
+JET_POINTS = {
+    "paper_bump": [(0.2, 0.0), (0.5, 0.3), (0.7, 0.2), (0.1, 0.6), (0.85, 0.1),
+                   (0.4, 0.75)],
+    "plateau": [(0.6, 0.0), (0.5, 0.4), (0.7, 0.3), (0.2, 0.7), (0.9, 0.1),
+                (0.55, 0.55)],
+}
+
+
+def _mp_profile(profile_id, c):
+    def h(t):
+        q = t * t + c * c
+        if profile_id == "plateau":
+            tau = 2 * (1 - mp.sqrt(q))
+            return 1 / (1 + mp.exp(1 / tau - 1 / (1 - tau)))
+        return mp.exp(-q / (1 - q))
+    return h
+
+
+def test_jet_derivatives_match_mpmath(profile):
+    pts = JET_POINTS[profile.profile_id]
+    t = np.array([p[0] for p in pts])
+    c = np.array([p[1] for p in pts])
+    jet = profile._t_jet(t, c)
+    with mp.workdps(40):
+        for k in (2, 4, 6):
+            for i, (ti, ci) in enumerate(pts):
+                ref = float(mp.diff(_mp_profile(profile.profile_id, mp.mpf(ci)),
+                                    mp.mpf(ti), k))
+                assert math.factorial(k) * jet[k][i] == pytest.approx(ref, rel=1e-9)
+
+
+# C_k computed by symbolic differentiation of the closed-form bumps
+MAJORANTS = {
+    ("paper_bump", 1): {2: 0.241893462083, 4: 2.06458203405, 6: 258.369183167},
+    ("paper_bump", 2): {2: 0.309056351102, 4: 2.25413810016, 6: 241.685167073},
+    ("paper_bump", 3): {2: 0.34135035352, 4: 2.23481443531, 6: 210.692626388},
+    ("plateau", 1): {2: 0.445813207283, 4: 7.14946158883, 6: 788.086214715},
+    ("plateau", 2): {2: 0.567121990855, 4: 6.45007994242, 6: 585.02768617},
+    ("plateau", 3): {2: 0.624478205472, 4: 5.54320790743, 6: 432.179154747},
+}
+
+
+@pytest.mark.parametrize("profile_id, r", sorted(MAJORANTS))
+def test_tail_majorants_pinned(profile_id, r):
+    got = smoothing.bump_transform(profile_id, r).majorants
+    assert got.keys() == MAJORANTS[profile_id, r].keys()
+    for k, ref in MAJORANTS[profile_id, r].items():
+        assert got[k] == pytest.approx(ref, rel=1e-11)
+
+
+def test_cli_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(wgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wgbound.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_transform_against_dense_reference():
