@@ -88,13 +88,3 @@ def golden_min(fn: Callable[[float], float], lo: float, hi: float,
     fbest, xbest = min(xs)
     return xbest, fbest
 
-
-def fit_loglog_slope(x: Any, y: Any) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    if lx.size < 2:
-        raise ValueError("need at least two points for a slope")
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(coef[0])

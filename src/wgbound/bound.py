@@ -53,6 +53,8 @@ class ModulusOfContinuity:
             values = np.asarray(values, dtype=float)
             if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
                 raise ValueError("table modulus needs matching 1-d knots/values")
+            if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+                raise ValueError("table modulus needs finite knots and values")
             if knots[0] <= 0 or np.any(np.diff(knots) <= 0):
                 raise ValueError("knots must be strictly increasing and positive")
             if np.any(values < 0) or np.any(np.diff(values) < 0):

@@ -211,11 +211,17 @@ def write_csv_artifact(cfg: RunConfig, header, rows, tolerances: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# config_hash={cfg.hash}\n")
     buf.write(f"# versions={json.dumps(_versions(), sort_keys=True)}\n")
-    buf.write("# tolerances=" + json.dumps(tolerances, sort_keys=True,
-                                           default=json_default) + "\n")
+    try:
+        buf.write("# tolerances=" + json.dumps(
+            tolerances, sort_keys=True, allow_nan=False,
+            default=json_default) + "\n")
+    except ValueError as exc:
+        raise SolverError(f"non-finite value in the tolerances: {exc}") from None
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise SolverError(f"non-finite value in the result row {row!r}")
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{cfg.command}_{cfg.hash}.csv")
@@ -362,7 +368,8 @@ def _cmd_walk(cfg: RunConfig) -> str:
     if cfg.verify:
         _verify_walk_sampling(G, nu, cfg)
     tolerances = {"power_recheck": walks._POWER_TOL,
-                  "gap_submultiplicative": walks._SUBMULT_TOL}
+                  "gap_submultiplicative": walks._SUBMULT_TOL,
+                  "walk_spectral": max(s.spectral_error for s in states)}
     click.echo(f"final q_hat={states[-1].q_hat:.6g} "
                f"exact_total={states[-1].exact_total:.6g}")
     return write_csv_artifact(cfg, walks.WALK_CSV_HEADER,

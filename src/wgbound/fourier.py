@@ -19,7 +19,7 @@ Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -97,14 +97,17 @@ class FourierBlock:
     dim: int
     matrix: np.ndarray
     hs_norm: float = field(init=False)
-    op_norm: float = field(init=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("block shape does not match irrep dimension")
         self.hs_norm = float(np.linalg.norm(self.matrix, "fro"))
-        self.op_norm = float(np.linalg.norm(self.matrix, 2))
+
+    @cached_property
+    def op_norm(self) -> float:
+        """Spectral norm, from an SVD taken on first read."""
+        return float(np.linalg.norm(self.matrix, 2))
 
     def as_json_dict(self) -> dict:
         return {

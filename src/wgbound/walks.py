@@ -21,6 +21,10 @@ from ._util import DominanceError, SolverError, pairwise_sum
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
 _SUBMULT_TOL = 1e-9
+# blocks whose anti-Hermitian part has at most this Frobenius norm are
+# diagonalised once; the part itself enters their eigenvalue error bound
+_HERMITIAN_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 _INVERSE_MATCH_TOL = 1e-12
 # irreps tested against the dim/N variance law: a few multiples of the
 # lowest weight norm, which scales with the admissibility threshold
@@ -117,6 +121,7 @@ class WalkState:
     relaxed_q: Optional[float] = None
     relaxed_m: Optional[float] = None
     relaxed_total: Optional[float] = None
+    spectral_error: float = 0.0
 
     def as_json_dict(self) -> dict:
         out = {
@@ -124,6 +129,7 @@ class WalkState:
             "q_hat": self.q_hat,
             "fourier_sum": self.fourier_sum,
             "exact": {"M": self.exact_m, "total": self.exact_total},
+            "spectral_error": self.spectral_error,
         }
         if self.power_check is not None:
             out["power_check"] = self.power_check
@@ -144,6 +150,70 @@ def walk_csv_row(state: WalkState) -> list:
             blank(state.relaxed_total)]
 
 
+def _diagonalise(b: np.ndarray):
+    """Eigenvalues, eigenvectors and eigenvalue error bound of a walk block.
+
+    Returns (lam, V, delta) with B ~ V diag(lam) V^*, or None when B is
+    left to the powering route.  The k-th power of a block on this route
+    is read off its eigenvalue moduli: the spectral norm of B^k is q^k
+    with q = max |lam_i|, and its squared HS norm is sum |lam_i|^2k.
+    delta bounds how far each |lam_i| may sit from an exact modulus.
+    Below, |X| is the spectral norm, |X|_F >= |X| the Frobenius norm and
+    u = 2^-52 the machine epsilon.
+
+    * A 1x1 block is its own eigenvalue; delta = 2 u |b| covers the
+      rounding of |b| and of its k-th power.
+    * A d x d block is taken when its anti-Hermitian part A = B - H,
+      H = (B + B^*)/2, has alpha = |A|_F <= _HERMITIAN_TOL; eigh then
+      diagonalises H.  The residual rho = |HV - V diag(lam)|_F and the
+      orthogonality defect eta = |V^*V - I|_F are evaluated in floating
+      point, and each is raised by 2 (d + 2) u |X|_F |Y|_F, a bound on
+      the rounding of the product X Y that forms it.  With eta < 1, write
+      V = QP with Q unitary and P = (V^*V)^(1/2), so |P - I| <= eta and
+      |P^-1| <= 1/(1 - eta).  Then, with R = HV - V diag(lam),
+      Q^*HQ - diag(lam) = (P diag(lam) - diag(lam) P) P^-1 + Q^* R P^-1
+      is Hermitian of norm at most (2 eta q + rho) / (1 - eta), and
+      Weyl's inequality puts each eigenvalue of H within that distance of
+      its lam_i.  Adding A moves B^k from H^k by at most
+      (|H| + alpha)^k - |H|^k.  So with
+      delta = alpha + (2 eta q + rho) / (1 - eta) + 2 u q:
+
+          | |B^k| - q^k |                        <= (q + delta)^k - q^k = eps_k
+          | |B^k|_F - (sum |lam_i|^2k)^(1/2) |   <= sqrt(d) eps_k.
+
+      The first adds the eigenvalue shift of H, at most
+      (q + delta - alpha)^k - q^k by convexity of x^k, to the shift from
+      A; the second pairs the sorted eigenvalues in l2 and adds the same
+      shift from A, at most sqrt(d) times its spectral norm.
+    """
+    d = b.shape[0]
+    if d == 1:
+        return b[0], np.ones((1, 1)), 2.0 * _EPS * abs(b[0, 0])
+    H = 0.5 * (b + b.conj().T)
+    alpha = float(np.linalg.norm(b - H))
+    if alpha > _HERMITIAN_TOL:
+        return None
+    lam, V = np.linalg.eigh(H)
+    gamma = 2.0 * (d + 2) * _EPS
+    v_f = float(np.linalg.norm(V))
+    rho = float(np.linalg.norm(H @ V - V * lam)) \
+        + gamma * float(np.linalg.norm(H)) * v_f
+    eta = float(np.linalg.norm(V.conj().T @ V - np.eye(d))) + gamma * v_f ** 2
+    if eta >= 1.0:
+        return None
+    q = float(np.max(np.abs(lam)))
+    return lam, V, alpha + (2.0 * eta * q + rho) / (1.0 - eta) + 2.0 * _EPS * q
+
+
+def _power_gap(q: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
+    """(q + delta)^k - q^k elementwise, without cancellation.
+
+    Raising q raises the gap, so q below delta (or zero) is lifted to it.
+    """
+    q = np.maximum(q, np.maximum(delta, np.finfo(float).tiny))
+    return q ** k * np.expm1(k * np.log1p(delta / q))
+
+
 def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
                 k_max: int, M: float, g=None, profile="paper_bump",
                 q_hint: Optional[float] = None,
@@ -152,9 +222,19 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
 
     Each state carries the truncated gap trace q_hat(k) over the irreps
     below M, the full Fourier sum below M, and the best exact bound total
-    over admissible cutoffs M' <= M.  Powered blocks are rechecked against
-    independently computed matrix powers every 8 steps, and the gap trace
-    is checked for submultiplicativity; either failure raises SolverError.
+    over admissible cutoffs M' <= M.
+
+    Blocks that are 1x1 (every torus irrep) or Hermitian within
+    _HERMITIAN_TOL (every block of a symmetric step set) are diagonalised
+    once (_diagonalise); each step then powers one flat vector of
+    eigenvalue moduli.  Other blocks are multiplied out step by step and
+    their norms taken from the powered matrices.  Every 8 steps each
+    block's power is rechecked against an independent matrix power, and
+    the gap trace is checked for submultiplicativity; either failure
+    raises SolverError.  Each state's spectral_error carries the
+    eigenvalue error bounds of _diagonalise through the k-th power: it
+    bounds how far q_hat, fourier_sum and exact_total may sit from the
+    values of the exact block powers (0 when no block is diagonalised).
 
     With ``q_hint`` each state adds a gap-relaxed total computed under the
     hypothesis that the step-k gap over the full dual is at most q_hint**k,
@@ -163,6 +243,8 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if q_hint is not None and not 0.0 <= q_hint <= 1.0:
+        raise ValueError(f"gap hint must be a number in [0, 1], got {q_hint}")
     if nu.group_id != G.group_id:
         raise ValueError("measure/group mismatch")
     if g is None:
@@ -178,55 +260,77 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     gap_sweep = None if q_hint is None else bound.CutoffSweep(
         G, g, profile, relaxed=True)
 
-    # one-dimensional blocks (every torus irrep) power as a single vector
-    scalar = all(b.shape == (1, 1) for b in base)
-    if scalar:
-        base_v = np.asarray([b[0, 0] for b in base])
-        cur_v = base_v.copy()
-        q1 = float(np.max(np.abs(base_v)))
-    else:
-        blocks = [b.copy() for b in base]
-        q1 = max(float(np.linalg.norm(b, 2)) for b in base)
+    route = [_diagonalise(b) for b in base]
+    powered = {i: b for i, (b, r) in enumerate(zip(base, route)) if r is None}
+    eig = [(i, r) for i, r in enumerate(route) if r is not None]
+    eig_idx = np.asarray([i for i, _ in eig], dtype=int)
+    lams = [r[0] for _, r in eig]
+    mods = np.abs(np.concatenate([np.zeros(0)] + lams))
+    dims = np.asarray([lam.size for lam in lams], dtype=int)
+    starts = np.cumsum(dims) - dims
+    q_eig = np.maximum.reduceat(mods, starts)
+    delta = np.asarray([r[2] for _, r in eig], dtype=float)
+    root_d = np.sqrt(dims)
+    # eigen-route blocks of one dimension, stacked for the recheck
+    stacks = {}
+    for i, (lam, V, _) in eig:
+        stacks.setdefault(lam.size, []).append((base[i], V, lam))
+    stacks = [tuple(np.stack(col) for col in zip(*grp))
+              for grp in stacks.values()]
+
     states: List[WalkState] = []
-    prev_q = None
+    q1 = prev_q = None
     for k in range(1, k_max + 1):
         if k > 1:
-            if scalar:
-                cur_v = cur_v * base_v
-            else:
-                blocks = [bk @ b for bk, b in zip(blocks, base)]
+            powered = {i: bk @ base[i] for i, bk in powered.items()}
         check = None
         if k % _POWER_RECHECK_EVERY == 0:
-            if scalar:
-                check = float(np.max(np.abs(cur_v - base_v ** k)))
-            else:
-                check = max(
-                    float(np.max(np.abs(bk - np.linalg.matrix_power(b, k))))
-                    for bk, b in zip(blocks, base))
+            drifts = [np.max(np.abs(bk - np.linalg.matrix_power(base[i], k)))
+                      for i, bk in powered.items()]
+            drifts += [np.max(np.abs(
+                (V * lam[:, None, :] ** k) @ V.conj().transpose(0, 2, 1)
+                - np.linalg.matrix_power(B, k))) for B, V, lam in stacks]
+            check = float(max(drifts))
             if check > _POWER_TOL:
                 raise SolverError(
                     f"powered blocks drifted {check:.3e} at step {k}")
-        if scalar:
-            q_hat = float(np.max(np.abs(cur_v)))
-            hs_sq = np.abs(cur_v) ** 2
-        else:
-            q_hat = max(float(np.linalg.norm(bk, 2)) for bk in blocks)
-            hs_sq = np.asarray([float(np.vdot(bk, bk).real) for bk in blocks])
+        pk = mods ** k
+        hs_sq = np.empty(len(base))
+        hs_sq[eig_idx] = np.add.reduceat(pk * pk, starts)
+        q_hat = float(np.max(pk, initial=0.0))
+        for i, bk in powered.items():
+            q_hat = max(q_hat, float(np.linalg.norm(bk, 2)))
+            hs_sq[i] = np.vdot(bk, bk).real
         if prev_q is not None and q_hat > prev_q * q1 + _SUBMULT_TOL:
             raise SolverError(f"gap trace not submultiplicative at step {k}")
         contrib = ratios * hs_sq
-        totals, i_best = sweep.totals(
-            np.concatenate(([0.0], np.cumsum(contrib))))
+        cum = np.concatenate(([0.0], np.cumsum(contrib)))
+        totals, i_best = sweep.totals(cum)
+        # spectral_error: eps_k per diagonalised block, then its HS and
+        # Fourier-sum consequences and the largest shift of a total
+        eps_k = _power_gap(q_eig, delta, k)
+        hs_err = np.zeros(len(base))
+        hs_err[eig_idx] = root_d * eps_k * (
+            2.0 * np.sqrt(hs_sq[eig_idx]) + root_d * eps_k)
+        cum_err = np.concatenate(([0.0], np.cumsum(ratios * hs_err)))
+        c = np.maximum(cum[sweep.cuts], 0.0)
+        total_err = sweep.phis * (
+            np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[sweep.cuts], 0.0)))
+        spectral = float(max(np.max(eps_k, initial=0.0), cum_err[-1],
+                             np.max(total_err)))
         fields = dict(
             step=k, q_hat=q_hat, fourier_sum=float(pairwise_sum(contrib)),
             exact_m=float(sweep.grid[i_best]),
-            exact_total=float(totals[i_best]), power_check=check)
+            exact_total=float(totals[i_best]), power_check=check,
+            spectral_error=spectral)
         if gap_sweep is not None:
             qk = float(q_hint) ** k
             rm, rrep = gap_sweep.best(q=qk)
             fields.update(relaxed_q=qk, relaxed_m=rm,
                           relaxed_total=rrep.total)
         states.append(WalkState(**fields))
+        if q1 is None:
+            q1 = q_hat
         prev_q = q_hat
     return states
 
@@ -424,15 +528,13 @@ def equidistribution_audit(G: groups.GroupDescriptor, points, g,
     nu = fourier.DiscreteMeasure.uniform(G, pts)
     best_m, rep = bound.optimize_M(G, g, nu, None, profile=profile,
                                    M_grid=M_grid)
-    prof = []
-    q_hat = 0.0
-    for p_ in groups.enumerate_irreps(G, gap_m):
-        blk = fourier.measure_transform(G, nu, p_)
-        q_hat = max(q_hat, blk.op_norm)
-        prof.append((str(p_.label), float(p_.weight_norm), int(p_.dim),
-                     float(blk.hs_norm ** 2)))
+    irreps = groups.enumerate_irreps(G, gap_m)
+    energies = fourier.hs_profile(G, nu, None, irreps)
+    prof = tuple((str(p_.label), float(p_.weight_norm), int(p_.dim), float(e))
+                 for p_, e in zip(irreps, energies))
     return AuditReport(
         group_id=G.group_id, n_points=nu.size, g_descriptor=g.descriptor(),
         profile_id=rep.profile_id, best_m=best_m, report=rep,
-        gap_m=float(gap_m), gap_estimate=float(q_hat),
-        character_profile=tuple(prof))
+        gap_m=float(gap_m),
+        gap_estimate=fourier.spectral_gap_estimate(G, nu, gap_m),
+        character_profile=prof)

@@ -47,6 +47,14 @@ class TestModulus:
         with pytest.raises(ValueError, match="subadditive"):
             T([1.0, 2.0], [0.1, 1.0])
 
+    @pytest.mark.parametrize("knots,values", [
+        ([0.5, 1.0], [0.3, math.nan]), ([math.nan, 1.0], [0.3, 0.5]),
+        ([0.5, math.inf], [0.3, 0.5]), ([0.5, 1.0], [0.3, math.inf])])
+    def test_table_rejects_non_finite(self, knots, values):
+        # every order check is false for nan, so finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            bound.ModulusOfContinuity.table(knots, values)
+
     def test_initial_slope(self):
         assert LINEAR.initial_slope() == 1.0
         assert bound.ModulusOfContinuity.power(0.5).initial_slope() is None

@@ -255,6 +255,52 @@ class TestWalkCommand:
         assert first["relaxed_total"] != ""
         assert len(lines) == 4 + 4
 
+    def test_walk_tolerance_keys(self, runner, tmp_path):
+        pts = tmp_path / "p5.csv"
+        groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
+        res = runner.invoke(cli.main, [
+            "walk", "--group", "so3", "--points", str(pts), "--M", "10.5",
+            "--reps", "9", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header = open(read_artifact(res.output)).read().splitlines()[2]
+        tol = json.loads(header.split("=", 1)[1])
+        assert set(tol) == {"power_recheck", "gap_submultiplicative",
+                            "walk_spectral"}
+        # every block of the symmetric set is diagonalised, with a bound
+        # far below the recheck tolerance
+        assert 0.0 < tol["walk_spectral"] < tol["power_recheck"]
+
+    @given(token=st.sampled_from(("nan", "inf", "-inf")),
+           reps=st.integers(1, 400))
+    @settings(max_examples=12, deadline=None)
+    def test_non_finite_gap_hint(self, token, reps):
+        # a nan hint used to give exit 0 and nan relaxed totals
+        self._assert_gap_hint_rejected(token, reps)
+
+    @given(hint=st.one_of(
+        st.floats(max_value=0.0, exclude_max=True, allow_nan=False,
+                  allow_infinity=False),
+        st.floats(min_value=1.0, exclude_min=True, allow_nan=False,
+                  allow_infinity=False)),
+        reps=st.integers(1, 400))
+    @settings(max_examples=25, deadline=None)
+    def test_gap_hint_outside_unit_interval(self, hint, reps):
+        # hint 10 over 400 steps used to overflow in hint ** k (exit 1)
+        self._assert_gap_hint_rejected(repr(hint), reps)
+
+    @staticmethod
+    def _assert_gap_hint_rejected(hint: str, reps: int):
+        with tempfile.TemporaryDirectory() as tmp:
+            pts = os.path.join(tmp, "p5.csv")
+            groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
+            out = os.path.join(tmp, "art")
+            res = CliRunner().invoke(cli.main, [
+                "walk", "--group", "so3", "--points", pts, "--M", "5.5",
+                "--reps", str(reps), "--gap-hint", hint, "--out", out])
+            assert res.exit_code == cli.EXIT_CONFIG, res.output
+            assert "gap hint" in res.output
+            assert not os.path.exists(out)
+
     def test_walk_requires_m(self, runner, tmp_path):
         pts = tmp_path / "p5.csv"
         groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
@@ -400,6 +446,20 @@ class TestExitPaths:
             assert "non-finite" in res.output
             assert not os.path.exists(out)
 
+    def test_non_finite_modulus_table(self, runner, tmp_path, circle_pair):
+        # nan passes every order check of the table; it must not reach the
+        # tail majorants (an uncaught RuntimeError, exit 1)
+        table = tmp_path / "mod.csv"
+        table.write_text("0.5,0.3\n1.0,nan\n")
+        out = tmp_path / "art"
+        res = runner.invoke(cli.main, [
+            "bound", "--group", "torus(1)", "--points", circle_pair[0],
+            "--points", circle_pair[1], "--g", f"table:{table}", "--M", "40",
+            "--out", str(out)])
+        assert res.exit_code == cli.EXIT_CONFIG, res.output
+        assert "finite" in res.output
+        assert not os.path.exists(out)
+
     def test_unknown_group(self, runner, tmp_path):
         res = runner.invoke(cli.main, [
             "kernel", "--group", "su3", "--M", "5", "--out", str(tmp_path)])
@@ -456,3 +516,13 @@ class TestReproducibility:
         with pytest.raises(SolverError, match="non-finite"):
             cli.write_json_artifact(cfg, {"total": math.nan}, {})
         assert len(os.listdir(tmp_path)) == 1
+
+    @pytest.mark.parametrize("row,tolerances", [
+        ([1, math.nan], {}), ([1, 0.5], {"t": math.inf}),
+        ([1, np.float64(-math.inf)], {})])
+    def test_csv_artifact_refuses_non_finite(self, tmp_path, row, tolerances):
+        cfg = cli.RunConfig(command="walk", group="su2", out=str(tmp_path))
+        with pytest.raises(SolverError, match="non-finite"):
+            cli.write_csv_artifact(cfg, ("step", "x"), [[0, 0.25], row],
+                                   tolerances)
+        assert os.listdir(tmp_path) == []

@@ -164,6 +164,108 @@ class TestWalkEvolve:
             walks.walk_evolve(G_SO3, nu, 3, 10.5, m_grid=[0.7])
 
 
+def _powering_reference(G, nu, k_max, M, blocks=None):
+    """q_hat, Fourier sum and best cutoff per step from explicit powers."""
+    irreps = groups.enumerate_irreps(G, M)
+    if blocks is None:
+        blocks = [fourier.measure_transform(G, nu, p).matrix for p in irreps]
+    ratios = np.asarray([p.dim / p.casimir for p in irreps])
+    grid = bound.default_m_grid(G, cap=M)
+    sweep = bound.CutoffSweep(G, LINEAR, "paper_bump", grid[grid <= M])
+    out = []
+    for k in range(1, k_max + 1):
+        powers = [np.linalg.matrix_power(b, k) for b in blocks]
+        q = max(float(np.linalg.norm(bk, 2)) for bk in powers)
+        contrib = ratios * np.asarray([np.linalg.norm(bk) ** 2
+                                       for bk in powers])
+        i = sweep.totals(np.concatenate(([0.0], np.cumsum(contrib))))[1]
+        out.append((q, float(np.sum(contrib)), float(sweep.grid[i])))
+    return out
+
+
+class TestSpectralEngine:
+    @pytest.mark.parametrize("p", [5, 13, 17, 29])
+    def test_matches_powering_route(self, p):
+        nu = walks.lps_generators(p).measure()
+        states = walks.walk_evolve(G_SO3, nu, 150, 25.5)
+        ref = _powering_reference(G_SO3, nu, 150, 25.5)
+        for s, (q, fs, m) in zip(states, ref):
+            assert abs(s.q_hat - q) <= 1e-12 * q, s.step
+            assert abs(s.fourier_sum - fs) <= 1e-12 * fs, s.step
+            assert s.exact_m == m, s.step
+            assert 0.0 < s.spectral_error < 1e-9
+
+    def test_tolerance_dominates_harmonic_oracle(self):
+        # the oracle's blocks have the same eigenvalues as the package's;
+        # the walk's values may sit from theirs by spectral_error at most
+        nu = walks.lps_generators(5).measure()
+        irreps = groups.enumerate_irreps(G_SO3, 25.5)
+        assert [p.dim for p in irreps] == [2 * ell + 1 for ell in range(1, 26)]
+        mods = [np.abs(np.linalg.eigvals(
+            harmonic_block(nu.atoms, nu.weights, ell))) for ell in range(1, 26)]
+        ratios = [p.dim / p.casimir for p in irreps]
+        for s in walks.walk_evolve(G_SO3, nu, 150, 25.5):
+            k = s.step
+            q = max(float(np.max(m)) ** k for m in mods)
+            fs = sum(r * float(np.sum(m ** (2 * k)))
+                     for r, m in zip(ratios, mods))
+            assert abs(s.q_hat - q) <= s.spectral_error, k
+            assert abs(s.fourier_sum - fs) <= s.spectral_error, k
+
+    @pytest.mark.parametrize("G", [G_SO3, G_SU2], ids=["so3", "su2"])
+    def test_non_symmetric_steps_take_powering_route(self, G):
+        nu = fourier.DiscreteMeasure.uniform(G, groups.haar_sample(G, 2024, 3))
+        for p in groups.enumerate_irreps(G, 10.5):
+            b = fourier.measure_transform(G, nu, p).matrix
+            assert walks._diagonalise(b) is None, p.label
+        states = walks.walk_evolve(G, nu, 16, 10.5)
+        assert states[7].power_check <= walks._POWER_TOL
+        assert states[15].power_check <= walks._POWER_TOL
+        for s, (q, fs, m) in zip(states, _powering_reference(G, nu, 16, 10.5)):
+            assert s.spectral_error == 0.0
+            assert s.q_hat == pytest.approx(q, rel=1e-12)
+            assert s.fourier_sum == pytest.approx(fs, rel=1e-12)
+            assert s.exact_m == m
+
+    def test_non_hermitian_block_is_caught(self, monkeypatch):
+        # a block 1e-6 away from Hermitian either leaves the eigenvalue
+        # route or carries that distance in its error bound
+        nu = walks.lps_generators(5).measure()
+        p3 = groups.enumerate_irreps(G_SO3, 3.5)[2]
+        rng = np.random.default_rng(6)
+        E = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        kick = 1e-6 * (E - E.conj().T) / np.linalg.norm(E - E.conj().T)
+        b = fourier.measure_transform(G_SO3, nu, p3).matrix + kick
+        found = walks._diagonalise(b)
+        assert found is None or found[2] >= 1e-6
+        transform = fourier.measure_transform
+
+        def perturbed(G, nu_, p):
+            blk = transform(G, nu_, p)
+            if p.label == p3.label:
+                blk.matrix = blk.matrix + kick
+            return blk
+
+        monkeypatch.setattr(fourier, "measure_transform", perturbed)
+        states = walks.walk_evolve(G_SO3, nu, 24, 6.5)
+        blocks = [perturbed(G_SO3, nu, p).matrix
+                  for p in groups.enumerate_irreps(G_SO3, 6.5)]
+        ref = _powering_reference(G_SO3, nu, 24, 6.5, blocks)
+        for s, (q, fs, _) in zip(states, ref):
+            assert abs(s.q_hat - q) <= 1e-12 * q + s.spectral_error, s.step
+            assert abs(s.fourier_sum - fs) <= 1e-12 * fs + s.spectral_error
+
+    def test_torus_blocks_are_their_own_eigenvalues(self):
+        golden = (math.sqrt(5) - 1) / 2
+        nu = fourier.DiscreteMeasure.uniform(G_T1, [[0.1], [0.1 + golden]])
+        states = walks.walk_evolve(G_T1, nu, 16, 60.0)
+        ref = _powering_reference(G_T1, nu, 16, 60.0)
+        for s, (q, fs, m) in zip(states, ref):
+            assert abs(s.q_hat - q) <= s.spectral_error
+            assert abs(s.fourier_sum - fs) <= s.spectral_error
+            assert s.spectral_error < 1e-13 and s.exact_m == m
+
+
 class TestSampledWalkBlocks:
     def test_matches_exact_powers(self):
         nu = walks.lps_generators(5).measure()
