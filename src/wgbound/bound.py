@@ -20,8 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from ._util import SolverError, config_hash, golden_min, pairwise_sum
 from . import fourier, groups, smoothing
 from .groups import GroupDescriptor
-from .smoothing import (_C_EPS, as_profile_id, budget_interval, bump_transform,
-                        kernel_degree)
+from .smoothing import as_profile_id, budget_interval, bump_transform, kernel_degree
 
 CSV_HEADER = ("group", "g", "M", "psi", "phi", "fourier_sum", "total",
               "tolerance", "seed")
@@ -277,6 +276,11 @@ def psi(G: GroupDescriptor, g, t: float, profile="paper_bump") -> float:
 # phi: Fourier-decay weight
 
 
+# budget parameters c this close to either end of (0, budget_interval(n))
+# are left out of the search; the c -> 0 end enters as a boundary limit
+_C_EPS = 1e-6
+
+
 @lru_cache(maxsize=128)
 def _power_phi_const(n: int, p: float) -> float:
     """K(n, p) with phi(t) = K * (n t)^{1-p}; exact sqrt(n) at p = 1."""
@@ -291,26 +295,27 @@ def _power_phi_const(n: int, p: float) -> float:
     return best
 
 
+def _phi_objective(n: int, g, t: float, c: float) -> float:
+    """sqrt(n/(1-c-c^2/4n)) * g(u)/u at u = c/(nt): what phi minimises over c."""
+    u = c / (n * t)
+    gu = float(np.asarray(g(u), dtype=float))
+    return math.sqrt(n / (1.0 - c - c * c / (4.0 * n))) * gu / u
+
+
 def phi(n: int, g, t: float) -> float:
     """Weight multiplying the Fourier sum in the main bound.
 
-    Infimum over the budget parameter c of
-    sqrt(n/(1-c-c^2/4n)) * g(c/(nt)) / (c/(nt)), including the c -> 0
-    boundary limit when g has finite slope at zero.  For power moduli the
-    optimization is scale-invariant and reduces to a cached constant.
+    Infimum over the budget parameter c of _phi_objective, including the
+    c -> 0 boundary limit when g has finite slope at zero.  For power
+    moduli the optimization is scale-invariant and reduces to a cached
+    constant.  Its square is smoothing.fourier_decay_budget.
     """
     if not t > 0:
         raise ValueError(f"need t > 0, got {t}")
     if isinstance(g, ModulusOfContinuity) and g.kind == "power":
         return _power_phi_const(n, g.p) * (n * t) ** (1.0 - g.p)
-    c_max = budget_interval(n)
-
-    def val(c: float) -> float:
-        u = c / (n * t)
-        gu = float(np.asarray(g(u), dtype=float))
-        return math.sqrt(n / (1.0 - c - c * c / (4.0 * n))) * gu / u
-
-    _, best = golden_min(val, _C_EPS, c_max - _C_EPS)
+    _, best = golden_min(lambda c: _phi_objective(n, g, t, c), _C_EPS,
+                         budget_interval(n) - _C_EPS)
     slope = getattr(g, "initial_slope", None)
     if callable(slope):
         s0 = slope()
@@ -361,21 +366,30 @@ class BoundReport:
                 "" if seed is None else seed]
 
 
+def _tolerances(quad_error: float, total: float) -> Dict[str, float]:
+    """Tolerance entries of a total psi + phi * sqrt(sum).
+
+    psi_quadrature is psi_detailed's quadrature error estimate at the
+    cutoff; float_slack, 1e-11 * max(1, total), is a fixed allowance for
+    the rounding of the assembly.
+    """
+    tol_fp = 1e-11 * max(1.0, total)
+    return {"psi_quadrature": quad_error, "float_slack": tol_fp,
+            "total": quad_error + tol_fp}
+
+
 def _assemble(G: GroupDescriptor, g, M: float, pd: dict, ph: float,
               profile_id: str, fourier_sum: float, irreps_used: int,
               variant: str) -> BoundReport:
     """Report from psi_detailed output pd, phi value ph and the Fourier sum."""
     fs = max(float(fourier_sum), 0.0)
     total = pd["value"] + ph * math.sqrt(fs)
-    tol_quad = pd["quad_error"]
-    tol_fp = 1e-11 * max(1.0, total)
-    tolerances = {"psi_quadrature": tol_quad, "float_slack": tol_fp,
-                  "total": tol_quad + tol_fp}
     return BoundReport(
         group_id=G.group_id, g_descriptor=g.descriptor(), M=float(M),
         m0=pd["m0"], psi=pd["value"], phi=ph, fourier_sum=fs, total=total,
-        irreps_used=irreps_used, profile_id=profile_id, tolerances=tolerances,
-        variant=variant, tail_warning=pd["tail_warning"])
+        irreps_used=irreps_used, profile_id=profile_id,
+        tolerances=_tolerances(pd["quad_error"], total), variant=variant,
+        tail_warning=pd["tail_warning"])
 
 
 _GRID_CAPS = {"torus(1)": 1e3, "torus(2)": 400.0, "torus(3)": 200.0,
@@ -406,7 +420,9 @@ class CutoffSweep:
     the top of the grid and cuts[i] counts that spectrum below grid[i].
     An exact sweep holds the irreps, with ratios d/kappa weighting squared
     HS distances.  A relaxed sweep (the gap corollary) holds the scalar
-    spectrum only, with ratios d^2/kappa scaled by q^2, on a longer grid.
+    spectrum only, with ratios d^2/kappa scaled by q^2, on a longer grid;
+    at one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
+    relaxed=True).report(0, q=q).
     """
 
     def __init__(self, G: GroupDescriptor, g, profile="paper_bump",
@@ -499,50 +515,6 @@ def optimize_M(G: GroupDescriptor, g, nu1, nu2, profile="paper_bump",
 
 # ---------------------------------------------------------------------------
 # spectral-gap corollaries against Haar
-
-
-@dataclass(frozen=True)
-class GapBoundReport:
-    """Exact and gap-relaxed bounds against Haar for one measure/cutoff."""
-
-    exact: Optional[BoundReport]
-    relaxed: BoundReport
-    q: float
-
-    def as_json_dict(self) -> dict:
-        return {"q": self.q,
-                "exact": None if self.exact is None else self.exact.as_json_dict(),
-                "relaxed": self.relaxed.as_json_dict()}
-
-
-def _relaxed_fourier_sum(G: GroupDescriptor, M: float, q: float) -> Tuple[float, int]:
-    sd = groups.spectral_data(G, M)
-    vals = sd["dim"] ** 2 / sd["casimir"]
-    return q * q * float(pairwise_sum(vals)), int(vals.size)
-
-
-def haar_bound_from_gap(G: GroupDescriptor, g, nu, M: float,
-                        profile="paper_bump",
-                        q_override: Optional[float] = None) -> GapBoundReport:
-    """Distance to Haar, bounded two ways from spectral data.
-
-    Variant (i) uses the measure's exact blocks; variant (ii) relaxes every
-    squared HS norm to dim * q^2 with q the (supplied or estimated) gap, so
-    it dominates variant (i) by construction.  With ``q_override`` and no
-    measure, only the relaxed variant is produced.
-    """
-    profile_id = as_profile_id(profile)
-    exact = None if nu is None else wg_bound(G, g, nu, None, M, profile_id)
-    if q_override is not None:
-        q = float(q_override)
-    else:
-        if nu is None:
-            raise ValueError("need a measure or an explicit gap value")
-        q = fourier.spectral_gap_estimate(G, nu, M)
-    fs, count = _relaxed_fourier_sum(G, M, q)
-    relaxed = _assemble(G, g, M, psi_detailed(G, g, M, profile_id),
-                        phi(G.n, g, M), profile_id, fs, count, "gap_relaxed")
-    return GapBoundReport(exact=exact, relaxed=relaxed, q=q)
 
 
 def optimized_gap_bound(G: GroupDescriptor, g, q: float, profile="paper_bump",

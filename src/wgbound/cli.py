@@ -367,13 +367,20 @@ def _cmd_walk(cfg: RunConfig) -> str:
         raise ConfigError(str(exc)) from None
     if cfg.verify:
         _verify_walk_sampling(G, nu, cfg)
+    # what a bound artifact reports at each step's best cutoff and total
+    quad = {m: bound.psi_detailed(G, g, m, _PROFILES[cfg.profile])["quad_error"]
+            for m in {s.exact_m for s in states}}
+    per_step = [bound._tolerances(quad[s.exact_m], s.exact_total) for s in states]
     tolerances = {"power_recheck": walks._POWER_TOL,
                   "gap_submultiplicative": walks._SUBMULT_TOL,
-                  "walk_spectral": max(s.spectral_error for s in states)}
+                  "walk_spectral": max(s.spectral_error for s in states),
+                  **{k: max(t[k] for t in per_step)
+                     for k in ("psi_quadrature", "float_slack")}}
     click.echo(f"final q_hat={states[-1].q_hat:.6g} "
                f"exact_total={states[-1].exact_total:.6g}")
-    return write_csv_artifact(cfg, walks.WALK_CSV_HEADER,
-                              [walks.walk_csv_row(s) for s in states],
+    header = walks.WALK_CSV_HEADER
+    return write_csv_artifact(cfg, header,
+                              [walks.csv_row(s, header) for s in states],
                               tolerances)
 
 
@@ -421,8 +428,9 @@ def _cmd_empirical(cfg: RunConfig) -> str:
         raise ConfigError(str(exc)) from None
     tolerances = {"variance_budget_factor": 1.0 + 3.0 / math.sqrt(cfg.reps)}
     click.echo(f"N={rows[-1].N} bound_mean={rows[-1].bound_mean:.6g}")
-    return write_csv_artifact(cfg, walks.EMPIRICAL_CSV_HEADER,
-                              [walks.empirical_csv_row(r) for r in rows],
+    header = walks.EMPIRICAL_CSV_HEADER
+    return write_csv_artifact(cfg, header,
+                              [walks.csv_row(r, header) for r in rows],
                               tolerances)
 
 

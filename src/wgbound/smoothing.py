@@ -8,7 +8,7 @@ per-function pairing bound, and the Fourier decay budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional
 
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from ._util import SolverError, golden_min, pairwise_sum
+from ._util import SolverError, pairwise_sum
 from .groups import GroupDescriptor, Irrep, enumerate_irreps
 
 PROFILE_IDS = ("paper_bump", "plateau")
@@ -234,8 +234,6 @@ class BumpTransform:
 
     profile: BumpProfile
     r: int
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     majorants: Dict[int, float]
     f0: float
 
@@ -259,7 +257,7 @@ def _bump_transform_cached(profile_id: str, r: int) -> BumpTransform:
     if err > 1e-10:
         raise SolverError(
             f"bump transform quadrature did not converge (disagreement {err:.2e})")
-    return BumpTransform(profile=profile, r=r, grid=grid, values=values,
+    return BumpTransform(profile=profile, r=r,
                          majorants=_tail_majorants(profile, r),
                          f0=float(values[0]))
 
@@ -378,34 +376,22 @@ def budget_interval(n: int) -> float:
     return 2.0 * (math.sqrt(n * n + n) - n)
 
 
-_C_EPS = 1e-6
-
-
 def fourier_decay_budget(n: int, g, M: float, c: Optional[float] = None) -> float:
     """Budget bounding sum of d_pi kappa_pi |f_hat(pi)|_HS^2 over |weight| <= M.
 
-    Valid for any f whose L2 translation modulus is bounded by g.  With c
-    given, evaluates the budget at that parameter; otherwise returns the
-    infimum over the admissible interval, including the c -> 0 boundary
-    limit when g has a finite slope at zero.
+    Valid for any f whose L2 translation modulus is bounded by g.  The
+    budget at parameter c is the square of the objective bound.phi
+    minimises, so without c it is phi(n, g, M)^2: the infimum over the
+    admissible interval, including the c -> 0 boundary limit when g has a
+    finite slope at zero.
     """
+    from . import bound as _bound
+
     if not (M > 0 and n >= 1):
         raise ValueError("need M > 0 and n >= 1")
+    if c is None:
+        return _bound.phi(n, g, M) ** 2
     c_max = budget_interval(n)
-
-    def value(cv: float) -> float:
-        u = cv / (n * M)
-        gu = float(np.asarray(g(u), dtype=float))
-        return n / (1.0 - cv - cv * cv / (4.0 * n)) * (gu / u) ** 2
-
-    if c is not None:
-        if not (0.0 < c < c_max):
-            raise ValueError(f"c={c} outside (0, {c_max})")
-        return value(c)
-    _, best = golden_min(value, _C_EPS, c_max - _C_EPS)
-    slope = getattr(g, "initial_slope", None)
-    if callable(slope):
-        s0 = slope()
-        if s0 is not None and math.isfinite(s0):
-            best = min(best, n * s0 * s0)
-    return best
+    if not (0.0 < c < c_max):
+        raise ValueError(f"c={c} outside (0, {c_max})")
+    return _bound._phi_objective(n, g, M, c) ** 2

@@ -56,10 +56,26 @@ def _support(nu: DiscreteMeasure):
     return nu.atoms[keep], nu.weights[keep], keep
 
 
+def _costs(G: GroupDescriptor, g, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.asarray(g(groups.pairwise_distance(G, x, y)), dtype=float)
+
+
 def cost_matrix(G: GroupDescriptor, g, nu1: DiscreteMeasure,
                 nu2: DiscreteMeasure) -> np.ndarray:
-    return np.asarray(g(groups.pairwise_distance(G, nu1.atoms, nu2.atoms)),
-                      dtype=float)
+    return _costs(G, g, nu1.atoms, nu2.atoms)
+
+
+def _full_plan(nu1: DiscreteMeasure, nu2: DiscreteMeasure, keep1, keep2,
+               plan: np.ndarray, dual_row: np.ndarray, dual_col: np.ndarray,
+               cost: float, status: str) -> TransportPlan:
+    """A plan and duals on the supports, embedded back at full size."""
+    full = np.zeros((nu1.size, nu2.size))
+    full[np.ix_(keep1, keep2)] = plan
+    duals = (np.zeros(nu1.size), np.zeros(nu2.size))
+    duals[0][keep1] = dual_row
+    duals[1][keep2] = dual_col
+    return TransportPlan(cost=cost, coupling=full, dual_potentials=duals,
+                         status=status)
 
 
 def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
@@ -76,7 +92,7 @@ def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     a1, w1, keep1 = _support(nu1)
     a2, w2, keep2 = _support(nu2)
     n1, n2 = len(w1), len(w2)
-    C = np.asarray(g(groups.pairwise_distance(G, a1, a2)), dtype=float)
+    C = _costs(G, g, a1, a2)
     # equality constraints: row sums then column sums
     ii = []
     jj = []
@@ -105,15 +121,8 @@ def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     if max(row_err, col_err) > MARGINAL_TOL:
         raise SolverError(
             f"coupling marginals off by {max(row_err, col_err):.3e}")
-    full = np.zeros((nu1.size, nu2.size))
-    full[np.ix_(keep1, keep2)] = plan
-    dual_row = np.zeros(nu1.size)
-    dual_col = np.zeros(nu2.size)
-    dual_row[keep1] = y[:n1]
-    dual_col[keep2] = y[n1:]
-    return TransportPlan(cost=cost, coupling=full,
-                         dual_potentials=(dual_row, dual_col),
-                         status="optimal")
+    return _full_plan(nu1, nu2, keep1, keep2, plan, y[:n1], y[n1:], cost,
+                      "optimal")
 
 
 def _round_to_feasible(plan: np.ndarray, w1: np.ndarray,
@@ -153,7 +162,7 @@ def sinkhorn(G: GroupDescriptor, g, nu1: DiscreteMeasure,
         raise ValueError(f"need eps > 0, got {eps}")
     a1, w1, keep1 = _support(nu1)
     a2, w2, keep2 = _support(nu2)
-    C = np.asarray(g(groups.pairwise_distance(G, a1, a2)), dtype=float)
+    C = _costs(G, g, a1, a2)
     lw1 = np.log(w1)
     lw2 = np.log(w2)
     # dual potentials f, h carried across an annealing schedule: plain
@@ -188,15 +197,8 @@ def sinkhorn(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     plan = np.exp(-C / eps + la[:, None] + lb[None, :])
     plan = _round_to_feasible(plan, w1, w2)
     cost = float(pairwise_sum((C * plan).ravel()))
-    full = np.zeros((nu1.size, nu2.size))
-    full[np.ix_(keep1, keep2)] = plan
-    dual_row = np.zeros(nu1.size)
-    dual_col = np.zeros(nu2.size)
-    dual_row[keep1] = eps * la
-    dual_col[keep2] = eps * lb
-    return TransportPlan(cost=cost, coupling=full,
-                         dual_potentials=(dual_row, dual_col),
-                         status=f"approx({eps:g})")
+    return _full_plan(nu1, nu2, keep1, keep2, plan, eps * la, eps * lb, cost,
+                      f"approx({eps:g})")
 
 
 def circle_w1(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> float:

@@ -8,6 +8,7 @@ appear only as statistical cross-checks of that identity.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -143,11 +144,9 @@ WALK_CSV_HEADER = ("step", "q_hat", "fourier_sum", "exact_m", "exact_total",
                    "relaxed_q", "relaxed_m", "relaxed_total")
 
 
-def walk_csv_row(state: WalkState) -> list:
-    blank = lambda v: "" if v is None else v
-    return [state.step, state.q_hat, state.fourier_sum, state.exact_m,
-            state.exact_total, blank(state.relaxed_q), blank(state.relaxed_m),
-            blank(state.relaxed_total)]
+def csv_row(record, header) -> list:
+    """The attributes of record named by header, with "" for None."""
+    return ["" if v is None else v for v in (getattr(record, k) for k in header)]
 
 
 def _diagonalise(b: np.ndarray):
@@ -356,6 +355,25 @@ def sampled_walk_blocks(G: groups.GroupDescriptor,
 
 
 # ---------------------------------------------------------------------------
+# one HS profile for a cutoff sweep and a short irrep range
+
+
+def _joint_irreps(sweep: bound.CutoffSweep, cutoff: float) -> Tuple[list, int]:
+    """Irreps covering the sweep's and those below cutoff, and the latter's count.
+
+    enumerate_irreps sorts by weight norm, so both ranges are prefixes of
+    the longer list, and slices of one hs_profile over it equal separate
+    calls bit for bit: no irrep's character sum depends on the others in
+    the call.  The irreps below cutoff are counted by weight_norm < cutoff,
+    the rule of the sweep's own cuts.
+    """
+    irreps = sweep.irreps
+    if cutoff > sweep.grid[-1]:
+        irreps = groups.enumerate_irreps(sweep.G, cutoff)
+    return irreps, bisect.bisect_left(irreps, cutoff, key=lambda p: p.weight_norm)
+
+
+# ---------------------------------------------------------------------------
 # empirical measures
 
 
@@ -397,13 +415,6 @@ EMPIRICAL_CSV_HEADER = ("N", "n_reps", "bound_mean", "bound_min", "bound_max",
                         "oracle_min", "oracle_max")
 
 
-def empirical_csv_row(row: EmpiricalRow) -> list:
-    blank = lambda v: "" if v is None else v
-    return [row.N, row.n_reps, row.bound_mean, row.bound_min, row.bound_max,
-            row.best_m_mean, row.max_variance_ratio, blank(row.oracle_mean),
-            blank(row.oracle_min), blank(row.oracle_max)]
-
-
 def empirical_experiment(G: groups.GroupDescriptor,
                          source: Union[str, fourier.DiscreteMeasure],
                          N_list, n_reps: int, g, seed: int,
@@ -431,15 +442,16 @@ def empirical_experiment(G: groups.GroupDescriptor,
     sweep = bound.CutoffSweep(
         G, g, profile,
         None if m_cap is None else bound.default_m_grid(G, cap=m_cap))
-    var_irreps = groups.enumerate_irreps(
-        G, _VARIANCE_CUTOFF_FACTOR * G.admissibility_threshold + 0.1)
+    irreps, n_var = _joint_irreps(
+        sweep, _VARIANCE_CUTOFF_FACTOR * G.admissibility_threshold + 0.1)
+    n_sweep = len(sweep.irreps)
     nu2 = None if haar_source else source
     children = np.random.SeedSequence(seed).generate_state(
         len(N_list) * n_reps, dtype=np.uint64).reshape(len(N_list), n_reps)
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
         totals, ms, oracles = [], [], []
-        var_acc = np.zeros(len(var_irreps))
+        var_acc = np.zeros(n_var)
         for r in range(n_reps):
             s = int(children[i, r])
             if haar_source:
@@ -449,8 +461,11 @@ def empirical_experiment(G: groups.GroupDescriptor,
                     source.size, size=N, p=source.weights)
                 atoms = source.atoms[picks]
             nu_bar = fourier.DiscreteMeasure.uniform(G, atoms)
-            var_acc += fourier.hs_profile(G, nu_bar, nu2, var_irreps)
-            best_m, rep = sweep.best(sweep.hs_profile(nu_bar, nu2))
+            hs = fourier.hs_profile(G, nu_bar, nu2, irreps)
+            var_acc += hs[:n_var]
+            # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
+            same = nu2 is not None and nu_bar.identical_to(nu2)
+            best_m, rep = sweep.best(None if same else hs[:n_sweep])
             totals.append(rep.total)
             ms.append(best_m)
             if with_oracle and not haar_source:
@@ -461,7 +476,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
                 oracles.append(cost)
         var_mean = var_acc / n_reps
         ratios = tuple((str(p.label), float(var_mean[j] * N / p.dim))
-                       for j, p in enumerate(var_irreps))
+                       for j, p in enumerate(irreps[:n_var]))
         rows.append(EmpiricalRow(
             N=N, n_reps=n_reps,
             bound_mean=float(np.mean(totals)),
@@ -526,12 +541,12 @@ def equidistribution_audit(G: groups.GroupDescriptor, points, g,
     else:
         pts = np.asarray(points, dtype=float)
     nu = fourier.DiscreteMeasure.uniform(G, pts)
-    best_m, rep = bound.optimize_M(G, g, nu, None, profile=profile,
-                                   M_grid=M_grid)
-    irreps = groups.enumerate_irreps(G, gap_m)
-    energies = fourier.hs_profile(G, nu, None, irreps)
+    sweep = bound.CutoffSweep(G, g, profile, M_grid)
+    irreps, n_gap = _joint_irreps(sweep, gap_m)
+    hs = fourier.hs_profile(G, nu, None, irreps)
+    best_m, rep = sweep.best(hs[:len(sweep.irreps)])
     prof = tuple((str(p_.label), float(p_.weight_norm), int(p_.dim), float(e))
-                 for p_, e in zip(irreps, energies))
+                 for p_, e in zip(irreps[:n_gap], hs))
     return AuditReport(
         group_id=G.group_id, n_points=nu.size, g_descriptor=g.descriptor(),
         profile_id=rep.profile_id, best_m=best_m, report=rep,

@@ -313,23 +313,34 @@ class TestOptimizeM:
         assert med[0] < med[-1]
 
 
+def relaxed_at(G, g, M, q):
+    """The gap-relaxed bound at one fixed cutoff: a one-point relaxed sweep."""
+    return bound.CutoffSweep(G, g, "paper_bump", [M], relaxed=True).report(0, q=q)
+
+
 class TestGapBounds:
     def test_relaxed_dominates_exact(self, any_group):
         nu = random_measure(any_group, 6, 21, weighted=False)
         M = 5.0 * any_group.admissibility_threshold
-        gb = bound.haar_bound_from_gap(any_group, LINEAR, nu, M)
-        assert gb.relaxed.total >= gb.exact.total - 1e-12
-        assert gb.relaxed.variant == "gap_relaxed"
-        assert 0.0 <= gb.q <= 1.0 + 1e-12
-        d = gb.as_json_dict()
-        assert d["q"] == gb.q and d["exact"]["total"] == gb.exact.total
+        q = fourier.spectral_gap_estimate(any_group, nu, M)
+        assert 0.0 <= q <= 1.0 + 1e-12
+        exact = bound.wg_bound(any_group, LINEAR, nu, None, M)
+        relaxed = relaxed_at(any_group, LINEAR, M, q)
+        assert relaxed.total >= exact.total - 1e-12
+        assert relaxed.variant == "gap_relaxed"
+        assert relaxed.irreps_used == exact.irreps_used
 
-    def test_q_override_without_measure(self):
-        gb = bound.haar_bound_from_gap(G_SU2, LINEAR, None, 8.0, q_override=0.5)
-        assert gb.exact is None
-        assert gb.q == 0.5
-        with pytest.raises(ValueError):
-            bound.haar_bound_from_gap(G_SU2, LINEAR, None, 8.0)
+    def test_fixed_cutoff_relaxed_sum(self, any_group):
+        M = 5.0 * any_group.admissibility_threshold
+        q = 0.5
+        rep = relaxed_at(any_group, LINEAR, M, q)
+        sd = groups.spectral_data(any_group, M)
+        assert rep.irreps_used == sd["weight_norm"].size
+        assert rep.fourier_sum == pytest.approx(
+            q * q * math.fsum(sd["dim"] ** 2 / sd["casimir"]), rel=1e-13)
+        assert rep.psi == bound.psi(any_group, LINEAR, M)
+        assert rep.phi == bound.phi(any_group.n, LINEAR, M)
+        assert rep.total == rep.psi + rep.phi * math.sqrt(rep.fourier_sum)
 
     def test_optimized_gap_bound_monotone_in_q(self):
         totals = [bound.optimized_gap_bound(G_SU2, LINEAR, q)[1].total
@@ -341,8 +352,7 @@ class TestGapBounds:
         m_star, rep = bound.optimized_gap_bound(G_SU2, LINEAR, q)
         assert rep.M == m_star
         for M in (2.0, 10.0, 50.0):
-            fixed = bound.haar_bound_from_gap(G_SU2, LINEAR, None, M,
-                                              q_override=q).relaxed
+            fixed = relaxed_at(G_SU2, LINEAR, M, q)
             assert rep.total <= fixed.total + 1e-9
 
 

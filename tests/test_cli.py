@@ -265,10 +265,31 @@ class TestWalkCommand:
         header = open(read_artifact(res.output)).read().splitlines()[2]
         tol = json.loads(header.split("=", 1)[1])
         assert set(tol) == {"power_recheck", "gap_submultiplicative",
-                            "walk_spectral"}
+                            "walk_spectral", "psi_quadrature", "float_slack"}
         # every block of the symmetric set is diagonalised, with a bound
         # far below the recheck tolerance
         assert 0.0 < tol["walk_spectral"] < tol["power_recheck"]
+
+    def test_walk_tolerances_of_totals(self, runner, tmp_path):
+        # the maxima over steps of what a bound artifact reports at each
+        # step's best cutoff and total
+        pts = tmp_path / "p5.csv"
+        groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
+        res = runner.invoke(cli.main, [
+            "walk", "--group", "so3", "--points", str(pts), "--M", "25.5",
+            "--reps", "12", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        lines = open(read_artifact(res.output)).read().splitlines()
+        tol = json.loads(lines[2].split("=", 1)[1])
+        rows = [dict(zip(lines[3].split(","), ln.split(","))) for ln in lines[4:]]
+        ms = [float(r["exact_m"]) for r in rows]
+        totals = [float(r["exact_total"]) for r in rows]
+        assert len(set(ms)) > 1
+        G = groups.descriptor("so3")
+        g = bound.ModulusOfContinuity.power(1.0)
+        assert tol["psi_quadrature"] == max(
+            bound.psi_detailed(G, g, m)["quad_error"] for m in ms)
+        assert tol["float_slack"] == max(1e-11 * max(1.0, t) for t in totals)
 
     @given(token=st.sampled_from(("nan", "inf", "-inf")),
            reps=st.integers(1, 400))

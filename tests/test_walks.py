@@ -139,13 +139,18 @@ class TestWalkEvolve:
     def test_json_and_csv_shapes(self):
         st = walks.walk_evolve(G_SO3, walks.lps_generators(5).measure(),
                                8, 6.5, q_hint=0.8)
-        row = walks.walk_csv_row(st[2])
+        row = walks.csv_row(st[2], walks.WALK_CSV_HEADER)
         assert len(row) == len(walks.WALK_CSV_HEADER)
         d = st[7].as_json_dict()
         assert d["step"] == 8 and "power_check" in d
         assert set(d["relaxed"]) == {"q", "M", "total"}
         assert "power_check" not in st[2].as_json_dict()
-        assert walks.walk_csv_row(st[2])[0] == 3
+        assert row[0] == 3
+        assert row[3:] == [st[2].exact_m, st[2].exact_total, st[2].relaxed_q,
+                           st[2].relaxed_m, st[2].relaxed_total]
+        plain = walks.walk_evolve(G_SO3, walks.lps_generators(5).measure(),
+                                  1, 6.5)
+        assert walks.csv_row(plain[0], walks.WALK_CSV_HEADER)[-3:] == ["", "", ""]
 
     def test_validation(self):
         nu = walks.lps_generators(5).measure()
@@ -325,9 +330,10 @@ class TestEmpiricalExperiment:
     def test_row_serialization(self):
         rows = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                           seed=5, m_cap=20.0)
-        row = walks.empirical_csv_row(rows[0])
+        row = walks.csv_row(rows[0], walks.EMPIRICAL_CSV_HEADER)
         assert len(row) == len(walks.EMPIRICAL_CSV_HEADER)
         assert row[-3:] == ["", "", ""]
+        assert row[6] == rows[0].max_variance_ratio
         d = rows[0].as_json_dict()
         assert d["oracle"] is None and d["N"] == 8
         assert set(d["bound"]) == {"mean", "min", "max"}
@@ -341,6 +347,31 @@ class TestEmpiricalExperiment:
         c = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                        seed=6, m_cap=20.0)
         assert c[0].bound_mean != a[0].bound_mean
+
+    def test_cap_below_variance_cutoff(self):
+        # the sweep stops at 5, below the variance cutoff 7.6: the one
+        # profile per measure then runs over the variance irreps
+        cutoff = (walks._VARIANCE_CUTOFF_FACTOR * G_SU2.admissibility_threshold
+                  + 0.1)
+        assert bound.default_m_grid(G_SU2, cap=5.0)[-1] < cutoff
+        rows = walks.empirical_experiment(G_SU2, "haar", [8, 16], 3, LINEAR,
+                                          seed=41, m_cap=5.0)
+        labels = [str(p.label) for p in groups.enumerate_irreps(G_SU2, cutoff)]
+        for r in rows:
+            assert [lbl for lbl, _ in r.variance_ratios] == labels
+            assert all(v > 0 for _, v in r.variance_ratios)
+            assert r.best_m_mean <= 5.0
+
+    def test_identical_sample_has_zero_fourier_sum(self):
+        # a one-atom source: every 1-point sample is the source itself
+        src = fourier.DiscreteMeasure.uniform(G_T1, [[0.3]])
+        rows = walks.empirical_experiment(G_T1, src, [1], 2, LINEAR, seed=3,
+                                          m_cap=30.0)
+        m, rep = bound.optimize_M(G_T1, LINEAR, src, src,
+                                  M_grid=bound.default_m_grid(G_T1, cap=30.0))
+        assert rep.fourier_sum == 0.0
+        assert rows[0].bound_min == rows[0].bound_max == rep.total
+        assert rows[0].best_m_mean == m
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -398,6 +429,24 @@ class TestEquidistributionAudit:
             assert lbl == str(p.label) and dim == p.dim
             assert wn == pytest.approx(p.weight_norm)
             assert 0 <= hs_sq <= dim ** 2 + 1e-9
+
+    @pytest.mark.parametrize("group_id,grid", [
+        ("su2", None), ("so3", None), ("torus(2)", None),
+        ("so3", [2.0, 4.0, 8.0]), ("torus(2)", [4.0, 12.0])])
+    def test_one_profile_matches_separate_calls(self, group_id, grid):
+        # energies and bound sliced from one hs_profile equal separate
+        # calls; the explicit grids stop below gap_m
+        G = groups.descriptor(group_id)
+        pts = groups.haar_sample(G, 31, 20)
+        audit = walks.equidistribution_audit(G, pts, LINEAR, M_grid=grid)
+        nu = fourier.DiscreteMeasure.uniform(G, pts)
+        irreps = groups.enumerate_irreps(G, audit.gap_m)
+        energies = fourier.hs_profile(G, nu, None, irreps)
+        assert [lbl for lbl, *_ in audit.character_profile] == [
+            str(p.label) for p in irreps]
+        assert [e for *_, e in audit.character_profile] == energies.tolist()
+        best_m, rep = bound.optimize_M(G, LINEAR, nu, None, M_grid=grid)
+        assert audit.best_m == best_m and audit.report == rep
 
     def test_energies_match_extended_precision_character_sums(self):
         # hs_sq(l) = sum_kl w_k w_l chi_l(x_k^-1 x_l), where
