@@ -100,10 +100,6 @@ class ModulusOfContinuity:
             return 1.0 if self.p == 1.0 else None
         return float(self.values[0] / self.knots[0])
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "table" and bool(np.all(self.values == 0.0))
-
     def descriptor(self) -> str:
         if self.kind == "power":
             return f"power:{self.p:g}"
@@ -418,9 +414,10 @@ class CutoffSweep:
     The bound total at grid[i] is psis[i] + phis[i] * sqrt(cum[cuts[i]]),
     where cum holds prefix sums of the Fourier sum over the spectrum below
     the top of the grid and cuts[i] counts that spectrum below grid[i].
-    An exact sweep holds the irreps, with ratios d/kappa weighting squared
-    HS distances.  A relaxed sweep (the gap corollary) holds the scalar
-    spectrum only, with ratios d^2/kappa scaled by q^2, on a longer grid;
+    Both kinds read the spectrum from groups.spectral_data.  An exact
+    sweep weights squared HS distances by d/kappa and also holds the
+    irreps, for hs_profile.  A relaxed sweep (the gap corollary) uses
+    d^2/kappa scaled by q^2, on a longer grid;
     at one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
     relaxed=True).report(0, q=q).
     """
@@ -436,16 +433,11 @@ class CutoffSweep:
             raise ValueError("no admissible M in grid")
         self.G, self.g, self.grid, self.relaxed = G, g, grid, relaxed
         self.profile_id = as_profile_id(profile)
-        if relaxed:
-            sd = groups.spectral_data(G, float(grid[-1]))
-            self.irreps = None
-            lam = sd["weight_norm"]
-            self.ratios = sd["dim"] ** 2 / sd["casimir"]
-        else:
-            self.irreps = groups.enumerate_irreps(G, float(grid[-1]))
-            lam = np.asarray([p.weight_norm for p in self.irreps])
-            self.ratios = np.asarray([p.dim / p.casimir for p in self.irreps])
-        self.cuts = np.searchsorted(lam, grid, "left")
+        top = float(grid[-1])
+        sd = groups.spectral_data(G, top)
+        self.irreps = None if relaxed else groups.enumerate_irreps(G, top)
+        self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
+        self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
         self._psi = [psi_detailed(G, g, float(M), self.profile_id) for M in grid]
         self.psis = np.asarray([pd["value"] for pd in self._psi])
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])

@@ -277,8 +277,8 @@ def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
 
     For su2/so3 all spins share one Gram matrix and a single Chebyshev
     recurrence; cost is O((max dim) N^2) total instead of per-irrep matrix
-    assembly.  Falls back to per-irrep matrix blocks on the torus, where
-    blocks are scalars anyway.
+    assembly.  On the torus every block is a scalar: one (atoms x irreps)
+    phase matrix, weighted by the signed atom masses and summed per column.
     """
     if not irreps:
         return np.zeros(0)

@@ -17,11 +17,10 @@ by integer vectors ``m`` (torus, highest weight ``2*pi*m``), half-integer spin
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -234,85 +233,46 @@ def haar_sample(G: GroupDescriptor, seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Irrep:
-    """Label and numerics of one irreducible unitary representation."""
+    """Label and spectral data of one irreducible unitary representation."""
 
     group_id: str
     label: tuple            # torus: integer vector; su2: (two_j,); so3: (level,)
-    highest_weight: tuple   # in normalized weight coordinates
     dim: int
     casimir: float
-    weights: tuple          # all weights with multiplicity, len == dim
+    weight_norm: float      # norm of the highest weight
 
     @property
-    def weight_norm(self) -> float:
-        return float(np.linalg.norm(self.highest_weight))
+    def highest_weight(self) -> tuple:
+        """Highest weight in normalized weight coordinates."""
+        if self.group_id.startswith("torus"):
+            return tuple(2.0 * math.pi * v for v in self.label)
+        return ((self.dim - 1) / 2.0,)
+
+    @property
+    def weights(self) -> tuple:
+        """All weights with multiplicity, len == dim."""
+        if self.group_id.startswith("torus"):
+            return (self.highest_weight,)
+        j = (self.dim - 1) / 2.0
+        return tuple((k - j,) for k in range(self.dim))
 
     def __repr__(self):  # keep test output readable
         return f"Irrep({self.group_id}, {self.label})"
 
 
-def _torus_irrep(group_id: str, m: Sequence[int]) -> Irrep:
-    m = tuple(int(v) for v in m)
-    lam = tuple(2.0 * math.pi * v for v in m)
-    return Irrep(group_id=group_id, label=m, highest_weight=lam,
-                 dim=1, casimir=4.0 * math.pi ** 2 * sum(v * v for v in m),
-                 weights=(lam,))
-
-
-def _spin_irrep(group_id: str, two_j: int) -> Irrep:
-    j = two_j / 2.0
-    weights = tuple((k - j,) for k in range(two_j + 1))
-    label = (two_j,) if group_id == "su2" else (two_j // 2,)
-    return Irrep(group_id=group_id, label=label, highest_weight=(j,),
-                 dim=two_j + 1, casimir=j * (j + 1.0), weights=weights)
-
-
 def trivial_irrep(G: GroupDescriptor) -> Irrep:
-    if torus_dim(G.group_id) is not None:
-        return _torus_irrep(G.group_id, (0,) * G.r)
-    return _spin_irrep(G.group_id, 0)
+    return Irrep(G.group_id, (0,) * G.r, 1, 0.0, 0.0)
 
 
-def enumerate_irreps(G: GroupDescriptor, M: float,
-                     include_trivial: bool = False) -> list:
-    """All irreps with highest weight norm in (0, M), sorted by that norm.
+def spectral_data(G: GroupDescriptor, M: float) -> dict:
+    """The nontrivial irreps with highest weight norm in (0, M), as arrays.
 
-    Ties are broken by the label tuple so the order is total and stable.
-    ``include_trivial`` prepends the trivial representation.
-    """
-    if not (M > 0 and math.isfinite(M)):
-        raise ValueError(f"M must be positive and finite, got {M}")
-    out = []
-    d = torus_dim(G.group_id)
-    if d is not None:
-        radius = M / (2.0 * math.pi)
-        mb = math.floor(radius)
-        if mb >= 1:
-            for m in itertools.product(range(-mb, mb + 1), repeat=d):
-                nsq = sum(v * v for v in m)
-                if 0 < nsq < radius * radius:
-                    out.append(_torus_irrep(G.group_id, m))
-    elif G.group_id == "su2":
-        two_j = 1
-        while two_j / 2.0 < M:
-            out.append(_spin_irrep("su2", two_j))
-            two_j += 1
-    elif G.group_id == "so3":
-        level = 1
-        while level < M:
-            out.append(_spin_irrep("so3", 2 * level))
-            level += 1
-    out.sort(key=lambda p: (p.weight_norm, p.label))
-    if include_trivial:
-        out.insert(0, trivial_irrep(G))
-    return out
-
-
-def spectral_data(G: GroupDescriptor, M: float):
-    """Vectorized (|weight|, dim, casimir) arrays over 0 < |weight| < M.
-
-    Lightweight alternative to `enumerate_irreps` for large cutoffs where
-    only scalar spectral sums are needed.  Sorted by weight norm.
+    Returns ``label`` (integer rows, one per irrep, in the `Irrep.label`
+    convention), ``dim`` (integers), ``casimir`` and ``weight_norm``.  Rows
+    are sorted by an integer key, |m|^2 on a torus and two_j or level on
+    su2/so3, and then by label, so the weight norm never decreases.
+    Membership is decided on the integers too: |m|^2 < (M / 2 pi)^2,
+    two_j < 2M, level < M.
     """
     if not (M > 0 and math.isfinite(M)):
         raise ValueError(f"M must be positive and finite, got {M}")
@@ -322,26 +282,42 @@ def spectral_data(G: GroupDescriptor, M: float):
         mb = math.floor(radius)
         if d == 3 and mb > 120:
             raise ValueError("torus(3) spectral enumeration above M~750 is too large")
-        if mb < 1:
-            lam = np.zeros(0)
-        else:
-            axes = [np.arange(-mb, mb + 1)] * d
-            grids = np.meshgrid(*axes, indexing="ij")
-            nsq = sum(g * g for g in grids).ravel()
-            nsq = nsq[(nsq > 0) & (nsq < radius * radius)]
-            lam = 2.0 * math.pi * np.sqrt(nsq.astype(float))
-        lam.sort()
-        return {"weight_norm": lam, "dim": np.ones_like(lam),
-                "casimir": lam * lam}
+        axis = np.arange(-mb, mb + 1)
+        nsq = axis * axis
+        for _ in range(d - 1):
+            nsq = np.add.outer(nsq, axis * axis)
+        nsq = nsq.ravel()
+        # flat grid indices run in label order, and the stable sort keeps it
+        # among equal |m|^2
+        keep = np.flatnonzero((nsq > 0) & (nsq < radius * radius))
+        idx = keep[np.argsort(nsq[keep], kind="stable")]
+        key = nsq[idx]
+        labels = np.stack(np.unravel_index(idx, (2 * mb + 1,) * d), axis=1) - mb
+        return {"label": labels, "dim": np.ones_like(key),
+                "casimir": 4.0 * math.pi ** 2 * key,
+                "weight_norm": 2.0 * math.pi * np.sqrt(key.astype(float))}
     if G.group_id == "su2":
-        two_j = np.arange(1, max(1, math.ceil(2 * M)))
-        lam = two_j / 2.0
-        lam = lam[lam < M]
+        key = np.arange(1, math.ceil(2.0 * M))
+        two_j = key
     else:
-        lam = np.arange(1, max(1, math.ceil(M)), dtype=float)
-        lam = lam[lam < M]
-    return {"weight_norm": lam, "dim": 2.0 * lam + 1.0,
-            "casimir": lam * (lam + 1.0)}
+        key = np.arange(1, math.ceil(M))
+        two_j = 2 * key
+    j = two_j / 2.0
+    return {"label": key[:, None], "dim": two_j + 1,
+            "casimir": j * (j + 1.0), "weight_norm": j}
+
+
+def enumerate_irreps(G: GroupDescriptor, M: float,
+                     include_trivial: bool = False) -> list:
+    """The rows of `spectral_data(G, M)` as `Irrep` objects, in its order.
+
+    ``include_trivial`` prepends the trivial representation.
+    """
+    sd = spectral_data(G, M)
+    rows = zip(zip(*sd["label"].T.tolist()), sd["dim"].tolist(),
+               sd["casimir"].tolist(), sd["weight_norm"].tolist())
+    out = [Irrep(G.group_id, *row) for row in rows]
+    return [trivial_irrep(G)] + out if include_trivial else out
 
 
 # ---------------------------------------------------------------------------

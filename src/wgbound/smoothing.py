@@ -157,34 +157,33 @@ def _radial_integral(profile: BumpProfile, r: int, x: np.ndarray,
     return out.reshape(x.shape)
 
 
+# per rank: the scale of F, and the kernel of the radial integral with the
+# scale of its argument; the base weights pick up one factor y per rank
+# above 1
+_RANK_KERNELS = {
+    1: (2.0, np.cos, 2.0 * np.pi),
+    2: (2.0 * np.pi, j0, 2.0 * np.pi),
+    3: (4.0 * np.pi, np.sinc, 2.0),
+}
+
+
 def _radial_integral_bin(profile: BumpProfile, r: int, flat: np.ndarray,
                          order: int) -> np.ndarray:
+    if r not in _RANK_KERNELS:
+        raise ValueError(f"rank must be 1, 2 or 3, got {r}")
+    scale, kernel, arg_scale = _RANK_KERNELS[r]
     # kernels oscillate with period 1/x in y; 1.25 panels per period at
     # order >= 12 leaves the quadrature error at rounding level
     xmax = float(flat.max()) if flat.size else 0.0
     n_panels = max(24, int(1.25 * xmax) + 10)
     y, w = _gl_panels(n_panels, order)
-    sv = profile.radial(y)
-    if r == 1:
-        base = w * sv
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, 2048):
-            blk = flat[lo:lo + 2048]
-            out[lo:lo + 2048] = 2.0 * (np.cos(2.0 * np.pi * np.outer(blk, y)) @ base)
-    elif r == 2:
-        base = w * sv * y
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, 2048):
-            blk = flat[lo:lo + 2048]
-            out[lo:lo + 2048] = 2.0 * np.pi * (j0(2.0 * np.pi * np.outer(blk, y)) @ base)
-    elif r == 3:
-        base = w * sv * y * y
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, 2048):
-            blk = flat[lo:lo + 2048]
-            out[lo:lo + 2048] = 4.0 * np.pi * (np.sinc(2.0 * np.outer(blk, y)) @ base)
-    else:
-        raise ValueError(f"rank must be 1, 2 or 3, got {r}")
+    base = w * profile.radial(y)
+    for _ in range(r - 1):
+        base = base * y
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, 2048):
+        blk = flat[lo:lo + 2048]
+        out[lo:lo + 2048] = scale * (kernel(arg_scale * np.outer(blk, y)) @ base)
     return out
 
 

@@ -361,11 +361,12 @@ def sampled_walk_blocks(G: groups.GroupDescriptor,
 def _joint_irreps(sweep: bound.CutoffSweep, cutoff: float) -> Tuple[list, int]:
     """Irreps covering the sweep's and those below cutoff, and the latter's count.
 
-    enumerate_irreps sorts by weight norm, so both ranges are prefixes of
-    the longer list, and slices of one hs_profile over it equal separate
-    calls bit for bit: no irrep's character sum depends on the others in
-    the call.  The irreps below cutoff are counted by weight_norm < cutoff,
-    the rule of the sweep's own cuts.
+    enumerate_irreps sorts by an integer key, along which the weight norm
+    never decreases, so both ranges are prefixes of the longer list, and
+    slices of one hs_profile over it equal separate calls bit for bit: no
+    irrep's character sum depends on the others in the call.  The irreps
+    below cutoff are counted by weight_norm < cutoff, the rule of the
+    sweep's own cuts.
     """
     irreps = sweep.irreps
     if cutoff > sweep.grid[-1]:

@@ -61,10 +61,6 @@ class TestModulus:
         g = bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.4])
         assert g.initial_slope() == pytest.approx(0.5)
 
-    def test_zero_table_flag(self):
-        assert zero_modulus().is_zero
-        assert not LINEAR.is_zero
-
     @given(st.floats(0.01, 1.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
     @settings(max_examples=80, deadline=None)
     def test_power_subadditive_monotone(self, p, t, u):

@@ -204,6 +204,20 @@ class TestBoundCommand:
         assert res.exit_code == cli.EXIT_DOMINANCE
         assert "dominance" in res.output
 
+    def test_torus3_cutoff_above_size_guard(self, runner, tmp_path):
+        # the size guard stops an exact torus(3) sweep before it enumerates
+        # millions of irreps
+        rng = np.random.default_rng(3)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        groups.save_points(a, "torus(3)", rng.random((3, 3)))
+        groups.save_points(b, "torus(3)", rng.random((3, 3)))
+        out = tmp_path / "art"
+        res = runner.invoke(cli.main, [
+            "bound", "--group", "torus(3)", "--points", str(a), "--points",
+            str(b), "--M", "800", "--out", str(out)])
+        assert res.exit_code == cli.EXIT_CONFIG, res.output
+        assert "too large" in res.output
+        assert not out.exists()
 
 
 class TestAuditCommand:

@@ -1,4 +1,5 @@
 """Group descriptors, metric geometry, irrep enumeration, Haar sampling."""
+import itertools
 import math
 
 import numpy as np
@@ -76,12 +77,44 @@ def test_casimir_between_weight_norm_bounds(any_group):
 def test_spectral_data_matches_enumeration(any_group):
     sd = groups.spectral_data(any_group, 9.0)
     reps = groups.enumerate_irreps(any_group, 9.0)
-    assert sd["weight_norm"].size == len(reps)
-    np.testing.assert_allclose(sd["weight_norm"],
-                               [p.weight_norm for p in reps], atol=1e-12)
-    np.testing.assert_allclose(sd["dim"], [p.dim for p in reps])
-    np.testing.assert_allclose(sd["casimir"], [p.casimir for p in reps],
-                               atol=1e-12)
+    assert [tuple(row) for row in sd["label"].tolist()] == [p.label for p in reps]
+    assert sd["weight_norm"].tolist() == [p.weight_norm for p in reps]
+    assert sd["dim"].tolist() == [p.dim for p in reps]
+    assert sd["casimir"].tolist() == [p.casimir for p in reps]
+
+
+def test_torus_spectrum_in_integer_order():
+    # exactly the m with 0 < |m|^2 < (M / 2 pi)^2, sorted by (|m|^2, m):
+    # equal |m|^2 must not be ordered by the rounding of a float norm
+    for gid, M in (("torus(2)", 60.0), ("torus(3)", 40.0)):
+        G = groups.descriptor(gid)
+        mb = math.floor(M / (2 * math.pi))
+        r_sq = (M / (2 * math.pi)) ** 2
+        expected = sorted(
+            (sum(v * v for v in m), m)
+            for m in itertools.product(range(-mb, mb + 1), repeat=G.r)
+            if 0 < sum(v * v for v in m) < r_sq)
+        reps = groups.enumerate_irreps(G, M)
+        assert [p.label for p in reps] == [m for _, m in expected]
+        assert [p.casimir for p in reps] == [4.0 * math.pi ** 2 * k
+                                             for k, _ in expected]
+        assert [p.weight_norm for p in reps] == [2.0 * math.pi * math.sqrt(k)
+                                                 for k, _ in expected]
+
+
+def test_derived_weights(any_group):
+    # reference definitions: torus weight 2 pi m; spin weights -j..j by 1
+    for p in groups.enumerate_irreps(any_group, 9.0, include_trivial=True):
+        if any_group.group_id.startswith("torus"):
+            lam = tuple(2.0 * math.pi * v for v in p.label)
+            weights = (lam,)
+        else:
+            two_j = p.label[0] if any_group.group_id == "su2" else 2 * p.label[0]
+            j = two_j / 2.0
+            lam = (j,)
+            weights = tuple((k - j,) for k in range(two_j + 1))
+        assert p.highest_weight == lam
+        assert p.weights == weights
 
 
 def test_geodesic_closed_forms():
