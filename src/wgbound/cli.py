@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.M is not None and self.M_grid is not None:
             raise ConfigError("give --M or --M-grid, not both")
+        if self.M is not None and not math.isfinite(self.M):
+            raise ConfigError(f"M must be finite, got {self.M}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         object.__setattr__(self, "points", tuple(self.points))

@@ -159,11 +159,8 @@ def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
     weights carry the sign of the quaternion: D(-q) = (-1)^(2j) D(q).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d_t = groups.torus_dim(G.group_id)
-    if d_t is not None:
-        m = np.asarray(irrep.label, dtype=float)
-        phases = np.exp(2j * np.pi * (X @ m))
-        return phases.reshape(-1, 1, 1)
+    if groups.torus_dim(G.group_id) is not None:
+        return characters(G, irrep, X).reshape(-1, 1, 1)
     w, x, y, z = X.T
     half_b = np.arctan2(np.hypot(x, y), np.hypot(w, z))
     s = np.arctan2(z, w)    # (a + c) / 2
@@ -191,10 +188,8 @@ def characters(G: groups.GroupDescriptor, irrep: groups.Irrep,
     if d_t is not None:
         m = np.asarray(irrep.label, dtype=float)
         return np.exp(2j * np.pi * (X @ m))
-    w = X[:, 0]
-    if G.group_id == "so3":
-        w = np.abs(w)
-    return eval_chebyu(irrep.dim - 1, w)
+    cos_half = groups.class_cosines(G, X, groups.identity(G))[:, 0]
+    return eval_chebyu(irrep.dim - 1, cos_half)
 
 
 def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
@@ -224,28 +219,14 @@ def _signed_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
     return atoms, coeffs
 
 
-def _char_kernel(G: groups.GroupDescriptor, irrep: groups.Irrep,
-                 atoms: np.ndarray) -> np.ndarray:
-    """Matrix of character values chi(x_k^{-1} x_l)."""
-    d_t = groups.torus_dim(G.group_id)
-    if d_t is not None:
-        m = np.asarray(irrep.label, dtype=float)
-        ph = np.exp(2j * np.pi * (atoms @ m))
-        return np.conj(ph)[:, None] * ph[None, :]
-    t = atoms @ atoms.T
-    if G.group_id == "so3":
-        t = np.abs(t)
-    np.clip(t, -1.0, 1.0, out=t)
-    return eval_chebyu(irrep.dim - 1, t)
-
-
 def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
                    nu2: Optional[DiscreteMeasure], irrep: groups.Irrep,
                    method: str = "both", rtol: float = 1e-9) -> float:
     """Squared HS distance between two measure transforms at one irrep.
 
-    ``nu2=None`` stands for Haar, whose nontrivial blocks vanish.  With
-    ``method="both"`` the matrix route and the character-sum route are both
+    ``nu2=None`` stands for Haar, whose nontrivial blocks vanish.  The
+    character route is `hs_profile` at this one irrep.  With
+    ``method="both"`` the matrix route and the character route are both
     evaluated and must agree to ``rtol`` (absolute + relative); disagreement
     raises SolverError since it voids the certificate.
     """
@@ -257,14 +238,11 @@ def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
         B2 = 0.0 if nu2 is None else measure_transform(G, nu2, irrep).matrix
         val_m = float(np.linalg.norm(B1 - B2, "fro") ** 2)
     if method in ("character", "both"):
-        atoms, coeffs = _signed_atoms(nu1, nu2)
-        K = _char_kernel(G, irrep, atoms)
-        raw = coeffs @ K @ coeffs
-        val_c = float(np.real(raw))
+        val_c = float(hs_profile(G, nu1, nu2, [irrep])[0])
     if method == "matrix":
         return val_m
     if method == "character":
-        return max(val_c, 0.0)
+        return val_c
     if abs(val_m - val_c) > rtol * (1.0 + max(abs(val_m), abs(val_c))):
         raise SolverError(
             f"HS routes disagree at {irrep}: matrix={val_m!r} character={val_c!r}")
@@ -291,10 +269,7 @@ def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
         # not depend on how many irreps the call holds
         ph *= coeffs[:, None]
         return np.abs(ph.sum(axis=0)) ** 2
-    t = atoms @ atoms.T
-    if G.group_id == "so3":
-        t = np.abs(t)
-    np.clip(t, -1.0, 1.0, out=t)
+    t = groups.class_cosines(G, atoms, atoms)
     wanted = {_two_j_of(p): i for i, p in enumerate(irreps)}
     out = np.zeros(len(irreps))
     if not wanted:
@@ -382,19 +357,16 @@ def weyl_quadrature(G: groups.GroupDescriptor, n_nodes: int = 2 ** 14):
         w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         return pts, w
     n = int(n_nodes)
-    if G.group_id == "su2":
-        u = 4.0 * np.pi * (np.arange(n) + 0.5) / n
-        w = (2.0 / n) * np.sin(u / 2.0) ** 2
-        pts = np.zeros((n, 4))
-        pts[:, 0] = np.cos(u / 2.0)
-        pts[:, 3] = np.sin(u / 2.0)
-        return pts, w
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    # rotation angles span [0, 4pi) on su2, where -1 is not the identity
+    span = 4.0 * np.pi if G.group_id == "su2" else 2.0 * np.pi
+    theta = span * (np.arange(n) + 0.5) / n
     w = (2.0 / n) * np.sin(theta / 2.0) ** 2
     pts = np.zeros((n, 4))
     pts[:, 0] = np.cos(theta / 2.0)
     pts[:, 3] = np.sin(theta / 2.0)
-    return groups.canonicalize(G, pts), w
+    if G.group_id == "so3":
+        pts = groups.canonicalize(G, pts)
+    return pts, w
 
 
 def class_coefficients(G: groups.GroupDescriptor, values: np.ndarray,

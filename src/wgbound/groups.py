@@ -40,9 +40,6 @@ class GroupDescriptor:
     rho_plus: tuple              # half sum of positive roots
     a: float                     # smoothing length scale of the group
     weyl_order: int
-    weight_lattice_basis: tuple  # rows span the weight lattice
-    covolume: float              # covolume of the integral lattice
-    diameter: float
 
     @property
     def dim(self) -> int:
@@ -70,33 +67,22 @@ def descriptor(group_id: str) -> GroupDescriptor:
     if d is not None:
         if not 1 <= d <= 3:
             raise ValueError(f"torus dimension out of range: {d}")
-        eye = tuple(tuple(2.0 * math.pi if i == j else 0.0 for j in range(d))
-                    for i in range(d))
         return GroupDescriptor(
             group_id=group_id, n=d, r=d,
             positive_roots=(), rho_plus=(0.0,) * d,
             a=math.pi, weyl_order=1,
-            weight_lattice_basis=eye,
-            covolume=(2.0 * math.pi) ** (-d),
-            diameter=math.sqrt(d) / 2.0,
         )
     if group_id == "su2":
         return GroupDescriptor(
             group_id="su2", n=3, r=1,
             positive_roots=((1.0,),), rho_plus=(0.5,),
             a=0.5, weyl_order=2,
-            weight_lattice_basis=((0.5,),),
-            covolume=2.0,
-            diameter=2.0 * math.pi,
         )
     if group_id == "so3":
         return GroupDescriptor(
             group_id="so3", n=3, r=1,
             positive_roots=((1.0,),), rho_plus=(0.5,),
             a=0.5, weyl_order=2,
-            weight_lattice_basis=((1.0,),),
-            covolume=1.0,
-            diameter=math.pi,
         )
     raise ValueError(f"unknown group id: {group_id!r}")
 
@@ -185,34 +171,36 @@ def exp_map(G: GroupDescriptor, X: np.ndarray) -> np.ndarray:
     return canonicalize(G, q)
 
 
-def geodesic_distance(G: GroupDescriptor, x, y) -> float:
-    """Bi-invariant geodesic distance between two elements."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if torus_dim(G.group_id) is not None:
-        delta = np.abs(np.mod(x - y, 1.0))
-        delta = np.minimum(delta, 1.0 - delta)
-        return float(np.linalg.norm(delta))
-    dot = float(np.dot(x, y))
-    if G.group_id == "so3":
-        dot = abs(dot)
-    dot = min(1.0, max(-1.0, dot))
-    return 2.0 * math.acos(dot)
+def class_cosines(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """cos(theta/2) of the class of x^-1 y for every pair, shape (len(X), len(Y)).
 
-
-def pairwise_distance(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Distance matrix between two stacks of elements, shape (len(X), len(Y))."""
+    su2/so3 only.  theta is the rotation angle of x^-1 y, so the cosine is
+    the scalar part <x, y> of the product; on so3 the sign of a quaternion
+    is not part of the element, hence |<x, y>|.  Clipped to [-1, 1].
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if torus_dim(G.group_id) is not None:
-        delta = np.abs(X[:, None, :] - Y[None, :, :])
-        delta = np.minimum(np.mod(delta, 1.0), 1.0 - np.mod(delta, 1.0))
-        return np.sqrt(np.sum(delta * delta, axis=-1))
     dots = X @ Y.T
     if G.group_id == "so3":
         dots = np.abs(dots)
     np.clip(dots, -1.0, 1.0, out=dots)
-    return 2.0 * np.arccos(dots)
+    return dots
+
+
+def geodesic_distance(G: GroupDescriptor, x, y) -> float:
+    """Bi-invariant geodesic distance between two elements."""
+    return float(pairwise_distance(G, x, y)[0, 0])
+
+
+def pairwise_distance(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Distance matrix between two stacks of elements, shape (len(X), len(Y))."""
+    if torus_dim(G.group_id) is not None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        delta = np.abs(X[:, None, :] - Y[None, :, :])
+        delta = np.minimum(np.mod(delta, 1.0), 1.0 - np.mod(delta, 1.0))
+        return np.sqrt(np.sum(delta * delta, axis=-1))
+    return 2.0 * np.arccos(class_cosines(G, X, Y))
 
 
 def haar_sample(G: GroupDescriptor, seed: int, count: int) -> np.ndarray:

@@ -78,6 +78,16 @@ def _full_plan(nu1: DiscreteMeasure, nu2: DiscreteMeasure, keep1, keep2,
                          status=status)
 
 
+def _marginal_constraints(n1: int, n2: int) -> sparse.csr_matrix:
+    """0/1 rows summing each row, then each column, of a raveled n1 x n2 plan."""
+    cells = np.arange(n1 * n2)
+    ii = np.concatenate([np.repeat(np.arange(n1), n2),
+                         n1 + np.repeat(np.arange(n2), n1)])
+    jj = np.concatenate([cells, cells.reshape(n1, n2).T.ravel()])
+    return sparse.csr_matrix((np.ones(len(ii)), (ii, jj)),
+                             shape=(n1 + n2, n1 * n2))
+
+
 def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
                       nu2: DiscreteMeasure) -> TransportPlan:
     """Exact W_g between discrete measures, as a certified LP optimum.
@@ -93,17 +103,7 @@ def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     a2, w2, keep2 = _support(nu2)
     n1, n2 = len(w1), len(w2)
     C = _costs(G, g, a1, a2)
-    # equality constraints: row sums then column sums
-    ii = []
-    jj = []
-    for i in range(n1):
-        ii.extend([i] * n2)
-        jj.extend(range(i * n2, (i + 1) * n2))
-    for j in range(n2):
-        ii.extend([n1 + j] * n1)
-        jj.extend(range(j, n1 * n2, n2))
-    A = sparse.csr_matrix((np.ones(len(ii)), (ii, jj)),
-                          shape=(n1 + n2, n1 * n2))
+    A = _marginal_constraints(n1, n2)
     b = np.concatenate([w1, w2])
     res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0.0, None),
                   method="highs")

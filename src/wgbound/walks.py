@@ -124,21 +124,6 @@ class WalkState:
     relaxed_total: Optional[float] = None
     spectral_error: float = 0.0
 
-    def as_json_dict(self) -> dict:
-        out = {
-            "step": self.step,
-            "q_hat": self.q_hat,
-            "fourier_sum": self.fourier_sum,
-            "exact": {"M": self.exact_m, "total": self.exact_total},
-            "spectral_error": self.spectral_error,
-        }
-        if self.power_check is not None:
-            out["power_check"] = self.power_check
-        if self.relaxed_total is not None:
-            out["relaxed"] = {"q": self.relaxed_q, "M": self.relaxed_m,
-                              "total": self.relaxed_total}
-        return out
-
 
 WALK_CSV_HEADER = ("step", "q_hat", "fourier_sum", "exact_m", "exact_total",
                    "relaxed_q", "relaxed_m", "relaxed_total")
@@ -397,18 +382,6 @@ class EmpiricalRow:
     def max_variance_ratio(self) -> float:
         """Worst mean squared HS deviation relative to its dim/N budget."""
         return max(r for _, r in self.variance_ratios)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "N": self.N, "n_reps": self.n_reps,
-            "bound": {"mean": self.bound_mean, "min": self.bound_min,
-                      "max": self.bound_max},
-            "best_M_mean": self.best_m_mean,
-            "variance_ratios": {k: v for k, v in self.variance_ratios},
-            "oracle": None if self.oracle_mean is None else {
-                "mean": self.oracle_mean, "min": self.oracle_min,
-                "max": self.oracle_max},
-        }
 
 
 EMPIRICAL_CSV_HEADER = ("N", "n_reps", "bound_mean", "bound_min", "bound_max",

@@ -51,7 +51,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("command", "solve"), ("profile", "gauss"), ("seed", -1),
-        ("seed", 2 ** 64), ("reps", 0)])
+        ("seed", 2 ** 64), ("reps", 0), ("M", math.inf), ("M", -math.inf),
+        ("M", math.nan)])
     def test_invalid_values(self, field, value):
         payload = {"command": "kernel", "group": "su2", field: value}
         with pytest.raises(cli.ConfigError):
@@ -491,6 +492,18 @@ class TestExitPaths:
             "bound", "--group", "torus(1)", "--points", circle_pair[0],
             "--points", circle_pair[1], "--g", f"table:{table}", "--M", "40",
             "--out", str(out)])
+        assert res.exit_code == cli.EXIT_CONFIG, res.output
+        assert "finite" in res.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [
+        ["kernel", "--group", "su2"],
+        ["empirical", "--group", "su2", "--n-list", "4,8", "--reps", "1"]])
+    def test_non_finite_cutoff(self, runner, tmp_path, args):
+        # an infinite cutoff must stop at the config check, before
+        # int(floor(M)) can raise OverflowError (exit 1)
+        out = tmp_path / "art"
+        res = runner.invoke(cli.main, args + ["--M", "inf", "--out", str(out)])
         assert res.exit_code == cli.EXIT_CONFIG, res.output
         assert "finite" in res.output
         assert not os.path.exists(out)

@@ -156,14 +156,30 @@ def test_exponential_is_unit_speed(any_group):
 
 
 def test_pairwise_distance_matches_scalar(any_group):
-    X = groups.haar_sample(any_group, 11, 4)
-    Y = groups.haar_sample(any_group, 12, 3)
-    D = groups.pairwise_distance(any_group, X, Y)
-    assert D.shape == (4, 3)
+    # each entry is read off x_i^-1 y_j formed by the group law: the length
+    # of its shortest lift on a torus, its scalar part on su2/so3
+    G = any_group
+    torus = groups.torus_dim(G.group_id) is not None
+    X = groups.haar_sample(G, 11, 4)
+    if torus:
+        Y = np.concatenate([groups.haar_sample(G, 12, 3),
+                            np.mod(X + 0.5, 1.0)])
+    else:
+        # antipodes, and partners at a half-turn (cosine 0)
+        half_turn = np.array([0.0, 0.0, 0.0, 1.0])
+        Y = np.concatenate([groups.haar_sample(G, 12, 3),
+                            groups.canonicalize(G, -X),
+                            groups.multiply(G, X, half_turn)])
+    got = (groups.pairwise_distance if torus else groups.class_cosines)(G, X, Y)
+    assert got.shape == (4, len(Y))
     for i in range(4):
-        for j in range(3):
-            assert D[i, j] == pytest.approx(
-                groups.geodesic_distance(any_group, X[i], Y[j]), abs=1e-12)
+        for j in range(len(Y)):
+            z = groups.multiply(G, groups.inverse(G, X[i]), Y[j])
+            if torus:
+                want = np.linalg.norm(np.minimum(z, 1.0 - z))
+            else:
+                want = abs(z[0]) if G.group_id == "so3" else z[0]
+            assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_haar_sample_uniform_coordinates():

@@ -19,6 +19,20 @@ def delta(G, atom):
 
 
 class TestExactWasserstein:
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (3, 5), (64, 128), (7, 2)])
+    def test_marginal_constraints_match_loops(self, n1, n2):
+        ii, jj = [], []
+        for i in range(n1):
+            ii.extend([i] * n2)
+            jj.extend(range(i * n2, (i + 1) * n2))
+        for j in range(n2):
+            ii.extend([n1 + j] * n1)
+            jj.extend(range(j, n1 * n2, n2))
+        ref = np.zeros((n1 + n2, n1 * n2))
+        ref[ii, jj] = 1.0
+        # a repeated (row, column) pair would sum to 2 in the sparse matrix
+        assert np.array_equal(transport._marginal_constraints(n1, n2).toarray(), ref)
+
     def test_self_distance_zero(self, any_group):
         nu = random_measure(any_group, 5, 1)
         plan = transport.exact_wasserstein(any_group, LINEAR, nu, nu)

@@ -141,10 +141,7 @@ class TestWalkEvolve:
                                8, 6.5, q_hint=0.8)
         row = walks.csv_row(st[2], walks.WALK_CSV_HEADER)
         assert len(row) == len(walks.WALK_CSV_HEADER)
-        d = st[7].as_json_dict()
-        assert d["step"] == 8 and "power_check" in d
-        assert set(d["relaxed"]) == {"q", "M", "total"}
-        assert "power_check" not in st[2].as_json_dict()
+        assert st[7].power_check is not None and st[2].power_check is None
         assert row[0] == 3
         assert row[3:] == [st[2].exact_m, st[2].exact_total, st[2].relaxed_q,
                            st[2].relaxed_m, st[2].relaxed_total]
@@ -334,16 +331,13 @@ class TestEmpiricalExperiment:
         assert len(row) == len(walks.EMPIRICAL_CSV_HEADER)
         assert row[-3:] == ["", "", ""]
         assert row[6] == rows[0].max_variance_ratio
-        d = rows[0].as_json_dict()
-        assert d["oracle"] is None and d["N"] == 8
-        assert set(d["bound"]) == {"mean", "min", "max"}
 
     def test_seed_determinism(self):
         a = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                        seed=5, m_cap=20.0)
         b = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                        seed=5, m_cap=20.0)
-        assert a[0].as_json_dict() == b[0].as_json_dict()
+        assert a[0] == b[0]
         c = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                        seed=6, m_cap=20.0)
         assert c[0].bound_mean != a[0].bound_mean
