@@ -34,6 +34,11 @@ EXIT_DOMINANCE = 5
 _PROFILES = {"paper": "paper_bump", "plateau": "plateau"}
 _COMMANDS = ("audit", "walk", "empirical", "kernel", "bound", "oracle")
 _AUDIT_PROXY_N = 1 << 14  # lattice stand-in for Haar in circle verification
+# atoms of nu*nu that walk --verify transforms at once
+_CONV_CHUNK_ATOMS = 4096
+# entrywise accuracy of irrep matrices and of pi(xy) = pi(x) pi(y), as the
+# tests of fourier.irrep_matrices pin it
+_IRREP_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -368,7 +373,7 @@ def _cmd_walk(cfg: RunConfig) -> str:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.verify:
-        _verify_walk_sampling(G, nu, cfg)
+        _verify_walk_convolution(G, nu, cfg.M)
     # what a bound artifact reports at each step's best cutoff and total
     quad = {m: bound.psi_detailed(G, g, m, _PROFILES[cfg.profile])["quad_error"]
             for m in {s.exact_m for s in states}}
@@ -386,22 +391,45 @@ def _cmd_walk(cfg: RunConfig) -> str:
                               tolerances)
 
 
-def _verify_walk_sampling(G, nu, cfg: RunConfig, k: int = 5,
-                          n_paths: int = 10000):
-    """Monte Carlo cross-check: sampled k-step blocks match exact powers."""
-    irreps = groups.enumerate_irreps(
-        G, min(cfg.M, 4.0 * G.admissibility_threshold))
-    sampled = walks.sampled_walk_blocks(G, nu, k, n_paths, cfg.seed, irreps)
-    for p, S in zip(irreps, sampled):
-        b = fourier.measure_transform(G, nu, p).matrix
-        E = np.linalg.matrix_power(b, k)
-        dev = float(np.linalg.norm(S - E))
-        sigma = math.sqrt(
-            max(p.dim - float(np.linalg.norm(E)) ** 2, 0.0) / n_paths)
-        if dev > 3.0 * sigma + 1e-12:
+def _verify_walk_convolution(G, nu, M: float):
+    """Exact check of the identity walk_evolve powers: nu*nu has blocks b @ b.
+
+    b = measure_transform(nu) on the irreps below min(M, 4 * admissibility
+    threshold).  nu*nu comes from fourier.product_measure, one chunk of the
+    first factor at a time (renormalised, then weighted back by its mass),
+    so no chunk holds more than about _CONV_CHUNK_ATOMS atoms.  Two steps
+    are the identity each powering step applies; more add only rounding.
+
+    Tolerance per entry, for n atoms, largest dimension d and u = 2^-52:
+    the tests pin pi(xy) against pi(x) pi(y), xy the rounded product, to
+    _IRREP_TOL = 1e-12 per entry, and the weights sum to 1, so the exact
+    sums of the two sides differ by at most _IRREP_TOL.  All terms have
+    entries of modulus <= 1, so the n^2-term sum rounds by (n^2 + 3) u (the
+    chunk weights add 3 roundings), b by n u and b @ b by 2 sqrt(d) n u +
+    d u.  With 2 sqrt(d) n <= n^2 + d the total is within
+    _IRREP_TOL + 2 (n^2 + d + 2) u, 1.4e-12 on the 30-atom norm-29 LPS set.
+    """
+    irreps = groups.enumerate_irreps(G, min(M, 4.0 * G.admissibility_threshold))
+    blocks = [fourier.measure_transform(G, nu, p).matrix for p in irreps]
+    conv = [np.zeros_like(b) for b in blocks]
+    n = nu.size
+    step = max(1, _CONV_CHUNK_ATOMS // n)
+    for lo in range(0, n, step):
+        w = nu.weights[lo:lo + step]
+        mass = float(w.sum())
+        chunk = fourier.DiscreteMeasure(G.group_id, nu.atoms[lo:lo + step],
+                                        w / mass)
+        part = fourier.product_measure(G, chunk, nu)
+        for c, p in zip(conv, irreps):
+            c += mass * fourier.measure_transform(G, part, p).matrix
+    d = max(p.dim for p in irreps)
+    tol = _IRREP_TOL + 2.0 * (n * n + d + 2) * np.finfo(float).eps
+    for p, b, c in zip(irreps, blocks, conv):
+        dev = float(np.max(np.abs(c - b @ b)))
+        if dev > tol:
             raise SolverError(
-                f"sampled walk deviates {dev:.3e} (3 sigma {3 * sigma:.3e}) "
-                f"on irrep {p.label}")
+                f"two-step walk block deviates {dev:.3e} from b @ b "
+                f"(tolerance {tol:.3e}) on irrep {p.label}")
 
 
 def _cmd_empirical(cfg: RunConfig) -> str:

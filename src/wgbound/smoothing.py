@@ -2,8 +2,8 @@
 
 Radial bump profiles on the Cartan algebra, their Fourier transforms with
 certified power-law tail majorants, Weyl density coefficients, the
-coefficients a_pi of the degree-limited smoothing polynomial, a
-per-function pairing bound, and the Fourier decay budget.
+coefficients a_pi of the degree-limited smoothing polynomial, and the
+Fourier decay budget.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from ._util import SolverError, pairwise_sum
+from ._util import SolverError
 from .groups import GroupDescriptor, Irrep, enumerate_irreps
 
 PROFILE_IDS = ("paper_bump", "plateau")
@@ -340,34 +340,7 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
 
 
 # ---------------------------------------------------------------------------
-# per-function pairing bound and decay budget
-
-
-def per_function_bound(G: GroupDescriptor, f_hat: Dict[Irrep, np.ndarray],
-                       g, M: float, nu1, nu2, profile="paper_bump") -> float:
-    """Upper bound on |integral of f d(nu1 - nu2)| for f with modulus g.
-
-    Requires the Fourier blocks of f on every irrep below the cutoff; any
-    spectral mass of f at or above M is the caller's responsibility.
-    """
-    from . import bound as _bound
-    from . import fourier as _fourier
-
-    irreps = enumerate_irreps(G, M)
-    missing = [p for p in irreps if p not in f_hat]
-    if missing:
-        raise ValueError(f"f_hat missing blocks below M={M}: {missing[:4]}"
-                         + ("..." if len(missing) > 4 else ""))
-    psi_val = _bound.psi(G, g, M, profile)
-    if not irreps:
-        return psi_val
-    hs_sq = _fourier.hs_profile(G, nu1, nu2, irreps)
-    terms = [
-        p.dim * float(np.linalg.norm(np.atleast_2d(f_hat[p]), "fro"))
-        * math.sqrt(max(hs_sq[i], 0.0))
-        for i, p in enumerate(irreps)
-    ]
-    return psi_val + float(pairwise_sum(terms))
+# decay budget
 
 
 def budget_interval(n: int) -> float:

@@ -93,8 +93,9 @@ def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     """Exact W_g between discrete measures, as a certified LP optimum.
 
     Solves the transport LP with a simplex method and verifies the duality
-    gap and marginal residuals before returning; a failed certificate
-    raises instead of returning an uncertified value.
+    gap, dual feasibility (f_i + h_j <= C_ij) and marginal residuals before
+    returning; a failed certificate raises instead of returning an
+    uncertified value.
     """
     if nu1.size * nu2.size > _SIZE_LIMIT:
         raise ValueError(
@@ -116,6 +117,10 @@ def exact_wasserstein(G: GroupDescriptor, g, nu1: DiscreteMeasure,
     gap = abs(cost - dual_obj)
     if gap > GAP_TOL * max(1.0, abs(cost)):
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance")
+    # b.y is a lower bound on the cost only for dual-feasible y
+    excess = float(np.max(y[:n1, None] + y[None, n1:] - C))
+    if excess > GAP_TOL * max(1.0, float(C.max())):
+        raise SolverError(f"dual potentials infeasible by {excess:.3e}")
     row_err = float(np.max(np.abs(plan.sum(axis=1) - w1)))
     col_err = float(np.max(np.abs(plan.sum(axis=0) - w2)))
     if max(row_err, col_err) > MARGINAL_TOL:

@@ -3,8 +3,9 @@ sets, empirical-measure sweeps, and equidistribution audits.
 
 Walk bounds are computed on the Fourier side only: the transform blocks of
 the k-th convolution power are the k-th matrix powers of the step-1 blocks,
-so every reported walk number is free of sampling error.  Sampled walks
-appear only as statistical cross-checks of that identity.
+so every reported walk number is free of sampling error.  `walk --verify`
+checks that identity exactly on the two-step convolution; sampled walks
+remain only as a statistical oracle for the tests.
 """
 from __future__ import annotations
 
@@ -324,9 +325,10 @@ def sampled_walk_blocks(G: groups.GroupDescriptor,
                         seed: int, irreps) -> List[np.ndarray]:
     """Mean transform blocks of n_paths sampled k-step products.
 
-    Statistical cross-check of the powering identity; each returned matrix
-    estimates the corresponding exact block with HS standard error at most
-    sqrt(dim / n_paths).
+    A statistical oracle of the powering identity for the tests; no
+    command calls it (walk --verify checks the identity exactly).  Each
+    returned matrix estimates the corresponding exact block with HS
+    standard error at most sqrt(dim / n_paths).
     """
     if k < 1 or n_paths < 1:
         raise ValueError("k and n_paths must be positive")

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgbound import bound, cli, groups, transport, walks
+from wgbound import bound, cli, fourier, groups, transport, walks
 from wgbound._util import SolverError
 
 from conftest import GROUP_IDS
@@ -345,29 +345,52 @@ class TestWalkCommand:
             "--out", str(tmp_path)])
         assert res.exit_code == cli.EXIT_CONFIG
 
-    def test_sampling_check_failure_exit(self, runner, tmp_path,
-                                         monkeypatch):
+    def test_convolution_check_failure_exit(self, runner, tmp_path,
+                                            monkeypatch):
+        # one entry of the step measure's l = 1 block moved by 1e-9: b @ b
+        # then misses the nu*nu block by 1.3e-10, 130 times the check's
+        # tolerance
+        rot = walks.lps_generators(5).rotations
+        pts = tmp_path / "p5.csv"
+        groups.save_points(pts, "so3", rot)
+        real = fourier.measure_transform
+
+        def shifted(G, nu, irrep):
+            blk = real(G, nu, irrep)
+            if nu.size != len(rot) or irrep.label != (1,):
+                return blk
+            m = blk.matrix.copy()
+            m[0, 0] += 1e-9
+            return fourier.FourierBlock(blk.group_id, blk.label, blk.dim, m)
+
+        monkeypatch.setattr(fourier, "measure_transform", shifted)
+        res = runner.invoke(cli.main, [
+            "walk", "--group", "so3", "--points", str(pts), "--M", "6.5",
+            "--reps", "2", "--verify", "--out", str(tmp_path / "art")])
+        assert res.exit_code == cli.EXIT_SOLVER, res.output
+        assert "solver failure" in res.output and "b @ b" in res.output
+        assert not (tmp_path / "art").exists()
+
+    def test_walk_verify_passes_honest_sampling(self, runner, tmp_path,
+                                                monkeypatch):
+        # the check is exact: no random numbers, so no dependence on --seed
         pts = tmp_path / "p5.csv"
         groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
 
-        def corrupted(G, nu, k, n_paths, seed, irreps):
-            return [np.eye(p.dim, dtype=complex) for p in irreps]
+        def no_rng(*args, **kwargs):
+            raise AssertionError("walk --verify drew random numbers")
 
-        monkeypatch.setattr(cli.walks, "sampled_walk_blocks", corrupted)
-        res = runner.invoke(cli.main, [
-            "walk", "--group", "so3", "--points", str(pts), "--M", "6.5",
-            "--reps", "2", "--verify", "--out", str(tmp_path)])
-        assert res.exit_code == cli.EXIT_SOLVER
-        assert "solver failure" in res.output
-
-    def test_walk_verify_passes_honest_sampling(self, runner, tmp_path):
-        pts = tmp_path / "p5.csv"
-        groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
-        res = runner.invoke(cli.main, [
-            "walk", "--group", "so3", "--points", str(pts), "--M", "6.5",
-            "--reps", "2", "--verify", "--seed", "3",
-            "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        rows = []
+        for seed in ("3", "12345"):
+            res = runner.invoke(cli.main, [
+                "walk", "--group", "so3", "--points", str(pts), "--M", "6.5",
+                "--reps", "2", "--verify", "--seed", seed,
+                "--out", str(tmp_path / seed)])
+            assert res.exit_code == 0, res.output
+            with open(read_artifact(res.output)) as fh:
+                rows.append([ln for ln in fh if not ln.startswith("#")])
+        assert rows[0] == rows[1]
 
 
 class TestEmpiricalCommand:
@@ -494,6 +517,21 @@ class TestExitPaths:
             "--out", str(out)])
         assert res.exit_code == cli.EXIT_CONFIG, res.output
         assert "finite" in res.output
+        assert not os.path.exists(out)
+
+    def test_non_subadditive_modulus_table(self, runner, tmp_path,
+                                           circle_pair):
+        # g(2e-3) = 0.03 > 2 g(1e-3): not a modulus of continuity, so no
+        # bound may be certified under it
+        table = tmp_path / "mod.csv"
+        table.write_text("0.001,0.01\n0.002,0.03\n1.0,1.0\n")
+        out = tmp_path / "art"
+        res = runner.invoke(cli.main, [
+            "bound", "--group", "torus(1)", "--points", circle_pair[0],
+            "--points", circle_pair[1], "--g", f"table:{table}", "--M", "40",
+            "--out", str(out)])
+        assert res.exit_code == cli.EXIT_CONFIG, res.output
+        assert "subadditive" in res.output
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("args", [

@@ -13,8 +13,6 @@ import wgbound
 from wgbound import bound, fourier, groups, smoothing
 from wgbound._util import pairwise_sum
 
-from conftest import random_measure
-
 
 @pytest.fixture(params=smoothing.PROFILE_IDS)
 def profile(request):
@@ -205,46 +203,6 @@ def test_kernel_json_schema():
     assert d["group"] == "so3" and d["M0"] == kc.m0
     assert {e["label"][0] for e in d["entries"]} \
         == {p.label[0] for p in kc.coeffs}
-
-
-def test_per_function_bound_identical_measures_is_psi():
-    G = groups.descriptor("su2")
-    nu = random_measure(G, 4, 5)
-    M = 6.0
-    f_hat = {p: np.zeros((p.dim, p.dim))
-             for p in groups.enumerate_irreps(G, M)}
-    val = smoothing.per_function_bound(G, f_hat, bound.ModulusOfContinuity.power(1.0),
-                                       M, nu, nu)
-    assert val == pytest.approx(bound.psi(G, bound.ModulusOfContinuity.power(1.0), M))
-
-
-def test_per_function_bound_missing_block_raises():
-    G = groups.descriptor("su2")
-    nu = random_measure(G, 3, 6)
-    with pytest.raises(ValueError, match="missing"):
-        smoothing.per_function_bound(G, {}, bound.ModulusOfContinuity.power(1.0),
-                                     4.0, nu, None)
-
-
-def test_per_function_bound_dominates_character_pairing():
-    G = groups.descriptor("su2")
-    g = bound.ModulusOfContinuity.power(1.0)
-    nu1 = random_measure(G, 6, 7)
-    nu2 = random_measure(G, 5, 8)
-    M = 4.0
-    reps = groups.enumerate_irreps(G, M)
-    target = reps[1]
-    f_hat = {p: ((1.0 / target.dim) * np.eye(p.dim) if p is target
-                 else np.zeros((p.dim, p.dim))) for p in reps}
-    val = smoothing.per_function_bound(G, f_hat, g, M, nu1, nu2)
-    # direct pairing |integral of chi/d against both measures|
-    s = 0.0
-    for w, x in zip(nu1.weights, nu1.atoms):
-        s += w * fourier.character(G, target, x)
-    for w, x in zip(nu2.weights, nu2.atoms):
-        s -= w * fourier.character(G, target, x)
-    direct = abs(s) / target.dim
-    assert val + 1e-12 >= direct
 
 
 def test_psi_decreases_in_m_for_plateau():

@@ -74,6 +74,37 @@ class TestExactWasserstein:
         C = transport.cost_matrix(any_group, LINEAR, nu1, nu2)
         assert np.all(f[:, None] + h[None, :] <= C + 1e-9)
 
+    @pytest.mark.parametrize("gid", ["su2", "torus(2)"])
+    def test_dual_potentials_feasible(self, gid):
+        G = groups.descriptor(gid)
+        for seed in range(3):
+            nu1 = random_measure(G, 24, 2 * seed)
+            nu2 = random_measure(G, 17, 2 * seed + 1)
+            f, h = transport.exact_wasserstein(G, LINEAR, nu1, nu2).dual_potentials
+            C = transport.cost_matrix(G, LINEAR, nu1, nu2)
+            assert np.max(f[:, None] + h[None, :] - C) \
+                <= transport.GAP_TOL * max(1.0, C.max())
+
+    def test_infeasible_dual_rejected(self, monkeypatch):
+        # one row dual raised by 5e-9 moves b.y by only 5e-10, inside the
+        # duality-gap tolerance, but breaks f_0 + h_j <= C_0j where row 0
+        # ships mass; costs on the circle are at most 1/2
+        rng = np.random.default_rng(4)
+        nu1 = fourier.DiscreteMeasure.uniform(G_T1, rng.random((10, 1)))
+        nu2 = fourier.DiscreteMeasure.uniform(G_T1, rng.random((7, 1)))
+        real = transport.linprog
+
+        def raised(*args, **kwargs):
+            res = real(*args, **kwargs)
+            y = np.array(res.eqlin.marginals, dtype=float)
+            y[0] += 5e-9
+            res.eqlin.marginals = y
+            return res
+
+        monkeypatch.setattr(transport, "linprog", raised)
+        with pytest.raises(SolverError, match="infeasible"):
+            transport.exact_wasserstein(G_T1, LINEAR, nu1, nu2)
+
     def test_metric_axioms(self, any_group):
         a = random_measure(any_group, 4, 10)
         b = random_measure(any_group, 4, 11)
