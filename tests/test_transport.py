@@ -1,8 +1,11 @@
-"""Exact LP transport, entropic approximation, circle formula, estimators."""
+"""Exact transport (assignment and LP routes), entropic approximation, circle
+formula, estimators."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from wgbound import bound, fourier, groups, transport
 from wgbound._util import SolverError
@@ -77,13 +80,19 @@ class TestExactWasserstein:
     @pytest.mark.parametrize("gid", ["su2", "torus(2)"])
     def test_dual_potentials_feasible(self, gid):
         G = groups.descriptor(gid)
-        for seed in range(3):
-            nu1 = random_measure(G, 24, 2 * seed)
-            nu2 = random_measure(G, 17, 2 * seed + 1)
-            f, h = transport.exact_wasserstein(G, LINEAR, nu1, nu2).dual_potentials
-            C = transport.cost_matrix(G, LINEAR, nu1, nu2)
-            assert np.max(f[:, None] + h[None, :] - C) \
-                <= transport.GAP_TOL * max(1.0, C.max())
+        # weighted pairs go to HiGHS, uniform pairs of divisible sizes to
+        # the assignment route
+        for n1, n2, weighted in ((24, 17, True), (24, 12, False), (16, 16, False)):
+            for seed in range(3):
+                nu1 = random_measure(G, n1, 2 * seed, weighted)
+                nu2 = random_measure(G, n2, 2 * seed + 1, weighted)
+                plan = transport.exact_wasserstein(G, LINEAR, nu1, nu2)
+                f, h = plan.dual_potentials
+                C = transport.cost_matrix(G, LINEAR, nu1, nu2)
+                assert np.max(f[:, None] + h[None, :] - C) \
+                    <= transport.GAP_TOL * max(1.0, C.max())
+                dual = float(f @ nu1.weights + h @ nu2.weights)
+                assert abs(plan.cost - dual) <= transport.GAP_TOL
 
     def test_infeasible_dual_rejected(self, monkeypatch):
         # one row dual raised by 5e-9 moves b.y by only 5e-10, inside the
@@ -104,6 +113,38 @@ class TestExactWasserstein:
         monkeypatch.setattr(transport, "linprog", raised)
         with pytest.raises(SolverError, match="infeasible"):
             transport.exact_wasserstein(G_T1, LINEAR, nu1, nu2)
+
+    def test_suboptimal_assignment_rejected(self, monkeypatch):
+        # a swap of the columns assigned to the first and last rows, which
+        # are copies of different atoms, leaves a plan that is not optimal,
+        # so its Bellman-Ford duals cannot certify it
+        nu1 = random_measure(G_SU2, 16, 70, weighted=False)
+        nu2 = random_measure(G_SU2, 32, 71, weighted=False)
+        real = transport.linear_sum_assignment
+
+        def swapped(C):
+            r, c = real(C)
+            c = c.copy()
+            c[[0, -1]] = c[[-1, 0]]
+            return r, c
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", swapped)
+        with pytest.raises(SolverError, match="gap|infeasible"):
+            transport.exact_wasserstein(G_SU2, LINEAR, nu1, nu2)
+
+    @pytest.mark.parametrize("n1,n2,weighted,route", [
+        (4, 8, False, "assignment"), (6, 3, False, "assignment"),
+        (10, 7, False, "lp"), (4, 8, True, "lp")])
+    def test_route_choice(self, monkeypatch, n1, n2, weighted, route):
+        nu1 = random_measure(G_SU2, n1, 72, weighted)
+        nu2 = random_measure(G_SU2, n2, 73, weighted)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("wrong route")
+
+        other = "linprog" if route == "assignment" else "linear_sum_assignment"
+        monkeypatch.setattr(transport, other, unused)
+        assert transport.exact_wasserstein(G_SU2, LINEAR, nu1, nu2).cost > 0
 
     def test_metric_axioms(self, any_group):
         a = random_measure(any_group, 4, 10)
@@ -143,6 +184,78 @@ class TestExactWasserstein:
         assert d["status"] == "optimal"
         total = sum(t[2] for t in d["coupling"])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestAssignmentRoute:
+    """Uniform pairs of divisible sizes, solved as an assignment problem."""
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 6), (4, 4), (5, 5),
+                                       (6, 6), (6, 2)])
+    def test_brute_force_permutations(self, any_group, n1, n2):
+        nu1 = random_measure(any_group, n1, 80 + n1, weighted=False)
+        nu2 = random_measure(any_group, n2, 90 + n2, weighted=False)
+        C = transport.cost_matrix(any_group, LINEAR, nu1, nu2)
+        L = max(n1, n2)
+        big = np.repeat(np.repeat(C, L // n1, axis=0), L // n2, axis=1)
+        best = min(big[np.arange(L), list(p)].mean()
+                   for p in itertools.permutations(range(L)))
+        plan = transport.exact_wasserstein(any_group, LINEAR, nu1, nu2)
+        assert plan.cost == pytest.approx(best, abs=1e-12)
+        assert float((C * plan.coupling).sum()) == pytest.approx(best, abs=1e-12)
+
+    def test_circle_formula(self):
+        for trial in range(20):
+            rng = np.random.default_rng(800 + trial)
+            n1 = int(rng.integers(1, 17))
+            n2 = n1 * int(rng.integers(1, 5))
+            if trial % 2:
+                n1, n2 = n2, n1
+            nu1 = random_measure(G_T1, n1, 810 + trial, weighted=False)
+            nu2 = random_measure(G_T1, n2, 830 + trial, weighted=False)
+            plan = transport.exact_wasserstein(G_T1, LINEAR, nu1, nu2)
+            assert transport.circle_w1(nu1, nu2) == pytest.approx(plan.cost,
+                                                                  abs=1e-10)
+
+    def test_duplicates_and_ties(self, any_group):
+        # empirical picks from a uniform source repeat atoms, so rows of C
+        # repeat and many assignments tie
+        source = random_measure(any_group, 12, 95, weighted=False)
+        for seed in range(4):
+            picks = np.random.default_rng(seed).choice(12, size=6)
+            nu_bar = fourier.DiscreteMeasure.uniform(any_group,
+                                                     source.atoms[picks])
+            plan = transport.exact_wasserstein(any_group, LINEAR, nu_bar, source)
+            assert plan.cost == pytest.approx(
+                _linprog_cost(transport.cost_matrix(any_group, LINEAR, nu_bar,
+                                                    source)), abs=1e-12)
+        # a lattice against its half-step shift: every atom has two nearest
+        # atoms at the same distance
+        n = 8
+        lattice = fourier.DiscreteMeasure.uniform(G_T1, np.arange(n)[:, None] / n)
+        shifted = fourier.DiscreteMeasure.uniform(
+            G_T1, (np.arange(2 * n)[:, None] + 0.5) / (2 * n))
+        plan = transport.exact_wasserstein(G_T1, LINEAR, lattice, shifted)
+        assert plan.cost == pytest.approx(transport.circle_w1(lattice, shifted),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("n1", [16, 64])
+    def test_against_linprog(self, n1):
+        nu1 = random_measure(G_SU2, n1, 96, weighted=False)
+        nu2 = random_measure(G_SU2, 128, 97, weighted=False)
+        C = transport.cost_matrix(G_SU2, LINEAR, nu1, nu2)
+        plan = transport.exact_wasserstein(G_SU2, LINEAR, nu1, nu2)
+        assert plan.cost == pytest.approx(_linprog_cost(C), abs=1e-12)
+
+
+def _linprog_cost(C):
+    """Uniform transport cost by an LP built from dense marginal rows."""
+    n1, n2 = C.shape
+    A = np.vstack([np.kron(np.eye(n1), np.ones(n2)),
+                   np.kron(np.ones(n1), np.eye(n2))])
+    b = np.concatenate([np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)])
+    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+    assert res.success
+    return float(res.fun)
 
 
 class TestSinkhorn:
