@@ -18,22 +18,25 @@ class DominanceError(RuntimeError):
 
 
 def pairwise_sum(values: Any) -> Any:
-    """Balanced pairwise summation of a flat array.
+    """Balanced pairwise summation along the first axis.
 
     The reduction tree depends only on the operand count, so the result is
     reproducible across runs and thread counts whenever the operand order is
-    fixed.  Accuracy is O(log n) ulps instead of O(n) for naive accumulation.
+    fixed, and each entry of a multi-dimensional sum is reduced on its own.
+    The tree has depth ceil(log2 n), so the error is at most
+    gamma_{ceil(log2 n)} times the sum of the moduli, instead of O(n) ulps
+    for naive accumulation.  A 1-d input gives a Python scalar.
     """
-    a = np.atleast_1d(np.asarray(values)).ravel()
-    if a.size == 0:
+    a = np.atleast_1d(np.asarray(values))
+    if a.shape[0] == 0:
         return 0.0
-    while a.size > 1:
-        m = (a.size // 2) * 2
+    while a.shape[0] > 1:
+        m = (a.shape[0] // 2) * 2
         paired = a[0:m:2] + a[1:m:2]
-        if m < a.size:
+        if m < a.shape[0]:
             paired = np.concatenate([paired, a[m:]])
         a = paired
-    return a[0].item()
+    return a[0].item() if a.ndim == 1 else a[0]
 
 
 def json_default(obj: Any) -> Any:

@@ -369,30 +369,40 @@ class BoundReport:
                 "" if seed is None else seed]
 
 
-def _tolerances(quad_error: float, total: float) -> Dict[str, float]:
+def _tolerances(quad_error: float, total: float,
+                fourier_roundoff: Optional[float] = None) -> Dict[str, float]:
     """Tolerance entries of a total psi + phi * sqrt(sum).
 
     psi_quadrature is psi_detailed's quadrature error estimate at the
     cutoff; float_slack, 1e-11 * max(1, total), is a fixed allowance for
-    the rounding of the assembly.
+    the rounding of the assembly.  fourier_roundoff, phi * sqrt(delta) for a
+    Fourier sum read from fourier.hs_profile, covers that sum's rounding:
+    it errs by at most delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
     """
-    tol_fp = 1e-11 * max(1.0, total)
-    return {"psi_quadrature": quad_error, "float_slack": tol_fp,
-            "total": quad_error + tol_fp}
+    tol = {"psi_quadrature": quad_error, "float_slack": 1e-11 * max(1.0, total)}
+    if fourier_roundoff is not None:
+        tol["fourier_roundoff"] = fourier_roundoff
+    tol["total"] = sum(tol.values())
+    return tol
 
 
 def _assemble(G: GroupDescriptor, g, M: float, pd: dict, ph: float,
               profile_id: str, fourier_sum: float, irreps_used: int,
-              variant: str) -> BoundReport:
-    """Report from psi_detailed output pd, phi value ph and the Fourier sum."""
+              variant: str, roundoff: Optional[float] = None) -> BoundReport:
+    """Report from psi_detailed output pd, phi value ph and the Fourier sum.
+
+    roundoff is the bound delta on the Fourier sum's rounding error, or
+    None when the sum is not read from hs_profile.
+    """
     fs = max(float(fourier_sum), 0.0)
     total = pd["value"] + ph * math.sqrt(fs)
     return BoundReport(
         group_id=G.group_id, g_descriptor=g.descriptor(), M=float(M),
         m0=pd["m0"], psi=pd["value"], phi=ph, fourier_sum=fs, total=total,
         irreps_used=irreps_used, profile_id=profile_id,
-        tolerances=_tolerances(pd["quad_error"], total), variant=variant,
-        tail_warning=pd["tail_warning"])
+        tolerances=_tolerances(pd["quad_error"], total,
+                               None if roundoff is None else ph * math.sqrt(roundoff)),
+        variant=variant, tail_warning=pd["tail_warning"])
 
 
 _GRID_CAPS = {"torus(1)": 1e3, "torus(2)": 400.0, "torus(3)": 200.0,
@@ -423,7 +433,9 @@ class CutoffSweep:
     the top of the grid and cuts[i] counts that spectrum below grid[i].
     Both kinds read the spectrum from groups.spectral_data.  An exact
     sweep weights squared HS distances by d/kappa and also holds the
-    irreps, for hs_profile.  A relaxed sweep (the gap corollary) uses
+    irreps, for hs_profile, and roundoff, the prefix sums of d/kappa times
+    fourier.hs_roundoff, which bound the rounding of each cut's Fourier
+    sum.  A relaxed sweep (the gap corollary) uses
     d^2/kappa scaled by q^2, on a longer grid;
     at one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
     relaxed=True).report(0, q=q).
@@ -444,6 +456,8 @@ class CutoffSweep:
         sd = groups.spectral_data(G, top)
         self.irreps = None if relaxed else groups.enumerate_irreps(G, top)
         self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
+        self.roundoff = None if relaxed else self.prefix(
+            fourier.hs_roundoff(G, self.irreps))
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
         self._psi = [psi_detailed(G, g, float(M), self.profile_id) for M in grid]
         self.psis = np.asarray([pd["value"] for pd in self._psi])
@@ -468,19 +482,22 @@ class CutoffSweep:
         """The certified report at grid[i].
 
         Exact: d/kappa * hs_sq summed pairwise over the irreps below
-        grid[i], or 0 when hs_sq is None (identical measures).  Relaxed:
-        q^2 times the d^2/kappa prefix sum.
+        grid[i], with the fourier_roundoff entry from roundoff, or 0 when
+        hs_sq is None (identical measures).  Relaxed: q^2 times the
+        d^2/kappa prefix sum.
         """
         k = int(self.cuts[i])
+        roundoff = None
         if self.relaxed:
             fs = q * q * float(self.prefix()[k])
         elif hs_sq is None:
             fs = 0.0
         else:
             fs = float(pairwise_sum(self.ratios[:k] * np.maximum(hs_sq[:k], 0.0)))
+            roundoff = float(self.roundoff[k])
         return _assemble(self.G, self.g, float(self.grid[i]), self._psi[i],
                          float(self.phis[i]), self.profile_id, fs, k,
-                         "gap_relaxed" if self.relaxed else "exact")
+                         "gap_relaxed" if self.relaxed else "exact", roundoff)
 
     def best(self, hs_sq=None, q: Optional[float] = None) -> Tuple[float, BoundReport]:
         """Least total over the grid, ties to the smaller cutoff, and its report."""

@@ -15,9 +15,16 @@ eigendecomposition of the e2 generator per spin (the eigenvalue method for
 Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
 
 Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
+
+Squared HS distances between two measures at many irreps come from
+character sums (hs_profile): prefix sums of Chebyshev moments of the class
+cosines, computed in fixed-shape GEMMs, on su2/so3, and products of
+per-axis character tables on the torus.  hs_roundoff bounds their rounding
+error a priori, for measures of any size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -29,6 +36,19 @@ from . import groups
 from ._util import SolverError, pairwise_sum
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# hs_profile on su2/so3: moments m = a * _SPLIT + b, GEMMs of _PANEL values of
+# a over _CHUNK pairs, tables built _BLOCK chunks at a time
+_SPLIT = 16
+_PANEL = 8
+_CHUNK = 2048
+_BLOCK = 4
+# hs_profile on the torus: irreps per gathered product
+_TORUS_CHUNK = 256
+# hs_roundoff: unit roundoff, |nu1 - nu2| mass bound, pairwise-sum depth
+_U = 2.0 ** -53
+_MASS = 2.0 * (1.0 + 2.0 * _WEIGHT_SUM_TOL)
+_SUM_DEPTH = 63
 
 
 @dataclass
@@ -211,12 +231,31 @@ def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
 # Hilbert-Schmidt distances, two independent routes
 
 
-def _signed_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
+def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
+    """Distinct atoms of the signed measure nu1 - nu2, with their nonzero masses.
+
+    Repeated atoms (an empirical measure drawn with replacement, or an atom
+    of both measures) are merged, which leaves every class-function sum
+    unchanged.  Each merged mass is correctly rounded: one addition for two
+    copies, math.fsum for more.
+    """
     if nu2 is None:
-        return nu1.atoms, nu1.weights
-    atoms = np.concatenate([nu1.atoms, nu2.atoms], axis=0)
-    coeffs = np.concatenate([nu1.weights, -nu2.weights])
-    return atoms, coeffs
+        atoms, coeffs = nu1.atoms, nu1.weights
+    else:
+        atoms = np.concatenate([nu1.atoms, nu2.atoms], axis=0)
+        coeffs = np.concatenate([nu1.weights, -nu2.weights])
+    atoms, inverse, counts = np.unique(atoms, axis=0, return_inverse=True,
+                                       return_counts=True)
+    inverse = inverse.ravel()
+    merged = np.bincount(inverse, weights=coeffs, minlength=counts.size)
+    many = np.flatnonzero(counts > 2)
+    if many.size:
+        order = np.argsort(inverse, kind="stable")
+        ends = np.cumsum(counts)
+        for i in many:
+            merged[i] = math.fsum(coeffs[order[ends[i] - counts[i]:ends[i]]])
+    keep = merged != 0.0
+    return atoms[keep], merged[keep]
 
 
 def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
@@ -251,44 +290,271 @@ def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
 
 def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
                nu2: Optional[DiscreteMeasure], irreps: list) -> np.ndarray:
-    """Squared HS distances for many irreps at once via character sums.
+    """Squared HS distances ||nu1^(pi) - nu2^(pi)||_HS^2 at many irreps at once.
 
-    For su2/so3 all spins share one Gram matrix and a single Chebyshev
-    recurrence; cost is O((max dim) N^2) total instead of per-irrep matrix
-    assembly.  On the torus every block is a scalar: one (atoms x irreps)
-    phase matrix, weighted by the signed atom masses and summed per column.
+    ``nu2=None`` stands for Haar.  The signed measure c = nu1 - nu2 is first
+    merged over repeated atoms (_merged_atoms), and the value at an irrep is
+    the character sum sum_kl c_k c_l chi(x_k^-1 x_l).
+
+    On su2/so3 the characters are prefix sums of Chebyshev moments
+    S(m) = sum_{k<=l} w_kl T_m(x_kl) over the upper triangle of atom pairs,
+    with w_kl = 2 c_k c_l off the diagonal and c_k^2 on it:
+
+    - su2, x = cos(theta/2): chi_n = U_n(x) = [n even] + 2 sum T_m(x) over
+      0 < m <= n with m = n mod 2;
+    - so3, x = cos(theta) = 2 cos(theta/2)^2 - 1: chi_l = U_2l(cos(theta/2))
+      = 1 + 2 sum_{m=1..l} T_m(x).
+
+    x comes from groups.class_cosines.  _cosine_moments computes every moment
+    up to the top level in fixed-shape GEMMs: about N^2 (top + 1) real
+    multiply-adds in BLAS and N^2 (_SPLIT + top/_SPLIT) recurrence steps for
+    N merged atoms.  On the torus every block is a scalar: per-axis tables of
+    exp(-2 pi i j x_d) are built once, each irrep's column is their gathered
+    product, and the columns, _TORUS_CHUNK irreps at a time, are weighted by
+    the masses and summed pairwise over the atoms.
+
+    An irrep's value comes from the same operations whatever other irreps the
+    call holds, so slices of one call equal separate calls bit for bit.
+    hs_roundoff bounds the rounding error of every value.
     """
     if not irreps:
         return np.zeros(0)
-    atoms, coeffs = _signed_atoms(nu1, nu2)
+    atoms, coeffs = _merged_atoms(nu1, nu2)
+    if coeffs.size == 0:
+        return np.zeros(len(irreps))
+    if groups.torus_dim(G.group_id) is not None:
+        return _torus_profile(atoms, coeffs, irreps)
+    k, l = np.triu_indices(coeffs.size)
+    x = groups.class_cosines(G, atoms, atoms)[k, l]
+    if G.group_id == "so3":
+        x = np.clip(2.0 * x * x - 1.0, -1.0, 1.0)
+    w = coeffs[k] * coeffs[l]
+    w[k != l] *= 2.0
+    levels = np.asarray([p.label[0] for p in irreps])
+    sums = _level_sums(G, _cosine_moments(x, w, int(levels.max())))
+    return np.maximum(sums[levels], 0.0)
+
+
+def _level_sums(G: groups.GroupDescriptor, v: np.ndarray) -> np.ndarray:
+    """Per level n = 0..len(v)-1, the sum of mu_m v[m] over its moments.
+
+    mu_0 = 1 and mu_m = 2 otherwise.  The moments of level n are m <= n with
+    m = n mod 2 on su2 (n = 2j) and all m <= n on so3 (n = l).
+    """
+    d = np.array(v, dtype=float)
+    d[1:] *= 2.0
+    if G.group_id == "so3":
+        return np.cumsum(d)
+    d[0::2] = np.cumsum(d[0::2])
+    d[1::2] = np.cumsum(d[1::2])
+    return d
+
+
+def _chebyshev_rows(x2: np.ndarray, rows: np.ndarray):
+    """rows[:, r] = x2 * rows[:, r-1] - rows[:, r-2] for r >= 2, in place."""
+    for r in range(2, rows.shape[1]):
+        np.multiply(x2, rows[:, r - 1], out=rows[:, r])
+        rows[:, r] -= rows[:, r - 2]
+
+
+def _cosine_moments(x: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
+    """S(m) = sum_p w_p T_m(x_p) for m = 0..top, x in [-1, 1].
+
+    With m = a B + b (B = _SPLIT, 0 <= b < B), z = T_B(x) and
+    Q_a = (1 - x^2) U_{aB-1}(x) = (1 - x^2) U_{B-1}(x) U_{a-1}(z),
+    T_m(x) = T_b(x) T_a(z) - U_{b-1}(x) Q_a.  Per chunk of _CHUNK pairs the
+    rows [T_b, U_{b-1}] (b < B) come from Chebyshev recurrences in x, and
+    the rows [w T_a(z), -w Q_a] from recurrences in z, _PANEL values of a at
+    a time; one GEMM per panel gives the moments of B _PANEL consecutive m.
+    The chunks are padded with weight-0 pairs and summed pairwise, so every
+    GEMM has the same shape and every moment the same operations whatever
+    top is.
+    """
+    n_chunks = -(-x.size // _CHUNK)
+    xs = np.ones(n_chunks * _CHUNK)
+    ws = np.zeros(n_chunks * _CHUNK)
+    xs[:x.size] = x
+    ws[:w.size] = w
+    # parts[c][b, a] is chunk c's moment a B + b
+    parts = []
+    for lo in range(0, n_chunks * _CHUNK, _BLOCK * _CHUNK):
+        xb = xs[lo:lo + _BLOCK * _CHUNK].reshape(-1, 1, _CHUNK)
+        wb = ws[lo:lo + _BLOCK * _CHUNK].reshape(-1, _CHUNK)
+        left = np.empty((xb.shape[0], _SPLIT + 1, 2, _CHUNK))
+        left[:, 0, 0], left[:, 0, 1] = 1.0, 0.0
+        left[:, 1, 0], left[:, 1, 1] = xb[:, 0], 1.0
+        _chebyshev_rows(2.0 * xb, left)
+        z = np.clip(left[:, _SPLIT, :1], -1.0, 1.0)
+        q1 = (1.0 - xb[:, 0]) * (1.0 + xb[:, 0]) * left[:, _SPLIT, 1]
+        # rows[:, :2] hold a = first, first + 1 of the next panel
+        rows = np.empty((xb.shape[0], _PANEL + 2, 2, _CHUNK))
+        rows[:, 0, 0], rows[:, 0, 1] = wb, 0.0
+        rows[:, 1, 0], rows[:, 1, 1] = wb * z[:, 0], -(wb * q1)
+        lhs = left[:, :_SPLIT].reshape(-1, _SPLIT, 2 * _CHUNK)
+        block = [[] for _ in lhs]
+        z2 = 2.0 * z
+        for first in range(0, top // _SPLIT + 1, _PANEL):
+            if first:
+                rows[:, :2] = rows[:, _PANEL:]
+            _chebyshev_rows(z2, rows)
+            for out, l_c, r_c in zip(block, lhs, rows[:, :_PANEL]):
+                out.append(l_c @ r_c.reshape(_PANEL, 2 * _CHUNK).T)
+        parts += [np.concatenate(out, axis=1) for out in block]
+    return pairwise_sum(np.stack(parts)).T.ravel()[:top + 1]
+
+
+def _torus_profile(atoms: np.ndarray, coeffs: np.ndarray, irreps: list) -> np.ndarray:
+    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per torus irrep m."""
+    labels = np.asarray([p.label for p in irreps], dtype=np.int64)
+    top = int(np.abs(labels).max())
+    j = np.arange(-top, top + 1)
+    axes = [np.exp(-2j * np.pi * np.multiply.outer(atoms[:, d], j))
+            for d in range(labels.shape[1])]
+    out = np.empty(len(irreps))
+    for lo in range(0, len(irreps), _TORUS_CHUNK):
+        idx = labels[lo:lo + _TORUS_CHUNK] + top
+        ph = axes[0][:, idx[:, 0]]
+        for d in range(1, len(axes)):
+            ph *= axes[d][:, idx[:, d]]
+        ph *= coeffs[:, None]
+        f = pairwise_sum(ph)
+        out[lo:lo + idx.shape[0]] = f.real * f.real + f.imag * f.imag
+    return out
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _chebyshev_error(extra: np.ndarray) -> np.ndarray:
+    """E(extra)_k of hs_roundoff: rounding plus the start's error ``extra``."""
+    E = np.array(extra, dtype=float)
+    eps = np.zeros(E.size)
+    for k in range(2, E.size):
+        eps[k] = _U * ((4.0 + 2.0 * _U) * (1.0 + E[k - 1]) + 1.0 + E[k - 2])
+        E[k] += eps[2:k + 1] @ np.arange(k - 1, 0, -1.0)
+    return E
+
+
+def _moment_errors(top: int, dx: float) -> np.ndarray:
+    """Bound on |S^(m) - S(m)| per unit of sum |w|, m = 0..top."""
+    m = np.arange(top + 1)
+    a, b = np.divmod(m, _SPLIT)
+    ai = np.arange(a[-1] + 1, dtype=float)
+    E = _chebyshev_error(np.zeros(_SPLIT + 1))
+    e_z = E[_SPLIT]
+    K = _chebyshev_error(ai * _U + ai * ai * e_z)
+    start = (1.0 + _U) * ((1.0 + _gamma(4)) * e_z + _gamma(4)) + _U
+    lip = np.minimum((ai ** 3 - ai) / 3.0,
+                     ai * ai / 2.0 + math.sqrt(2.0 * e_z) * (ai ** 3 - ai) / 3.0)
+    H = _chebyshev_error(ai * start + lip * e_z)
+    Eb, Ka, Ha = E[b], K[a], H[a]
+    Z = (1.0 + Eb) * (2.0 + Ka + Ha)
+    table = Eb * (1.0 + Ka) + Ka + Eb * (1.0 + Ha) + Ha
+    return ((1.0 + _U) * (table + _gamma(2 * _CHUNK + _SUM_DEPTH) * Z)
+            + _U + m * m * dx)
+
+
+def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
+    """A-priori bound on |hs_profile - exact value| at each irrep.
+
+    It holds for any two probability measures, or one and Haar, of any
+    size: it reads them only through sum_k |c_k| <= M = _MASS for the merged
+    signed masses c (each weight vector sums to 1 within _WEIGHT_SUM_TOL).
+    The exact value is the one for the stored masses and, on su2/so3, for
+    the atoms scaled to unit norm.  A cut's Fourier sum then errs by at most
+    the sum of d/kappa times these bounds over the irreps below it
+    (CutoffSweep.roundoff).  Clamping at 0 only moves a value towards the
+    exact one, which is nonnegative.
+
+    Model: u = 2^-53, each operation is exact times (1 + t) with |t| <= u,
+    gamma_k = k u / (1 - k u).  A BLAS dot product of length n errs by at
+    most gamma_n times the sum of its terms' moduli, in any order.  A
+    pairwise sum has depth at most _SUM_DEPTH = 63, since no array holds
+    2^63 elements.
+
+    Masses.  A merged mass is correctly rounded, so ||c^ - c||_1 <= u M.
+
+    su2/so3.
+
+    - Masses: a quadratic form with entries of modulus <= d moves by at
+      most u (2 + u) M^2 d.
+    - Arguments: canonicalize leaves every atom's norm within
+      nu = (1 + u) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 of 1, and y is a
+      length-4 dot product, so y is within dy = (1 + nu)^2 (1 + gamma_4) - 1
+      of the unit-norm cosine (clipping and |.| only help).  On so3,
+      x = fl(2 y^2 - 1) is within dx = 4 dy + 3u + 2u^2.  |T_m'| <= m^2 on
+      [-1, 1], so moment m moves by m^2 dx per unit of sum |w|.
+    - Recurrences: a step fl(fl(2x p_k) - p_{k-1}) errs by at most
+      u ((4 + 2u) |p^_k| + |p^_{k-1}|), and an error made at step j enters
+      p_k times U_{k-j}(x), |U_i| <= i + 1.  For sequences bounded by 1
+      (T_k, and s U_{k-1} = sin(k phi) with s = sqrt(1 - x^2)) whose start
+      moves p_k by at most e_k, the error (times s for a U row) is at most
+      E(e)_k = e_k + sum_{j=2..k} (k - j + 1) u ((4 + 2u)(1 + E(e)_{j-1})
+      + 1 + E(e)_{j-2}) (_chebyshev_error).  The x rows start exactly:
+      E = E(0), and z^ = clip(T^_B) is within E_B of z = T_B(x).
+    - Rows in z, per unit |w^|.  w^ T_a(z^) starts with fl(w^ z^), off by
+      u, which enters times |U_{a-1}| <= a, and T_a is a^2-Lipschitz: the
+      row is within K = E(a u + a^2 E_B) of w^ T_a(z).  -w^ Q_a, with
+      Q_a = s sin(aB phi), starts with fl(w^ fl(fl(1 - x) fl(1 + x)) U^_{B-1}),
+      within s I of -w^ Q_1, I = (1 + u)((1 + gamma_4) E_B + gamma_4) + u,
+      and that enters times |U_{a-1}| <= a.  Running in z^ instead of z
+      moves Q_1 U_{a-1} by |Q_1| |U_{a-1}'(t)| E_B for some t between z and
+      z^, where |Q_1| = s sqrt(1 - z^2); sqrt(1 - t^2) |U_{a-1}'(t)| <= a^2/2,
+      sqrt(1 - z^2) <= sqrt(1 - t^2) + sqrt(2 E_B) and |U_{a-1}'| <=
+      (a^3 - a)/3, so that move is at most s L_a E_B with L_a =
+      min((a^3 - a)/3, a^2/2 + sqrt(2 E_B)(a^3 - a)/3).  The row is within
+      s H, H = E(a I + L_a E_B).
+    - Moments: T_m = T_b T_a(z) - U_{b-1} Q_a for m = a B + b.  Per unit
+      |w^| the table products err by E_b (1 + K_a) + K_a + E_b (1 + H_a) + H_a,
+      and the GEMM of length 2 _CHUNK with the pairwise sum over chunks by
+      gamma_{2 _CHUNK + 63} Z, Z = (1 + E_b)(2 + K_a + H_a) bounding the two
+      products' moduli.  |w^| <= (1 + u)|w| and w^ errs by u |w|, so with
+      the argument, moment m errs by err_m = (1 + u)(tables + GEMM) + u +
+      m^2 dx per unit of sum |w| <= W = (1 + u)^2 M^2 (_moment_errors).
+    - Levels: a level sums mu_m S^(m) over q moments (_level_sums); cumsum
+      adds gamma_{q-1} sum mu_m |S^(m)|, and |S^(m)| <= W (1 + err_m).  A
+      level errs by at most W (sum mu_m err_m + gamma_{q-1} sum mu_m
+      (1 + err_m)) + u (2 + u) M^2 d.
+
+    Torus.  An axis table entry takes the angle fl(2 pi^ fl(x j)), within
+    2 pi |j| gamma_3 of 2 pi j x, and cos and sin within one ulp (the bound
+    glibc documents), so it is within eta_j = 2 pi |j| gamma_3 + sqrt(2) u
+    of exp(-2 pi i j x).  The D - 1 complex products err by sqrt(2) gamma_2
+    each, so a character is within e = prod_d (1 + eta_{m_d})
+    (1 + sqrt(2) gamma_2)^(D-1) - 1.  The mass product, the pairwise sum
+    over atoms and the masses' rounding put F^ = sum_k c^_k chi^_k within
+    Delta = M (1 + u)(e + u (1 + e) + gamma_63 (1 + u)(1 + e)) + u M of F,
+    and |F| <= M.  So |F^|^2 is within Delta (2 M + Delta), and
+    re^2 + im^2 adds gamma_2 (M + Delta)^2.
+    """
+    if not irreps:
+        return np.zeros(0)
+    mass = _MASS
     d_t = groups.torus_dim(G.group_id)
     if d_t is not None:
-        mlat = np.asarray([p.label for p in irreps], dtype=float)
-        ph = np.exp(-2j * np.pi * (atoms @ mlat.T))
-        # summed in place, column by column, so that an irrep's value does
-        # not depend on how many irreps the call holds
-        ph *= coeffs[:, None]
-        return np.abs(ph.sum(axis=0)) ** 2
-    t = groups.class_cosines(G, atoms, atoms)
-    wanted = {_two_j_of(p): i for i, p in enumerate(irreps)}
-    out = np.zeros(len(irreps))
-    if not wanted:
-        return out
-    top = max(wanted)
-    # U_0 = 1, U_1 = 2t, U_{n+1} = 2t U_n - U_{n-1}
-    u_prev = np.ones_like(t)
-    if 0 in wanted:
-        out[wanted[0]] = max(float(coeffs @ u_prev @ coeffs), 0.0)
-    u_cur = 2.0 * t
-    for n in range(1, top + 1):
-        if n >= 2:
-            u_next = t * u_cur
-            u_next *= 2.0
-            u_next -= u_prev
-            u_prev, u_cur = u_cur, u_next
-        if n in wanted:
-            out[wanted[n]] = max(float(coeffs @ u_cur @ coeffs), 0.0)
-    return out
+        m = np.abs(np.asarray([p.label for p in irreps], dtype=float))
+        eta = 2.0 * np.pi * m * _gamma(3) + math.sqrt(2.0) * _U
+        # products of (1 + small) minus 1, without cancellation
+        e = np.expm1(np.sum(np.log1p(eta), axis=1)
+                     + (d_t - 1) * math.log1p(math.sqrt(2.0) * _gamma(2)))
+        delta = (mass * (1.0 + _U) * (e + _U * (1.0 + e)
+                                      + _gamma(_SUM_DEPTH) * (1.0 + _U) * (1.0 + e))
+                 + _U * mass)
+        return delta * (2.0 * mass + delta) + _gamma(2) * (mass + delta) ** 2
+    nu = math.expm1(math.log1p(_U) - 0.5 * math.log1p(-_gamma(4)) - math.log1p(-_U))
+    dx = 2.0 * nu + nu * nu + _gamma(4) * (1.0 + nu) ** 2
+    if G.group_id == "so3":
+        dx = 4.0 * dx + 3.0 * _U + 2.0 * _U * _U
+    levels = np.asarray([p.label[0] for p in irreps])
+    n = np.arange(int(levels.max()) + 1)
+    err = _moment_errors(int(n[-1]), dx)
+    q = n + 1 if G.group_id == "so3" else n // 2 + 1
+    W = ((1.0 + _U) * mass) ** 2
+    per_level = W * (_level_sums(G, err)
+                     + _gamma(q - 1) * _level_sums(G, 1.0 + err))
+    dims = np.asarray([p.dim for p in irreps], dtype=float)
+    return per_level[levels] + _U * (2.0 + _U) * mass ** 2 * dims
 
 
 def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,

@@ -1,4 +1,5 @@
-"""Shared fixtures, the spherical-harmonic oracle and the acceptance hook.
+"""Shared fixtures, the spherical-harmonic and long-double character-sum oracles,
+and the acceptance hook.
 
 Tests in test_acceptance.py are collected into a per-criterion PASS/FAIL
 table printed at the end of the run, so the gate's verdict is readable
@@ -113,3 +114,45 @@ def harmonic_block(quats, weights, ell: int) -> np.ndarray:
         D, *_ = np.linalg.lstsq(base, harmonics(pts @ R), rcond=None)
         block += wk * D
     return block
+
+
+def longdouble_profile(group_id: str, atoms, coeffs, labels) -> np.ndarray:
+    """sum_kl c_k c_l chi(x_k^-1 x_l) per irrep label, summed in long double.
+
+    Independent of ``wgbound``: ``atoms`` are the raw coordinates of a signed
+    measure with masses ``coeffs`` (unmerged).  On su2/so3 each quaternion is
+    scaled to unit norm.  With x_l replaced by s x_l, s = sign <x_k, x_l>, the
+    half angle phi = 2 atan2(|x_k - s x_l|, |x_k + s x_l|) lies in
+    [0, pi/2] and is accurate near 0, and chi = s^(d-1) sin(d phi) / sin(phi)
+    (d at phi = 0) with d = two_j + 1 or 2 l + 1, since U_n(-t) = (-1)^n U_n(t).
+    On the torus the value is |sum_k c_k exp(-2 pi i m.x_k)|^2.
+    """
+    ld = np.longdouble
+    x = np.asarray(atoms, dtype=ld)
+    c = np.asarray(coeffs, dtype=ld)
+    labels = np.asarray(labels)
+    if group_id.startswith("torus"):
+        two_pi = 8 * np.arctan(ld(1))
+        out = []
+        for m in labels.reshape(len(labels), -1):
+            ang = two_pi * (x @ m.astype(ld))
+            re, im = c @ np.cos(ang), c @ np.sin(ang)
+            out.append(float(re * re + im * im))
+        return np.asarray(out)
+    x = x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    k, l = np.triu_indices(len(c))
+    p, q = x[k], x[l]
+    sign = np.where(np.sum(p * q, axis=1) < 0, -1, 1).astype(ld)
+    q = q * sign[:, None]
+    phi = 2 * np.arctan2(np.sqrt(np.sum((p - q) ** 2, axis=1)),
+                         np.sqrt(np.sum((p + q) ** 2, axis=1)))
+    w = c[k] * c[l] * np.where(k == l, 1, 2).astype(ld)
+    dims = labels.ravel() + 1 if group_id == "su2" else 2 * labels.ravel() + 1
+    s = np.sin(phi)
+    flat = s == 0
+    out = []
+    for d in dims:
+        chi = np.full_like(phi, d)
+        chi[~flat] = np.sin(d * phi[~flat]) / s[~flat]
+        out.append(float((w * sign ** (d - 1)) @ chi))
+    return np.asarray(out)

@@ -222,6 +222,29 @@ class TestWgBound:
         row = rep.csv_row(seed=3)
         assert len(row) == len(bound.CSV_HEADER)
 
+    def test_fourier_roundoff_entry(self, any_group):
+        # phi * sqrt(delta) on reports whose Fourier sum is read from
+        # hs_profile; none on identical measures or gap-relaxed reports
+        nu1 = random_measure(any_group, 6, 78)
+        nu2 = random_measure(any_group, 4, 79)
+        grid = bound.default_m_grid(any_group, cap=8.0 * any_group.admissibility_threshold)
+        sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid)
+        hs = sweep.hs_profile(nu1, nu2)
+        bounds = fourier.hs_roundoff(any_group, sweep.irreps)
+        for i in range(grid.size):
+            rep = sweep.report(i, hs)
+            k = rep.irreps_used
+            delta = float(np.sum(sweep.ratios[:k] * bounds[:k]))
+            assert rep.tolerances["fourier_roundoff"] == pytest.approx(
+                rep.phi * math.sqrt(delta), rel=1e-12)
+            t = rep.tolerances
+            assert t["total"] == t["psi_quadrature"] + t["float_slack"] \
+                + t["fourier_roundoff"]
+        assert "fourier_roundoff" not in sweep.report(0, None).tolerances
+        relaxed = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid,
+                                    relaxed=True)
+        assert "fourier_roundoff" not in relaxed.report(0, q=0.5).tolerances
+
     def test_admissibility_raises(self):
         nu = random_measure(G_SU2, 3, 1)
         with pytest.raises(ValueError, match="admissibility"):

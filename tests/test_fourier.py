@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from wgbound import fourier, groups
 from wgbound._util import pairwise_sum
 
-from conftest import random_measure
+from conftest import longdouble_profile, random_measure
 
 
 def _irreps(gid, M):
@@ -221,6 +221,94 @@ def test_hs_profile_matches_per_irrep(any_group):
         b2 = fourier.measure_transform(any_group, nu2, p).matrix
         assert prof[i] == pytest.approx(float(np.linalg.norm(b1 - b2) ** 2),
                                         abs=1e-9)
+
+
+def _signed(nu1, nu2):
+    return (np.concatenate([nu1.atoms, nu2.atoms]),
+            np.concatenate([nu1.weights, -nu2.weights]))
+
+
+@pytest.mark.parametrize("gid,M", [
+    ("su2", 400.0),                     # two_j = 1..799
+    ("so3", 400.0),                     # l = 1..399
+    ("torus(2)", 2 * math.pi * 60.5)])  # |m| <= 60
+def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M):
+    G = groups.descriptor(gid)
+    rng = np.random.default_rng(96)
+    a1, a2 = groups.haar_sample(G, 96, 60), groups.haar_sample(G, 97, 40)
+    if gid != "torus(2)":
+        # two atoms 1e-9 apart: a class cosine next to 1; and -a2[0], a
+        # class cosine of -1 on su2 and a repeated rotation on so3
+        a2[0] = groups.canonicalize(G, a1[0] + 1e-9 * rng.standard_normal(4))
+        a2[1] = -a2[0]
+    nu1 = fourier.DiscreteMeasure(gid, a1, rng.dirichlet(np.ones(60)))
+    nu2 = fourier.DiscreteMeasure(gid, a2, rng.dirichlet(np.ones(40)))
+    irreps = groups.enumerate_irreps(G, M)
+    hs = fourier.hs_profile(G, nu1, nu2, irreps)
+    ref = longdouble_profile(gid, *_signed(nu1, nu2), [p.label for p in irreps])
+    excess = np.abs(hs - ref) - fourier.hs_roundoff(G, irreps)
+    assert np.all(excess <= 0), (int(np.argmax(excess)), float(excess.max()))
+
+
+def test_hs_profile_repeated_irreps(any_group):
+    # every listed irrep gets its own value, however often it is listed
+    nu = random_measure(any_group, 6, 90)
+    p, q = groups.enumerate_irreps(any_group, 7.0)[:2]
+    prof = fourier.hs_profile(any_group, nu, None, [p, q, p])
+    assert prof[0] == prof[2]
+    for val, irrep in zip(prof, (p, q, p)):
+        assert val == pytest.approx(
+            fourier.hs_distance_sq(any_group, nu, None, irrep, "matrix"), abs=1e-12)
+
+
+def test_hs_profile_merges_repeated_atoms(any_group):
+    # an empirical measure with repeated atoms has the profile of its merged form
+    G = any_group
+    base = groups.haar_sample(G, 91, 5)
+    picks = np.random.default_rng(91).choice(5, size=12)
+    counts = np.bincount(picks, minlength=5)
+    assert counts.max() > 2
+    nu_rep = fourier.DiscreteMeasure.uniform(G, base[picks])
+    used = counts > 0
+    other = random_measure(G, 4, 92)
+    irreps = groups.enumerate_irreps(G, 9.0)
+    prof = fourier.hs_profile(G, nu_rep, other, irreps)
+    # masses summed as the merge sums them: the same computation
+    fsum_w = [math.fsum([1.0 / 12] * c) for c in counts[used]]
+    merged = fourier.DiscreteMeasure(G.group_id, base[used], fsum_w)
+    assert prof.tolist() == fourier.hs_profile(G, merged, other, irreps).tolist()
+    # masses rounded once: within the rounding bound of both values
+    merged = fourier.DiscreteMeasure(G.group_id, base[used], counts[used] / 12)
+    assert np.all(np.abs(prof - fourier.hs_profile(G, merged, other, irreps))
+                  <= 2 * fourier.hs_roundoff(G, irreps))
+
+
+def test_hs_profile_of_reordered_copy_is_zero(any_group):
+    nu = random_measure(any_group, 7, 93)
+    perm = np.random.default_rng(93).permutation(7)
+    shuffled = fourier.DiscreteMeasure(any_group.group_id, nu.atoms[perm],
+                                       nu.weights[perm])
+    assert not nu.identical_to(shuffled)
+    irreps = groups.enumerate_irreps(any_group, 9.0)
+    assert np.all(fourier.hs_profile(any_group, nu, shuffled, irreps) == 0.0)
+
+
+@pytest.mark.parametrize("gid,M,counts", [
+    ("su2", 300.0, (127, 128, 129, 255, 256, 257, 511, 512, 513)),
+    ("so3", 300.0, (127, 128, 129, 255, 256, 257)),
+    ("torus(2)", 2 * math.pi * 16, (255, 256, 257, 511, 512, 513))])
+def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
+    # counts on both sides of the su2/so3 GEMM panel edges (every 128
+    # moments) and of the torus irrep chunks (256); 5050 pairs fill three
+    # chunks of pairs
+    G = groups.descriptor(gid)
+    nu1, nu2 = random_measure(G, 70, 94), random_measure(G, 30, 95)
+    irreps = groups.enumerate_irreps(G, M)
+    assert len(irreps) > max(counts)
+    full = fourier.hs_profile(G, nu1, nu2, irreps)
+    for k in counts:
+        assert fourier.hs_profile(G, nu1, nu2, irreps[:k]).tolist() \
+            == full[:k].tolist(), k
 
 
 def test_spectral_gap_estimate_properties():
