@@ -39,6 +39,12 @@ def pairwise_sum(values: Any) -> Any:
     return a[0].item() if a.ndim == 1 else a[0]
 
 
+def tolerance_union(records) -> dict:
+    """Each tolerance key of the records, at its largest value (0 if absent)."""
+    keys = sorted(set().union(*(r.tolerances for r in records)))
+    return {k: max(r.tolerances.get(k, 0.0) for r in records) for k in keys}
+
+
 def json_default(obj: Any) -> Any:
     if isinstance(obj, np.integer):
         return int(obj)

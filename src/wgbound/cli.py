@@ -5,7 +5,9 @@ versions, and the numeric tolerances the computation consumed.  Identical
 config and seed reproduce identical bytes; no timestamps are written.
 
 Exit codes: 0 success, 2 configuration or input parse error, 3 file I/O
-error, 4 solver failure, 5 certified-dominance violation.
+error, 4 solver failure, 5 certified-dominance violation.  Only `run` maps
+a command's exceptions to exit codes; a library ValueError exits 2 as it
+is, so commands raise ConfigError only with a message of their own.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ import numpy as np
 import scipy
 
 from . import __version__, bound, fourier, groups, smoothing, transport, walks
-from ._util import DominanceError, SolverError, config_hash, json_default
+from ._util import (DominanceError, SolverError, config_hash, json_default,
+                    tolerance_union)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -108,13 +111,6 @@ class RunConfig:
 # input parsing
 
 
-def _group_of(cfg: RunConfig) -> groups.GroupDescriptor:
-    try:
-        return groups.descriptor(cfg.group)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def parse_modulus(spec: str) -> bound.ModulusOfContinuity:
     """Modulus spec: power:<p> with p in (0, 1], or table:<csv file>."""
     kind, sep, arg = spec.partition(":")
@@ -122,20 +118,18 @@ def parse_modulus(spec: str) -> bound.ModulusOfContinuity:
         raise ConfigError("modulus spec must be power:<p> or table:<file>")
     if kind == "power":
         try:
-            p = float(arg)
+            args = (float(arg),)
         except ValueError:
             raise ConfigError(f"bad power exponent {arg!r}") from None
-        try:
-            return bound.ModulusOfContinuity.power(p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if kind == "table":
-        knots, values = _read_table(arg)
-        try:
-            return bound.ModulusOfContinuity.table(knots, values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown modulus kind {kind!r}")
+        make = bound.ModulusOfContinuity.power
+    elif kind == "table":
+        args, make = _read_table(arg), bound.ModulusOfContinuity.table
+    else:
+        raise ConfigError(f"unknown modulus kind {kind!r}")
+    try:
+        return make(*args)
+    except ValueError as exc:  # a parser's contract: every bad spec is ConfigError
+        raise ConfigError(str(exc)) from None
 
 
 def _read_table(path: str):
@@ -178,10 +172,7 @@ def parse_m_grid(spec: str, G: groups.GroupDescriptor) -> np.ndarray:
 
 
 def _load_measure(path: str, G: groups.GroupDescriptor) -> fourier.DiscreteMeasure:
-    try:
-        _, pts = groups.load_points(path, expect_group=G.group_id)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _, pts = groups.load_points(path, expect_group=G.group_id)
     return fourier.DiscreteMeasure.uniform(G, pts)
 
 
@@ -194,6 +185,23 @@ def _versions() -> dict:
             "scipy": scipy.__version__}
 
 
+def _encode(obj, what: str, **kwargs) -> str:
+    """Sorted-key JSON of obj; a non-finite number is a SolverError."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False,
+                          default=json_default, **kwargs)
+    except ValueError as exc:
+        raise SolverError(f"non-finite value in the {what}: {exc}") from None
+
+
+def _write(cfg: RunConfig, suffix: str, text: str) -> str:
+    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, f"{cfg.command}_{cfg.hash}.{suffix}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def write_json_artifact(cfg: RunConfig, result: dict, tolerances: dict) -> str:
     payload = {
         "config": cfg.as_json_dict(),
@@ -202,44 +210,21 @@ def write_json_artifact(cfg: RunConfig, result: dict, tolerances: dict) -> str:
         "tolerances": tolerances,
         "result": result,
     }
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                          default=json_default) + "\n"
-    except ValueError as exc:
-        raise SolverError(f"non-finite value in the result: {exc}") from None
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, f"{cfg.command}_{cfg.hash}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    return _write(cfg, "json", _encode(payload, "result", indent=2) + "\n")
 
 
 def write_csv_artifact(cfg: RunConfig, header, rows, tolerances: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# config_hash={cfg.hash}\n")
-    buf.write(f"# versions={json.dumps(_versions(), sort_keys=True)}\n")
-    try:
-        buf.write("# tolerances=" + json.dumps(
-            tolerances, sort_keys=True, allow_nan=False,
-            default=json_default) + "\n")
-    except ValueError as exc:
-        raise SolverError(f"non-finite value in the tolerances: {exc}") from None
+    buf.write(f"# versions={_encode(_versions(), 'versions')}\n")
+    buf.write(f"# tolerances={_encode(tolerances, 'tolerances')}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         if any(isinstance(v, float) and not math.isfinite(v) for v in row):
             raise SolverError(f"non-finite value in the result row {row!r}")
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, f"{cfg.command}_{cfg.hash}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-    return path
-
-
-def _tolerance_union(reports) -> dict:
-    keys = sorted(set().union(*(r.tolerances for r in reports)))
-    return {k: max(r.tolerances.get(k, 0.0) for r in reports) for k in keys}
+    return _write(cfg, "csv", buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +232,15 @@ def _tolerance_union(reports) -> dict:
 
 
 def _cmd_kernel(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     if cfg.M is None:
         raise ConfigError("kernel needs --M")
-    try:
-        kc = smoothing.kernel_coefficients(G, cfg.M, profile=_PROFILES[cfg.profile])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    kc = smoothing.kernel_coefficients(G, cfg.M, profile=_PROFILES[cfg.profile])
     return write_json_artifact(cfg, kc.as_json_dict(), {})
 
 
 def _cmd_oracle(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     if len(cfg.points) != 2:
         raise ConfigError("oracle needs exactly two --points files")
     g = parse_modulus(cfg.g)
@@ -287,7 +269,7 @@ def _check_dominance(reports, oracle_cost: Optional[float]):
 
 
 def _cmd_bound(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     g = parse_modulus(cfg.g)
     if not 1 <= len(cfg.points) <= 2:
         raise ConfigError("bound needs one or two --points files")
@@ -301,10 +283,7 @@ def _cmd_bound(cfg: RunConfig) -> str:
                 "--verify needs two --points files (discrete transport oracle)")
         oracle_cost = transport.exact_wasserstein(G, g, nu1, nu2).cost
     if cfg.M is not None:
-        try:
-            rep = bound.wg_bound(G, g, nu1, nu2, cfg.M, profile_id)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        rep = bound.wg_bound(G, g, nu1, nu2, cfg.M, profile_id)
         _check_dominance([rep], oracle_cost)
         result = rep.as_json_dict()
         if oracle_cost is not None:
@@ -318,7 +297,7 @@ def _cmd_bound(cfg: RunConfig) -> str:
     _check_dominance(reports, oracle_cost)
     best = min(reports, key=lambda r: (r.total, r.M))
     click.echo(f"best M={best.M:g} total={best.total:.9g}")
-    tolerances = _tolerance_union(reports)
+    tolerances = tolerance_union(reports)
     if oracle_cost is not None:
         tolerances["oracle_duality_gap"] = transport.GAP_TOL
     return write_csv_artifact(cfg, bound.CSV_HEADER,
@@ -326,12 +305,14 @@ def _cmd_bound(cfg: RunConfig) -> str:
 
 
 def _cmd_audit(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     g = parse_modulus(cfg.g)
     if len(cfg.points) != 1:
         raise ConfigError("audit needs exactly one --points file")
     grid = parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None
-    rep = walks.equidistribution_audit(G, cfg.points[0], g, M_grid=grid,
+    # one read; --verify takes the array as loaded (canonicalize is not idempotent)
+    _, pts = groups.load_points(cfg.points[0], expect_group=G.group_id)
+    rep = walks.equidistribution_audit(G, pts, g, M_grid=grid,
                                        profile=_PROFILES[cfg.profile])
     result = rep.as_json_dict()
     tolerances = dict(rep.report.tolerances)
@@ -340,8 +321,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
             raise ConfigError(
                 "--verify for audit needs torus(1) with --g power:1 "
                 "(circle closed form)")
-        nu = fourier.DiscreteMeasure.uniform(
-            G, groups.load_points(cfg.points[0], expect_group=G.group_id)[1])
+        nu = fourier.DiscreteMeasure.uniform(G, pts)
         lattice = fourier.DiscreteMeasure.uniform(
             G, np.arange(_AUDIT_PROXY_N)[:, None] / _AUDIT_PROXY_N)
         w1 = transport.circle_w1(nu, lattice)
@@ -359,36 +339,24 @@ def _cmd_audit(cfg: RunConfig) -> str:
 
 
 def _cmd_walk(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     g = parse_modulus(cfg.g)
     if len(cfg.points) != 1:
         raise ConfigError("walk needs exactly one --points file (step measure)")
     if cfg.M is None:
         raise ConfigError("walk needs --M (block enumeration cutoff)")
     nu = _load_measure(cfg.points[0], G)
-    try:
-        states = walks.walk_evolve(G, nu, cfg.reps, cfg.M, g=g,
-                                   profile=_PROFILES[cfg.profile],
-                                   q_hint=cfg.gap_hint)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    states = walks.walk_evolve(G, nu, cfg.reps, cfg.M, g=g,
+                               profile=_PROFILES[cfg.profile],
+                               q_hint=cfg.gap_hint)
     if cfg.verify:
         _verify_walk_convolution(G, nu, cfg.M)
-    # what a bound artifact reports at each step's best cutoff and total
-    quad = {m: bound.psi_detailed(G, g, m, _PROFILES[cfg.profile])["quad_error"]
-            for m in {s.exact_m for s in states}}
-    per_step = [bound._tolerances(quad[s.exact_m], s.exact_total) for s in states]
-    tolerances = {"power_recheck": walks._POWER_TOL,
-                  "gap_submultiplicative": walks._SUBMULT_TOL,
-                  "walk_spectral": max(s.spectral_error for s in states),
-                  **{k: max(t[k] for t in per_step)
-                     for k in ("psi_quadrature", "float_slack")}}
     click.echo(f"final q_hat={states[-1].q_hat:.6g} "
                f"exact_total={states[-1].exact_total:.6g}")
     header = walks.WALK_CSV_HEADER
     return write_csv_artifact(cfg, header,
                               [walks.csv_row(s, header) for s in states],
-                              tolerances)
+                              tolerance_union(states))
 
 
 def _verify_walk_convolution(G, nu, M: float):
@@ -433,7 +401,7 @@ def _verify_walk_convolution(G, nu, M: float):
 
 
 def _cmd_empirical(cfg: RunConfig) -> str:
-    G = _group_of(cfg)
+    G = groups.descriptor(cfg.group)
     g = parse_modulus(cfg.g)
     if not cfg.n_list:
         raise ConfigError('empirical needs --n-list, e.g. "8,16,32"')
@@ -449,14 +417,12 @@ def _cmd_empirical(cfg: RunConfig) -> str:
         source = _load_measure(cfg.points[0], G)
     if cfg.verify and isinstance(source, str):
         raise ConfigError("--verify needs a discrete source (give --points)")
-    try:
-        rows = walks.empirical_experiment(
-            G, source, Ns, cfg.reps, g, cfg.seed,
-            profile=_PROFILES[cfg.profile], m_cap=cfg.M,
-            with_oracle=cfg.verify)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    tolerances = {"variance_budget_factor": 1.0 + 3.0 / math.sqrt(cfg.reps)}
+    rows = walks.empirical_experiment(
+        G, source, Ns, cfg.reps, g, cfg.seed,
+        profile=_PROFILES[cfg.profile], m_cap=cfg.M,
+        with_oracle=cfg.verify)
+    tolerances = {**tolerance_union(rows),
+                  "variance_budget_factor": 1.0 + 3.0 / math.sqrt(cfg.reps)}
     click.echo(f"N={rows[-1].N} bound_mean={rows[-1].bound_mean:.6g}")
     header = walks.EMPIRICAL_CSV_HEADER
     return write_csv_artifact(cfg, header,
@@ -472,10 +438,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one config; writes artifacts and returns the exit code."""
     try:
         path = _RUNNERS[cfg.command](cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
     except OSError as exc:

@@ -26,8 +26,6 @@ import numpy as np
 
 _TORUS_RE = re.compile(r"^torus\((\d+)\)$")
 
-QUAT_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:

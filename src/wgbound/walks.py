@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import bound, fourier, groups, transport
-from ._util import DominanceError, SolverError, pairwise_sum
+from ._util import DominanceError, SolverError, pairwise_sum, tolerance_union
 
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
@@ -112,7 +111,7 @@ def lps_generators(p: int) -> LpsSet:
 
 @dataclass(frozen=True)
 class WalkState:
-    """One convolution-power step: gap trace and bound totals."""
+    """One convolution-power step: gap trace, bound totals and tolerances."""
 
     step: int
     q_hat: float
@@ -124,6 +123,7 @@ class WalkState:
     relaxed_m: Optional[float] = None
     relaxed_total: Optional[float] = None
     spectral_error: float = 0.0
+    tolerances: Dict[str, float] = field(default_factory=dict)
 
 
 WALK_CSV_HEADER = ("step", "q_hat", "fourier_sum", "exact_m", "exact_total",
@@ -220,6 +220,10 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     eigenvalue error bounds of _diagonalise through the k-th power: it
     bounds how far q_hat, fourier_sum and exact_total may sit from the
     values of the exact block powers (0 when no block is diagonalised).
+    Each state's tolerances are those of its walk CSV row: the recheck and
+    submultiplicativity slacks, walk_spectral (= spectral_error), and the
+    psi_quadrature and float_slack entries that a bound report carries at
+    exact_m and exact_total (bound._tolerances).
 
     With ``q_hint`` each state adds a gap-relaxed total computed under the
     hypothesis that the step-k gap over the full dual is at most q_hint**k,
@@ -303,11 +307,15 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
             np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[sweep.cuts], 0.0)))
         spectral = float(max(np.max(eps_k, initial=0.0), cum_err[-1],
                              np.max(total_err)))
+        total = float(totals[i_best])
+        tol = bound._tolerances(sweep._psi[i_best]["quad_error"], total)
         fields = dict(
             step=k, q_hat=q_hat, fourier_sum=float(pairwise_sum(contrib)),
-            exact_m=float(sweep.grid[i_best]),
-            exact_total=float(totals[i_best]), power_check=check,
-            spectral_error=spectral)
+            exact_m=float(sweep.grid[i_best]), exact_total=total,
+            power_check=check, spectral_error=spectral, tolerances={
+                "power_recheck": _POWER_TOL, "walk_spectral": spectral,
+                "gap_submultiplicative": _SUBMULT_TOL,
+                **{t: tol[t] for t in ("psi_quadrature", "float_slack")}})
         if gap_sweep is not None:
             qk = float(q_hint) ** k
             rm, rrep = gap_sweep.best(q=qk)
@@ -379,6 +387,8 @@ class EmpiricalRow:
     oracle_mean: Optional[float] = None
     oracle_min: Optional[float] = None
     oracle_max: Optional[float] = None
+    # tolerance union of the bound reports behind bound_mean/min/max
+    tolerances: Dict[str, float] = field(default_factory=dict)
 
     @property
     def max_variance_ratio(self) -> float:
@@ -426,7 +436,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
         len(N_list) * n_reps, dtype=np.uint64).reshape(len(N_list), n_reps)
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
-        totals, ms, oracles = [], [], []
+        reports, ms, oracles = [], [], []
         var_acc = np.zeros(n_var)
         for r in range(n_reps):
             s = int(children[i, r])
@@ -442,7 +452,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
             # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
             same = nu2 is not None and nu_bar.identical_to(nu2)
             best_m, rep = sweep.best(None if same else hs[:n_sweep])
-            totals.append(rep.total)
+            reports.append(rep)
             ms.append(best_m)
             if with_oracle and not haar_source:
                 cost = transport.exact_wasserstein(G, g, nu_bar, source).cost
@@ -453,6 +463,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
         var_mean = var_acc / n_reps
         ratios = tuple((str(p.label), float(var_mean[j] * N / p.dim))
                        for j, p in enumerate(irreps[:n_var]))
+        totals = [r.total for r in reports]
         rows.append(EmpiricalRow(
             N=N, n_reps=n_reps,
             bound_mean=float(np.mean(totals)),
@@ -462,7 +473,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
             variance_ratios=ratios,
             oracle_mean=float(np.mean(oracles)) if oracles else None,
             oracle_min=float(np.min(oracles)) if oracles else None,
-            oracle_max=float(np.max(oracles)) if oracles else None))
+            oracle_max=float(np.max(oracles)) if oracles else None,
+            tolerances=tolerance_union(reports)))
     return rows
 
 
@@ -505,18 +517,14 @@ def equidistribution_audit(G: groups.GroupDescriptor, points, g,
                            gap_m: float = 25.5) -> AuditReport:
     """Bound the distance between a uniform point measure and Haar.
 
-    ``points`` is either a point-set file path (with a ``# group=<id>``
-    header) or a coordinate array.  The audit reports the bound optimized
+    ``points`` is a coordinate array, one point per row (read a point-set
+    file with groups.load_points).  The audit reports the bound optimized
     over the cutoff grid, the truncated spectral gap over irreps below
     gap_m, and the per-irrep squared HS energies on the same range (the
     character-sum profile driving the bound).  Deterministic: identical
     inputs give identical reports.
     """
-    if isinstance(points, (str, os.PathLike)):
-        _, pts = groups.load_points(points, expect_group=G.group_id)
-    else:
-        pts = np.asarray(points, dtype=float)
-    nu = fourier.DiscreteMeasure.uniform(G, pts)
+    nu = fourier.DiscreteMeasure.uniform(G, points)
     sweep = bound.CutoffSweep(G, g, profile, M_grid)
     irreps, n_gap = _joint_irreps(sweep, gap_m)
     hs = fourier.hs_profile(G, nu, None, irreps)

@@ -244,6 +244,23 @@ class TestAuditCommand:
         assert res.exit_code == cli.EXIT_CONFIG
         assert "circle" in res.output
 
+    def test_verify_reads_points_once(self, runner, tmp_path, monkeypatch):
+        pts = tmp_path / "lat.csv"
+        groups.save_points(pts, "torus(1)", np.arange(16)[:, None] / 16)
+        reads = []
+        real = groups.load_points
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "load_points", counted)
+        res = runner.invoke(cli.main, [
+            "audit", "--group", "torus(1)", "--points", str(pts),
+            "--verify", "--out", str(tmp_path / "art")])
+        assert res.exit_code == 0, res.output
+        assert reads == [str(pts)]
+
     def test_gap_echo(self, runner, tmp_path):
         pts = tmp_path / "p5.csv"
         groups.save_points(pts, "so3", walks.lps_generators(5).rotations)
@@ -427,6 +444,28 @@ class TestEmpiricalCommand:
         row = dict(zip(lines[3].split(","), lines[4].split(",")))
         assert row["oracle_mean"] != ""
 
+    @pytest.mark.parametrize("discrete", [True, False], ids=["points", "haar"])
+    def test_tolerances_of_bounds(self, runner, tmp_path, circle_pair,
+                                  discrete):
+        # the header carries the tolerance union of the bound reports
+        # behind bound_min/mean/max, beside the variance budget factor
+        args = ["empirical", "--group", "torus(1)", "--n-list", "8,16",
+                "--reps", "3", "--M", "30", "--out", str(tmp_path)]
+        res = runner.invoke(cli.main, args + (
+            ["--points", circle_pair[0]] if discrete else []))
+        assert res.exit_code == 0, res.output
+        lines = open(read_artifact(res.output)).read().splitlines()
+        tol = json.loads(lines[2].split("=", 1)[1])
+        parts = ("psi_quadrature", "float_slack", "fourier_roundoff")
+        assert set(tol) == {"variance_budget_factor", "total", *parts}
+        assert tol["variance_budget_factor"] == 1.0 + 3.0 / math.sqrt(3)
+        rows = [dict(zip(lines[3].split(","), ln.split(",")))
+                for ln in lines[4:]]
+        assert tol["float_slack"] == max(
+            1e-11 * max(1.0, float(r["bound_max"])) for r in rows)
+        assert max(tol[k] for k in parts) <= tol["total"] <= sum(
+            tol[k] for k in parts)
+
 
 class TestOracleCommand:
     def test_circle_cross_check(self, runner, tmp_path, circle_pair):
@@ -550,6 +589,35 @@ class TestExitPaths:
         res = runner.invoke(cli.main, [
             "kernel", "--group", "su3", "--M", "5", "--out", str(tmp_path)])
         assert res.exit_code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("args,line", [
+        (["oracle", "--group", "su3", "--points", "{t1}", "--points", "{t1}"],
+         "unknown group id: 'su3'"),
+        (["kernel", "--group", "torus(1)", "--M", "1"],
+         "M=1.0 below admissibility threshold 3.141592653589793 for torus(1)"),
+        (["bound", "--group", "torus(1)", "--points", "{t1}", "--M", "1"],
+         "M=1.0 below admissibility threshold 3.141592653589793"),
+        (["walk", "--group", "torus(1)", "--points", "{t1}", "--M", "4"],
+         "no irreps below M=4.0; raise the cutoff"),
+        (["audit", "--group", "torus(1)", "--points", "{su2}"],
+         "{su2}: header group 'su2' does not match requested 'torus(1)'"),
+        (["empirical", "--group", "torus(1)", "--n-list", "4,2"],
+         "N_list must be strictly ascending"),
+    ], ids=["oracle", "kernel", "bound", "walk", "audit", "empirical"])
+    def test_library_value_error_line(self, runner, tmp_path, args, line):
+        # a ValueError raised in the library reaches the user as one
+        # "config error" line and exit 2, with no artifact written
+        files = {"t1": str(tmp_path / "t1.csv"), "su2": str(tmp_path / "s.csv")}
+        groups.save_points(files["t1"], "torus(1)", np.arange(8)[:, None] / 8)
+        groups.save_points(files["su2"], "su2",
+                           groups.haar_sample(groups.descriptor("su2"), 1, 8))
+        out = tmp_path / "art"
+        res = runner.invoke(cli.main, [a.format(**files) for a in args]
+                            + ["--out", str(out)])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.stderr == f"config error: {line.format(**files)}\n"
+        assert res.stdout == ""
+        assert not out.exists()
 
 
 class TestReproducibility:

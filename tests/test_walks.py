@@ -409,7 +409,8 @@ class TestEquidistributionAudit:
 
     def test_file_input_matches_array(self):
         lps = walks.lps_generators(5)
-        from_file = walks.equidistribution_audit(G_SO3, DATA_P5, LINEAR)
+        _, pts = groups.load_points(DATA_P5, expect_group="so3")
+        from_file = walks.equidistribution_audit(G_SO3, pts, LINEAR)
         from_array = walks.equidistribution_audit(G_SO3, lps.rotations,
                                                   LINEAR)
         assert from_file.as_json_dict() == from_array.as_json_dict()

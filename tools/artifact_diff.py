@@ -4,17 +4,20 @@
     python tools/artifact_diff.py compare A B
 
 ``run`` writes its inputs under OUTDIR/inputs and runs each configuration
-of configs() through ``wgbound.cli.run``, one artifact per OUTDIR/<name>.  It
-works inside OUTDIR with relative paths, so the configuration (and with it
-the artifact's file name and hash) is the same wherever OUTDIR is.  --src
+of configs() through ``wgbound.cli.run``, one artifact per OUTDIR/<name>.
+Each configuration of failures() must fail: for it, OUTDIR/<name>/failure.txt
+records the exit code and what ``run`` wrote to stderr.  It works inside
+OUTDIR with relative paths, so the configuration (and with it the
+artifact's file name and hash) is the same wherever OUTDIR is.  --src
 names the source tree to import wgbound from (default: this checkout's
 src), which lets one copy of this script run two commits.
 
 ``compare`` reports, per configuration, whether the artifacts are
-byte-identical.  Where they differ it lists JSON keys or CSV columns found
-on one side only, cells that changed and are not numbers, and for every
-numeric field the largest move next to the B artifact's own ``tolerances``.
-List entries are folded into one field ([] in the name).
+byte-identical, failure records included.  Where artifacts differ it lists
+JSON keys or CSV columns found on one side only, cells that changed and are
+not numbers, and for every numeric field the largest move next to the B
+artifact's own ``tolerances``.  List entries are folded into one field ([]
+in the name); differing failure records are printed whole.
 
 The script needs only the standard library and what wgbound needs; wgbound
 does not import it.
@@ -22,7 +25,9 @@ does not import it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -86,7 +91,7 @@ def _inputs(src: str) -> dict:
 
 
 def configs(f: dict) -> dict:
-    """Name -> RunConfig fields, 48 configurations."""
+    """Name -> RunConfig fields, 48 configurations that succeed."""
     c = {}
     for gid in GROUPS:
         pair = (f[gid, "a"], f[gid, "b"])
@@ -140,6 +145,25 @@ def configs(f: dict) -> dict:
     return c
 
 
+def failures(f: dict) -> dict:
+    """Name -> RunConfig fields, 6 configurations that exit 2, one per command."""
+    t1 = f["torus(1)", "a"]
+    return {
+        "fail-oracle-unknown-group": dict(command="oracle", group="su3",
+                                          points=(t1, f["torus(1)", "b"])),
+        "fail-kernel-below-threshold": dict(command="kernel", group="torus(1)",
+                                            M=1.0),
+        "fail-bound-M1-torus(1)": dict(command="bound", group="torus(1)",
+                                       points=(t1,), M=1.0),
+        "fail-walk-no-irreps-torus(1)": dict(command="walk", group="torus(1)",
+                                             points=(f["golden"],), M=4.0),
+        "fail-audit-header-group": dict(command="audit", group="torus(1)",
+                                        points=(f["su2", "a"],)),
+        "fail-empirical-descending": dict(command="empirical", group="torus(1)",
+                                          n_list="4,2"),
+    }
+
+
 def run(outdir: str, src: str) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, src)
@@ -147,13 +171,24 @@ def run(outdir: str, src: str) -> int:
     os.chdir(outdir)
     from wgbound import cli
 
+    f = _inputs(src)
     failed = 0
-    for name, fields in configs(_inputs(src)).items():
-        if os.path.isdir(name):
-            shutil.rmtree(name)
-        code = cli.run(cli.RunConfig(out=name, seed=7, **fields))
-        print(f"{name}: exit {code}", file=sys.stderr)
-        failed += code != 0
+    for expect_failure, cases in ((False, configs(f)), (True, failures(f))):
+        for name, fields in cases.items():
+            if os.path.isdir(name):
+                shutil.rmtree(name)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.run(cli.RunConfig(out=name, seed=7, **fields))
+            print(f"{name}: exit {code}", file=sys.stderr)
+            if expect_failure and code != 0:
+                os.makedirs(name)
+                with open(os.path.join(name, "failure.txt"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(f"exit {code}\n{err.getvalue()}")
+            else:
+                sys.stderr.write(err.getvalue())
+                failed += expect_failure or code != 0
     return 1 if failed else 0
 
 
@@ -209,6 +244,12 @@ def _number(v):
 
 
 def _compare_one(pa: str, pb: str) -> list:
+    if pa.endswith(".txt"):  # failure records
+        lines = []
+        for side, path in (("A", pa), ("B", pb)):
+            with open(path, encoding="utf-8") as fh:
+                lines.append(f"  {side}: {fh.read()!r}")
+        return lines
     fa, _ = _read(pa)
     fb, tol = _read(pb)
     lines = []
