@@ -144,23 +144,26 @@ _ZERO_WIDTH = 3.7e-12
 
 
 def _f_sign_changes(tf, a_f: float, R: float) -> np.ndarray:
-    """Zeros of x -> F(a_f x) on (0, R), by dense scan plus Illinois refinement.
+    """Determined zeros of x -> F(a_f x) on (0, R), by dense scan plus Illinois refinement.
 
     The |F| factor of the integrand has kinks exactly there, so quadrature
-    panels must break at these points to converge.  A bracket stops once
-    it is _ZERO_WIDTH wide or |F| falls to 4u |F(0)|, the roundoff level of
-    the panelled sum, below which the sign of F is not determined.
+    panels must break at these points to converge.  Only scan points where
+    |F| exceeds tf.error, F's own error bound, have a determined sign, and a
+    zero counts only between two such points of opposite sign; the zeros of
+    the rounding noise beyond are left out.  A bracket stops once it is
+    _ZERO_WIDTH wide or |F| falls to tf.error.
     """
     # zero spacing is > 0.2/a_f in x; 1e-8 placement suffices because the
     # integrand vanishes at each kink (panel-edge error ~ |F'| delta^2)
     step = 0.05 / max(a_f, 1.0)
     xs = np.linspace(0.0, R, int(R / step) + 2)
     fv = tf.evaluate(a_f * xs)
+    sure = np.abs(fv) > tf.error
+    xs, fv = xs[sure], fv[sure]
     idx = np.nonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0)[0]
     lo, hi = xs[idx], xs[idx + 1]
     flo, fhi = fv[idx], fv[idx + 1]
     zeros = np.empty(idx.size)
-    floor = 2.0 * np.finfo(float).eps * abs(tf.f0)    # 4u |F(0)|
     moved = np.zeros(idx.size)          # +1 / -1: end moved in the last round
     live = np.arange(idx.size)
     for _ in range(64):
@@ -180,23 +183,25 @@ def _f_sign_changes(tf, a_f: float, R: float) -> np.ndarray:
         lo[live] = np.where(left, x, a)
         hi[live] = np.where(left, b, x)
         moved[live] = np.where(left, 1.0, -1.0)
-        hit = np.abs(fx) <= floor
+        hit = np.abs(fx) <= tf.error
         zeros[live[hit]] = x[hit]
         live = live[~hit]
     raise SolverError("zero refinement of the bump transform did not converge")
 
 
-def _panelled_nodes(breaks: np.ndarray, width: float, order: int):
-    """Gauss-Legendre nodes/weights on [breaks], subdividing long segments."""
-    gx, gw = leggauss(order)
+def _panels(breaks: np.ndarray, width: float):
+    """Edges (lo, hi) of equal panels no wider than width on each segment of breaks."""
     los, his = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(1, int(math.ceil((b - a) / width)))
-        e = np.linspace(a, b, n + 1)
+        e = np.linspace(a, b, max(1, int(math.ceil((b - a) / width))) + 1)
         los.append(e[:-1])
         his.append(e[1:])
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
+    return np.concatenate(los), np.concatenate(his)
+
+
+def _gauss_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights of the given order on each panel [lo, hi]."""
+    gx, gw = leggauss(order)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -210,60 +215,99 @@ def _psi_nodes(group_id: str, profile_id: str):
 
     The integrand splits as g(2 pi x / M0) * base(x) with base >= 0 fixed
     per (group, profile); only the g factor changes across M, so psi
-    evaluations reuse these tables.  Panels break at the zeros of F.
+    evaluations reuse these tables.  Coarse panels are at most 0.5 wide and
+    break at the determined zeros of F (_f_sign_changes), none beyond the
+    last one; the fine table halves every coarse panel.  "charge" holds per
+    coarse panel its right end and tf.error times the sum, over the panel's
+    fine nodes, of the weight times base without its |F| factor; g is
+    nondecreasing, so g at the right end times that bounds the panel's
+    share of tf.error * sum w g base.
     """
     G = groups.descriptor(group_id)
     r, R, A, a_f, xpow = _psi_layout(G)
     tf = bump_transform(profile_id, r)
-    zeros = _f_sign_changes(tf, a_f, R)
-    breaks = np.concatenate(([0.0], zeros, [R]))
-    (xc, wc), (xf, wf) = (_panelled_nodes(breaks, width, 10) for width in (0.5, 0.25))
-    # segments shorter than both widths give the same nodes in both tables
-    union, inverse = np.unique(np.concatenate((xc, xf)), return_inverse=True)
-    base = np.abs(tf.evaluate(a_f * union)) * union ** xpow
+    breaks = np.concatenate(([0.0], _f_sign_changes(tf, a_f, R), [R]))
+    lo, hi = _panels(breaks, 0.5)
+    mid = 0.5 * (lo + hi)
+    xc, wc = _gauss_nodes(lo, hi, 10)
+    xf, wf = _gauss_nodes(np.column_stack((lo, mid)).ravel(),
+                          np.column_stack((mid, hi)).ravel(), 10)
+    x = np.concatenate((xc, xf))
+    factor = A * x ** xpow
     if G.group_id in ("su2", "so3"):
-        base = base * np.sin(np.pi * union) ** 2
-    ic, jf = np.split(inverse, [xc.size])
-    return {"coarse": (xc, A * wc * base[ic]), "fine": (xf, A * wf * base[jf]),
-            "meta": (r, R, A, a_f, tf)}
+        factor = factor * np.sin(np.pi * x) ** 2
+    base = np.abs(tf.evaluate(a_f * x)) * factor
+    charge = tf.error * pairwise_sum((wf * factor[xc.size:]).reshape(lo.size, -1).T)
+    return {"coarse": (xc, wc * base[:xc.size]), "fine": (xf, wf * base[xc.size:]),
+            "charge": (hi, charge), "meta": (r, R, A, a_f, tf)}
 
 
 def psi_detailed(G: GroupDescriptor, g, t: float,
                  profile="paper_bump") -> dict:
-    """psi(t) with its quadrature error estimate and tail accounting."""
-    if t < G.admissibility_threshold:
-        raise ValueError(
-            f"t={t} below admissibility threshold {G.admissibility_threshold}")
-    profile_id = as_profile_id(profile)
-    m0 = kernel_degree(G, t)
+    """psi(t) with its quadrature error estimate and tail accounting.
+
+    main is the fine table's sum.  quad_error, a report's psi_quadrature, is
+    |fine - coarse| plus the charge summed against g.  The fine table
+    halves every panel, so the difference sees every one.  The charge
+    bounds what F's error (aliases, P check and rounding; see
+    smoothing.BumpTransform) does to main.  That includes the stretch beyond
+    the last determined zero of F, where the sign of F, and with it the
+    kinks of |F|, are not resolved.  The tail beyond R is added from
+    certified majorants.
+    """
+    return _psi_details(G, g, [t], as_profile_id(profile))[0]
+
+
+def _weighted_sums(x: np.ndarray, w: np.ndarray, g, m0s) -> list:
+    """pairwise_sum(w * g(2 pi x / m0)) for every m0 in m0s.
+
+    Eight m0 at a time: each row of the (nodes, 8) block is one 64-byte
+    cache line, which keeps pairwise_sum's strided passes fast.
+    """
+    degrees = np.asarray(m0s, dtype=float)
+    return [float(v) for lo in range(0, degrees.size, 8)
+            for v in pairwise_sum(w[:, None] * g((2.0 * math.pi * x)[:, None]
+                                                 / degrees[lo:lo + 8]))]
+
+
+def _psi_details(G: GroupDescriptor, g, ts, profile_id: str) -> list:
+    """psi_detailed at every cutoff in ts.
+
+    Each table is summed once for all of them: pairwise_sum reduces every
+    column on its own, so each entry equals a one-cutoff call bit for bit.
+    """
+    for t in ts:
+        if t < G.admissibility_threshold:
+            raise ValueError(
+                f"t={t} below admissibility threshold {G.admissibility_threshold}")
+    m0s = [kernel_degree(G, t) for t in ts]
     tables = _psi_nodes(G.group_id, profile_id)
     r, R, A, a_f, tf = tables["meta"]
-    mains = {}
-    for tag in ("coarse", "fine"):
-        x, wbase = tables[tag]
-        mains[tag] = float(pairwise_sum(wbase * g(2.0 * math.pi * x / m0)))
+    mains, coarse, charges = (_weighted_sums(*tables[tag], g, m0s)
+                              for tag in ("fine", "coarse", "charge"))
     # tail beyond radius R: |F(a_f x)| <= C_k/(a_f x)^k and g(s) <= g(1)(s+1)
     g1 = float(np.asarray(g(1.0), dtype=float))
-    tail = math.inf
-    for k in smoothing._TAIL_ORDERS:
-        if k - r - 1 <= 0:
-            continue
-        ck = tf.majorants[k] / a_f ** k
-        val = A * g1 * ck * ((2.0 * math.pi / m0) * R ** (r + 1 - k) / (k - r - 1)
-                             + R ** (r - k) / (k - r))
-        tail = min(tail, val)
-    if not math.isfinite(tail):
-        raise RuntimeError("no valid tail majorant order")
-    main = mains["fine"]
-    quad_error = abs(mains["fine"] - mains["coarse"])
-    return {
-        "value": main + tail,
-        "main": main,
-        "tail": tail,
-        "quad_error": quad_error,
-        "tail_warning": bool(main > 0 and tail > 0.1 * main),
-        "m0": m0,
-    }
+    out = []
+    for m0, main, c, charge in zip(m0s, mains, coarse, charges):
+        tail = math.inf
+        for k in smoothing._TAIL_ORDERS:
+            if k - r - 1 <= 0:
+                continue
+            ck = tf.majorants[k] / a_f ** k
+            val = A * g1 * ck * ((2.0 * math.pi / m0) * R ** (r + 1 - k) / (k - r - 1)
+                                 + R ** (r - k) / (k - r))
+            tail = min(tail, val)
+        if not math.isfinite(tail):
+            raise RuntimeError("no valid tail majorant order")
+        out.append({
+            "value": main + tail,
+            "main": main,
+            "tail": tail,
+            "quad_error": abs(main - c) + charge,
+            "tail_warning": bool(main > 0 and tail > 0.1 * main),
+            "m0": m0,
+        })
+    return out
 
 
 def psi(G: GroupDescriptor, g, t: float, profile="paper_bump") -> float:
@@ -459,7 +503,7 @@ class CutoffSweep:
         self.roundoff = None if relaxed else self.prefix(
             fourier.hs_roundoff(G, self.irreps))
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
-        self._psi = [psi_detailed(G, g, float(M), self.profile_id) for M in grid]
+        self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
         self.psis = np.asarray([pd["value"] for pd in self._psi])
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
 

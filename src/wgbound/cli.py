@@ -310,6 +310,10 @@ def _cmd_audit(cfg: RunConfig) -> str:
     if len(cfg.points) != 1:
         raise ConfigError("audit needs exactly one --points file")
     grid = parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None
+    if cfg.verify and (G.group_id != "torus(1)" or g.descriptor() != "power:1"):
+        raise ConfigError(
+            "--verify for audit needs torus(1) with --g power:1 "
+            "(circle closed form)")
     # one read; --verify takes the array as loaded (canonicalize is not idempotent)
     _, pts = groups.load_points(cfg.points[0], expect_group=G.group_id)
     rep = walks.equidistribution_audit(G, pts, g, M_grid=grid,
@@ -317,10 +321,6 @@ def _cmd_audit(cfg: RunConfig) -> str:
     result = rep.as_json_dict()
     tolerances = dict(rep.report.tolerances)
     if cfg.verify:
-        if G.group_id != "torus(1)" or g.descriptor() != "power:1":
-            raise ConfigError(
-                "--verify for audit needs torus(1) with --g power:1 "
-                "(circle closed form)")
         nu = fourier.DiscreteMeasure.uniform(G, pts)
         lattice = fourier.DiscreteMeasure.uniform(
             G, np.arange(_AUDIT_PROXY_N)[:, None] / _AUDIT_PROXY_N)

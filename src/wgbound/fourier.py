@@ -45,6 +45,8 @@ _CHUNK = 2048
 _BLOCK = 4
 # hs_profile on the torus: irreps per gathered product
 _TORUS_CHUNK = 256
+# measure_transform: bytes of irrep matrices per chunk of atoms
+_TRANSFORM_BYTES = 1 << 20
 # hs_roundoff: unit roundoff, |nu1 - nu2| mass bound, pairwise-sum depth
 _U = 2.0 ** -53
 _MASS = 2.0 * (1.0 + 2.0 * _WEIGHT_SUM_TOL)
@@ -219,11 +221,18 @@ def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
 
 def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
                       irrep: groups.Irrep) -> FourierBlock:
-    """Fourier block sum_k w_k pi(x_k)^* of a discrete measure."""
+    """Fourier block sum_k w_k pi(x_k)^* of a discrete measure.
+
+    The atoms go in chunks of about _TRANSFORM_BYTES of irrep matrices, so
+    memory does not grow with N d^2, and a sweep over levels reuses blocks
+    of one size instead of mapping a larger stack at every level.
+    """
     if nu.group_id != G.group_id:
         raise ValueError("measure/group mismatch")
-    mats = irrep_matrices(G, irrep, nu.atoms)
-    S = np.tensordot(nu.weights, mats, axes=(0, 0))
+    rows = max(1, _TRANSFORM_BYTES // (16 * irrep.dim ** 2))
+    S = sum(np.tensordot(nu.weights[lo:lo + rows],
+                         irrep_matrices(G, irrep, nu.atoms[lo:lo + rows]), axes=(0, 0))
+            for lo in range(0, nu.weights.size, rows))
     return FourierBlock(G.group_id, irrep.label, irrep.dim, S.conj().T)
 
 

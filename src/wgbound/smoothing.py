@@ -1,22 +1,21 @@
 """Smoothing-kernel machinery behind the main Wasserstein bound.
 
-Radial bump profiles on the Cartan algebra, their Fourier transforms with
-certified power-law tail majorants, Weyl density coefficients, the
-coefficients a_pi of the degree-limited smoothing polynomial, and the
-Fourier decay budget.
+Radial bump profiles on the Cartan algebra, their Fourier transforms
+(evaluated within a stated error bound) with certified power-law tail
+majorants, Weyl density coefficients, the coefficients a_pi of the
+degree-limited smoothing polynomial, and the Fourier decay budget.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0
 
-from ._util import SolverError
+from ._util import SolverError, pairwise_sum
 from .groups import GroupDescriptor, Irrep, enumerate_irreps
 
 PROFILE_IDS = ("paper_bump", "plateau")
@@ -138,53 +137,80 @@ def _gl_panels(n_panels: int, order: int):
     return nodes, weights
 
 
-def _radial_integral(profile: BumpProfile, r: int, x: np.ndarray,
-                     order: int = 12) -> np.ndarray:
-    """F(x) for radial eta of rank r, by panelled Gauss-Legendre quadrature.
+# F is summed by the trapezoidal rule on t_k = k / _T_NODES.  A power of
+# two, so that t_k and the phase reduction of _phases are exact, and far
+# enough beyond _X_MAX, the largest |X| evaluated (80 pi on the tori), that
+# the aliases F(X + m _T_NODES) stay below the rounding.  k = _T_BLOCK a + b
+# splits every cosine by angle addition.
+_T_NODES = 2048
+_T_BLOCK = 64
+_X_MAX = 256.0
+# P_r for r = 2, 3 by Gauss-Legendre on _P_PANELS panels, at two orders
+_P_PANELS = 32
+_P_ORDERS = (12, 20)
+# rows of t_k, and of arguments X, per block: under 1 MB of temporaries
+_ROWS = 32
+# rounding budget of evaluate, in units u = 2^-53 of h sum_k |P(t_k)|:
+# - phases within 3 pi u and trig values within 4 ulp put each
+#   cos(theta + phi) within 2 sqrt(2) (3 pi + 4) u < 38 u;
+# - the GEMM over b, the product, the difference and the pairwise sum over
+#   a add gamma_71 (64 + 1 + 1 + 5);
+# - the tabulated P adds 48 u: 20 u relative (bump values, products and
+#   pairwise sums over 640 nodes) and 8 u absolute per bump value, which
+#   over the unit ball of rank r <= 3 is under 28 u of h sum_k |P(t_k)|.
+# 157 in all
+_ROUNDING_UNITS = 160
 
-    The panel count grows with the largest argument, so mixed-magnitude
-    batches are split into dyadic bins and integrated bin by bin.
+
+def _projection(profile: BumpProfile, r: int, order: int) -> np.ndarray:
+    """P_r(t_k) for t_k = k / _T_NODES, k = 0.._T_NODES: the bump integrated
+    over the hyperplane at distance t_k from the origin.
+
+    P_1(t) = eta(t); for r = 2, 3 P_r(t) = c_r int_0^L eta(sqrt(t^2 + u^2))
+    u^(r-2) du with L = sqrt(1 - t^2), c_2 = 2 and c_3 = 2 pi (polar
+    coordinates in the plane), by Gauss-Legendre panels of the given order.
     """
-    x = np.asarray(x, dtype=float)
-    flat = np.abs(x.ravel())
-    out = np.empty_like(flat)
-    lo = 0.0
-    for edge in (16.0, 32.0, 64.0, 128.0, math.inf):
-        sel = (flat >= lo) & (flat < edge)
-        if np.any(sel):
-            out[sel] = _radial_integral_bin(profile, r, flat[sel], order)
-        lo = edge
-    return out.reshape(x.shape)
+    t = np.arange(_T_NODES + 1) / _T_NODES
+    if r == 1:
+        return profile.radial(t)
+    y, w = _gl_panels(_P_PANELS, order)
+    out = np.empty_like(t)
+    for lo in range(0, t.size, _ROWS):
+        tb = t[lo:lo + _ROWS, None]
+        half = np.sqrt((1.0 - tb) * (1.0 + tb))
+        u = half * y
+        vals = profile.radial(np.hypot(tb, u)) * u ** (r - 2) * w
+        out[lo:lo + _ROWS] = half[:, 0] * pairwise_sum(vals.T)
+    return (2.0 if r == 2 else 2.0 * np.pi) * out
 
 
-# per rank: the scale of F, and the kernel of the radial integral with the
-# scale of its argument; the base weights pick up one factor y per rank
-# above 1
-_RANK_KERNELS = {
-    1: (2.0, np.cos, 2.0 * np.pi),
-    2: (2.0 * np.pi, j0, 2.0 * np.pi),
-    3: (4.0 * np.pi, np.sinc, 2.0),
-}
+def _phases(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """2 pi s j modulo 2 pi, in about [-pi, pi], for 0 <= s <= 1/8 and integers j < 2^11.
+
+    s splits as hi + lo with hi a multiple of 2^-40, so hi j (a multiple of
+    2^-40 below 2^8) and its reduction to [-1/2, 1/2] turns are exact and
+    only the tiny lo j is rounded: each phase is off by at most 3 pi u.
+    """
+    hi = np.round(s * 2.0 ** 40) * 2.0 ** -40
+    turns = hi[:, None] * j
+    turns -= np.round(turns)
+    return 2.0 * np.pi * (turns + (s - hi)[:, None] * j)
 
 
-def _radial_integral_bin(profile: BumpProfile, r: int, flat: np.ndarray,
-                         order: int) -> np.ndarray:
-    if r not in _RANK_KERNELS:
-        raise ValueError(f"rank must be 1, 2 or 3, got {r}")
-    scale, kernel, arg_scale = _RANK_KERNELS[r]
-    # kernels oscillate with period 1/x in y; 1.25 panels per period at
-    # order >= 12 leaves the quadrature error at rounding level
-    xmax = float(flat.max()) if flat.size else 0.0
-    n_panels = max(24, int(1.25 * xmax) + 10)
-    y, w = _gl_panels(n_panels, order)
-    base = w * profile.radial(y)
-    for _ in range(r - 1):
-        base = base * y
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, 2048):
-        blk = flat[lo:lo + 2048]
-        out[lo:lo + 2048] = scale * (kernel(arg_scale * np.outer(blk, y)) @ base)
-    return out
+def _cosine_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] cos(2 pi x t_k) for one block of x in [0, _X_MAX].
+
+    With k = _T_BLOCK a + b, cos(theta_a + phi_b) = cos theta_a cos phi_b -
+    sin theta_a sin phi_b: one GEMM over b per trig function, then a
+    pairwise sum over a.  Every cosine is exact angle addition of two
+    directly evaluated phases, never a recurrence.
+    """
+    s = x / _T_NODES
+    phi = _phases(s, np.arange(_T_BLOCK))
+    theta = _phases(s, _T_BLOCK * np.arange(_T_NODES // _T_BLOCK))
+    w = weights.reshape(-1, _T_BLOCK)
+    terms = (np.cos(phi) @ w.T) * np.cos(theta) - (np.sin(phi) @ w.T) * np.sin(theta)
+    return pairwise_sum(terms.T)
 
 
 def _tail_majorants(profile: BumpProfile, r: int) -> Dict[int, float]:
@@ -229,15 +255,45 @@ def _tail_majorants(profile: BumpProfile, r: int) -> Dict[int, float]:
 
 @dataclass(frozen=True)
 class BumpTransform:
-    """Radial Fourier transform of a bump profile in rank r."""
+    """Radial Fourier transform F of a bump profile in rank r, for |X| <= _X_MAX.
+
+    By the projection-slice theorem F(X) = int_{-1}^{1} P(t) cos(2 pi X t) dt,
+    P the bump's projection onto a line (_projection).  evaluate sums it by
+    the trapezoidal rule on t_k = k h, h = 1/_T_NODES; P is smooth with
+    support in [-1, 1], so by Poisson summation the sum is exactly
+    sum_m F(X + m _T_NODES).  ``error`` bounds |evaluate(X) - F(X)| at every
+    |X| <= _X_MAX.  It is the sum of three parts:
+
+    - aliases: 2 sum_{m >= 1} tail_bound(m _T_NODES - _X_MAX), proven from
+      the majorants;
+    - the P check: h sum_k |P_k at order 20 - P_k at order 12|, since
+      |Delta F(X)| <= h sum_k |Delta P_k| at every X;
+    - rounding: _ROUNDING_UNITS u h sum_k |P_k|.
+
+    The first two must each stay below the third, or the build raises
+    SolverError.
+    """
 
     profile: BumpProfile
     r: int
     majorants: Dict[int, float]
     f0: float
+    error: float
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def evaluate(self, x) -> np.ndarray:
-        return _radial_integral(self.profile, self.r, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        flat = np.abs(x.ravel())
+        if flat.size and not flat.max() <= _X_MAX:
+            raise ValueError(f"bump transform is tabulated for |x| <= {_X_MAX}")
+        # every block has _ROWS rows, so every GEMM has one shape and a value
+        # does not depend on the batch it is evaluated in
+        padded = np.zeros(-(-flat.size // _ROWS) * _ROWS)
+        padded[:flat.size] = flat
+        out = np.empty_like(padded)
+        for lo in range(0, padded.size, _ROWS):
+            out[lo:lo + _ROWS] = _cosine_sum(self.weights, padded[lo:lo + _ROWS])
+        return out[:flat.size].reshape(x.shape)
 
     def tail_bound(self, x: float) -> float:
         """Certified bound on |F| at radius x > 0 from the power-law majorants."""
@@ -249,16 +305,27 @@ class BumpTransform:
 @lru_cache(maxsize=16)
 def _bump_transform_cached(profile_id: str, r: int) -> BumpTransform:
     profile = bump_profile(profile_id)
-    grid = np.linspace(0.0, 50.0, 2001)
-    values = _radial_integral(profile, r, grid, order=12)
-    check = _radial_integral(profile, r, grid, order=20)
-    err = float(np.max(np.abs(values - check)))
-    if err > 1e-10:
+    p_lo, p = (_projection(profile, r, order) for order in _P_ORDERS)
+    # trapezoidal weights h c_k P_k over k = -K..K folded onto k = 0..K-1
+    # (P is even and P(1) = 0); c_0 = 1, else 2
+    scale = np.full(_T_NODES, 2.0 / _T_NODES)
+    scale[0] = 1.0 / _T_NODES
+    weights = scale * p[:-1]
+    check = float(scale @ np.abs(p - p_lo)[:-1])
+    rounding = _ROUNDING_UNITS * 2.0 ** -53 * float(scale @ np.abs(p[:-1]))
+    majorants = _tail_majorants(profile, r)
+    # the m = 1 alias, then m >= 2 under int_1^inf C_k / (s K - X)^k ds
+    k = max(_TAIL_ORDERS)
+    gap = _T_NODES - _X_MAX
+    aliases = 2.0 * (min(majorants[j] / gap ** j for j in _TAIL_ORDERS)
+                     + majorants[k] / ((k - 1) * _T_NODES * gap ** (k - 1)))
+    if not (aliases <= rounding and check <= rounding):
         raise SolverError(
-            f"bump transform quadrature did not converge (disagreement {err:.2e})")
-    return BumpTransform(profile=profile, r=r,
-                         majorants=_tail_majorants(profile, r),
-                         f0=float(values[0]))
+            f"bump transform table not at rounding level (aliases {aliases:.2e}, "
+            f"P check {check:.2e}, rounding {rounding:.2e})")
+    return BumpTransform(profile=profile, r=r, majorants=majorants,
+                         f0=float(pairwise_sum(weights)),
+                         error=aliases + check + rounding, weights=weights)
 
 
 def bump_transform(profile, r: int) -> BumpTransform:

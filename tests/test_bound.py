@@ -126,12 +126,19 @@ class _RecordingTransform:
     """A bump transform that records every batch it evaluates."""
 
     def __init__(self, tf):
-        self.tf, self.f0, self.calls = tf, tf.f0, []
+        self.tf, self.f0, self.error, self.calls = tf, tf.f0, tf.error, []
 
     def evaluate(self, x):
         v = self.tf.evaluate(x)
         self.calls.append((np.array(x), v))
         return v
+
+
+def _psi_factor(group_id, x):
+    """base(x) without its |F| factor: A x^xpow, times sin^2(pi x) on su2/so3."""
+    _, _, A, _, xpow = bound._PSI_LAYOUT[group_id]
+    out = A * x ** xpow
+    return out * np.sin(np.pi * x) ** 2 if group_id in ("su2", "so3") else out
 
 
 class TestPsiNodes:
@@ -140,20 +147,28 @@ class TestPsiNodes:
         r, R, _, a_f, _ = bound._PSI_LAYOUT[group_id]
         rec = _RecordingTransform(smoothing.bump_transform("paper_bump", r))
         zeros = a_f * bound._f_sign_changes(rec, a_f, R)
-        # one zero inside each sign change of the dense scan
+        # one zero inside each determined sign change of the dense scan:
+        # between consecutive scan points where |F| exceeds F's error bound
         scan_x, scan_f = rec.calls[0]
-        idx = np.nonzero(np.sign(scan_f[:-1]) * np.sign(scan_f[1:]) < 0)[0]
+        sure = np.abs(scan_f) > rec.error
+        sx, sf = scan_x[sure], scan_f[sure]
+        idx = np.nonzero(np.sign(sf[:-1]) * np.sign(sf[1:]) < 0)[0]
         assert zeros.size == idx.size > 0
-        assert np.all(scan_x[idx] <= zeros) and np.all(zeros <= scan_x[idx + 1])
-        # each zero is either a point where |F| reached the roundoff floor,
-        # or the middle of a sign-changing bracket no wider than 3.7e-12
+        assert np.all(sx[idx] <= zeros) and np.all(zeros <= sx[idx + 1])
+        # on the tori the scan changes sign more often than that: the noise
+        # beyond the last determined zero, which gives no zero
+        noise = np.sign(scan_f[:-1]) * np.sign(scan_f[1:]) < 0
+        if group_id.startswith("torus"):
+            assert np.count_nonzero(noise) > zeros.size
+            assert np.all(np.abs(scan_f[scan_x > sx[idx[-1] + 1]]) <= 1e3 * rec.error)
+        # each zero is either a point where |F| fell to F's error bound, or
+        # the middle of a sign-changing bracket no wider than 3.7e-12
         seen_x, order = np.unique(np.concatenate([x for x, _ in rec.calls]),
                                   return_index=True)
         seen_f = np.concatenate([f for _, f in rec.calls])[order]
-        floor = 2.0 * np.finfo(float).eps * abs(rec.f0)
         i = np.searchsorted(seen_x, zeros)
         hit = (seen_x[np.minimum(i, seen_x.size - 1)] == zeros) \
-            & (np.abs(seen_f[np.minimum(i, seen_x.size - 1)]) <= floor)
+            & (np.abs(seen_f[np.minimum(i, seen_x.size - 1)]) <= rec.error)
         lo, hi = i[~hit] - 1, i[~hit]
         assert np.all(np.sign(seen_f[lo]) * np.sign(seen_f[hi]) < 0)
         assert np.all(seen_x[hi] - seen_x[lo] <= a_f * 3.7e-12 + 1e-13)
@@ -163,18 +178,69 @@ class TestPsiNodes:
         r, R, A, a_f, xpow = bound._PSI_LAYOUT[group_id]
         tf = smoothing.bump_transform("paper_bump", r)
         tables = bound._psi_nodes(group_id, "paper_bump")
-        breaks = np.concatenate(([0.0], bound._f_sign_changes(tf, a_f, R), [R]))
-        for tag, width in (("coarse", 0.5), ("fine", 0.25)):
-            x, wx = bound._panelled_nodes(breaks, width, 10)
-            base = np.abs(tf.evaluate(a_f * x)) * x ** xpow
-            if group_id == "su2":
-                base = base * np.sin(np.pi * x) ** 2
-            ref = A * wx * base
+        zeros = bound._f_sign_changes(tf, a_f, R)
+        breaks = np.concatenate(([0.0], zeros, [R]))
+        lo, hi = bound._panels(breaks, 0.5)
+        # no break beyond the last determined zero: equal panels up to R
+        tail = lo >= zeros[-1]
+        assert lo[tail][0] == zeros[-1] and hi[tail][-1] == R
+        assert np.ptp(hi[tail] - lo[tail]) <= 1e-12 and np.all(hi[tail] - lo[tail] <= 0.5)
+        mid = 0.5 * (lo + hi)
+        halves = (np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel())
+        for tag, (plo, phi) in (("coarse", (lo, hi)), ("fine", halves)):
+            x, wx = bound._gauss_nodes(plo, phi, 10)
+            ref = wx * np.abs(tf.evaluate(a_f * x)) * _psi_factor(group_id, x)
             got_x, got_w = tables[tag]
             assert np.array_equal(got_x, x)
-            # a value's last bits depend on the batch it is summed in, so
-            # compare on the scale of the whole vector
+            # the table multiplies in another order, so compare on the scale
+            # of the whole vector
             assert np.max(np.abs(got_w - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("group_id", ["so3", "torus(1)", "torus(3)"])
+    def test_fine_table_halves_every_panel(self, group_id):
+        r, R, _, a_f, _ = bound._PSI_LAYOUT[group_id]
+        tf = smoothing.bump_transform("paper_bump", r)
+        tables = bound._psi_nodes(group_id, "paper_bump")
+        breaks = np.concatenate(([0.0], bound._f_sign_changes(tf, a_f, R), [R]))
+        lo, hi = bound._panels(breaks, 0.5)
+        mid = 0.5 * (lo + hi)
+        xc, xf = tables["coarse"][0], tables["fine"][0]
+        # 10 coarse nodes per panel, 10 fine nodes in each of its halves
+        edges = np.column_stack((lo, mid)).ravel()
+        assert np.array_equal(np.bincount(np.searchsorted(lo, xc) - 1), np.full(lo.size, 10))
+        assert np.array_equal(np.bincount(np.searchsorted(edges, xf) - 1),
+                              np.full(edges.size, 10))
+        assert np.all(hi - lo <= 0.5 + 1e-15)
+
+    @pytest.mark.parametrize("group_id", ["torus(1)", "torus(2)", "torus(3)"])
+    def test_undetermined_region_charge_on_tori(self, group_id):
+        r, R, _, a_f, _ = bound._PSI_LAYOUT[group_id]
+        tf = smoothing.bump_transform("paper_bump", r)
+        tables = bound._psi_nodes(group_id, "paper_bump")
+        zeros = bound._f_sign_changes(tf, a_f, R)
+        last = zeros[-1]
+        lo, hi = bound._panels(np.concatenate(([0.0], zeros, [R])), 0.5)
+        mid = 0.5 * (lo + hi)
+        xf, wf = bound._gauss_nodes(np.column_stack((lo, mid)).ravel(),
+                                    np.column_stack((mid, hi)).ravel(), 10)
+        assert np.array_equal(xf, tables["fine"][0])
+        charge = tf.error * wf * _psi_factor(group_id, xf)
+        ends, panel_charge = tables["charge"]
+        assert np.array_equal(ends, hi)
+        assert np.max(np.abs(panel_charge - charge.reshape(-1, 20).sum(axis=1))) \
+            <= 1e-14 * np.max(panel_charge)
+        G = groups.descriptor(group_id)
+        for M in (G.admissibility_threshold, 40.0):
+            d = bound.psi_detailed(G, LINEAR, M)
+            gf = LINEAR(2 * math.pi * xf / d["m0"])
+            coarse = float(np.sum(tables["coarse"][1]
+                                  * LINEAR(2 * math.pi * tables["coarse"][0] / d["m0"])))
+            beyond = float(np.sum((charge * gf)[xf > last]))
+            # the region beyond the last determined zero is charged, and the
+            # charge is part of the quadrature error
+            assert last < 0.6 * R and beyond > 0.0
+            assert d["quad_error"] - abs(d["main"] - coarse) \
+                >= beyond * (1 - 1e-9) > 0.0
 
 
 class TestPhi:

@@ -244,6 +244,23 @@ class TestAuditCommand:
         assert res.exit_code == cli.EXIT_CONFIG
         assert "circle" in res.output
 
+    def test_verify_rejected_before_the_audit(self, runner, tmp_path, monkeypatch):
+        # the precondition is checked first: the audit never runs, and the
+        # verify message wins over a points file that would also fail
+        def no_audit(*args, **kwargs):
+            raise AssertionError("audit ran before the --verify check")
+
+        monkeypatch.setattr(walks, "equidistribution_audit", no_audit)
+        pts = tmp_path / "p.csv"
+        groups.save_points(pts, "torus(2)", groups.haar_sample(
+            groups.descriptor("torus(2)"), 1, 8))
+        for group in ("torus(2)", "torus(1)"):
+            res = runner.invoke(cli.main, [
+                "audit", "--group", group, "--points", str(pts), "--verify",
+                "--g", "power:0.5", "--out", str(tmp_path)])
+            assert res.exit_code == cli.EXIT_CONFIG
+            assert "circle" in res.output
+
     def test_verify_reads_points_once(self, runner, tmp_path, monkeypatch):
         pts = tmp_path / "lat.csv"
         groups.save_points(pts, "torus(1)", np.arange(16)[:, None] / 16)

@@ -169,6 +169,17 @@ def test_measure_transform_point_mass_and_trivial(any_group):
     assert blk.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_measure_transform_chunks_match_one_stack():
+    # 300 atoms at spin 25 (d = 51) span several chunks of atoms
+    G = groups.descriptor("so3")
+    nu = random_measure(G, 300, 21)
+    p = [q for q in groups.enumerate_irreps(G, 25.5) if q.dim == 51][0]
+    assert nu.size * 16 * p.dim ** 2 > 2 * fourier._TRANSFORM_BYTES
+    ref = np.tensordot(nu.weights, fourier.irrep_matrices(G, p, nu.atoms),
+                       axes=(0, 0)).conj().T
+    assert np.max(np.abs(fourier.measure_transform(G, nu, p).matrix - ref)) < 1e-14
+
+
 def test_block_norm_invariants(any_group):
     nu = random_measure(any_group, 9, 14)
     for p in groups.enumerate_irreps(any_group, 7.0):

@@ -11,7 +11,7 @@ from scipy import integrate
 
 import wgbound
 from wgbound import bound, fourier, groups, smoothing
-from wgbound._util import pairwise_sum
+from wgbound._util import SolverError, pairwise_sum
 
 
 @pytest.fixture(params=smoothing.PROFILE_IDS)
@@ -140,6 +140,53 @@ def test_transform_against_dense_reference():
         vals = profile.radial(ys) * j0(2 * math.pi * x * ys) * 2 * math.pi * ys
         ref = np.trapezoid(vals, ys)
         assert tf.evaluate(np.array([x]))[0] == pytest.approx(ref, abs=5e-9)
+
+
+# about ten arguments per rank spanning [0, 80 pi], the range the tori use
+ORACLE_ARGS = (0.0, 0.5, 2.2, 5.1, 11.0, 23.0, 47.0, 96.0, 170.0, 80.0 * math.pi)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_transform_against_mpmath(r):
+    # the radial integral in mpmath: 2 int eta(y) cos(2 pi X y) dy in rank 1,
+    # 2 pi int eta(y) J0(2 pi X y) y dy in rank 2 and
+    # 4 pi int eta(y) sin(2 pi X y) / (2 pi X y) y^2 dy in rank 3, by
+    # Gauss-Legendre panels (24 nodes, at least 0.3 X panels) whose own
+    # error is below 1e-16; F's stated bound covers the difference
+    tf = smoothing.bump_transform("paper_bump", r)
+    got = tf.evaluate(np.array(ORACLE_ARGS))
+    kernel = {1: lambda z, y: 2 * mp.cos(z),
+              2: lambda z, y: 2 * mp.pi * mp.besselj(0, z) * y,
+              3: lambda z, y: 4 * mp.pi * mp.sinc(z) * y * y}[r]
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    with mp.workdps(20):
+        for X, value in zip(ORACLE_ARGS, got):
+            n = max(16, math.ceil(0.3 * X))
+            ys = [(j + (1 + mp.mpf(xi)) / 2) / n for j in range(n) for xi in gx]
+            ws = [mp.mpf(wi) / (2 * n) for wi in gw] * n
+            ref = mp.fsum(w * mp.exp(-y * y / (1 - y * y)) * kernel(2 * mp.pi * X * y, y)
+                          for y, w in zip(ys, ws))
+            assert abs(value - float(ref)) <= tf.error, (X, value, ref)
+
+
+@pytest.mark.parametrize("name, value, r", [
+    ("_X_MAX", 2000.0, 1),       # arguments too close to the period: aliases
+    ("_P_ORDERS", (2, 3), 2),    # the projection's quadrature not converged
+])
+def test_transform_table_checks_raise(monkeypatch, name, value, r):
+    monkeypatch.setattr(smoothing, name, value)
+    with pytest.raises(SolverError, match="not at rounding level"):
+        smoothing._bump_transform_cached.__wrapped__("paper_bump", r)
+
+
+def test_transform_value_independent_of_batch():
+    tf = smoothing.bump_transform("paper_bump", 3)
+    xs = np.linspace(0.0, 80.0 * math.pi, 101)
+    batch = tf.evaluate(xs)
+    assert np.array_equal(batch, [tf.evaluate(np.array([x]))[0] for x in xs])
+    assert np.array_equal(batch[7:40], tf.evaluate(xs[7:40]))
+    with pytest.raises(ValueError, match="tabulated"):
+        tf.evaluate(np.array([1.0, 300.0]))
 
 
 def test_weyl_density_coeffs():

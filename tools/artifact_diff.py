@@ -91,7 +91,7 @@ def _inputs(src: str) -> dict:
 
 
 def configs(f: dict) -> dict:
-    """Name -> RunConfig fields, 48 configurations that succeed."""
+    """Name -> RunConfig fields, 52 configurations that succeed."""
     c = {}
     for gid in GROUPS:
         pair = (f[gid, "a"], f[gid, "b"])
@@ -131,6 +131,13 @@ def configs(f: dict) -> dict:
                           M=25.5, reps=20, verify=True)
     c["walk-lps5-gap"] = dict(command="walk", group="so3", points=(f["lps5"],),
                               M=25.5, reps=20, gap_hint=math.sqrt(5.0) / 3.0)
+    # gap-relaxed sweeps on the gap grid (bound._GAP_GRID_CAPS) of every group
+    for gid, step, M in (("torus(1)", f["golden"], 140.0),
+                         ("torus(2)", f["torus(2)", "b"], 10.0),
+                         ("torus(3)", f["torus(3)", "b"], 8.0),
+                         ("su2", f["su2_walk"], 8.0)):
+        c[f"walk-{gid}-gap"] = dict(command="walk", group=gid, points=(step,),
+                                    M=M, reps=8, gap_hint=0.8)
     c["walk-golden"] = dict(command="walk", group="torus(1)", points=(f["golden"],),
                             M=140.0, reps=16)
     c["walk-su2"] = dict(command="walk", group="su2", points=(f["su2_walk"],),
