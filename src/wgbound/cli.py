@@ -314,7 +314,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
         raise ConfigError(
             "--verify for audit needs torus(1) with --g power:1 "
             "(circle closed form)")
-    # one read; --verify takes the array as loaded (canonicalize is not idempotent)
+    # one read; --verify takes the array as loaded
     _, pts = groups.load_points(cfg.points[0], expect_group=G.group_id)
     rep = walks.equidistribution_audit(G, pts, g, M_grid=grid,
                                        profile=_PROFILES[cfg.profile])

@@ -18,8 +18,12 @@ Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
 
 Squared HS distances between two measures at many irreps come from
 character sums (hs_profile): prefix sums of Chebyshev moments of the class
-cosines, computed in fixed-shape GEMMs, on su2/so3, and products of
-per-axis character tables on the torus.  hs_roundoff bounds their rounding
+cosines on su2/so3, and products of per-axis character tables on the torus.
+hs_profile_rows profiles many signed measures on one shared support in one
+pass: the cosines and the unweighted Chebyshev or character tables are
+built once, and each measure's masses only weight them, in fixed-shape
+GEMMs on su2/so3, with rows taken in groups of a fixed byte budget
+(_ROW_BYTES).  hs_profile is one such row.  hs_roundoff bounds the rounding
 error a priori, for measures of any size.
 """
 from __future__ import annotations
@@ -45,6 +49,9 @@ _CHUNK = 2048
 _BLOCK = 4
 # hs_profile on the torus: irreps per gathered product
 _TORUS_CHUNK = 256
+# hs_profile_rows: bytes of pair weights (or weighted torus columns) per
+# group of rows
+_ROW_BYTES = 1 << 22
 # measure_transform: bytes of irrep matrices per chunk of atoms
 _TRANSFORM_BYTES = 1 << 20
 # hs_roundoff: unit roundoff, |nu1 - nu2| mass bound, pairwise-sum depth
@@ -99,15 +106,12 @@ class DiscreteMeasure:
 def product_measure(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
                     nu2: DiscreteMeasure) -> DiscreteMeasure:
     """Convolution nu1 * nu2 (law of X*Y for independent X ~ nu1, Y ~ nu2)."""
-    n1, n2 = nu1.size, nu2.size
-    torus_d = groups.torus_dim(G.group_id)
-    if torus_d is not None:
-        atoms = np.mod(nu1.atoms[:, None, :] + nu2.atoms[None, :, :], 1.0)
-    else:
-        atoms = groups.quaternion_product(nu1.atoms[:, None, :], nu2.atoms[None, :, :])
-    atoms = atoms.reshape(n1 * n2, -1)
+    x, y = nu1.atoms[:, None, :], nu2.atoms[None, :, :]
+    atoms = (x + y if groups.torus_dim(G.group_id) is not None
+             else groups.quaternion_product(x, y))
     weights = np.outer(nu1.weights, nu2.weights).ravel()
-    return DiscreteMeasure(G.group_id, groups.canonicalize(G, atoms), weights)
+    # DiscreteMeasure canonicalizes the products
+    return DiscreteMeasure(G.group_id, atoms.reshape(weights.size, -1), weights)
 
 
 @dataclass
@@ -301,9 +305,21 @@ def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
                nu2: Optional[DiscreteMeasure], irreps: list) -> np.ndarray:
     """Squared HS distances ||nu1^(pi) - nu2^(pi)||_HS^2 at many irreps at once.
 
-    ``nu2=None`` stands for Haar.  The signed measure c = nu1 - nu2 is first
-    merged over repeated atoms (_merged_atoms), and the value at an irrep is
-    the character sum sum_kl c_k c_l chi(x_k^-1 x_l).
+    ``nu2=None`` stands for Haar.  The signed measure nu1 - nu2 is merged
+    over repeated atoms (_merged_atoms) and profiled as one row of
+    hs_profile_rows, which says how the values are computed.
+    """
+    atoms, coeffs = _merged_atoms(nu1, nu2)
+    return hs_profile_rows(G, atoms, coeffs[None, :], irreps)[0]
+
+
+def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
+                    masses: np.ndarray, irreps: list) -> np.ndarray:
+    """hs_profile of R signed measures on one support, shape (R, len(irreps)).
+
+    Row r is the signed measure with mass masses[r, k] at atoms[k] (atoms
+    canonical, as DiscreteMeasure stores them), and its value at an irrep is
+    the character sum sum_kl c_k c_l chi(x_k^-1 x_l), c = masses[r].
 
     On su2/so3 the characters are prefix sums of Chebyshev moments
     S(m) = sum_{k<=l} w_kl T_m(x_kl) over the upper triangle of atom pairs,
@@ -314,48 +330,58 @@ def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
     - so3, x = cos(theta) = 2 cos(theta/2)^2 - 1: chi_l = U_2l(cos(theta/2))
       = 1 + 2 sum_{m=1..l} T_m(x).
 
-    x comes from groups.class_cosines.  _cosine_moments computes every moment
-    up to the top level in fixed-shape GEMMs: about N^2 (top + 1) real
-    multiply-adds in BLAS and N^2 (_SPLIT + top/_SPLIT) recurrence steps for
-    N merged atoms.  On the torus every block is a scalar: per-axis tables of
-    exp(-2 pi i j x_d) are built once, each irrep's column is their gathered
-    product, and the columns, _TORUS_CHUNK irreps at a time, are weighted by
-    the masses and summed pairwise over the atoms.
+    x comes from groups.class_cosines, once for all rows.  _cosine_moments
+    builds the unweighted Chebyshev tables of the pairs once per group of
+    rows; each row's pair weights then multiply the tables in its own
+    fixed-shape GEMMs: about N^2 (top + 1) real multiply-adds in BLAS per
+    row, and N^2 (_SPLIT + top/_SPLIT) recurrence steps per group, for N
+    atoms.  On the torus every block is a scalar: per-axis tables of
+    exp(-2 pi i j x_d) are built once, each irrep's column is their
+    gathered product, and the columns, _TORUS_CHUNK irreps at a time, are
+    weighted by each row's masses and summed pairwise over the atoms.
 
-    An irrep's value comes from the same operations whatever other irreps the
-    call holds, so slices of one call equal separate calls bit for bit.
-    hs_roundoff bounds the rounding error of every value.
+    Rows go through in groups whose pair weights (su2/so3) or weighted
+    columns (torus) take at most about _ROW_BYTES, so memory does not grow
+    with R.  A value comes from the same operations whatever other rows
+    and irreps the call holds, so a row or a slice of irreps equals a
+    separate call bit for bit, and an all-zero row reads 0.  hs_roundoff
+    bounds the rounding error of every value when sum_k |c_k| <= _MASS.
     """
-    if not irreps:
-        return np.zeros(0)
-    atoms, coeffs = _merged_atoms(nu1, nu2)
-    if coeffs.size == 0:
-        return np.zeros(len(irreps))
+    masses = np.asarray(masses, dtype=float)
+    out = np.zeros((masses.shape[0], len(irreps)))
+    if not irreps or masses.shape[1] == 0:
+        return out
     if groups.torus_dim(G.group_id) is not None:
-        return _torus_profile(atoms, coeffs, irreps)
-    k, l = np.triu_indices(coeffs.size)
+        return _torus_profile(atoms, masses, irreps)
+    k, l = np.triu_indices(masses.shape[1])
     x = groups.class_cosines(G, atoms, atoms)[k, l]
     if G.group_id == "so3":
         x = np.clip(2.0 * x * x - 1.0, -1.0, 1.0)
-    w = coeffs[k] * coeffs[l]
-    w[k != l] *= 2.0
+    pair = np.where(k == l, 1.0, 2.0)
     levels = np.asarray([p.label[0] for p in irreps])
-    sums = _level_sums(G, _cosine_moments(x, w, int(levels.max())))
-    return np.maximum(sums[levels], 0.0)
+    step = max(1, _ROW_BYTES // (8 * k.size))
+    for lo in range(0, masses.shape[0], step):
+        W = masses[lo:lo + step, k]
+        W *= masses[lo:lo + step, l]
+        W *= pair
+        S = _cosine_moments(x, W, int(levels.max()))
+        out[lo:lo + step] = np.maximum(_level_sums(G, S)[:, levels], 0.0)
+    return out
 
 
 def _level_sums(G: groups.GroupDescriptor, v: np.ndarray) -> np.ndarray:
-    """Per level n = 0..len(v)-1, the sum of mu_m v[m] over its moments.
+    """Per level n = 0..top, the sum of mu_m v[..., m] over its moments.
 
     mu_0 = 1 and mu_m = 2 otherwise.  The moments of level n are m <= n with
-    m = n mod 2 on su2 (n = 2j) and all m <= n on so3 (n = l).
+    m = n mod 2 on su2 (n = 2j) and all m <= n on so3 (n = l).  Along the
+    last axis, so each row of a 2-d v is summed on its own.
     """
     d = np.array(v, dtype=float)
-    d[1:] *= 2.0
+    d[..., 1:] *= 2.0
     if G.group_id == "so3":
-        return np.cumsum(d)
-    d[0::2] = np.cumsum(d[0::2])
-    d[1::2] = np.cumsum(d[1::2])
+        return np.cumsum(d, axis=-1)
+    d[..., 0::2] = np.cumsum(d[..., 0::2], axis=-1)
+    d[..., 1::2] = np.cumsum(d[..., 1::2], axis=-1)
     return d
 
 
@@ -366,68 +392,77 @@ def _chebyshev_rows(x2: np.ndarray, rows: np.ndarray):
         rows[:, r] -= rows[:, r - 2]
 
 
-def _cosine_moments(x: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
-    """S(m) = sum_p w_p T_m(x_p) for m = 0..top, x in [-1, 1].
+def _cosine_moments(x: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
+    """S[r, m] = sum_p W[r, p] T_m(x_p) for m = 0..top, x in [-1, 1].
 
     With m = a B + b (B = _SPLIT, 0 <= b < B), z = T_B(x) and
     Q_a = (1 - x^2) U_{aB-1}(x) = (1 - x^2) U_{B-1}(x) U_{a-1}(z),
     T_m(x) = T_b(x) T_a(z) - U_{b-1}(x) Q_a.  Per chunk of _CHUNK pairs the
     rows [T_b, U_{b-1}] (b < B) come from Chebyshev recurrences in x, and
-    the rows [w T_a(z), -w Q_a] from recurrences in z, _PANEL values of a at
-    a time; one GEMM per panel gives the moments of B _PANEL consecutive m.
-    The chunks are padded with weight-0 pairs and summed pairwise, so every
-    GEMM has the same shape and every moment the same operations whatever
-    top is.
+    the rows [T_a(z), -Q_a] from recurrences in z, _PANEL values of a at a
+    time.  Both are unweighted and built once for all of W's rows; each
+    row multiplies the z panel by its weights and takes one GEMM per panel,
+    which gives the moments of B _PANEL consecutive m.  The chunks are
+    padded with weight-0 pairs and summed pairwise, so every GEMM has the
+    same shape and every moment the same operations whatever top and the
+    other rows are.
     """
     n_chunks = -(-x.size // _CHUNK)
     xs = np.ones(n_chunks * _CHUNK)
-    ws = np.zeros(n_chunks * _CHUNK)
+    ws = np.zeros((W.shape[0], n_chunks * _CHUNK))
     xs[:x.size] = x
-    ws[:w.size] = w
-    # parts[c][b, a] is chunk c's moment a B + b
-    parts = []
+    ws[:, :x.size] = W
+    # parts[r][c][b, a] is row r's moment a B + b of chunk c
+    parts = [[] for _ in ws]
     for lo in range(0, n_chunks * _CHUNK, _BLOCK * _CHUNK):
         xb = xs[lo:lo + _BLOCK * _CHUNK].reshape(-1, 1, _CHUNK)
-        wb = ws[lo:lo + _BLOCK * _CHUNK].reshape(-1, _CHUNK)
+        wb = ws[:, lo:lo + _BLOCK * _CHUNK].reshape(ws.shape[0], -1, 1, 1, _CHUNK)
         left = np.empty((xb.shape[0], _SPLIT + 1, 2, _CHUNK))
         left[:, 0, 0], left[:, 0, 1] = 1.0, 0.0
         left[:, 1, 0], left[:, 1, 1] = xb[:, 0], 1.0
         _chebyshev_rows(2.0 * xb, left)
         z = np.clip(left[:, _SPLIT, :1], -1.0, 1.0)
-        q1 = (1.0 - xb[:, 0]) * (1.0 + xb[:, 0]) * left[:, _SPLIT, 1]
         # rows[:, :2] hold a = first, first + 1 of the next panel
         rows = np.empty((xb.shape[0], _PANEL + 2, 2, _CHUNK))
-        rows[:, 0, 0], rows[:, 0, 1] = wb, 0.0
-        rows[:, 1, 0], rows[:, 1, 1] = wb * z[:, 0], -(wb * q1)
+        rows[:, 0, 0], rows[:, 0, 1] = 1.0, 0.0
+        rows[:, 1, 0] = z[:, 0]
+        rows[:, 1, 1] = -((1.0 - xb[:, 0]) * (1.0 + xb[:, 0]) * left[:, _SPLIT, 1])
         lhs = left[:, :_SPLIT].reshape(-1, _SPLIT, 2 * _CHUNK)
-        block = [[] for _ in lhs]
+        blocks = [[[] for _ in lhs] for _ in ws]
+        weighted = np.empty((_PANEL, 2, _CHUNK))
         z2 = 2.0 * z
         for first in range(0, top // _SPLIT + 1, _PANEL):
             if first:
                 rows[:, :2] = rows[:, _PANEL:]
             _chebyshev_rows(z2, rows)
-            for out, l_c, r_c in zip(block, lhs, rows[:, :_PANEL]):
-                out.append(l_c @ r_c.reshape(_PANEL, 2 * _CHUNK).T)
-        parts += [np.concatenate(out, axis=1) for out in block]
-    return pairwise_sum(np.stack(parts)).T.ravel()[:top + 1]
+            for block, w in zip(blocks, wb):
+                for out, l_c, r_c, w_c in zip(block, lhs, rows, w):
+                    np.multiply(r_c[:_PANEL], w_c, out=weighted)
+                    out.append(l_c @ weighted.reshape(_PANEL, 2 * _CHUNK).T)
+        for part, block in zip(parts, blocks):
+            part += [np.concatenate(out, axis=1) for out in block]
+    return np.stack([pairwise_sum(np.stack(part)).T.ravel()[:top + 1]
+                     for part in parts])
 
 
-def _torus_profile(atoms: np.ndarray, coeffs: np.ndarray, irreps: list) -> np.ndarray:
-    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per torus irrep m."""
+def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.ndarray:
+    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per row c of masses and torus irrep m."""
     labels = np.asarray([p.label for p in irreps], dtype=np.int64)
     top = int(np.abs(labels).max())
     j = np.arange(-top, top + 1)
     axes = [np.exp(-2j * np.pi * np.multiply.outer(atoms[:, d], j))
             for d in range(labels.shape[1])]
-    out = np.empty(len(irreps))
+    step = max(1, _ROW_BYTES // (16 * atoms.shape[0] * _TORUS_CHUNK))
+    out = np.empty((masses.shape[0], len(irreps)))
     for lo in range(0, len(irreps), _TORUS_CHUNK):
         idx = labels[lo:lo + _TORUS_CHUNK] + top
         ph = axes[0][:, idx[:, 0]]
         for d in range(1, len(axes)):
             ph *= axes[d][:, idx[:, d]]
-        ph *= coeffs[:, None]
-        f = pairwise_sum(ph)
-        out[lo:lo + idx.shape[0]] = f.real * f.real + f.imag * f.imag
+        for r in range(0, masses.shape[0], step):
+            # (atoms, rows, irreps), summed over the atoms
+            f = pairwise_sum(ph[:, None, :] * masses[r:r + step].T[:, :, None])
+            out[r:r + step, lo:lo + idx.shape[0]] = f.real * f.real + f.imag * f.imag
     return out
 
 
@@ -470,11 +505,13 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     It holds for any two probability measures, or one and Haar, of any
     size: it reads them only through sum_k |c_k| <= M = _MASS for the merged
     signed masses c (each weight vector sums to 1 within _WEIGHT_SUM_TOL).
-    The exact value is the one for the stored masses and, on su2/so3, for
-    the atoms scaled to unit norm.  A cut's Fourier sum then errs by at most
-    the sum of d/kappa times these bounds over the irreps below it
-    (CutoffSweep.roundoff).  Clamping at 0 only moves a value towards the
-    exact one, which is nonnegative.
+    It holds as well for every row of hs_profile_rows whose masses are the
+    correctly rounded values of such a c, as walks._sample_masses forms
+    them.  The exact value is the one for the stored masses and, on
+    su2/so3, for the atoms scaled to unit norm.  A cut's Fourier sum then
+    errs by at most the sum of d/kappa times these bounds over the irreps
+    below it (CutoffSweep.roundoff).  Clamping at 0 only moves a value
+    towards the exact one, which is nonnegative.
 
     Model: u = 2^-53, each operation is exact times (1 + t) with |t| <= u,
     gamma_k = k u / (1 - k u).  A BLAS dot product of length n errs by at
@@ -489,7 +526,9 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     - Masses: a quadratic form with entries of modulus <= d moves by at
       most u (2 + u) M^2 d.
     - Arguments: canonicalize leaves every atom's norm within
-      nu = (1 + u) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 of 1, and y is a
+      nu = (1 + 6u) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 of 1 (it leaves a
+      quaternion whose computed norm is within groups.UNIT_NORM_TOL = 6u of
+      1 as it is, so that it is idempotent), and y is a
       length-4 dot product, so y is within dy = (1 + nu)^2 (1 + gamma_4) - 1
       of the unit-norm cosine (clipping and |.| only help).  On so3,
       x = fl(2 y^2 - 1) is within dx = 4 dy + 3u + 2u^2.  |T_m'| <= m^2 on
@@ -502,18 +541,28 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
       E(e)_k = e_k + sum_{j=2..k} (k - j + 1) u ((4 + 2u)(1 + E(e)_{j-1})
       + 1 + E(e)_{j-2}) (_chebyshev_error).  The x rows start exactly:
       E = E(0), and z^ = clip(T^_B) is within E_B of z = T_B(x).
-    - Rows in z, per unit |w^|.  w^ T_a(z^) starts with fl(w^ z^), off by
-      u, which enters times |U_{a-1}| <= a, and T_a is a^2-Lipschitz: the
-      row is within K = E(a u + a^2 E_B) of w^ T_a(z).  -w^ Q_a, with
-      Q_a = s sin(aB phi), starts with fl(w^ fl(fl(1 - x) fl(1 + x)) U^_{B-1}),
-      within s I of -w^ Q_1, I = (1 + u)((1 + gamma_4) E_B + gamma_4) + u,
-      and that enters times |U_{a-1}| <= a.  Running in z^ instead of z
-      moves Q_1 U_{a-1} by |Q_1| |U_{a-1}'(t)| E_B for some t between z and
-      z^, where |Q_1| = s sqrt(1 - z^2); sqrt(1 - t^2) |U_{a-1}'(t)| <= a^2/2,
+    - Rows in z.  The recurrences in z run unweighted, and a pair's weight
+      w^ enters afterwards as one product fl(w^ t) with each table entry t.
+      T_a(z^) starts exactly from 1 and z^, and T_a is a^2-Lipschitz, so
+      its row is within k_a = E(a^2 E_B)_a of T_a(z).  -Q_a, with
+      Q_a = s sin(aB phi), starts from -fl(fl(fl(1 - x) fl(1 + x)) U^_{B-1})
+      within s I_0 of -Q_1, I_0 = (1 + gamma_4) E_B + gamma_4, and that
+      enters times |U_{a-1}| <= a.  Running in z^ instead of z moves
+      Q_1 U_{a-1} by |Q_1| |U_{a-1}'(t)| E_B for some t between z and z^,
+      where |Q_1| = s sqrt(1 - z^2); sqrt(1 - t^2) |U_{a-1}'(t)| <= a^2/2,
       sqrt(1 - z^2) <= sqrt(1 - t^2) + sqrt(2 E_B) and |U_{a-1}'| <=
       (a^3 - a)/3, so that move is at most s L_a E_B with L_a =
       min((a^3 - a)/3, a^2/2 + sqrt(2 E_B)(a^3 - a)/3).  The row is within
-      s H, H = E(a I + L_a E_B).
+      s h_a, h_a = E(a I_0 + L_a E_B)_a.  The weight's product adds u times
+      the entry's modulus: per unit |w^| the weighted rows are within
+      k_a + u (1 + k_a) of w^ T_a(z) and s (h_a + u (1 + h_a)) of -w^ Q_a;
+      for a = 0 (entries 1 and 0) they are exact.  Both are at most
+      K = E(a u + a^2 E_B) and s H, H = E(a I + L_a E_B),
+      I = (1 + u) I_0 + u, the bounds of the rows when w^ seeded the
+      recurrences: E(e + d) >= E(e) + d for d >= 0, so K_a >= k_a + a u
+      and H_a >= h_a + a u, and a u >= u (1 + k_a), u (1 + h_a) for
+      a >= 2 because k_a, h_a < 7e-14 a^2 < 1 for every a < 10^6;
+      for a = 1, k_1 = E_B, h_1 = I_0 and K_1 = u + E_B, H_1 = I.
     - Moments: T_m = T_b T_a(z) - U_{b-1} Q_a for m = a B + b.  Per unit
       |w^| the table products err by E_b (1 + K_a) + K_a + E_b (1 + H_a) + H_a,
       and the GEMM of length 2 _CHUNK with the pairwise sum over chunks by
@@ -551,7 +600,8 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
                                       + _gamma(_SUM_DEPTH) * (1.0 + _U) * (1.0 + e))
                  + _U * mass)
         return delta * (2.0 * mass + delta) + _gamma(2) * (mass + delta) ** 2
-    nu = math.expm1(math.log1p(_U) - 0.5 * math.log1p(-_gamma(4)) - math.log1p(-_U))
+    nu = math.expm1(math.log1p(groups.UNIT_NORM_TOL) - 0.5 * math.log1p(-_gamma(4))
+                    - math.log1p(-_U))
     dx = 2.0 * nu + nu * nu + _gamma(4) * (1.0 + nu) ** 2
     if G.group_id == "so3":
         dx = 4.0 * dx + 3.0 * _U + 2.0 * _U * _U

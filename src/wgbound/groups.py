@@ -25,6 +25,10 @@ from typing import Optional
 import numpy as np
 
 _TORUS_RE = re.compile(r"^torus\((\d+)\)$")
+# canonicalize leaves a quaternion whose computed norm is within this of 1
+UNIT_NORM_TOL = 6.0 * 2.0 ** -53
+# pairwise_distance reads angles whose |cosine| exceeds this from chords
+_CHORD_COS = 0.9
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,40 @@ def descriptor(group_id: str) -> GroupDescriptor:
 
 
 def canonicalize(G: GroupDescriptor, x: np.ndarray) -> np.ndarray:
-    """Bring an element (or a batch, last axis = coords) to canonical form."""
+    """Bring an element (or a batch, last axis = coords) to canonical form.
+
+    Idempotent: a second pass returns its input bit for bit.  Torus
+    coordinates are reduced into [0, 1); a value that rounds up to 1 (such
+    as -1e-20 mod 1) becomes 0.  A quaternion whose computed norm n^ has
+    |n^ - 1| <= UNIT_NORM_TOL is left as it is; any other is divided by n^.
+    n^ is computed on x scaled by a power of two, so coordinates of any
+    finite size normalize (1e-160 or 1e160 as well as 1).  With u = 2^-53,
+    n^ = fl(sqrt(fl(sum x_i^2))) is within a factor
+    (1 +- gamma_4)^(1/2) (1 +- u) of the norm, so a divided quaternion has
+    norm within nu = (1 + u) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 (4u + 20u^2)
+    of 1, and its computed norm within (1 + nu)(1 + gamma_4)^(1/2)(1 + u) - 1
+    (7u + 40u^2) of 1.  Doubles next to 1 are 1 - ku below it and 1 + 2ku
+    above, so that computed norm is within 6u = UNIT_NORM_TOL of 1, and a
+    second pass leaves the quaternion as it is.  n^ - 1 is exact for n^ in
+    [1/2, 2], so the test is too.  Every output norm is within
+    (1 + UNIT_NORM_TOL) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 (about 9u) of
+    1, the bound fourier.hs_roundoff uses.
+    """
     x = np.asarray(x, dtype=float)
     if torus_dim(G.group_id) is not None:
-        return np.mod(x, 1.0)
-    nrm = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(nrm == 0):
+        r = np.mod(x, 1.0)
+        return np.where(r == 1.0, 0.0, r)
+    big = np.max(np.abs(x), axis=-1, keepdims=True)
+    if np.any(big == 0):
         raise ValueError("zero quaternion cannot be normalized")
-    q = x / nrm
+    # y = x / 2^k with its largest coordinate in [1/2, 1): exact, and no
+    # square over- or underflows; n^ = 2^k |y|^ (kept below 4, where the
+    # test fails anyway, so it cannot overflow)
+    k = np.frexp(big)[1]
+    y = np.ldexp(x, -k)
+    ny = np.linalg.norm(y, axis=-1, keepdims=True)
+    keep = np.abs(np.ldexp(ny, np.minimum(k, 2)) - 1.0) <= UNIT_NORM_TOL
+    q = np.where(keep, x, y / ny)
     if G.group_id == "so3":
         q = _so3_sign_fix(q)
     return q
@@ -144,9 +174,8 @@ def multiply(G: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def inverse(G: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if torus_dim(G.group_id) is not None:
-        return np.mod(-x, 1.0)
-    q = x * np.array([1.0, -1.0, -1.0, -1.0])
-    return canonicalize(G, q)
+        return canonicalize(G, -x)
+    return canonicalize(G, x * np.array([1.0, -1.0, -1.0, -1.0]))
 
 
 def exp_map(G: GroupDescriptor, X: np.ndarray) -> np.ndarray:
@@ -157,7 +186,7 @@ def exp_map(G: GroupDescriptor, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     if torus_dim(G.group_id) is not None:
-        return np.mod(X, 1.0)
+        return canonicalize(G, X)
     half = 0.5 * np.linalg.norm(X, axis=-1)
     out_shape = X.shape[:-1] + (4,)
     q = np.zeros(out_shape)
@@ -191,14 +220,30 @@ def geodesic_distance(G: GroupDescriptor, x, y) -> float:
 
 
 def pairwise_distance(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Distance matrix between two stacks of elements, shape (len(X), len(Y))."""
+    """Distance matrix between two stacks of elements, shape (len(X), len(Y)).
+
+    On su2/so3 the distance is theta = 2 arccos(class cosine).  Where the
+    cosine's modulus exceeds _CHORD_COS, arccos would turn its last-bit
+    rounding into an error of about 3e-8 (an atom whose computed <x, x> is
+    1 - 2^-52 would sit 3e-8 from itself), so there theta/2 is read from
+    the chords instead, 2 atan2(|x - y|, |x + y|), with -y in place of y on
+    so3 when it is nearer: exact 0 between equal atoms.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if torus_dim(G.group_id) is not None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         delta = np.abs(X[:, None, :] - Y[None, :, :])
         delta = np.minimum(np.mod(delta, 1.0), 1.0 - np.mod(delta, 1.0))
         return np.sqrt(np.sum(delta * delta, axis=-1))
-    return 2.0 * np.arccos(class_cosines(G, X, Y))
+    cos = class_cosines(G, X, Y)
+    theta = 2.0 * np.arccos(cos)
+    i, j = np.nonzero(np.abs(cos) > _CHORD_COS)
+    near = np.linalg.norm(X[i] - Y[j], axis=-1)
+    far = np.linalg.norm(X[i] + Y[j], axis=-1)
+    if G.group_id == "so3":
+        near, far = np.minimum(near, far), np.maximum(near, far)
+    theta[i, j] = 4.0 * np.arctan2(near, far)
+    return theta
 
 
 def haar_sample(G: GroupDescriptor, seed: int, count: int) -> np.ndarray:

@@ -401,6 +401,21 @@ EMPIRICAL_CSV_HEADER = ("N", "n_reps", "bound_mean", "bound_min", "bound_max",
                         "oracle_min", "oracle_max")
 
 
+def _sample_masses(source: fourier.DiscreteMeasure, picks: np.ndarray) -> np.ndarray:
+    """Masses on source.atoms of nu_bar - source, nu_bar uniform on atoms[picks].
+
+    Atom k carries count_k fl(1/N) - w_k, correctly rounded as
+    fourier._merged_atoms rounds a merged mass: exact for count 0, one
+    subtraction for count 1, math.fsum for more.
+    """
+    f = 1.0 / picks.size
+    counts = np.bincount(picks, minlength=source.size)
+    c = np.where(counts > 0, f, 0.0) - source.weights
+    for k in np.flatnonzero(counts > 1):
+        c[k] = math.fsum([f] * int(counts[k]) + [-source.weights[k]])
+    return c
+
+
 def empirical_experiment(G: groups.GroupDescriptor,
                          source: Union[str, fourier.DiscreteMeasure],
                          N_list, n_reps: int, g, seed: int,
@@ -414,6 +429,13 @@ def empirical_experiment(G: groups.GroupDescriptor,
     extremes), the per-irrep ratio of the mean squared HS deviation to its
     dim/N budget over the irreps below a small test cutoff, and, for
     discrete sources, the exact LP transport cost.
+
+    Every draw from a discrete source is a multiset of its atoms, so each
+    signed measure nu_bar - source is one row of masses on source.atoms
+    (_sample_masses), and one fourier.hs_profile_rows call profiles every
+    draw of every N on that shared support.  An all-zero row (nu_bar equal
+    to the source) has Fourier sum 0.  A Haar draw has its own support and
+    its own hs_profile call.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or min(N_list) < 1:
@@ -431,30 +453,35 @@ def empirical_experiment(G: groups.GroupDescriptor,
     irreps, n_var = _joint_irreps(
         sweep, _VARIANCE_CUTOFF_FACTOR * G.admissibility_threshold + 0.1)
     n_sweep = len(sweep.irreps)
-    nu2 = None if haar_source else source
     children = np.random.SeedSequence(seed).generate_state(
         len(N_list) * n_reps, dtype=np.uint64).reshape(len(N_list), n_reps)
+    # profiles[i, r] and same[i, r]: the draw r of size N_list[i]
+    if haar_source:
+        profiles = np.asarray([[fourier.hs_profile(G, fourier.DiscreteMeasure.uniform(
+            G, groups.haar_sample(G, int(s), N)), None, irreps) for s in row]
+            for N, row in zip(N_list, children)])
+        same = np.zeros(children.shape, dtype=bool)
+    else:
+        picks = [[np.random.default_rng(int(s)).choice(
+            source.size, size=N, p=source.weights) for s in row]
+            for N, row in zip(N_list, children)]
+        masses = np.stack([_sample_masses(source, p) for row in picks for p in row])
+        profiles = fourier.hs_profile_rows(G, source.atoms, masses, irreps).reshape(
+            children.shape + (len(irreps),))
+        same = ~np.any(masses, axis=1).reshape(children.shape)
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
         reports, ms, oracles = [], [], []
         var_acc = np.zeros(n_var)
         for r in range(n_reps):
-            s = int(children[i, r])
-            if haar_source:
-                atoms = groups.haar_sample(G, s, N)
-            else:
-                picks = np.random.default_rng(s).choice(
-                    source.size, size=N, p=source.weights)
-                atoms = source.atoms[picks]
-            nu_bar = fourier.DiscreteMeasure.uniform(G, atoms)
-            hs = fourier.hs_profile(G, nu_bar, nu2, irreps)
+            hs = profiles[i, r]
             var_acc += hs[:n_var]
             # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
-            same = nu2 is not None and nu_bar.identical_to(nu2)
-            best_m, rep = sweep.best(None if same else hs[:n_sweep])
+            best_m, rep = sweep.best(None if same[i, r] else hs[:n_sweep])
             reports.append(rep)
             ms.append(best_m)
             if with_oracle and not haar_source:
+                nu_bar = fourier.DiscreteMeasure.uniform(G, source.atoms[picks[i][r]])
                 cost = transport.exact_wasserstein(G, g, nu_bar, source).cost
                 if rep.total + rep.tolerance < cost:
                     raise DominanceError(

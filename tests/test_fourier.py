@@ -322,6 +322,38 @@ def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
             == full[:k].tolist(), k
 
 
+@pytest.mark.parametrize("gid,M", [
+    ("su2", 150.0),                    # two_j up to 299: three z panels
+    ("so3", 150.0),
+    ("torus(2)", 2 * math.pi * 12)])   # 449 irreps: two chunks
+def test_hs_profile_rows_are_independent(gid, M, monkeypatch):
+    G = groups.descriptor(gid)
+    n = 40
+    atoms = groups.haar_sample(G, 81, n)
+    rng = np.random.default_rng(81)
+    a, b = rng.dirichlet(np.ones(n), size=48), rng.dirichlet(np.ones(n), size=48)
+    masses = a - b
+    masses[5] = 0.0
+    irreps = groups.enumerate_irreps(G, M)
+    alone = [fourier.hs_profile_rows(G, atoms, m[None], irreps)[0].tolist()
+             for m in masses]
+    assert alone[5] == [0.0] * len(irreps)
+    for R in (1, 3, 48):
+        assert fourier.hs_profile_rows(G, atoms, masses[:R], irreps).tolist() \
+            == alone[:R], R
+    # groups of 5 rows: boundaries after rows 4, 9, ...
+    per_row = (16 * n * fourier._TORUS_CHUNK if gid.startswith("torus")
+               else 8 * n * (n + 1) // 2)
+    monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
+    assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
+    # one row is the distance between the two measures it is made of
+    nu1 = fourier.DiscreteMeasure(gid, atoms, a[0])
+    nu2 = fourier.DiscreteMeasure(gid, atoms, b[0])
+    for j in (0, 1, len(irreps) // 2, len(irreps) - 1):
+        both = fourier.hs_distance_sq(G, nu1, nu2, irreps[j], "both")
+        assert abs(alone[0][j] - both) <= 1e-9 * (1.0 + both)
+
+
 def test_spectral_gap_estimate_properties():
     G = groups.descriptor("su2")
     delta_e = fourier.DiscreteMeasure.uniform(G, [groups.identity(G)])

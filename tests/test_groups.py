@@ -182,6 +182,18 @@ def test_pairwise_distance_matches_scalar(any_group):
             assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("gid", ("su2", "so3"))
+def test_pairwise_distance_accurate_near_the_identity(gid):
+    # arccos of a class cosine next to 1 would be off by about 3e-8
+    G = groups.descriptor(gid)
+    X = groups.haar_sample(G, 17, 500)
+    assert np.all(np.diagonal(groups.pairwise_distance(G, X, X)) == 0.0)
+    t = 10.0 ** -np.arange(3.0, 9.0)
+    Y = groups.multiply(G, X[:t.size], groups.exp_map(G, t[:, None] * [0.0, 0.0, 1.0]))
+    d = np.diagonal(groups.pairwise_distance(G, X[:t.size], Y))
+    np.testing.assert_allclose(d, t, rtol=1e-6)
+
+
 def test_haar_sample_uniform_coordinates():
     G = groups.descriptor("torus(1)")
     pts = groups.haar_sample(G, 123, 10 ** 5)
@@ -231,6 +243,42 @@ def test_so3_sign_canonicalization():
     r = groups.haar_sample(G, 10, 1)[0]
     np.testing.assert_allclose(groups.multiply(G, -q, r),
                                groups.multiply(G, q, r), atol=1e-12)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_canonicalize_is_idempotent(gid):
+    # 100k rows: scaled Gaussian rows, rows already normalized another way
+    # (their computed norm is within UNIT_NORM_TOL of 1, so they are kept),
+    # coordinates whose squares would under- or overflow, and on the torus
+    # values that wrap onto or next to 0 and 1
+    G = groups.descriptor(gid)
+    rng = np.random.default_rng(61)
+    raw = rng.standard_normal((100_000, G.dim))
+    raw *= 10.0 ** rng.uniform(-3, 3, size=(raw.shape[0], 1))
+    if groups.torus_dim(gid) is None:
+        raw[:30_000] /= np.sqrt(np.sum(raw[:30_000] ** 2, axis=1))[:, None]
+        raw[30_000:30_004] = [[0.0, 1.0, 0.0, 0.0], [-0.0, -1.0, 0.0, 0.0],
+                              [0.0, 0.0, -0.0, -2.0], [-1.0, 0.0, 0.0, 0.0]]
+        raw[30_004:30_010] = (rng.uniform(-1, 1, size=(6, 4))
+                              * np.array([1e-160, 1e160, 1e-300, 1e300, 1e-310,
+                                          1e307])[:, None])
+    else:
+        edges = [-1e-20, -0.0, 0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, -2.0 ** -53,
+                 2.0 ** -1074, 3.0 - 2.0 ** -51]
+        raw[:len(edges)] = np.asarray(edges)[:, None]
+    once = groups.canonicalize(G, raw)
+    twice = groups.canonicalize(G, once)
+    assert np.array_equal(once.view(np.uint64), twice.view(np.uint64))
+    if groups.torus_dim(gid) is not None:
+        assert np.all((once >= 0.0) & (once < 1.0))
+        assert once[0, 0] == 0.0  # -1e-20 mod 1 rounds to 1, which is 0
+    else:
+        norms = np.linalg.norm(once, axis=1)
+        assert np.max(np.abs(norms - 1.0)) <= groups.UNIT_NORM_TOL
+    # a measure built from another's atoms is bitwise the same measure
+    nu = fourier.DiscreteMeasure.uniform(G, raw[:1000])
+    rewrapped = fourier.DiscreteMeasure(gid, nu.atoms, nu.weights)
+    assert nu.identical_to(rewrapped)
 
 
 @given(st.integers(min_value=-3, max_value=3),

@@ -324,6 +324,47 @@ class TestEmpiricalExperiment:
             # dominance enforced internally; surviving means bound >= LP
             assert r.bound_mean >= r.oracle_mean - 1e-12
 
+    @pytest.mark.parametrize("G,n_src,src_seed,cap,oracle", [
+        # oracle_mean/min/max per N of the route that profiled each draw
+        # in its own hs_profile call
+        (G_SU2, 12, 321, 24.0, [
+            (1.0388499248310752, 0.6907848372280271, 1.7807061129521258),
+            (0.5012815256470807, 0.40128061245200586, 0.68114859318023)]),
+        (G_T1, 6, 123, 30.0, [
+            (0.06855956731158529, 0.01296321763186973, 0.11890588023295989),
+            (0.04644809531854134, 0.03282473180843781, 0.060383790259164086)])])
+    def test_shared_support_rows_match_per_draw_profiles(
+            self, monkeypatch, G, n_src, src_seed, cap, oracle):
+        src = random_measure(G, n_src, src_seed)
+        N_list, reps, seed = [8, 32], 4, 77
+        calls = []
+
+        def spy(*args):
+            out = hs_profile_rows(*args)
+            calls.append((args, out))
+            return out
+
+        hs_profile_rows = fourier.hs_profile_rows
+        monkeypatch.setattr(fourier, "hs_profile_rows", spy)
+        rows = walks.empirical_experiment(G, src, N_list, reps, LINEAR,
+                                          seed=seed, m_cap=cap)
+        assert len(calls) == 1
+        (_, atoms, masses, irreps), profiles = calls[0]
+        assert atoms is src.atoms and profiles.shape == (len(N_list) * reps, len(irreps))
+        slack = fourier.hs_roundoff(G, irreps)
+        children = np.random.SeedSequence(seed).generate_state(
+            len(N_list) * reps, dtype=np.uint64).reshape(len(N_list), reps)
+        for i, N in enumerate(N_list):
+            for r in range(reps):
+                picks = np.random.default_rng(int(children[i, r])).choice(
+                    src.size, size=N, p=src.weights)
+                nu_bar = fourier.DiscreteMeasure.uniform(G, src.atoms[picks])
+                old = fourier.hs_profile(G, nu_bar, src, irreps)
+                assert np.all(np.abs(profiles[i * reps + r] - old) <= slack)
+        for row, expect in zip(rows, oracle):
+            got = (row.oracle_mean, row.oracle_min, row.oracle_max)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
     def test_row_serialization(self):
         rows = walks.empirical_experiment(G_T1, "haar", [8], 2, LINEAR,
                                           seed=5, m_cap=20.0)
