@@ -27,8 +27,9 @@ import numpy as np
 _TORUS_RE = re.compile(r"^torus\((\d+)\)$")
 # canonicalize leaves a quaternion whose computed norm is within this of 1
 UNIT_NORM_TOL = 6.0 * 2.0 ** -53
-# pairwise_distance reads angles whose |cosine| exceeds this from chords
-_CHORD_COS = 0.9
+# pairwise_distance reads angles whose |cosine| exceeds this from chords;
+# below it arccos amplifies the cosine's rounding at most 7-fold
+_CHORD_COS = 0.99
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,10 @@ def canonicalize(G: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     big = np.max(np.abs(x), axis=-1, keepdims=True)
     if np.any(big == 0):
         raise ValueError("zero quaternion cannot be normalized")
-    # y = x / 2^k with its largest coordinate in [1/2, 1): exact, and no
-    # square over- or underflows; n^ = 2^k |y|^ (kept below 4, where the
-    # test fails anyway, so it cannot overflow)
+    # y = x / 2^k has its largest coordinate in [1/2, 1), so the sum of
+    # squares lies in [1/4, 4); a coordinate or square that underflows is
+    # below half an ulp of it.  n^ = 2^k |y|^, with k capped at 2 (where
+    # the test fails anyway) so that it cannot overflow.
     k = np.frexp(big)[1]
     y = np.ldexp(x, -k)
     ny = np.linalg.norm(y, axis=-1, keepdims=True)
@@ -237,7 +239,7 @@ def pairwise_distance(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.nd
         return np.sqrt(np.sum(delta * delta, axis=-1))
     cos = class_cosines(G, X, Y)
     theta = 2.0 * np.arccos(cos)
-    i, j = np.nonzero(np.abs(cos) > _CHORD_COS)
+    i, j = np.nonzero((cos > _CHORD_COS) | (cos < -_CHORD_COS))
     near = np.linalg.norm(X[i] - Y[j], axis=-1)
     far = np.linalg.norm(X[i] + Y[j], axis=-1)
     if G.group_id == "so3":

@@ -9,10 +9,10 @@ BLAS thread).  perfbench/run.py prints one line per round on stderr; the
 end-to-end metrics are summarised over every untraced round of every seed:
 median, quartiles and interquartile range, with a flag where the range
 exceeds a third of the metric's bound in BENCHMARK.json (the bounds are
-fractions of the parent's median).  The per-layer metrics are the traced
-run's medians.  The file also records the commit, whether the tree had
-uncommitted changes, and the BLAS thread settings of the rounds and of the
-Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and, if
+fractions of the parent's median); each seed's run medians are kept too.  The per-layer metrics are the traced
+run's medians.  The file also records the commit, whether the measured
+code (src/, perfbench/, BENCHMARK.json) had uncommitted changes, and the
+BLAS thread settings of the rounds and of the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and, if
 there is an earlier one, prints each end-to-end median next to its own.
 
 The script changes nothing under perfbench/: it only runs run.py and reads
@@ -98,23 +98,28 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     from run import ROUND_ENV  # noqa: E402  (perfbench/ is not a package)
 
-    out = {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+    out = {"commit": git("rev-parse", "HEAD"),
+           "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench",
+                             "BENCHMARK.json")),
            "seeds": seeds, "seconds": seconds,
            "thread_env": {"rounds": ROUND_ENV, "this_process": {
                v: os.environ.get(v) for v in THREAD_VARS}},
            "workloads": {}}
     for wl in (w["name"] for w in spec["workloads"]):
-        rounds, attempted, failed = [], 0, 0
+        rounds, runs, attempted, failed = [], [], 0, 0
         for seed in seeds:
             result, got = run_perfbench(wl, seed, seconds, 0)
             rounds += got
+            runs.append({"seed": seed, "rounds": len(got),
+                         **{k: v["value"] for k, v in result["metrics"].items()}})
             attempted += result["attempted"]
             failed += result["failed"]
             print(f"{wl} seed {seed}: {len(got)} rounds, "
                   f"wall_s {result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
         traced, _ = run_perfbench(wl, seeds[0], seconds, 1)
         out["workloads"][wl] = {
-            "rounds": len(rounds), "attempted": attempted + traced["attempted"],
+            "rounds": len(rounds), "runs": runs,
+            "attempted": attempted + traced["attempted"],
             "failed": failed + traced["failed"],
             "end_to_end": {m["name"]: {"unit": m["unit"], "bound": m["bound"],
                                        **spread([r[m["name"]] for r in rounds], m["bound"])}
