@@ -8,12 +8,13 @@ first seed); after that it times one Tier-1 run (the ROADMAP command, one
 BLAS thread).  perfbench/run.py prints one line per round on stderr; the
 end-to-end metrics are summarised over every untraced round of every seed:
 median, quartiles and interquartile range, with a flag where the range
-exceeds a third of the metric's bound in BENCHMARK.json (the bounds are
-fractions of the parent's median); each seed's run medians are kept too.  The per-layer metrics are the traced
-run's medians.  The file also records the commit, whether the measured
-code (src/, perfbench/, BENCHMARK.json) had uncommitted changes, and the
-BLAS thread settings of the rounds and of the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and, if
-there is an earlier one, prints each end-to-end median next to its own.
+exceeds a third of the metric's bound in BENCHMARK.json (a bound is a
+fraction of the median).  Each seed's run medians are kept too.  The
+per-layer metrics are the traced run's medians.  The file also records
+the commit, whether the measured code (src/, perfbench/, BENCHMARK.json)
+had uncommitted changes, and the BLAS thread settings of the rounds and of
+the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and,
+if there is an earlier one, prints each end-to-end median next to its own.
 
 The script changes nothing under perfbench/: it only runs run.py and reads
 its ROUND_ENV, without writing bytecode there.
@@ -60,7 +61,7 @@ def spread(values, bound: float) -> dict:
 
 def tier1() -> dict:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
-    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     t0 = time.monotonic()
     proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True,
                           check=False)
