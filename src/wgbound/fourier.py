@@ -345,7 +345,8 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     with R.  A value comes from the same operations whatever other rows
     and irreps the call holds, so a row or a slice of irreps equals a
     separate call bit for bit, and an all-zero row reads 0.  hs_roundoff
-    bounds the rounding error of every value when sum_k |c_k| <= _MASS.
+    bounds the rounding error of every value when each row holds the
+    correctly rounded masses of a signed measure with sum_k |c_k| <= _MASS.
     """
     masses = np.asarray(masses, dtype=float)
     out = np.zeros((masses.shape[0], len(irreps)))
