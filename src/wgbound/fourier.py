@@ -250,7 +250,8 @@ def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
     Repeated atoms (an empirical measure drawn with replacement, or an atom
     of both measures) are merged, which leaves every class-function sum
     unchanged.  Each merged mass is correctly rounded: one addition for two
-    copies, math.fsum for more.
+    copies, math.fsum for more; hs_roundoff relies on this rule, which
+    empirical_masses keeps too.
     """
     if nu2 is None:
         atoms, coeffs = nu1.atoms, nu1.weights
@@ -269,6 +270,21 @@ def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
             merged[i] = math.fsum(coeffs[order[ends[i] - counts[i]:ends[i]]])
     keep = merged != 0.0
     return atoms[keep], merged[keep]
+
+
+def empirical_masses(source: DiscreteMeasure, picks: np.ndarray) -> np.ndarray:
+    """Masses on source.atoms of nu_bar - source, nu_bar uniform on atoms[picks].
+
+    Atom k carries count_k fl(1/N) - w_k, correctly rounded by
+    _merged_atoms' rule: exact for count 0, one subtraction for count 1,
+    math.fsum for more.
+    """
+    f = 1.0 / picks.size
+    counts = np.bincount(picks, minlength=source.size)
+    c = np.where(counts > 0, f, 0.0) - source.weights
+    for k in np.flatnonzero(counts > 1):
+        c[k] = math.fsum([f] * int(counts[k]) + [-source.weights[k]])
+    return c
 
 
 def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
@@ -507,7 +523,7 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     size: it reads them only through sum_k |c_k| <= M = _MASS for the merged
     signed masses c (each weight vector sums to 1 within _WEIGHT_SUM_TOL).
     It holds as well for every row of hs_profile_rows whose masses are the
-    correctly rounded values of such a c, as walks._sample_masses forms
+    correctly rounded values of such a c, as empirical_masses forms
     them.  The exact value is the one for the stored masses and, on
     su2/so3, for the atoms scaled to unit norm.  A cut's Fourier sum then
     errs by at most the sum of d/kappa times these bounds over the irreps

@@ -104,13 +104,19 @@ def canonicalize(G: GroupDescriptor, x: np.ndarray) -> np.ndarray:
     n^ is computed on x scaled by a power of two, so coordinates of any
     finite size normalize (1e-160 or 1e160 as well as 1).  With u = 2^-53,
     n^ = fl(sqrt(fl(sum x_i^2))) is within a factor
-    (1 +- gamma_4)^(1/2) (1 +- u) of the norm, so a divided quaternion has
+    (1 +- gamma_4)^(1/2) (1 +- u) of the norm, so a divided quaternion q has
     norm within nu = (1 + u) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 (4u + 20u^2)
-    of 1, and its computed norm within (1 + nu)(1 + gamma_4)^(1/2)(1 + u) - 1
-    (7u + 40u^2) of 1.  Doubles next to 1 are 1 - ku below it and 1 + 2ku
-    above, so that computed norm is within 6u = UNIT_NORM_TOL of 1, and a
-    second pass leaves the quaternion as it is.  n^ - 1 is exact for n^ in
-    [1/2, 2], so the test is too.  Every output norm is within
+    above 1 and 1 - (1 - u) / ((1 + gamma_4)^(1/2) (1 + u)) (4u - 4u^2)
+    below it.  On a second pass the exact square root of q's computed sum
+    of squares is |q| (1 +- gamma_4)^(1/2): at most
+    (1 + nu)(1 + gamma_4)^(1/2) - 1 (6u + 34u^2) above 1, and at most
+    6u - 2u^2 below it, so less than 6.5u either way.  Rounding to nearest
+    then gives the computed norm: doubles are 1 - ku below 1 (spacing u)
+    and 1 + 2ku above it (spacing 2u), so a value in (1 - 6.5u, 1 + 7u)
+    rounds into [1 - 6u, 1 + 6u].  The computed norm is thus within
+    6u = UNIT_NORM_TOL of 1, and a second pass leaves the quaternion as it
+    is; the power-of-two scaling changes none of this.  n^ - 1 is exact
+    for n^ in [1/2, 2], so the test is too.  Every output norm is within
     (1 + UNIT_NORM_TOL) / ((1 - gamma_4)^(1/2) (1 - u)) - 1 (about 9u) of
     1, the bound fourier.hs_roundoff uses.
     """

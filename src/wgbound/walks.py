@@ -401,21 +401,6 @@ EMPIRICAL_CSV_HEADER = ("N", "n_reps", "bound_mean", "bound_min", "bound_max",
                         "oracle_min", "oracle_max")
 
 
-def _sample_masses(source: fourier.DiscreteMeasure, picks: np.ndarray) -> np.ndarray:
-    """Masses on source.atoms of nu_bar - source, nu_bar uniform on atoms[picks].
-
-    Atom k carries count_k fl(1/N) - w_k, correctly rounded as
-    fourier._merged_atoms rounds a merged mass: exact for count 0, one
-    subtraction for count 1, math.fsum for more.
-    """
-    f = 1.0 / picks.size
-    counts = np.bincount(picks, minlength=source.size)
-    c = np.where(counts > 0, f, 0.0) - source.weights
-    for k in np.flatnonzero(counts > 1):
-        c[k] = math.fsum([f] * int(counts[k]) + [-source.weights[k]])
-    return c
-
-
 def empirical_experiment(G: groups.GroupDescriptor,
                          source: Union[str, fourier.DiscreteMeasure],
                          N_list, n_reps: int, g, seed: int,
@@ -432,10 +417,10 @@ def empirical_experiment(G: groups.GroupDescriptor,
 
     Every draw from a discrete source is a multiset of its atoms, so each
     signed measure nu_bar - source is one row of masses on source.atoms
-    (_sample_masses), and one fourier.hs_profile_rows call profiles every
-    draw of every N on that shared support.  An all-zero row (nu_bar equal
-    to the source) has Fourier sum 0.  A Haar draw has its own support and
-    its own hs_profile call.
+    (fourier.empirical_masses), and one fourier.hs_profile_rows call
+    profiles every draw of every N on that shared support.  An all-zero row
+    (nu_bar equal to the source) has Fourier sum 0.  A Haar draw has its
+    own support and its own hs_profile call.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or min(N_list) < 1:
@@ -465,7 +450,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
         picks = [[np.random.default_rng(int(s)).choice(
             source.size, size=N, p=source.weights) for s in row]
             for N, row in zip(N_list, children)]
-        masses = np.stack([_sample_masses(source, p) for row in picks for p in row])
+        masses = np.stack([fourier.empirical_masses(source, p) for row in picks for p in row])
         profiles = fourier.hs_profile_rows(G, source.atoms, masses, irreps).reshape(
             children.shape + (len(irreps),))
         same = ~np.any(masses, axis=1).reshape(children.shape)

@@ -1,11 +1,11 @@
 """Run the benchmark over several seeds, time the Tier-1 suite, write BENCH_<n>.json.
 
-    python3 tools/bench.py [--seeds 101,102,103,104,105] [--seconds 45] [--out FILE]
+    python3 tools/bench.py [--out FILE]
 
 Run from the root of a checkout.  For each workload of BENCHMARK.json it
-runs perfbench/run.py untraced once per seed, then traced once (on the
-first seed); after that it times one Tier-1 run (the ROADMAP command, one
-BLAS thread).  perfbench/run.py prints one line per round on stderr; the
+runs perfbench/run.py untraced once per seed of SEEDS, for BENCHMARK.json's
+run_seconds, then traced once (on the first seed); after that it times one
+Tier-1 run (the ROADMAP command, one BLAS thread).  perfbench/run.py prints one line per round on stderr; the
 end-to-end metrics are summarised over every untraced round of every seed:
 median, quartiles and interquartile range, with a flag where the range
 exceeds a third of the metric's bound in BENCHMARK.json (a bound is a
@@ -14,7 +14,9 @@ per-layer metrics are the traced run's medians.  The file also records
 the commit, whether the measured code (src/, perfbench/, BENCHMARK.json)
 had uncommitted changes, and the BLAS thread settings of the rounds and of
 the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and,
-if there is an earlier one, prints each end-to-end median next to its own.
+if there is an earlier one made with the same seeds and run length, prints
+each end-to-end median next to its own.  SEEDS is fixed so that successive
+files measure the same runs.
 
 The script changes nothing under perfbench/: it only runs run.py and reads
 its ROUND_ENV, without writing bytecode there.
@@ -33,6 +35,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUND_RE = re.compile(r"^round: setup_s=(\S+) wall_s=(\S+) peak_rss_mb=(\S+) traced=(\w+)")
+SEEDS = (101, 102, 103, 104, 105)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -87,14 +90,11 @@ def git(*args) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", default="101,102,103,104,105")
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = args.seconds or spec["run_seconds"]
+    seeds, seconds = list(SEEDS), spec["run_seconds"]
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     from run import ROUND_ENV  # noqa: E402  (perfbench/ is not a package)
@@ -134,12 +134,16 @@ def main(argv=None) -> int:
     if not args.out and earlier:
         with open(os.path.join(ROOT, f"BENCH_{earlier[-1]}.json"), encoding="utf-8") as fh:
             prev = json.load(fh)
-        for wl, data in out["workloads"].items():
-            for name, m in data["end_to_end"].items():
-                old = prev["workloads"].get(wl, {}).get("end_to_end", {}).get(name)
-                if old:
-                    print(f"{wl} {name}: {old['median']:.4g} -> {m['median']:.4g} {m['unit']}",
-                          file=sys.stderr)
+        if (prev["seeds"], prev["seconds"]) != (seeds, seconds):
+            print(f"BENCH_{earlier[-1]}.json ran seeds {prev['seeds']} for "
+                  f"{prev['seconds']} s; not compared", file=sys.stderr)
+        else:
+            for wl, data in out["workloads"].items():
+                for name, m in data["end_to_end"].items():
+                    old = prev["workloads"].get(wl, {}).get("end_to_end", {}).get(name)
+                    if old:
+                        print(f"{wl} {name}: {old['median']:.4g} -> {m['median']:.4g} "
+                              f"{m['unit']}", file=sys.stderr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
