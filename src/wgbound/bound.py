@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._util import SolverError, config_hash, golden_min, pairwise_sum
 from . import fourier, groups, smoothing
@@ -199,16 +198,6 @@ def _panels(breaks: np.ndarray, width: float):
     return np.concatenate(los), np.concatenate(his)
 
 
-def _gauss_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights of the given order on each panel [lo, hi]."""
-    gx, gw = leggauss(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights
-
-
 @lru_cache(maxsize=32)
 def _psi_nodes(group_id: str, profile_id: str):
     """Cached radial nodes and g-independent weight vectors, coarse and fine.
@@ -229,9 +218,9 @@ def _psi_nodes(group_id: str, profile_id: str):
     breaks = np.concatenate(([0.0], _f_sign_changes(tf, a_f, R), [R]))
     lo, hi = _panels(breaks, 0.5)
     mid = 0.5 * (lo + hi)
-    xc, wc = _gauss_nodes(lo, hi, 10)
-    xf, wf = _gauss_nodes(np.column_stack((lo, mid)).ravel(),
-                          np.column_stack((mid, hi)).ravel(), 10)
+    xc, wc = smoothing._gauss_nodes(lo, hi, 10)
+    xf, wf = smoothing._gauss_nodes(np.column_stack((lo, mid)).ravel(),
+                                    np.column_stack((mid, hi)).ravel(), 10)
     x = np.concatenate((xc, xf))
     factor = A * x ** xpow
     if G.group_id in ("su2", "so3"):

@@ -378,7 +378,7 @@ def _verify_walk_convolution(G, nu, M: float):
     _IRREP_TOL + 2 (n^2 + d + 2) u, 1.4e-12 on the 30-atom norm-29 LPS set.
     """
     irreps = groups.enumerate_irreps(G, min(M, 4.0 * G.admissibility_threshold))
-    blocks = [fourier.measure_transform(G, nu, p).matrix for p in irreps]
+    blocks = [fourier.measure_transform(G, nu, p) for p in irreps]
     conv = [np.zeros_like(b) for b in blocks]
     n = nu.size
     step = max(1, _CONV_CHUNK_ATOMS // n)
@@ -389,7 +389,7 @@ def _verify_walk_convolution(G, nu, M: float):
                                         w / mass)
         part = fourier.product_measure(G, chunk, nu)
         for c, p in zip(conv, irreps):
-            c += mass * fourier.measure_transform(G, part, p).matrix
+            c += mass * fourier.measure_transform(G, part, p)
     d = max(p.dim for p in irreps)
     tol = _IRREP_TOL + 2.0 * (n * n + d + 2) * np.finfo(float).eps
     for p, b, c in zip(irreps, blocks, conv):

@@ -14,7 +14,11 @@ Euler factorization ``q = exp(a e3) exp(b e2) exp(c e3)`` and one
 eigendecomposition of the e2 generator per spin (the eigenvalue method for
 Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
 
-Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
+Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.  On
+su2/so3 the character of the d-dimensional irrep is U_{d-1}(cos(theta/2)),
+from the three-term Chebyshev recurrence.  measure_transform gives a
+measure's Fourier block at one irrep as a plain complex (d, d) array, whose
+norms are numpy's (np.linalg.norm).
 
 Squared HS distances between two measures at many irreps come from
 character sums (hs_profile): prefix sums of Chebyshev moments of the class
@@ -29,15 +33,14 @@ error a priori, for measures of any size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import eval_chebyu
 
 from . import groups
-from ._util import SolverError, pairwise_sum
+from ._util import pairwise_sum
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -114,39 +117,6 @@ def product_measure(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
     return DiscreteMeasure(G.group_id, atoms.reshape(weights.size, -1), weights)
 
 
-@dataclass
-class FourierBlock:
-    """One matrix block of a measure transform, with its norms."""
-
-    group_id: str
-    label: tuple
-    dim: int
-    matrix: np.ndarray
-    hs_norm: float = field(init=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError("block shape does not match irrep dimension")
-        self.hs_norm = float(np.linalg.norm(self.matrix, "fro"))
-
-    @cached_property
-    def op_norm(self) -> float:
-        """Spectral norm, from an SVD taken on first read."""
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def as_json_dict(self) -> dict:
-        return {
-            "group": self.group_id,
-            "label": list(self.label),
-            "dim": self.dim,
-            "matrix": np.stack([self.matrix.real, self.matrix.imag],
-                               axis=-1).tolist(),
-            "hs_norm": self.hs_norm,
-            "op_norm": self.op_norm,
-        }
-
-
 # ---------------------------------------------------------------------------
 # irreducible matrices
 
@@ -214,8 +184,12 @@ def characters(G: groups.GroupDescriptor, irrep: groups.Irrep,
     if d_t is not None:
         m = np.asarray(irrep.label, dtype=float)
         return np.exp(2j * np.pi * (X @ m))
-    cos_half = groups.class_cosines(G, X, groups.identity(G))[:, 0]
-    return eval_chebyu(irrep.dim - 1, cos_half)
+    # U_{d-1}(cos(theta/2)) by the three-term recurrence
+    x2 = 2.0 * groups.class_cosines(G, X, groups.identity(G))[:, 0]
+    u0, u1 = np.zeros_like(x2), np.ones_like(x2)
+    for _ in range(irrep.dim - 1):
+        u0, u1 = u1, x2 * u1 - u0
+    return u1
 
 
 def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
@@ -224,8 +198,9 @@ def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
 
 
 def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
-                      irrep: groups.Irrep) -> FourierBlock:
-    """Fourier block sum_k w_k pi(x_k)^* of a discrete measure.
+                      irrep: groups.Irrep) -> np.ndarray:
+    """Fourier block sum_k w_k pi(x_k)^* of a discrete measure, as a complex
+    (d, d) array.
 
     The atoms go in chunks of about _TRANSFORM_BYTES of irrep matrices, so
     memory does not grow with N d^2, and a sweep over levels reuses blocks
@@ -237,11 +212,11 @@ def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
     S = sum(np.tensordot(nu.weights[lo:lo + rows],
                          irrep_matrices(G, irrep, nu.atoms[lo:lo + rows]), axes=(0, 0))
             for lo in range(0, nu.weights.size, rows))
-    return FourierBlock(G.group_id, irrep.label, irrep.dim, S.conj().T)
+    return S.conj().T
 
 
 # ---------------------------------------------------------------------------
-# Hilbert-Schmidt distances, two independent routes
+# Hilbert-Schmidt distances by character sums
 
 
 def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
@@ -249,25 +224,15 @@ def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
 
     Repeated atoms (an empirical measure drawn with replacement, or an atom
     of both measures) are merged, which leaves every class-function sum
-    unchanged.  Each merged mass is correctly rounded: one addition for two
-    copies, math.fsum for more; hs_roundoff relies on this rule, which
-    empirical_masses keeps too.
+    unchanged.  Each merged mass is correctly rounded (_group_sums).
     """
     if nu2 is None:
         atoms, coeffs = nu1.atoms, nu1.weights
     else:
         atoms = np.concatenate([nu1.atoms, nu2.atoms], axis=0)
         coeffs = np.concatenate([nu1.weights, -nu2.weights])
-    atoms, inverse, counts = np.unique(atoms, axis=0, return_inverse=True,
-                                       return_counts=True)
-    inverse = inverse.ravel()
-    merged = np.bincount(inverse, weights=coeffs, minlength=counts.size)
-    many = np.flatnonzero(counts > 2)
-    if many.size:
-        order = np.argsort(inverse, kind="stable")
-        ends = np.cumsum(counts)
-        for i in many:
-            merged[i] = math.fsum(coeffs[order[ends[i] - counts[i]:ends[i]]])
+    atoms, inverse = np.unique(atoms, axis=0, return_inverse=True)
+    merged = _group_sums(inverse.ravel(), coeffs, atoms.shape[0])
     keep = merged != 0.0
     return atoms[keep], merged[keep]
 
@@ -275,46 +240,30 @@ def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
 def empirical_masses(source: DiscreteMeasure, picks: np.ndarray) -> np.ndarray:
     """Masses on source.atoms of nu_bar - source, nu_bar uniform on atoms[picks].
 
-    Atom k carries count_k fl(1/N) - w_k, correctly rounded by
-    _merged_atoms' rule: exact for count 0, one subtraction for count 1,
-    math.fsum for more.
+    Atom k carries count_k fl(1/N) - w_k, correctly rounded (_group_sums):
+    the terms fl(1/N) of its picks come first, so an atom drawn once gets
+    fl(fl(1/N) - w_k).
     """
-    f = 1.0 / picks.size
-    counts = np.bincount(picks, minlength=source.size)
-    c = np.where(counts > 0, f, 0.0) - source.weights
-    for k in np.flatnonzero(counts > 1):
-        c[k] = math.fsum([f] * int(counts[k]) + [-source.weights[k]])
-    return c
+    index = np.concatenate([picks, np.arange(source.size)])
+    coeffs = np.concatenate([np.full(picks.size, 1.0 / picks.size), -source.weights])
+    return _group_sums(index, coeffs, source.size)
 
 
-def hs_distance_sq(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
-                   nu2: Optional[DiscreteMeasure], irrep: groups.Irrep,
-                   method: str = "both", rtol: float = 1e-9) -> float:
-    """Squared HS distance between two measure transforms at one irrep.
+def _group_sums(index: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Sums of coeffs[index == g] for g = 0..n-1, each correctly rounded.
 
-    ``nu2=None`` stands for Haar, whose nontrivial blocks vanish.  The
-    character route is `hs_profile` at this one irrep.  With
-    ``method="both"`` the matrix route and the character route are both
-    evaluated and must agree to ``rtol`` (absolute + relative); disagreement
-    raises SolverError since it voids the certificate.
+    One term is exact, two take one addition (in index order), more take
+    math.fsum.  hs_roundoff relies on this rule.
     """
-    if method not in ("matrix", "character", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    val_m = val_c = None
-    if method in ("matrix", "both"):
-        B1 = measure_transform(G, nu1, irrep).matrix
-        B2 = 0.0 if nu2 is None else measure_transform(G, nu2, irrep).matrix
-        val_m = float(np.linalg.norm(B1 - B2, "fro") ** 2)
-    if method in ("character", "both"):
-        val_c = float(hs_profile(G, nu1, nu2, [irrep])[0])
-    if method == "matrix":
-        return val_m
-    if method == "character":
-        return val_c
-    if abs(val_m - val_c) > rtol * (1.0 + max(abs(val_m), abs(val_c))):
-        raise SolverError(
-            f"HS routes disagree at {irrep}: matrix={val_m!r} character={val_c!r}")
-    return val_m
+    sums = np.bincount(index, weights=coeffs, minlength=n)
+    counts = np.bincount(index, minlength=n)
+    many = np.flatnonzero(counts > 2)
+    if many.size:
+        order = np.argsort(index, kind="stable")
+        ends = np.cumsum(counts)
+        for g in many:
+            sums[g] = math.fsum(coeffs[order[ends[g] - counts[g]:ends[g]]])
+    return sums
 
 
 def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
@@ -523,12 +472,12 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     size: it reads them only through sum_k |c_k| <= M = _MASS for the merged
     signed masses c (each weight vector sums to 1 within _WEIGHT_SUM_TOL).
     It holds as well for every row of hs_profile_rows whose masses are the
-    correctly rounded values of such a c, as empirical_masses forms
-    them.  The exact value is the one for the stored masses and, on
-    su2/so3, for the atoms scaled to unit norm.  A cut's Fourier sum then
-    errs by at most the sum of d/kappa times these bounds over the irreps
-    below it (CutoffSweep.roundoff).  Clamping at 0 only moves a value
-    towards the exact one, which is nonnegative.
+    correctly rounded values of such a c, as _group_sums forms them for
+    _merged_atoms and empirical_masses.  The exact value is the one for the
+    stored masses and, on su2/so3, for the atoms scaled to unit norm.  A
+    cut's Fourier sum then errs by at most the sum of d/kappa times these
+    bounds over the irreps below it (CutoffSweep.roundoff).  Clamping at 0
+    only moves a value towards the exact one, which is nonnegative.
 
     Model: u = 2^-53, each operation is exact times (1 + t) with |t| <= u,
     gamma_k = k u / (1 - k u).  A BLAS dot product of length n errs by at
@@ -536,7 +485,8 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     pairwise sum has depth at most _SUM_DEPTH = 63, since no array holds
     2^63 elements.
 
-    Masses.  A merged mass is correctly rounded, so ||c^ - c||_1 <= u M.
+    Masses.  A merged mass is correctly rounded (_group_sums), so
+    ||c^ - c||_1 <= u M.
 
     su2/so3.
 
@@ -650,7 +600,7 @@ def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,
         return 0.0
     best = 0.0
     for p in irreps:
-        best = max(best, measure_transform(G, nu, p).op_norm)
+        best = max(best, float(np.linalg.norm(measure_transform(G, nu, p), 2)))
     return best
 
 

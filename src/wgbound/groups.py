@@ -175,7 +175,7 @@ def multiply(G: GroupDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if torus_dim(G.group_id) is not None:
-        return np.mod(x + y, 1.0)
+        return canonicalize(G, x + y)
     return canonicalize(G, quaternion_product(x, y))
 
 

@@ -125,15 +125,13 @@ def as_profile_id(profile) -> str:
 # radial Fourier transforms
 
 
-@lru_cache(maxsize=64)
-def _gl_panels(n_panels: int, order: int):
-    """Gauss-Legendre nodes/weights on [0,1] split into equal panels."""
-    x, w = leggauss(order)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    half = 0.5 / n_panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    weights = np.tile(half * w, n_panels)
+def _gauss_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights of the given order on each panel [lo, hi]."""
+    gx, gw = leggauss(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    weights = (half[:, None] * gw[None, :]).ravel()
     return nodes, weights
 
 
@@ -173,7 +171,8 @@ def _projection(profile: BumpProfile, r: int, order: int) -> np.ndarray:
     t = np.arange(_T_NODES + 1) / _T_NODES
     if r == 1:
         return profile.radial(t)
-    y, w = _gl_panels(_P_PANELS, order)
+    edges = np.linspace(0.0, 1.0, _P_PANELS + 1)
+    y, w = _gauss_nodes(edges[:-1], edges[1:], order)
     out = np.empty_like(t)
     for lo in range(0, t.size, _ROWS):
         tb = t[lo:lo + _ROWS, None]

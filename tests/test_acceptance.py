@@ -67,7 +67,7 @@ def test_02_lps_gap_golden_value():
     assert elapsed <= 10.0
     irreps = groups.enumerate_irreps(G_SO3, 25.5)
     assert [p.label for p in irreps] == [(ell,) for ell in range(1, 26)]
-    spectra = [np.linalg.svd(fourier.measure_transform(G_SO3, nu, p).matrix,
+    spectra = [np.linalg.svd(fourier.measure_transform(G_SO3, nu, p),
                              compute_uv=False) for p in irreps]
     # Lubotzky-Phillips-Sarnak: every nontrivial block of the norm-p set has
     # operator norm at most 2 sqrt(p) / (p + 1), i.e. sqrt(5)/3 for p = 5;

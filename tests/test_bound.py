@@ -188,7 +188,7 @@ class TestPsiNodes:
         mid = 0.5 * (lo + hi)
         halves = (np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel())
         for tag, (plo, phi) in (("coarse", (lo, hi)), ("fine", halves)):
-            x, wx = bound._gauss_nodes(plo, phi, 10)
+            x, wx = smoothing._gauss_nodes(plo, phi, 10)
             ref = wx * np.abs(tf.evaluate(a_f * x)) * _psi_factor(group_id, x)
             got_x, got_w = tables[tag]
             assert np.array_equal(got_x, x)
@@ -221,8 +221,8 @@ class TestPsiNodes:
         last = zeros[-1]
         lo, hi = bound._panels(np.concatenate(([0.0], zeros, [R])), 0.5)
         mid = 0.5 * (lo + hi)
-        xf, wf = bound._gauss_nodes(np.column_stack((lo, mid)).ravel(),
-                                    np.column_stack((mid, hi)).ravel(), 10)
+        xf, wf = smoothing._gauss_nodes(np.column_stack((lo, mid)).ravel(),
+                                        np.column_stack((mid, hi)).ravel(), 10)
         assert np.array_equal(xf, tables["fine"][0])
         charge = tf.error * wf * _psi_factor(group_id, xf)
         ends, panel_charge = tables["charge"]

@@ -393,9 +393,9 @@ class TestWalkCommand:
             blk = real(G, nu, irrep)
             if nu.size != len(rot) or irrep.label != (1,):
                 return blk
-            m = blk.matrix.copy()
+            m = blk.copy()
             m[0, 0] += 1e-9
-            return fourier.FourierBlock(blk.group_id, blk.label, blk.dim, m)
+            return m
 
         monkeypatch.setattr(fourier, "measure_transform", shifted)
         res = runner.invoke(cli.main, [

@@ -155,18 +155,33 @@ def test_character_closed_form_and_class_invariance(gid, M):
             assert abs(np.imag(chi)) < 1e-10
 
 
+@pytest.mark.parametrize("gid", ["su2", "so3"])
+def test_characters_match_scipy_chebyshev(gid):
+    # the three-term recurrence takes the same steps as scipy's eval_chebyu
+    from scipy.special import eval_chebyu
+    G = groups.descriptor(gid)
+    X = np.concatenate([groups.haar_sample(G, 12, 2000), [groups.identity(G)],
+                        groups.canonicalize(G, np.array([[-1.0, 0, 0, 0],
+                                                         [0.0, 0, 0, 1]]))])
+    cos_half = groups.class_cosines(G, X, groups.identity(G))[:, 0]
+    for p in groups.enumerate_irreps(G, 200.0, include_trivial=True)[::7]:
+        assert fourier.characters(G, p, X).tolist() \
+            == eval_chebyu(p.dim - 1, cos_half).tolist(), p.label
+
+
 def test_measure_transform_point_mass_and_trivial(any_group):
     e = groups.identity(any_group)
     nu = fourier.DiscreteMeasure.uniform(any_group, [e])
     reps = groups.enumerate_irreps(any_group, 7.0, include_trivial=True)
     for p in reps:
         blk = fourier.measure_transform(any_group, nu, p)
-        np.testing.assert_allclose(blk.matrix, np.eye(p.dim), atol=1e-12)
-        assert blk.op_norm == pytest.approx(1.0, abs=1e-12)
+        assert blk.shape == (p.dim, p.dim) and blk.dtype == complex
+        np.testing.assert_allclose(blk, np.eye(p.dim), atol=1e-12)
+        assert np.linalg.norm(blk, 2) == pytest.approx(1.0, abs=1e-12)
     nu2 = random_measure(any_group, 5, 3)
     triv = reps[0]
     blk = fourier.measure_transform(any_group, nu2, triv)
-    assert blk.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert blk[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_transform_chunks_match_one_stack():
@@ -177,18 +192,19 @@ def test_measure_transform_chunks_match_one_stack():
     assert nu.size * 16 * p.dim ** 2 > 2 * fourier._TRANSFORM_BYTES
     ref = np.tensordot(nu.weights, fourier.irrep_matrices(G, p, nu.atoms),
                        axes=(0, 0)).conj().T
-    assert np.max(np.abs(fourier.measure_transform(G, nu, p).matrix - ref)) < 1e-14
+    assert np.max(np.abs(fourier.measure_transform(G, nu, p) - ref)) < 1e-14
 
 
 def test_block_norm_invariants(any_group):
     nu = random_measure(any_group, 9, 14)
     for p in groups.enumerate_irreps(any_group, 7.0):
         blk = fourier.measure_transform(any_group, nu, p)
-        assert blk.op_norm <= 1.0 + 1e-10
-        assert blk.hs_norm <= math.sqrt(p.dim) * blk.op_norm + 1e-10
-        sv = np.linalg.svd(blk.matrix, compute_uv=False)
-        assert blk.op_norm == pytest.approx(sv[0], abs=1e-12)
-        assert blk.hs_norm == pytest.approx(np.linalg.norm(blk.matrix), abs=1e-12)
+        op, hs = np.linalg.norm(blk, 2), np.linalg.norm(blk)
+        assert op <= 1.0 + 1e-10
+        assert hs <= math.sqrt(p.dim) * op + 1e-10
+        sv = np.linalg.svd(blk, compute_uv=False)
+        assert op == pytest.approx(sv[0], abs=1e-12)
+        assert hs == pytest.approx(math.sqrt(np.sum(sv * sv)), abs=1e-12)
 
 
 def test_convolution_reverses_transform_order(any_group):
@@ -196,29 +212,22 @@ def test_convolution_reverses_transform_order(any_group):
     nu2 = random_measure(any_group, 3, 6)
     conv = fourier.product_measure(any_group, nu1, nu2)
     for p in groups.enumerate_irreps(any_group, 6.5):
-        b1 = fourier.measure_transform(any_group, nu1, p).matrix
-        b2 = fourier.measure_transform(any_group, nu2, p).matrix
-        bc = fourier.measure_transform(any_group, conv, p).matrix
+        b1 = fourier.measure_transform(any_group, nu1, p)
+        b2 = fourier.measure_transform(any_group, nu2, p)
+        bc = fourier.measure_transform(any_group, conv, p)
         assert np.linalg.norm(bc - b2 @ b1) < 1e-10
 
 
-def test_hs_distance_dual_routes_agree():
-    G = groups.descriptor("su2")
-    nu = random_measure(G, 8, 23, weighted=False)
-    p = next(r for r in groups.enumerate_irreps(G, 2.0) if r.dim == 3)
-    direct = fourier.measure_transform(G, nu, p)
-    matrix_route = float(np.linalg.norm(direct.matrix) ** 2)
-    char_route = fourier.hs_distance_sq(G, nu, None, p)
-    assert char_route == pytest.approx(matrix_route, abs=1e-9)
-
-
 def test_hs_distance_examples(any_group):
+    # both routes: the character sum and the norm of the block difference
     nu = random_measure(any_group, 6, 40)
     p = groups.enumerate_irreps(any_group, 7.0)[0]
-    assert fourier.hs_distance_sq(any_group, nu, nu, p) == pytest.approx(0.0, abs=1e-12)
+    assert fourier.hs_profile(any_group, nu, nu, [p])[0] == pytest.approx(0.0, abs=1e-12)
     atom = groups.haar_sample(any_group, 2, 1)
     delta = fourier.DiscreteMeasure.uniform(any_group, atom)
-    assert fourier.hs_distance_sq(any_group, delta, None, p) \
+    assert fourier.hs_profile(any_group, delta, None, [p])[0] \
+        == pytest.approx(p.dim, abs=1e-9)
+    assert np.linalg.norm(fourier.measure_transform(any_group, delta, p)) ** 2 \
         == pytest.approx(p.dim, abs=1e-9)
 
 
@@ -228,8 +237,8 @@ def test_hs_profile_matches_per_irrep(any_group):
     reps = groups.enumerate_irreps(any_group, 7.0)
     prof = fourier.hs_profile(any_group, nu1, nu2, reps)
     for i, p in enumerate(reps):
-        b1 = fourier.measure_transform(any_group, nu1, p).matrix
-        b2 = fourier.measure_transform(any_group, nu2, p).matrix
+        b1 = fourier.measure_transform(any_group, nu1, p)
+        b2 = fourier.measure_transform(any_group, nu2, p)
         assert prof[i] == pytest.approx(float(np.linalg.norm(b1 - b2) ** 2),
                                         abs=1e-9)
 
@@ -268,8 +277,8 @@ def test_hs_profile_repeated_irreps(any_group):
     prof = fourier.hs_profile(any_group, nu, None, [p, q, p])
     assert prof[0] == prof[2]
     for val, irrep in zip(prof, (p, q, p)):
-        assert val == pytest.approx(
-            fourier.hs_distance_sq(any_group, nu, None, irrep, "matrix"), abs=1e-12)
+        block = fourier.measure_transform(any_group, nu, irrep)
+        assert val == pytest.approx(float(np.linalg.norm(block) ** 2), abs=1e-12)
 
 
 def test_hs_profile_merges_repeated_atoms(any_group):
@@ -292,6 +301,21 @@ def test_hs_profile_merges_repeated_atoms(any_group):
     merged = fourier.DiscreteMeasure(G.group_id, base[used], counts[used] / 12)
     assert np.all(np.abs(prof - fourier.hs_profile(G, merged, other, irreps))
                   <= 2 * fourier.hs_roundoff(G, irreps))
+
+
+def test_empirical_masses_round_each_atom_once():
+    # count fl(1/N) - w per atom: exact when never drawn, one subtraction
+    # when drawn once, math.fsum when drawn more often
+    G = groups.descriptor("su2")
+    source = random_measure(G, 128, 83)
+    picks = np.random.default_rng(83).choice(128, size=48)
+    counts = np.bincount(picks, minlength=128)
+    assert {0, 1, 2} <= set(counts.tolist())
+    f = 1.0 / 48
+    ref = np.where(counts > 0, f, 0.0) - source.weights
+    for k in np.flatnonzero(counts > 1):
+        ref[k] = math.fsum([f] * int(counts[k]) + [-source.weights[k]])
+    assert fourier.empirical_masses(source, picks).tolist() == ref.tolist()
 
 
 def test_hs_profile_of_reordered_copy_is_zero(any_group):
@@ -346,11 +370,16 @@ def test_hs_profile_rows_are_independent(gid, M, monkeypatch):
                else 8 * n * (n + 1) // 2)
     monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
     assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
-    # one row is the distance between the two measures it is made of
+    # one row is the distance between the two measures it is made of, by
+    # the character route and by the blocks
     nu1 = fourier.DiscreteMeasure(gid, atoms, a[0])
     nu2 = fourier.DiscreteMeasure(gid, atoms, b[0])
     for j in (0, 1, len(irreps) // 2, len(irreps) - 1):
-        both = fourier.hs_distance_sq(G, nu1, nu2, irreps[j], "both")
+        blocks = fourier.measure_transform(G, nu1, irreps[j]) \
+            - fourier.measure_transform(G, nu2, irreps[j])
+        both = float(np.linalg.norm(blocks) ** 2)
+        char = float(fourier.hs_profile(G, nu1, nu2, [irreps[j]])[0])
+        assert abs(char - both) <= 1e-9 * (1.0 + max(char, both))
         assert abs(alone[0][j] - both) <= 1e-9 * (1.0 + both)
 
 
@@ -496,12 +525,3 @@ def test_translation_energy_below_squared_modulus():
         # sampled sup slightly underestimates the true one; 1% headroom
         assert lhs <= (1.01 * sup) ** 2 + 1e-10
 
-
-def test_fourier_block_json(any_group):
-    nu = random_measure(any_group, 4, 70)
-    p = groups.enumerate_irreps(any_group, 7.0)[0]
-    blk = fourier.measure_transform(any_group, nu, p)
-    d = blk.as_json_dict()
-    assert d["op_norm"] == pytest.approx(blk.op_norm)
-    mat = np.array(d["matrix"])
-    assert mat.shape == (p.dim, p.dim, 2)

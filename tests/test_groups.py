@@ -232,6 +232,14 @@ def test_torus_multiply_is_modular_addition():
     G = groups.descriptor("torus(2)")
     out = groups.multiply(G, np.array([0.7, 0.2]), np.array([0.6, 0.9]))
     np.testing.assert_allclose(out, [0.3, 0.1], atol=1e-12)
+    # -1e-20 + 0 mod 1 rounds to 1.0, which canonicalize maps to 0
+    out = groups.multiply(G, np.array([-1e-20, 0.0]), np.array([0.0, 0.0]))
+    assert out.tolist() == [0.0, 0.0]
+    # canonical inputs: the sum lies in [0, 2), where mod 1 never reads 1
+    x, y = groups.haar_sample(G, 71, 10_000), groups.haar_sample(G, 72, 10_000)
+    edges = [0.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -1074]
+    x[:4], y[:4] = np.asarray(edges)[:, None], np.asarray(edges[::-1])[:, None]
+    assert groups.multiply(G, x, y).tolist() == np.mod(x + y, 1.0).tolist()
 
 
 def test_so3_sign_canonicalization():

@@ -130,6 +130,17 @@ def test_cli_import_leaves_sympy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_bound_import_leaves_scipy_out():
+    # groups, fourier, smoothing and bound need numpy only
+    src = os.path.dirname(os.path.dirname(wgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wgbound.bound; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_transform_against_dense_reference():
     # independent trapezoid evaluation of the radial integral, r=2
     profile = smoothing.bump_profile("paper_bump")
