@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_chebyu
 
 from wgbound import fourier, groups
 from wgbound._util import pairwise_sum
@@ -158,7 +159,6 @@ def test_character_closed_form_and_class_invariance(gid, M):
 @pytest.mark.parametrize("gid", ["su2", "so3"])
 def test_characters_match_scipy_chebyshev(gid):
     # the three-term recurrence takes the same steps as scipy's eval_chebyu
-    from scipy.special import eval_chebyu
     G = groups.descriptor(gid)
     X = np.concatenate([groups.haar_sample(G, 12, 2000), [groups.identity(G)],
                         groups.canonicalize(G, np.array([[-1.0, 0, 0, 0],
@@ -219,7 +219,7 @@ def test_convolution_reverses_transform_order(any_group):
 
 
 def test_hs_distance_examples(any_group):
-    # both routes: the character sum and the norm of the block difference
+    # the character sum, and for a point mass also the block's norm
     nu = random_measure(any_group, 6, 40)
     p = groups.enumerate_irreps(any_group, 7.0)[0]
     assert fourier.hs_profile(any_group, nu, nu, [p])[0] == pytest.approx(0.0, abs=1e-12)
