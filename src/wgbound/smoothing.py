@@ -21,28 +21,36 @@ from .groups import GroupDescriptor, Irrep, enumerate_irreps
 PROFILE_IDS = ("paper_bump", "plateau")
 
 _TAIL_ORDERS = (2, 4, 6)
-_MAJORANT_SAFETY = 1.1
+# degree of the Taylor polynomial of P^(k) on each cell of _tail_majorants
+_CELL_DEGREE = 4
 
 
 # ---------------------------------------------------------------------------
 # truncated Taylor jets: arrays whose row k is the k-th Taylor coefficient
 # (Griewank & Walther, Evaluating Derivatives, ch. 13)
 
-_JET_ORDER = max(_TAIL_ORDERS)
+_JET_ORDER = max(_TAIL_ORDERS) + _CELL_DEGREE
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x[j] * y[j] over the leading axis."""
+    return np.einsum("j...,j...->...", x, y)
 
 
 def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    for k in range(len(a)):
-        out[k] = (a[k] - sum(out[j] * b[k - j] for j in range(k))) / b[0]
+    out[0] = a[0] / b[0]
+    for k in range(1, len(a)):
+        out[k] = (a[k] - _dot(out[:k], b[k:0:-1])) / b[0]
     return out
 
 
 def _jet_exp(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[0] = np.exp(a[0])
+    ja = np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1)) * a
     for k in range(1, len(a)):
-        out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
+        out[k] = _dot(ja[1:k + 1], out[k - 1::-1]) / k
     return out
 
 
@@ -50,7 +58,7 @@ def _jet_sqrt(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[0] = np.sqrt(a[0])
     for k in range(1, len(a)):
-        out[k] = (a[k] - sum(out[j] * out[k - j] for j in range(1, k))) / (2.0 * out[0])
+        out[k] = (a[k] - _dot(out[1:k], out[k - 1:0:-1])) / (2.0 * out[0])
     return out
 
 
@@ -97,17 +105,30 @@ class BumpProfile:
         """Taylor coefficients in t of h(t, c) = radial(sqrt(t^2 + c^2)).
 
         Row k holds the k-th coefficient, so the k-th t-derivative is
-        k! * row k.  Valid where the profile is not locally constant.
+        k! * row k.  Outside the unit ball the jet is 0, and on the
+        plateau's flat disc r <= 0.5, where its formula does not hold, it
+        is the jet of the constant 1.
         """
         q = np.zeros((_JET_ORDER + 1,) + t.shape)
         q[0], q[1], q[2] = t * t + c * c, 2.0 * t, 1.0
         one = np.zeros_like(q)
         one[0] = 1.0
-        if self.is_plateau:
-            tau = 2.0 * (one - _jet_sqrt(q))
-            z = _jet_div(one, tau) - _jet_div(one, one - tau)
-            return _jet_div(one, one + _jet_exp(z))
-        return _jet_exp(-_jet_div(q, one - q))
+        # the formulas run over every point; the masks below replace them
+        # where they do not hold
+        with np.errstate(all="ignore"):
+            if self.is_plateau:
+                tau = 2.0 * (one - _jet_sqrt(q))
+                z = _jet_div(one, tau) - _jet_div(one, one - tau)
+                # 1/(1 + e^z) as e^-z/(1 + e^-z) where z > 0: no exp overflows
+                up = z[0] > 0.0
+                e = _jet_exp(np.where(up, -z, z))
+                jet = _jet_div(np.where(up, e, one), one + e)
+            else:
+                jet = _jet_exp(-_jet_div(q, one - q))
+        flat = (q[0] <= 0.25) if self.is_plateau else np.zeros(t.shape, dtype=bool)
+        jet[:, flat | (q[0] >= 1.0)] = 0.0
+        jet[0, flat] = 1.0
+        return jet
 
 
 def bump_profile(profile_id: str) -> BumpProfile:
@@ -212,44 +233,199 @@ def _cosine_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return pairwise_sum(terms.T)
 
 
-def _tail_majorants(profile: BumpProfile, r: int) -> Dict[int, float]:
-    """Constants C_k with |F(x)| <= C_k / x^k, via k partial integrations.
+# _tail_majorants: cells per unit of t in each rank (rank 2 pays a
+# u-quadrature per cell, ranks 1 and 3 one jet), the panels of that
+# quadrature in x, cells per jet block, and the rounding allowance
+_CELLS = {1: 2048, 2: 512, 3: 2048}
+_U_PANELS = 4
+_CELL_BLOCK = 64
+_JET_ROUNDING = 2.0 ** -20
 
-    C_k = (2 pi)^{-k} * L1 norm of the k-th partial derivative of eta along
-    one coordinate axis, integrated over the ball.  Evaluated on a dense
-    midpoint grid over the shell where the profile is not constant, and
-    inflated by a safety factor; one Taylor jet per point gives every k.
+
+def _projection_jets(profile: BumpProfile, r: int, m: np.ndarray):
+    """Taylor coefficients of P_r at the points m, rows 0.._JET_ORDER, and
+    bounds on their quadrature errors (0 where there is no quadrature).
+
+    P_1 = eta.  P_3(t) = pi int_{t^2}^1 eta(sqrt s) ds, so P_3' = -2 pi t
+    eta(t) and coefficient j of P_3 is -2 pi (t eta)_{j-1} / j.  P_2(t) =
+    2 int_0^L eta(sqrt(t^2 + u^2)) du, L = sqrt(1 - t^2), and since eta is
+    flat at radius 1 every t-derivative passes under the integral.  The
+    u-integral runs in x over q = t^2 + u^2 = q0 + (1 - q0) sin^2(pi x / 2),
+    q0 = t^2, or 1/4 on the plateau below its flat disc, whose jet has no
+    rows past 0 there; so the nodes crowd toward both ends in q, where the
+    profile joins its flat parts.  It takes _U_PANELS Gauss-Legendre panels
+    at both orders of _P_ORDERS; the higher is the value and the difference
+    bounds its error, as the P check does for _projection.
     """
-    r_lo, r_hi = (0.5 if profile.is_plateau else 0.0), 1.0
+    jet = profile._t_jet(m, np.zeros_like(m))
     if r == 1:
-        n = 20001
-        tv = np.linspace(r_lo, r_hi, n + 1)
-        tv = 0.5 * (tv[:-1] + tv[1:])
-        cv = np.zeros_like(tv)
-        wv = np.full_like(tv, 2.0 * (r_hi - r_lo) / n)
-    else:
-        nt, nc = 1601, 801
-        tv = np.linspace(0.0, r_hi, nt + 1)
-        tv = 0.5 * (tv[:-1] + tv[1:])
-        cv = np.linspace(0.0, r_hi, nc + 1)
-        cv = 0.5 * (cv[:-1] + cv[1:])
-        T, C = np.meshgrid(tv, cv, indexing="ij")
-        rad = np.hypot(T, C)
-        mask = (rad > r_lo) & (rad < r_hi)
-        tv, cv = T[mask], C[mask]
-        cell = (r_hi / nt) * (r_hi / nc)
-        wv = np.full_like(tv, 4.0 * cell) if r == 2 else 4.0 * np.pi * cell * cv
-    sums = dict.fromkeys(_TAIL_ORDERS, 0.0)
-    # in blocks, so the jets' temporaries stay a few MB
-    for lo in range(0, tv.size, 65536):
-        blk = slice(lo, lo + 65536)
-        with np.errstate(all="ignore"):
-            jet = np.nan_to_num(profile._t_jet(tv[blk], cv[blk]),
-                                nan=0.0, posinf=0.0, neginf=0.0)
-        for k in _TAIL_ORDERS:
-            sums[k] += float(np.abs(jet[k]) @ wv[blk])
-    return {k: _MAJORANT_SAFETY * math.factorial(k) * sums[k] / (2.0 * np.pi) ** k
-            for k in _TAIL_ORDERS}
+        return jet, np.zeros_like(jet)
+    if r == 3:
+        t_eta = m * jet
+        t_eta[1:] += jet[:-1]
+        p = np.zeros_like(jet)
+        p[1:] = -2.0 * np.pi * t_eta[:-1] / np.arange(1.0, _JET_ORDER + 1)[:, None]
+        return p, np.zeros_like(jet)
+    q0 = np.maximum(m * m, 0.25) if profile.is_plateau else m * m
+    edges = np.linspace(0.0, 1.0, _U_PANELS + 1)
+    both = []
+    for order in _P_ORDERS:
+        x, w = _gauss_nodes(edges[:-1], edges[1:], order)
+        sin, cos = np.sin(0.5 * np.pi * x), np.cos(0.5 * np.pi * x)
+        p = np.empty_like(jet)
+        for lo in range(0, m.size, _CELL_BLOCK):
+            blk = slice(lo, lo + _CELL_BLOCK)
+            span = (1.0 - q0[blk])[:, None]
+            u = np.sqrt((q0 - m * m)[blk, None] + span * sin * sin)
+            # P_2^(j) = int g_j dq / u, and dq = pi (1 - q0) sin cos dx
+            du = np.pi * span * (w * sin * cos) / u
+            g = profile._t_jet(np.broadcast_to(m[blk, None], u.shape), u)
+            p[:, blk] = np.einsum("jcn,cn->jc", g, du)
+        both.append(p)
+    return both[1], np.abs(both[1] - both[0])
+
+
+def _log_circle_max(profile: BumpProfile, qc: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Log of a bound on |E| or |E - 1| over the disc |w - qc| <= delta.
+
+    E(w) = radial(sqrt w) continued off the real axis; E and E - 1 have the
+    same derivatives.  Entries where the disc reaches a singularity of E
+    read inf.
+    - Paper bump: E(w) = exp(1 - 1/(1 - w)), and on the disc Re 1/(1 - w)
+      >= 1/(1 - qc + delta) when delta < 1 - qc.
+    - Plateau: E = 1/(1 + e^z), z = 1/tau - 1/sigma, tau = 2 - 2 sqrt w,
+      sigma = 1 - tau.  sqrt w lies within delta / (sqrt qc + sqrt(qc -
+      delta)) of sqrt qc, so tau and sigma lie within dt, twice that, of
+      tau0 and sigma0; 1/tau then lies in the disc whose real parts span
+      [1/(tau0 + dt), 1/(tau0 - dt)] and whose radius is dt / (tau0^2 -
+      dt^2), and likewise 1/sigma.  So x_lo <= Re z <= x_hi and |Im z| <= y,
+      and |E| <= 1/(e^x_lo - 1) if x_lo > 0, |E - 1| = 1/|1 + e^-z| <=
+      1/(e^-x_hi - 1) if x_hi < 0, and, for y < pi/2, where Re e^z > 0,
+      |E| <= 1/(1 + e^x_lo cos y) and |E - 1| <= 1/(1 + e^-x_hi cos y).
+    """
+    with np.errstate(all="ignore"):
+        if not profile.is_plateau:
+            return np.where(delta < 1.0 - qc, 1.0 - 1.0 / (1.0 - qc + delta), np.inf)
+        root = np.sqrt(qc)
+        dt = 2.0 * delta / (root + np.sqrt(np.maximum(qc - delta, 0.0)))
+        tau, sigma = 2.0 - 2.0 * root, 2.0 * root - 1.0
+        x_lo = 1.0 / (tau + dt) - 1.0 / (sigma - dt)
+        x_hi = 1.0 / (tau - dt) - 1.0 / (sigma + dt)
+        y = dt / (tau * tau - dt * dt) + dt / (sigma * sigma - dt * dt)
+        far = np.where(x_lo > 0.0, -x_lo - np.log1p(-np.exp(-x_lo)),
+                       np.where(x_hi < 0.0, x_hi - np.log1p(-np.exp(x_hi)), np.inf))
+        near = np.where(y < 0.5 * np.pi, -np.log1p(np.maximum(np.exp(x_lo), np.exp(-x_hi))
+                                                   * np.cos(np.minimum(y, 0.5 * np.pi))),
+                        np.inf)
+        valid = (delta < qc) & (dt < tau) & (dt < sigma)
+        return np.where(valid, np.minimum(far, near), np.inf)
+
+
+def _q_cells(profile: BumpProfile) -> np.ndarray:
+    """Edges of the cells in q = r^2 over the profile's shell.
+
+    Uniform in q, and near a singular end uniform in y = 1/d over y in [8,
+    256], d = 1 - q for the paper bump and d = 2 - 2 sqrt q, 2 sqrt q - 1
+    at the plateau's outer and inner ends: there each cell is under 1/16 y
+    of its distance d.
+    """
+    y = np.arange(8.0, 256.0 + 1.0 / 16.0, 1.0 / 8.0)
+    if profile.is_plateau:
+        inner, outer = (0.5 + 0.5 / y) ** 2, (1.0 - 0.5 / y) ** 2
+        middle = np.linspace(inner[0], outer[0], 1025)[1:-1]
+        return np.concatenate((inner[::-1], middle, outer))
+    return np.concatenate((np.linspace(0.0, 1.0 - 1.0 / y[0], 1025)[:-1], 1.0 - 1.0 / y))
+
+
+def _shell_bounds(profile: BumpProfile, r: int, orders) -> Dict[int, float]:
+    """Upper bounds on the integral of |d_t^n eta| over the unit ball of R^r.
+
+    On a cell qa <= q <= qb of _q_cells, at every point (t, c) with t^2 +
+    c^2 = q, eta(sqrt(z^2 + c^2)) is analytic in z for |z - t| <= rho as
+    long as w = z^2 + c^2 stays in the disc of _log_circle_max around the
+    cell's centre qc: |w - qc| <= (qb - qa)/2 + 2 sqrt(qb) rho + rho^2.
+    Cauchy's estimate then bounds |d_t^n eta| <= n! B / rho^n there, B that
+    disc's bound; each cell takes the best of 16 radii rho.  The sum runs
+    over the cells times their volumes in the ball.  Toward a singular end
+    the cell bounds fall, as exp(-c y) outweighs every power of y, to under
+    e^-140 at y = 256; so beyond the last cell the last cell's bound times
+    the remaining volume covers the rest.
+    """
+    edges = _q_cells(profile)
+    qa, qb = edges[:-1], edges[1:]
+    dist = np.minimum(1.0 - qb, qa - 0.25) if profile.is_plateau else 1.0 - qb
+    rho = dist * 2.0 ** (-0.5 * np.arange(1, 17))[:, None]
+    log_b = _log_circle_max(profile, 0.5 * (qa + qb),
+                            0.5 * (qb - qa) + 2.0 * np.sqrt(qb) * rho + rho * rho)
+    ball = math.pi ** (0.5 * r) / math.gamma(0.5 * r + 1.0)
+    vol = ball * (qb ** (0.5 * r) - qa ** (0.5 * r))
+    rest_in = ball * (qa[0] ** (0.5 * r) - (0.25 if profile.is_plateau else 0.0) ** (0.5 * r))
+    rest_out = ball * (1.0 - qb[-1] ** (0.5 * r))
+    out = {}
+    for n in orders:
+        b = math.factorial(n) * np.exp(np.min(log_b - n * np.log(rho), axis=0))
+        out[n] = float(b @ vol + b[0] * rest_in + b[-1] * rest_out)
+    return out
+
+
+def _tail_majorants(profile: BumpProfile, r: int) -> Dict[int, float]:
+    """Constants C_k with |F(X)| <= C_k / |X|^k, as ||P^(k)||_1 / (2 pi)^k.
+
+    F(X) = int P(t) cos(2 pi X t) dt with P smooth and flat at +-1, so k
+    partial integrations give |F(X)| <= ||P^(k)||_1 / (2 pi |X|)^k.  P^(k)
+    is even or odd, so ||P^(k)||_1 is twice the integral over [0, 1], which
+    is split into cells of width h = 1/_CELLS[r], midpoints m, a = h/2.
+    On each cell P^(k)(m + s) is its Taylor polynomial sum_i c_i s^i of
+    degree d = _CELL_DEGREE, c_i = P^(k+i)(m)/i! from _projection_jets,
+    plus the remainder int_0^s P^(k+d+1)(m + v) (s - v)^d/d! dv, whose
+    integral over the cell is at most a^{d+1}/(d+1)! times that of
+    |P^(k+d+1)|.  So ||P^(k)||_1 is at most 2 times the sum over cells of
+    int_{-a}^{a} |T(s)| ds, plus the next three terms.  With w_i =
+    2a^{i+1}/(i+1), the integral of |s|^i over the cell, that integral is
+    - |sum_{i even} w_i c_i| exactly where sum_{i>=1} a^i |c_i| <= |c_0|,
+      as T then keeps one sign on the cell;
+    - elsewhere at most int |c_0 + c_1 s| ds (2a|c_0| when a|c_1| <= |c_0|,
+      else (c_0^2 + a^2 c_1^2)/|c_1|) plus sum_{i>=2} w_i |c_i|.
+    The other terms are
+    - sum_i w_i times the quadrature error bounds of the c_i (rank 2 only);
+    - a^{d+1}/(d+1)! ||P^(k+d+1)||_1, where ||P^(n)||_1 <= int_{B^r} |d_t^n
+      eta| by the triangle inequality under P^(n)(t) = int d_t^n eta dv,
+      and _shell_bounds bounds that integral;
+    - rounding, _JET_ROUNDING times the first two: the running error of
+      the jets and sums is within J^2 u, J = _JET_ORDER, of the same
+      recurrences run on absolute values, and on these cells those exceed
+      the values by a factor under 2e5 (measured for every rank, profile
+      and row), so the error is below 3e-9 of the sum; the remainder
+      term's own rounding is far smaller.
+    The plateau's jet is exactly that of a constant on its flat disc, so
+    there its derivatives are 0.
+    """
+    h = 1.0 / _CELLS[r]
+    a = 0.5 * h
+    m = (np.arange(_CELLS[r]) + 0.5) * h
+    p, err = _projection_jets(profile, r, m)
+    d = _CELL_DEGREE
+    weights = [2.0 * a ** (i + 1) / (i + 1) for i in range(d + 1)]
+    shell = _shell_bounds(profile, r, [k + d + 1 for k in _TAIL_ORDERS])
+    out = {}
+    for k in _TAIL_ORDERS:
+        scale = [math.factorial(k + i) / math.factorial(i) for i in range(d + 1)]
+        c = [f * p[k + i] for i, f in enumerate(scale)]
+        size = [np.abs(ci) for ci in c]
+        # no sign change on the cell: the integral of |T| is |int T|
+        steady = sum(a ** i * size[i] for i in range(1, d + 1)) <= size[0]
+        exact = np.abs(sum(weights[i] * c[i] for i in range(0, d + 1, 2)))
+        lin = 2.0 * a * size[0]
+        steep = a * size[1] > size[0]
+        lin[steep] = (size[0][steep] ** 2 + (a * size[1][steep]) ** 2) / size[1][steep]
+        loose = lin + sum(w * si for w, si in zip(weights[2:], size[2:]))
+        cells = float(np.where(steady, exact, loose).sum())
+        quad = sum(w * f * float(err[k + i].sum())
+                   for i, (w, f) in enumerate(zip(weights, scale)))
+        norm = ((1.0 + _JET_ROUNDING) * 2.0 * (cells + quad)
+                + a ** (d + 1) / math.factorial(d + 1) * shell[k + d + 1])
+        out[k] = norm / (2.0 * np.pi) ** k
+    return out
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,14 @@ def test_fourier_inversion_roundtrip():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_tail_majorants_valid(r, profile):
+    # every order's majorant dominates |F| beyond F's own error, over the
+    # whole tabulated range
     tf = smoothing.bump_transform(profile, r)
-    c4 = tf.majorants[4]
-    for x in (10.0, 20.0, 40.0):
-        assert abs(tf.evaluate(np.array([x]))[0]) <= c4 / x ** 4
-        assert tf.tail_bound(x) >= abs(tf.evaluate(np.array([x]))[0])
+    xs = np.linspace(0.5, smoothing._X_MAX, 4001)
+    excess = np.abs(tf.evaluate(xs)) - tf.error
+    for k, c in tf.majorants.items():
+        assert np.all(excess <= c / xs ** k), k
+    assert np.all(excess <= [tf.tail_bound(x) for x in xs])
 
 
 # interior points (t, c) of each profile's smooth shell
@@ -82,6 +85,8 @@ def _mp_profile(profile_id, c):
     def h(t):
         q = t * t + c * c
         if profile_id == "plateau":
+            if q <= 0.25:
+                return mp.mpf(1)
             tau = 2 * (1 - mp.sqrt(q))
             return 1 / (1 + mp.exp(1 / tau - 1 / (1 - tau)))
         return mp.exp(-q / (1 - q))
@@ -101,14 +106,71 @@ def test_jet_derivatives_match_mpmath(profile):
                 assert math.factorial(k) * jet[k][i] == pytest.approx(ref, rel=1e-9)
 
 
-# C_k computed by symbolic differentiation of the closed-form bumps
+def _reference_norms(profile, r):
+    """||P_r^(k)||_1 for each tail order k, by routes independent of
+    smoothing._tail_majorants.
+
+    ||P^(k)||_1 is twice the variation of P^(k-1) over [0, 1], and the sum
+    of |P^(k-1)(t_{i+1}) - P^(k-1)(t_i)| over any partition is at most that
+    variation, with equality when the partition holds every sign change of
+    P^(k).  So each reference is a lower bound, and a tight one.  P^(k-1)
+    vanishes at t = 1.
+    - Ranks 1 and 3: P_1 = eta and P_3' = -2 pi t eta, differentiated by
+      mpmath at 0 and at the sign changes of P^(k), which the jets locate
+      on a scan of 20,000 midpoints (a misplaced point only lowers the sum).
+    - Rank 2: P_2^(j)(t) = 2 int_0^L d_t^j eta du, L = sqrt(1 - t^2), by
+      a dense double sum: 256 midpoints in u (the integrand is even in u
+      and flat at u = L) at each of 1,024 points t = i/1024, from the jets
+      that test_jet_derivatives_match_mpmath checks.
+    """
+    pid = profile.profile_id
+    if r == 2:
+        t = np.arange(1024) / 1024
+        p = np.empty((smoothing._JET_ORDER + 1, t.size))
+        for lo in range(0, t.size, 64):
+            tb = t[lo:lo + 64, None]
+            half = np.sqrt(1.0 - tb * tb)
+            u = half * (np.arange(256) + 0.5) / 256
+            g = profile._t_jet(np.broadcast_to(tb, u.shape), u)
+            p[:, lo:lo + 64] = 2.0 * g.sum(axis=-1) * half[:, 0] / 256
+        return {k: 2.0 * math.factorial(k - 1)
+                * float(np.abs(np.diff(np.append(p[k - 1], 0.0))).sum())
+                for k in smoothing._TAIL_ORDERS}
+    t = (np.arange(20000) + 0.5) / 20000
+    jet = profile._t_jet(t, np.zeros_like(t))
+    eta = _mp_profile(pid, 0)
+    out = {}
+    with mp.workdps(30):
+        for k in smoothing._TAIL_ORDERS:
+            if r == 1:
+                f, order, slope = eta, k - 1, jet[k]
+            else:
+                f, order, slope = (lambda x: x * eta(x)), k - 2, t * jet[k - 1] + jet[k - 2]
+            turns = np.nonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0)[0]
+            points = [0.0] + [0.5 * (t[i] + t[i + 1]) for i in turns]
+            values = [mp.diff(f, mp.mpf(x), order) for x in points] + [0]
+            variation = mp.fsum(abs(b - a) for a, b in zip(values[:-1], values[1:]))
+            out[k] = float(2 * variation * (1 if r == 1 else 2 * mp.pi))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_tail_majorants_above_reference(r, profile):
+    got = smoothing.bump_transform(profile, r).majorants
+    for k, ref in _reference_norms(profile, r).items():
+        assert ref <= got[k] * (2 * math.pi) ** k <= 1.05 * ref, k
+
+
+# C_k of smoothing._tail_majorants: proven bounds on ||P^(k)||_1 / (2 pi)^k
+# that test_tail_majorants_above_reference checks; pinned so that any
+# change to them shows
 MAJORANTS = {
-    ("paper_bump", 1): {2: 0.241893462083, 4: 2.06458203405, 6: 258.369183167},
-    ("paper_bump", 2): {2: 0.309056351102, 4: 2.25413810016, 6: 241.685167073},
-    ("paper_bump", 3): {2: 0.34135035352, 4: 2.23481443531, 6: 210.692626388},
-    ("plateau", 1): {2: 0.445813207283, 4: 7.14946158883, 6: 788.086214715},
-    ("plateau", 2): {2: 0.567121990855, 4: 6.45007994242, 6: 585.02768617},
-    ("plateau", 3): {2: 0.624478205472, 4: 5.54320790743, 6: 432.179154747},
+    ("paper_bump", 1): {2: 0.21990335877691808, 4: 1.876894578510179, 6: 234.88171158010795},
+    ("paper_bump", 2): {2: 0.21938795785049733, 4: 0.7669149043334546, 6: 57.77322962767934},
+    ("paper_bump", 3): {2: 0.22853038450043156, 4: 0.38512521816979745, 6: 15.734127804183158},
+    ("plateau", 1): {2: 0.40528512126689853, 4: 6.4995179470361295, 6: 716.4438426111798},
+    ("plateau", 2): {2: 0.3933145525218953, 4: 2.3294045351762653, 6: 170.0794782144773},
+    ("plateau", 3): {2: 0.3740289260636395, 4: 0.9659025306207661, 6: 42.69127464347178},
 }
 
 
