@@ -407,10 +407,19 @@ def _tolerances(quad_error: float, total: float,
     """Tolerance entries of a total psi + phi * sqrt(sum).
 
     psi_quadrature is psi_detailed's quadrature error estimate at the
-    cutoff; float_slack, 1e-11 * max(1, total), is a fixed allowance for
-    the rounding of the assembly.  fourier_roundoff, phi * sqrt(delta) for a
-    Fourier sum read from fourier.hs_profile, covers that sum's rounding:
-    it errs by at most delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
+    cutoff.  fourier_roundoff, phi * sqrt(delta) for a Fourier sum read from
+    fourier.hs_profile, covers that sum's rounding: it errs by at most
+    delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
+
+    float_slack, 1e-11 * max(1, total), covers the rounding of the rest of
+    the assembly, all of it on nonnegative terms.  psi's main part is a
+    pairwise sum of fewer than 2^14 node terms w * g, each within 4u, so it
+    errs by under 18u relative; the tail and main + tail add 4u.  phi is
+    about ten operations, 10u.  A relaxed report's Fourier sum is a prefix
+    sum of nonnegative terms, under 20u, which the square root halves.
+    sqrt, product and sum add 3u.  So the computed total is within 60u <
+    7e-15 of total, and float_slack exceeds that by a factor of over 1,000;
+    the floor 1e-11 keeps an absolute allowance for totals below 1.
     """
     tol = {"psi_quadrature": quad_error, "float_slack": 1e-11 * max(1.0, total)}
     if fourier_roundoff is not None:

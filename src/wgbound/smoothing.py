@@ -1,9 +1,10 @@
 """Smoothing-kernel machinery behind the main Wasserstein bound.
 
 Radial bump profiles on the Cartan algebra, their Fourier transforms
-(evaluated within a stated error bound) with certified power-law tail
-majorants, Weyl density coefficients, the coefficients a_pi of the
-degree-limited smoothing polynomial, and the Fourier decay budget.
+(evaluated within a stated error bound) with power-law tail majorants
+proven from the derivatives of the bump's projection, Weyl density
+coefficients, the coefficients a_pi of the degree-limited smoothing
+polynomial, and the Fourier decay budget.
 """
 from __future__ import annotations
 
@@ -235,10 +236,9 @@ def _cosine_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # _tail_majorants: cells per unit of t in each rank (rank 2 pays a
 # u-quadrature per cell, ranks 1 and 3 one jet), the panels of that
-# quadrature in x, cells per jet block, and the rounding allowance
+# quadrature in x, and the rounding allowance
 _CELLS = {1: 2048, 2: 512, 3: 2048}
 _U_PANELS = 4
-_CELL_BLOCK = 64
 _JET_ROUNDING = 2.0 ** -20
 
 
@@ -273,8 +273,8 @@ def _projection_jets(profile: BumpProfile, r: int, m: np.ndarray):
         x, w = _gauss_nodes(edges[:-1], edges[1:], order)
         sin, cos = np.sin(0.5 * np.pi * x), np.cos(0.5 * np.pi * x)
         p = np.empty_like(jet)
-        for lo in range(0, m.size, _CELL_BLOCK):
-            blk = slice(lo, lo + _CELL_BLOCK)
+        for lo in range(0, m.size, _ROWS):
+            blk = slice(lo, lo + _ROWS)
             span = (1.0 - q0[blk])[:, None]
             u = np.sqrt((q0 - m * m)[blk, None] + span * sin * sin)
             # P_2^(j) = int g_j dq / u, and dq = pi (1 - q0) sin cos dx
@@ -471,7 +471,7 @@ class BumpTransform:
         return out[:flat.size].reshape(x.shape)
 
     def tail_bound(self, x: float) -> float:
-        """Certified bound on |F| at radius x > 0 from the power-law majorants."""
+        """Proven bound on |F| at radius x > 0: the least C_k / x^k (_tail_majorants)."""
         if x <= 0:
             raise ValueError("tail bound needs x > 0")
         return min(self.majorants[k] / x ** k for k in _TAIL_ORDERS)

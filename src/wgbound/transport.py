@@ -24,6 +24,8 @@ from .fourier import DiscreteMeasure
 from .groups import GroupDescriptor
 
 _SIZE_LIMIT = 10 ** 6
+# distances per block of voronoi_quantization: 16 MB of float64
+_BLOCK_ENTRIES = 1 << 21
 GAP_TOL = 1e-9
 MARGINAL_TOL = 1e-10
 
@@ -368,7 +370,9 @@ def voronoi_quantization(G: GroupDescriptor, g, A, n_samples: int, seed: int,
 
     This integral equals the smallest W_g distance to Haar among measures
     supported on A, attained by weighting each atom with its Voronoi cell
-    mass.
+    mass.  Samples come in chunks of 2^14, one child seed each; the
+    distances of a chunk are formed in row blocks of a power of two with at
+    most _BLOCK_ENTRIES entries, which split the chunk evenly.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] == 0:
@@ -378,14 +382,19 @@ def voronoi_quantization(G: GroupDescriptor, g, A, n_samples: int, seed: int,
     counts = np.zeros(A.shape[0])
     done = 0
     chunk = 1 << 14
+    rows = 1 << max(0, (_BLOCK_ENTRIES // A.shape[0]).bit_length() - 1)
     child_seeds = np.random.SeedSequence(seed).generate_state(
         (n_samples + chunk - 1) // chunk)
     for s in child_seeds:
         take = min(chunk, n_samples - done)
         pts = groups.haar_sample(G, int(s), take)
-        dists = groups.pairwise_distance(G, pts, A)
-        nearest = dists.argmin(axis=1)
-        vals = np.asarray(g(dists[np.arange(take), nearest]), dtype=float)
+        nearest = np.empty(take, dtype=np.intp)
+        best = np.empty(take)
+        for lo in range(0, take, rows):
+            dists = groups.pairwise_distance(G, pts[lo:lo + rows], A)
+            nearest[lo:lo + rows] = dists.argmin(axis=1)
+            best[lo:lo + rows] = dists[np.arange(dists.shape[0]), nearest[lo:lo + rows]]
+        vals = np.asarray(g(best), dtype=float)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         np.add.at(counts, nearest, 1.0)

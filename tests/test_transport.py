@@ -394,3 +394,20 @@ class TestVoronoiQuantization:
         with pytest.raises(ValueError):
             transport.voronoi_quantization(G_SU2, LINEAR, np.zeros((0, 4)),
                                            64, seed=0)
+
+    def test_row_blocks_match_full_matrix(self, monkeypatch):
+        # 64-row blocks against one distance matrix per chunk of 2^14
+        # samples, over two chunks
+        G = groups.descriptor("so3")
+        A = groups.haar_sample(G, 63, 40)
+        n = 20000
+        monkeypatch.setattr(transport, "_BLOCK_ENTRIES", 100 * A.shape[0])
+        est = transport.voronoi_quantization(G, LINEAR, A, n, seed=13,
+                                             return_cell_masses=True)
+        seeds = np.random.SeedSequence(13).generate_state(2)
+        pts = [groups.haar_sample(G, int(s), k) for s, k in zip(seeds, (1 << 14, n - (1 << 14)))]
+        dists = [groups.pairwise_distance(G, x, A) for x in pts]
+        nearest = np.concatenate([d.argmin(axis=1) for d in dists])
+        vals = np.concatenate([d.min(axis=1) for d in dists])
+        assert np.array_equal(est.cell_masses, np.bincount(nearest, minlength=40) / n)
+        assert est.value == pytest.approx(vals.mean(), rel=1e-13)
