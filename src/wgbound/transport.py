@@ -393,7 +393,7 @@ def voronoi_quantization(G: GroupDescriptor, g, A, n_samples: int, seed: int,
         for lo in range(0, take, rows):
             dists = groups.pairwise_distance(G, pts[lo:lo + rows], A)
             nearest[lo:lo + rows] = dists.argmin(axis=1)
-            best[lo:lo + rows] = dists[np.arange(dists.shape[0]), nearest[lo:lo + rows]]
+            best[lo:lo + rows] = dists.min(axis=1)
         vals = np.asarray(g(best), dtype=float)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
