@@ -478,8 +478,9 @@ class CutoffSweep:
     irreps, for hs_profile, and roundoff, the prefix sums of d/kappa times
     fourier.hs_roundoff, which bound the rounding of each cut's Fourier
     sum.  A relaxed sweep (the gap corollary) uses
-    d^2/kappa scaled by q^2, on a longer grid;
-    at one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
+    d^2/kappa scaled by q^2, on a longer grid; its d^2/kappa prefix sums,
+    gap_prefix, are built once here and scaled by q^2 in best and report.
+    At one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
     relaxed=True).report(0, q=q).
     """
 
@@ -500,6 +501,7 @@ class CutoffSweep:
         self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
         self.roundoff = None if relaxed else self.prefix(
             fourier.hs_roundoff(G, self.irreps))
+        self.gap_prefix = self.prefix() if relaxed else None
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
         self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
         self.psis = np.asarray([pd["value"] for pd in self._psi])
@@ -531,7 +533,7 @@ class CutoffSweep:
         k = int(self.cuts[i])
         roundoff = None
         if self.relaxed:
-            fs = q * q * float(self.prefix()[k])
+            fs = q * q * float(self.gap_prefix[k])
         elif hs_sq is None:
             fs = 0.0
         else:
@@ -544,7 +546,7 @@ class CutoffSweep:
     def best(self, hs_sq=None, q: Optional[float] = None) -> Tuple[float, BoundReport]:
         """Least total over the grid, ties to the smaller cutoff, and its report."""
         if self.relaxed:
-            cum = q * q * self.prefix()
+            cum = q * q * self.gap_prefix
         else:
             cum = self.prefix(0.0 if hs_sq is None else np.maximum(hs_sq, 0.0))
         i = self.totals(cum)[1]

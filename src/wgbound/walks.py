@@ -199,6 +199,21 @@ def _power_gap(q: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
     return q ** k * np.expm1(k * np.log1p(delta / q))
 
 
+def _carried_powers(blocks):
+    """Recheck references R_8, R_16, ... of each block or block stack B.
+
+    B^8 is one matrix_power per entry, taken on the first draw; each later
+    reference is one product, R_8j = R_8(j-1) B^8.  That order of products
+    differs from the step-by-step powering and from the eigen
+    reconstruction, so the reference stays independent of both routes.
+    """
+    step = [np.linalg.matrix_power(b, _POWER_RECHECK_EVERY) for b in blocks]
+    refs = step
+    while True:
+        yield refs
+        refs = [r @ s for r, s in zip(refs, step)]
+
+
 def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
                 k_max: int, M: float, g=None, profile="paper_bump",
                 q_hint: Optional[float] = None,
@@ -214,12 +229,13 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     once (_diagonalise); each step then powers one flat vector of
     eigenvalue moduli.  Other blocks are multiplied out step by step and
     their norms taken from the powered matrices.  Every 8 steps each
-    block's power is rechecked against an independent matrix power, and
-    the gap trace is checked for submultiplicativity; either failure
-    raises SolverError.  Each state's spectral_error carries the
-    eigenvalue error bounds of _diagonalise through the k-th power: it
-    bounds how far q_hat, fourier_sum and exact_total may sit from the
-    values of the exact block powers (0 when no block is diagonalised).
+    block's power is rechecked against the carried reference
+    R_8j = R_8(j-1) B^8 (_carried_powers), and the gap trace is checked
+    for submultiplicativity; either failure raises SolverError.  Each
+    state's spectral_error carries the eigenvalue error bounds of
+    _diagonalise through the k-th power: it bounds how far q_hat,
+    fourier_sum and exact_total may sit from the values of the exact
+    block powers (0 when no block is diagonalised).
     Each state's tolerances are those of its walk CSV row: the recheck and
     submultiplicativity slacks, walk_spectral (= spectral_error), and the
     psi_quadrature and float_slack entries that a bound report carries at
@@ -266,6 +282,7 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         stacks.setdefault(lam.size, []).append((base[i], V, lam))
     stacks = [tuple(np.stack(col) for col in zip(*grp))
               for grp in stacks.values()]
+    refs = _carried_powers(list(powered.values()) + [B for B, _, _ in stacks])
 
     states: List[WalkState] = []
     q1 = prev_q = None
@@ -274,12 +291,11 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
             powered = {i: bk @ base[i] for i, bk in powered.items()}
         check = None
         if k % _POWER_RECHECK_EVERY == 0:
-            drifts = [np.max(np.abs(bk - np.linalg.matrix_power(base[i], k)))
-                      for i, bk in powered.items()]
-            drifts += [np.max(np.abs(
+            got = list(powered.values()) + [
                 (V * lam[:, None, :] ** k) @ V.conj().transpose(0, 2, 1)
-                - np.linalg.matrix_power(B, k))) for B, V, lam in stacks]
-            check = float(max(drifts))
+                for _, V, lam in stacks]
+            check = float(max(np.max(np.abs(a - r))
+                              for a, r in zip(got, next(refs))))
             if check > _POWER_TOL:
                 raise SolverError(
                     f"powered blocks drifted {check:.3e} at step {k}")

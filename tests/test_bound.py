@@ -531,6 +531,23 @@ class TestGapBounds:
         assert rep.phi == bound.phi(any_group.n, LINEAR, M)
         assert rep.total == rep.psi + rep.phi * math.sqrt(rep.fourier_sum)
 
+    def test_gap_prefix_built_once(self, monkeypatch):
+        # best and report scale the prefix built with the sweep; neither
+        # rebuilds it, and the sums are those of a fresh prefix, bit for bit
+        sweep = bound.CutoffSweep(groups.descriptor("so3"), LINEAR, relaxed=True)
+        fresh = sweep.prefix()
+        assert np.array_equal(sweep.gap_prefix, fresh)
+        calls = []
+        monkeypatch.setattr(bound.CutoffSweep, "prefix",
+                            lambda self, *args: calls.append(args))
+        for q in (0.9, 0.5, 0.1):
+            m, rep = sweep.best(q=q)
+            k = int(sweep.cuts[list(sweep.grid).index(m)])
+            assert rep.fourier_sum == q * q * float(fresh[k])
+            assert sweep.report(0, q=q).fourier_sum == \
+                q * q * float(fresh[sweep.cuts[0]])
+        assert calls == []
+
     def test_optimized_gap_bound_monotone_in_q(self):
         totals = [bound.optimized_gap_bound(G_SU2, LINEAR, q)[1].total
                   for q in (0.9, 0.5, 0.1)]

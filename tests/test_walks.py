@@ -255,6 +255,65 @@ class TestSpectralEngine:
             assert abs(s.q_hat - q) <= 1e-12 * q + s.spectral_error, s.step
             assert abs(s.fourier_sum - fs) <= 1e-12 * fs + s.spectral_error
 
+    def test_recheck_catches_drifted_eigenvalues(self, monkeypatch):
+        # the eigen route of one block reads eigenvalues 1e-6 off; the
+        # carried reference must see it at the first recheck
+        diagonalise = walks._diagonalise
+
+        def shifted(b):
+            found = diagonalise(b)
+            if found is not None and b.shape[0] == 7:
+                lam, V, delta = found
+                return lam + 1e-6, V, delta
+            return found
+
+        monkeypatch.setattr(walks, "_diagonalise", shifted)
+        with pytest.raises(SolverError, match="drifted .* at step 8"):
+            walks.walk_evolve(G_SO3, walks.lps_generators(5).measure(), 8, 6.5)
+
+    def test_recheck_catches_perturbed_powered_block(self, monkeypatch):
+        # the reference of one powered block is built from that block
+        # moved by 1e-6, so it disagrees with the powering route
+        nu = fourier.DiscreteMeasure.uniform(
+            G_SU2, groups.haar_sample(G_SU2, 2024, 3))
+        rng = np.random.default_rng(7)
+        E = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        kick = 1e-6 * E / np.linalg.norm(E)
+        carried = walks._carried_powers
+
+        def perturbed(blocks):
+            return carried([b + kick if b.shape == (3, 3) else b
+                            for b in blocks])
+
+        monkeypatch.setattr(walks, "_carried_powers", perturbed)
+        with pytest.raises(SolverError, match="drifted .* at step 8"):
+            walks.walk_evolve(G_SU2, nu, 8, 10.5)
+
+    @pytest.mark.parametrize("G, M", [(G_SO3, 25.5), (G_SU2, 10.5)],
+                             ids=["so3-lps5", "su2-non-symmetric"])
+    def test_carried_reference_matches_matrix_power(self, monkeypatch, G, M):
+        nu = (walks.lps_generators(5).measure() if G is G_SO3 else
+              fourier.DiscreteMeasure.uniform(G, groups.haar_sample(G, 2024, 3)))
+        direct = {p.dim: fourier.measure_transform(G, nu, p)
+                  for p in groups.enumerate_irreps(G, M)}
+        carried, seen = walks._carried_powers, []
+
+        def spy(blocks):
+            for refs in carried(blocks):
+                seen.append([m for r in refs for m in r.reshape(-1, *r.shape[-2:])])
+                yield refs
+
+        monkeypatch.setattr(walks, "_carried_powers", spy)
+        walks.walk_evolve(G, nu, 150, M)
+        assert len(seen) == 18
+        for j, refs in enumerate(seen, start=1):
+            assert sorted(r.shape[0] for r in refs) == sorted(direct)
+            for r in refs:
+                exact = np.linalg.matrix_power(direct[r.shape[0]], 8 * j)
+                # within 1e-13 absolute and relative to the largest entry
+                scale = min(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(r - exact)) <= 1e-13 * scale, (j, r.shape[0])
+
     def test_torus_blocks_are_their_own_eigenvalues(self):
         golden = (math.sqrt(5) - 1) / 2
         nu = fourier.DiscreteMeasure.uniform(G_T1, [[0.1], [0.1 + golden]])
