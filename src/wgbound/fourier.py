@@ -16,9 +16,15 @@ Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
 
 Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.  On
 su2/so3 the character of the d-dimensional irrep is U_{d-1}(cos(theta/2)),
-from the three-term Chebyshev recurrence.  measure_transform gives a
-measure's Fourier block at one irrep as a plain complex (d, d) array, whose
-norms are numpy's (np.linalg.norm).
+from the three-term Chebyshev recurrence.  measure_transforms gives a
+measure's Fourier blocks at many irreps as plain complex (d, d) arrays,
+whose norms are numpy's (np.linalg.norm), and measure_transform is its
+one-irrep call.  On su2/so3 every block of one spin parity is read from
+one frequency cube F[u, v, w] = sum_k w_k e^{i(a_k u + b_k v + c_k w)} of
+the atoms' Euler angles, built as GEMMs and contracted with each level's
+V: N n^3 / 2 multiply-adds for n weights of the top spin, against
+N sum d^3 for the levels' own matrices.  The cube is built and contracted
+in tiles, so its temporaries stay within _TRANSFORM_BYTES.
 
 Squared HS distances between two measures at many irreps come from
 character sums (hs_profile): prefix sums of Chebyshev moments of the class
@@ -55,8 +61,8 @@ _TORUS_CHUNK = 256
 # hs_profile_rows: bytes of pair weights (or weighted torus columns) per
 # group of rows
 _ROW_BYTES = 1 << 22
-# measure_transform: bytes of irrep matrices per chunk of atoms
-_TRANSFORM_BYTES = 1 << 20
+# measure_transforms on su2/so3: bytes of the frequency cube's temporaries
+_TRANSFORM_BYTES = 1 << 24
 # hs_roundoff: unit roundoff, |nu1 - nu2| mass bound, pairwise-sum depth
 _U = 2.0 ** -53
 _MASS = 2.0 * (1.0 + 2.0 * _WEIGHT_SUM_TOL)
@@ -135,38 +141,48 @@ def _spin_ladder(two_j: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _jy_eigenbasis(two_j: int):
-    """Weights m = k - j and the eigendecomposition of -i A2 for one spin.
+    """Weights m = k - j and eigenvectors V of -i A2 for one spin.
 
     ``A2 = derived_rep(e2)`` is real and skew-symmetric, so ``-i A2`` is
-    Hermitian and ``expm(beta A2) = V diag(exp(i beta mu)) V^*``.
+    Hermitian.  It is conjugate to the e3 generator ``diag(m)`` by a
+    rotation, so its eigenvalues are exactly the weights, in the ascending
+    order eigh returns, and ``expm(beta A2) = V diag(exp(i beta m)) V^*``.
     """
     L = _spin_ladder(two_j)
-    mu, V = np.linalg.eigh(-0.5j * (L - L.T))
-    return np.arange(two_j + 1) - two_j / 2.0, mu, V
+    V = np.linalg.eigh(-0.5j * (L - L.T))[1]
+    return np.arange(two_j + 1) - two_j / 2.0, V
+
+
+def _euler_angles(X: np.ndarray):
+    """Angles (a, b, c) of q = exp(a e3) exp(b e2) exp(c e3), per quaternion.
+
+    a and c lie in (-2pi, 2pi] and are not reduced mod 2pi, so half-integer
+    weights carry the sign of the quaternion: D(-q) = (-1)^(2j) D(q).
+    """
+    w, x, y, z = X.T
+    b = 2.0 * np.arctan2(np.hypot(x, y), np.hypot(w, z))
+    s = np.arctan2(z, w)    # (a + c) / 2
+    t = np.arctan2(x, y)    # (c - a) / 2
+    return s - t, b, s + t
 
 
 def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
                    X: np.ndarray) -> np.ndarray:
     """Stacked unitary matrices of an irrep at a batch of elements, (N, d, d).
 
-    On su2/so3 each quaternion is factored as exp(a e3) exp(b e2) exp(c e3)
-    and D = diag(e^{iam}) V diag(e^{ib mu}) V^* diag(e^{icm}).  The angles
-    a and c lie in (-2pi, 2pi] and are not reduced mod 2pi, so half-integer
-    weights carry the sign of the quaternion: D(-q) = (-1)^(2j) D(q).
+    On su2/so3 each quaternion is factored by _euler_angles and
+    D = diag(e^{iam}) V diag(e^{ibm}) V^* diag(e^{icm}).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if groups.torus_dim(G.group_id) is not None:
         return characters(G, irrep, X).reshape(-1, 1, 1)
-    w, x, y, z = X.T
-    half_b = np.arctan2(np.hypot(x, y), np.hypot(w, z))
-    s = np.arctan2(z, w)    # (a + c) / 2
-    t = np.arctan2(x, y)    # (c - a) / 2
-    m, mu, V = _jy_eigenbasis(_two_j_of(irrep))
+    a, b, c = _euler_angles(X)
+    m, V = _jy_eigenbasis(_two_j_of(irrep))
     n, d = X.shape[0], irrep.dim
-    inner = V[None, :, :] * np.exp(2j * half_b[:, None] * mu[None, :])[:, None, :]
+    inner = V[None, :, :] * np.exp(1j * b[:, None] * m[None, :])[:, None, :]
     D = (inner.reshape(n * d, d) @ V.conj().T).reshape(n, d, d)
-    D *= np.exp(1j * (s - t)[:, None] * m[None, :])[:, :, None]
-    D *= np.exp(1j * (s + t)[:, None] * m[None, :])[:, None, :]
+    D *= np.exp(1j * a[:, None] * m[None, :])[:, :, None]
+    D *= np.exp(1j * c[:, None] * m[None, :])[:, None, :]
     return D
 
 
@@ -200,19 +216,114 @@ def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
 def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
                       irrep: groups.Irrep) -> np.ndarray:
     """Fourier block sum_k w_k pi(x_k)^* of a discrete measure, as a complex
-    (d, d) array.
+    (d, d) array: measure_transforms at one irrep."""
+    return measure_transforms(G, nu, [irrep])[0]
 
-    The atoms go in chunks of about _TRANSFORM_BYTES of irrep matrices, so
-    memory does not grow with N d^2, and a sweep over levels reuses blocks
-    of one size instead of mapping a larger stack at every level.
+
+def measure_transforms(G: groups.GroupDescriptor, nu: DiscreteMeasure,
+                       irreps: list) -> list:
+    """Fourier blocks sum_k w_k pi(x_k)^* of a discrete measure, one complex
+    (d, d) array per irrep, in the order of irreps.
+
+    On the torus each block is the conjugated character sum.  On su2/so3
+    all blocks of one spin parity come from one frequency cube
+    (_cube_blocks), whose temporaries stay within _TRANSFORM_BYTES.
     """
     if nu.group_id != G.group_id:
         raise ValueError("measure/group mismatch")
-    rows = max(1, _TRANSFORM_BYTES // (16 * irrep.dim ** 2))
-    S = sum(np.tensordot(nu.weights[lo:lo + rows],
-                         irrep_matrices(G, irrep, nu.atoms[lo:lo + rows]), axes=(0, 0))
-            for lo in range(0, nu.weights.size, rows))
-    return S.conj().T
+    if groups.torus_dim(G.group_id) is not None:
+        return [np.conj(np.tensordot(nu.weights, characters(G, p, nu.atoms),
+                                     axes=(0, 0))).reshape(1, 1)
+                for p in irreps]
+    angles = _euler_angles(nu.atoms)
+    spins = sorted({_two_j_of(p) for p in irreps})
+    blocks = {}
+    for parity in (0, 1):
+        same = [two_j for two_j in spins if two_j % 2 == parity]
+        if same:
+            blocks.update(_cube_blocks(angles, nu.weights, same))
+    return [blocks[_two_j_of(p)] for p in irreps]
+
+
+def _cube_blocks(angles, weights: np.ndarray, spins: list) -> dict:
+    """Blocks sum_k w_k D^j(x_k)^* for sorted spins 2j of one parity, by 2j.
+
+    With D^j = diag(e^{iam}) V diag(e^{ibm}) V^* diag(e^{icm}) (irrep_matrices),
+    sum_k w_k D^j(x_k)[p, q] = sum_r V[p, r] conj(V[q, r]) F[m_p, m_r, m_q] for
+    the frequency cube F[u, v, w] = sum_k w_k e^{i(a_k u + b_k v + c_k w)}
+    (the separation of Euler angles of SO(3) FFTs; Kostelec & Rockmore,
+    JFAA 2008).  F does not depend on j, so one cube over the top spin's n
+    weights serves every level, and a level reads its centred sub-cube.
+    The weights are real and fl(-a m) = -fl(a m), so F[-u, -v, -w] =
+    conj(F[u, v, w]): only the half w >= 0 is built, in tiles F[:, v0:v1,
+    w0:w1] (_cube_tile), and each tile and its mirror are contracted with
+    every level's V at once (_contract_tile).  That is N n^3 / 2
+    multiply-adds in BLAS for the cube and about d^3 per level, where
+    building each block from its N matrices takes N d^3.
+
+    Temporaries: a tile, its mirror and a chunk's GEMM product take at most
+    1/8 of _TRANSFORM_BYTES each, a chunk's phase products 1/4 and each of
+    its three phase tables 1/16.  At most the tile, the previous tile's
+    mirror, a chunk's tables, phase products and GEMM product are alive at
+    once, 13/16 of _TRANSFORM_BYTES, for every n up to _TRANSFORM_BYTES /
+    128.  Beside them are the blocks and a few arrays of N floats.
+    """
+    top = spins[-1]
+    m = np.arange(top + 1) - top / 2.0
+    n, h = m.size, m.size // 2    # m[h] is the first weight >= 0
+    cell = _TRANSFORM_BYTES // (8 * 16)
+    sw = min(n - h, max(1, cell // n))
+    sv = min(n, max(1, cell // (n * sw)))
+    rows = max(1, min(2 * cell // (sv * sw), cell // (2 * n)))
+    sums = {two_j: np.zeros((two_j + 1, two_j + 1), dtype=complex) for two_j in spins}
+    for v0 in range(0, n, sv):
+        for w0 in range(h, n, sw):
+            v, w = slice(v0, min(v0 + sv, n)), slice(w0, min(w0 + sw, n))
+            F = _cube_tile(angles, weights, m, v, w, rows)
+            _contract_tile(sums, top, F, v.start, w.start)
+            F = np.conj(F[::-1, ::-1, ::-1])
+            if w0 == h and n % 2:
+                F = F[:, :, :-1]    # the column w = 0 is its own mirror
+            _contract_tile(sums, top, F, n - v.stop, n - w.stop)
+    return {two_j: np.conj(S, out=S).T for two_j, S in sums.items()}
+
+
+def _cube_tile(angles, weights: np.ndarray, m: np.ndarray, v: slice, w: slice,
+               rows: int) -> np.ndarray:
+    """F[:, v, w] of the frequency cube on the weights m, shape (n, |v|, |w|).
+
+    One GEMM (w_k e^{i a_k u}) @ (e^{i b_k v} e^{i c_k w}) per chunk of rows
+    atoms, the chunks' products summed in place.
+    """
+    a, b, c = angles
+    F = 0
+    for lo in range(0, weights.size, rows):
+        k = slice(lo, lo + rows)
+        eu = weights[k, None] * np.exp(1j * a[k, None] * m)
+        ev = np.exp(1j * b[k, None] * m[v])
+        ew = np.exp(1j * c[k, None] * m[w])
+        F += eu.T @ (ev[:, :, None] * ew[:, None, :]).reshape(eu.shape[0], -1)
+    return F.reshape(m.size, ev.shape[1], ew.shape[1])
+
+
+def _contract_tile(sums: dict, top: int, F: np.ndarray, v0: int, w0: int):
+    """Add a cube tile's terms to every level's block, in place.
+
+    F holds the cube at weight indices (all, v0 + i, w0 + k).  Level 2j
+    reads indices o..o+2j, o = (top - 2j) / 2, and gains
+    sum_r V[p, r] F[o + p, o + r, o + q] conj(V[q, r]) over the r and q
+    the tile holds.
+    """
+    v1, w1 = v0 + F.shape[1], w0 + F.shape[2]
+    for two_j, S in sums.items():
+        o, d = (top - two_j) // 2, two_j + 1
+        r0, r1 = max(v0 - o, 0), min(v1 - o, d)
+        q0, q1 = max(w0 - o, 0), min(w1 - o, d)
+        if r0 < r1 and q0 < q1:
+            V = _jy_eigenbasis(two_j)[1]
+            T = F[o:o + d, o + r0 - v0:o + r1 - v0, o + q0 - w0:o + q1 - w0]
+            S[:, q0:q1] += np.einsum("pr,prq,qr->pq", V[:, r0:r1], T,
+                                     V[q0:q1, r0:r1].conj())
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +706,8 @@ def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,
     weight grows but attained at no finite weight, so every truncation
     stays strictly below it.
     """
-    irreps = groups.enumerate_irreps(G, M)
-    if not irreps:
-        return 0.0
-    best = 0.0
-    for p in irreps:
-        best = max(best, float(np.linalg.norm(measure_transform(G, nu, p), 2)))
-    return best
+    blocks = measure_transforms(G, nu, groups.enumerate_irreps(G, M))
+    return max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     irreps = groups.enumerate_irreps(G, M)
     if not irreps:
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
-    base = [fourier.measure_transform(G, nu, p) for p in irreps]
+    base = fourier.measure_transforms(G, nu, irreps)
     ratios = np.asarray([p.dim / p.casimir for p in irreps])
     grid = np.asarray(bound.default_m_grid(G, cap=float(M)) if m_grid is None
                       else m_grid, dtype=float)
@@ -362,7 +362,7 @@ def sampled_walk_blocks(G: groups.GroupDescriptor,
     for j in range(1, k):
         pos = groups.multiply(G, pos, nu.atoms[idx[:, j]])
     emp = fourier.DiscreteMeasure.uniform(G, pos)
-    return [fourier.measure_transform(G, emp, p) for p in irreps]
+    return fourier.measure_transforms(G, emp, irreps)
 
 
 # ---------------------------------------------------------------------------

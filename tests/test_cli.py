@@ -382,25 +382,30 @@ class TestWalkCommand:
     def test_convolution_check_failure_exit(self, runner, tmp_path,
                                             monkeypatch):
         # one entry of the step measure's l = 1 block moved by 1e-9: b @ b
-        # then misses the nu*nu block by 1.3e-10, 130 times the check's
+        # then misses the nu*nu block by 1.3e-10, 100 times the check's
         # tolerance
         rot = walks.lps_generators(5).rotations
         pts = tmp_path / "p5.csv"
         groups.save_points(pts, "so3", rot)
-        real = fourier.measure_transform
+        real, shifted_labels = fourier.measure_transforms, []
 
-        def shifted(G, nu, irrep):
-            blk = real(G, nu, irrep)
-            if nu.size != len(rot) or irrep.label != (1,):
-                return blk
-            m = blk.copy()
-            m[0, 0] += 1e-9
-            return m
+        def shifted(G, nu, irreps):
+            blocks = real(G, nu, irreps)
+            if nu.size != len(rot):
+                return blocks
+            for i, p in enumerate(irreps):
+                if p.label == (1,):
+                    blocks[i] = blocks[i].copy()
+                    blocks[i][0, 0] += 1e-9
+                    shifted_labels.append(p.label)
+            return blocks
 
-        monkeypatch.setattr(fourier, "measure_transform", shifted)
+        monkeypatch.setattr(fourier, "measure_transforms", shifted)
         res = runner.invoke(cli.main, [
             "walk", "--group", "so3", "--points", str(pts), "--M", "6.5",
             "--reps", "2", "--verify", "--out", str(tmp_path / "art")])
+        # the walk's blocks and the check's b both carry the shift
+        assert shifted_labels == [(1,), (1,)]
         assert res.exit_code == cli.EXIT_SOLVER, res.output
         assert "solver failure" in res.output and "b @ b" in res.output
         assert not (tmp_path / "art").exists()

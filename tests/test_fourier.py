@@ -184,15 +184,78 @@ def test_measure_transform_point_mass_and_trivial(any_group):
     assert blk[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def _stacked_blocks(G, nu, irreps):
+    return [np.tensordot(nu.weights, fourier.irrep_matrices(G, p, nu.atoms),
+                         axes=(0, 0)).conj().T for p in irreps]
+
+
+def _assert_blocks_match_stack(G, nu, irreps):
+    blocks = fourier.measure_transforms(G, nu, irreps)
+    assert [b.shape for b in blocks] == [(p.dim, p.dim) for p in irreps]
+    for p, blk, ref in zip(irreps, blocks, _stacked_blocks(G, nu, irreps)):
+        assert np.max(np.abs(blk - ref)) < 1e-14, p.label
+    return blocks
+
+
 def test_measure_transform_chunks_match_one_stack():
-    # 300 atoms at spin 25 (d = 51) span several chunks of atoms
+    # 300 atoms at spins up to 25 (n = 51 weights): the default budget
+    # takes the half cube in one tile, from two chunks of at most 197 atoms
     G = groups.descriptor("so3")
     nu = random_measure(G, 300, 21)
-    p = [q for q in groups.enumerate_irreps(G, 25.5) if q.dim == 51][0]
-    assert nu.size * 16 * p.dim ** 2 > 2 * fourier._TRANSFORM_BYTES
-    ref = np.tensordot(nu.weights, fourier.irrep_matrices(G, p, nu.atoms),
-                       axes=(0, 0)).conj().T
-    assert np.max(np.abs(fourier.measure_transform(G, nu, p) - ref)) < 1e-14
+    irreps = groups.enumerate_irreps(G, 25.5, include_trivial=True)
+    assert irreps[-1].dim == 51
+    blocks = _assert_blocks_match_stack(G, nu, irreps)
+    one = fourier.measure_transform(G, nu, irreps[-1])
+    assert np.max(np.abs(one - blocks[-1])) < 1e-14
+
+
+def _mixed_su2_irreps(G):
+    # out of order, with a repeated spin; spins 2j = 0..50 of both parities
+    return [_spin(G, two_j) if two_j else groups.trivial_irrep(G)
+            for two_j in (49, 0, 1, 50, 2, 7, 49, 12, 3)]
+
+
+def test_measure_transforms_mixed_spin_parities():
+    # integer and half-integer spins come from two cubes, and the blocks
+    # follow the order of the list
+    G = groups.descriptor("su2")
+    _assert_blocks_match_stack(G, random_measure(G, 300, 22), _mixed_su2_irreps(G))
+
+
+@pytest.mark.parametrize("gid", ["so3", "su2"])
+def test_measure_transforms_small_budget(monkeypatch, gid):
+    # at 64 KiB a chunk holds 5 atoms and a tile 1 x 10 columns of the cube,
+    # so every tile, its mirror and the chunk sums take many pieces
+    monkeypatch.setattr(fourier, "_TRANSFORM_BYTES", 1 << 16)
+    G = groups.descriptor(gid)
+    irreps = (groups.enumerate_irreps(G, 25.5, include_trivial=True)
+              if gid == "so3" else _mixed_su2_irreps(G))
+    _assert_blocks_match_stack(G, random_measure(G, 300, 24), irreps)
+
+
+def test_measure_transforms_memory_stays_within_budget():
+    # so3 at M = 100.5: a whole cube of 201^3 weights would take 130 MB;
+    # beside the returned blocks the temporaries stay within the budget
+    import tracemalloc
+
+    G = groups.descriptor("so3")
+    nu = random_measure(G, 12, 23)
+    levels = groups.enumerate_irreps(G, 100.5)
+    irreps = [levels[0], levels[-1]]
+    assert irreps[-1].dim == 201
+    for p in irreps:
+        fourier._jy_eigenbasis(p.dim - 1)    # cached eigenbases are not temporaries
+    out = sum(16 * p.dim ** 2 for p in irreps)
+    tracemalloc.start()
+    try:
+        blocks = fourier.measure_transforms(G, nu, irreps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 201 ** 3 * 16 > 7 * fourier._TRANSFORM_BYTES
+    assert peak - out <= fourier._TRANSFORM_BYTES, peak
+    for blk, ref in zip(blocks, _stacked_blocks(G, nu, irreps)):
+        assert np.max(np.abs(blk - ref)) < 1e-14
 
 
 def test_block_norm_invariants(any_group):

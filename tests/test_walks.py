@@ -240,16 +240,20 @@ class TestSpectralEngine:
         b = fourier.measure_transform(G_SO3, nu, p3) + kick
         found = walks._diagonalise(b)
         assert found is None or found[2] >= 1e-6
-        transform = fourier.measure_transform
+        transform, kicked = fourier.measure_transforms, []
 
-        def perturbed(G, nu_, p):
-            blk = transform(G, nu_, p)
-            return blk + kick if p.label == p3.label else blk
+        def perturbed(G, nu_, irreps):
+            blocks = transform(G, nu_, irreps)
+            for i, p in enumerate(irreps):
+                if p.label == p3.label:
+                    blocks[i] = blocks[i] + kick
+                    kicked.append(p.label)
+            return blocks
 
-        monkeypatch.setattr(fourier, "measure_transform", perturbed)
+        monkeypatch.setattr(fourier, "measure_transforms", perturbed)
         states = walks.walk_evolve(G_SO3, nu, 24, 6.5)
-        blocks = [perturbed(G_SO3, nu, p)
-                  for p in groups.enumerate_irreps(G_SO3, 6.5)]
+        assert kicked == [p3.label]
+        blocks = perturbed(G_SO3, nu, groups.enumerate_irreps(G_SO3, 6.5))
         ref = _powering_reference(G_SO3, nu, 24, 6.5, blocks)
         for s, (q, fs, _) in zip(states, ref):
             assert abs(s.q_hat - q) <= 1e-12 * q + s.spectral_error, s.step
