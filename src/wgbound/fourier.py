@@ -275,17 +275,19 @@ def _cube_blocks(angles, weights: np.ndarray, spins: list) -> dict:
     sw = min(n - h, max(1, cell // n))
     sv = min(n, max(1, cell // (n * sw)))
     rows = max(1, min(2 * cell // (sv * sw), cell // (2 * n)))
-    sums = {two_j: np.zeros((two_j + 1, two_j + 1), dtype=complex) for two_j in spins}
+    # each level's sum and V, fetched once: the tiles visit every level
+    levels = [(two_j, np.zeros((two_j + 1, two_j + 1), dtype=complex),
+               _jy_eigenbasis(two_j)[1]) for two_j in spins]
     for v0 in range(0, n, sv):
         for w0 in range(h, n, sw):
             v, w = slice(v0, min(v0 + sv, n)), slice(w0, min(w0 + sw, n))
             F = _cube_tile(angles, weights, m, v, w, rows)
-            _contract_tile(sums, top, F, v.start, w.start)
+            _contract_tile(levels, top, F, v.start, w.start)
             F = np.conj(F[::-1, ::-1, ::-1])
             if w0 == h and n % 2:
                 F = F[:, :, :-1]    # the column w = 0 is its own mirror
-            _contract_tile(sums, top, F, n - v.stop, n - w.stop)
-    return {two_j: np.conj(S, out=S).T for two_j, S in sums.items()}
+            _contract_tile(levels, top, F, n - v.stop, n - w.stop)
+    return {two_j: np.conj(S, out=S).T for two_j, S, _ in levels}
 
 
 def _cube_tile(angles, weights: np.ndarray, m: np.ndarray, v: slice, w: slice,
@@ -306,8 +308,8 @@ def _cube_tile(angles, weights: np.ndarray, m: np.ndarray, v: slice, w: slice,
     return F.reshape(m.size, ev.shape[1], ew.shape[1])
 
 
-def _contract_tile(sums: dict, top: int, F: np.ndarray, v0: int, w0: int):
-    """Add a cube tile's terms to every level's block, in place.
+def _contract_tile(levels: list, top: int, F: np.ndarray, v0: int, w0: int):
+    """Add a cube tile's terms to the sum S of every level (2j, S, V), in place.
 
     F holds the cube at weight indices (all, v0 + i, w0 + k).  Level 2j
     reads indices o..o+2j, o = (top - 2j) / 2, and gains
@@ -315,12 +317,11 @@ def _contract_tile(sums: dict, top: int, F: np.ndarray, v0: int, w0: int):
     the tile holds.
     """
     v1, w1 = v0 + F.shape[1], w0 + F.shape[2]
-    for two_j, S in sums.items():
+    for two_j, S, V in levels:
         o, d = (top - two_j) // 2, two_j + 1
         r0, r1 = max(v0 - o, 0), min(v1 - o, d)
         q0, q1 = max(w0 - o, 0), min(w1 - o, d)
         if r0 < r1 and q0 < q1:
-            V = _jy_eigenbasis(two_j)[1]
             T = F[o:o + d, o + r0 - v0:o + r1 - v0, o + q0 - w0:o + q1 - w0]
             S[:, q0:q1] += np.einsum("pr,prq,qr->pq", V[:, r0:r1], T,
                                      V[q0:q1, r0:r1].conj())
