@@ -1,5 +1,6 @@
 """Irrep matrices, measure transforms, characters, derived reps, quadrature."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,8 +237,6 @@ def test_measure_transforms_small_budget(monkeypatch, gid):
 def test_measure_transforms_memory_stays_within_budget():
     # so3 at M = 100.5: a whole cube of 201^3 weights would take 130 MB;
     # beside the returned blocks the temporaries stay within the budget
-    import tracemalloc
-
     G = groups.descriptor("so3")
     nu = random_measure(G, 12, 23)
     levels = groups.enumerate_irreps(G, 100.5)
