@@ -8,6 +8,14 @@ from typing import Any, Callable
 
 import numpy as np
 
+# the rounding model of every error bound (Higham 2002, ch. 2-3): an operation
+# is exact times (1 + t), |t| <= U, and k such factors are within gamma(k)
+U = 2.0 ** -53
+
+
+def gamma(k):
+    return k * U / (1.0 - k * U)
+
 
 class SolverError(RuntimeError):
     """An iterative or external solver failed to produce a certified result."""

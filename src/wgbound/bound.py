@@ -19,7 +19,7 @@ import numpy as np
 from ._util import SolverError, config_hash, golden_min, pairwise_sum
 from . import fourier, groups, smoothing
 from .groups import GroupDescriptor
-from .smoothing import as_profile_id, budget_interval, bump_transform, kernel_degree
+from .smoothing import budget_interval, bump_profile, bump_transform, kernel_degree
 
 CSV_HEADER = ("group", "g", "M", "psi", "phi", "fourier_sum", "total",
               "tolerance", "seed")
@@ -244,7 +244,7 @@ def psi_detailed(G: GroupDescriptor, g, t: float,
     kinks of |F|, are not resolved.  The tail beyond R is added from
     certified majorants.
     """
-    return _psi_details(G, g, [t], as_profile_id(profile))[0]
+    return _psi_details(G, g, [t], bump_profile(profile).profile_id)[0]
 
 
 def _weighted_sums(x: np.ndarray, w: np.ndarray, g, m0s) -> list:
@@ -494,7 +494,7 @@ class CutoffSweep:
         if grid.size == 0:
             raise ValueError("no admissible M in grid")
         self.G, self.g, self.grid, self.relaxed = G, g, grid, relaxed
-        self.profile_id = as_profile_id(profile)
+        self.profile_id = bump_profile(profile).profile_id
         top = float(grid[-1])
         sd = groups.spectral_data(G, top)
         self.irreps = None if relaxed else groups.enumerate_irreps(G, top)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bound, fourier, groups, smoothing, transport, walks
-from ._util import (DominanceError, SolverError, config_hash, json_default,
+from ._util import (DominanceError, SolverError, U, config_hash, json_default,
                     tolerance_union)
 
 EXIT_CONFIG = 2
@@ -368,39 +368,17 @@ def _verify_walk_convolution(G, nu, M: float):
     so no chunk holds more than about _CONV_CHUNK_ATOMS atoms.  Two steps
     are the identity each powering step applies; more add only rounding.
 
-    Tolerance per entry, for n atoms, largest dimension d and u = 2^-52.
-    The tests pin irrep_matrices' values pi(xy) against pi(x) pi(y), xy
-    the rounded product, to _IRREP_TOL = 1e-12 per entry.  Both
-    irrep_matrices and measure_transforms evaluate one matrix function
-    pi~: the computed Euler angles, V and weights m, and the exact
-    exponentials of the phase arguments fl(a m), which both form alike.
-    With cos and sin within one ulp (the bound glibc documents) a phase
-    entry is within u of its exponential.  A product of two computed
-    complex numbers adds at most 2u of their moduli, a complex sum of N
-    products, in any order, at most 1.5 N u of their moduli's sum, and
-    sum_r |V[p, r]| |V[q, r]| <= 1 to working accuracy; these constants
-    round sqrt(2) u and sqrt(2) N u up, which covers second-order terms.
+    Tolerance per entry, for n atoms, largest dimension d and u = 2^-53,
+    with e(N) = fourier.transform_error(N, d), which bounds a transform of
+    N atoms against sum_k w_k pi(x_k)^*, pi = irrep_matrices.  The tests
+    pin pi(xy) against pi(x) pi(y), xy the rounded product, to _IRREP_TOL.
 
-    - pi is within e_D = (1.5 d + 9) u of pi~: V times the b phases (3u),
-      the d-term product with V^* (1.5 d u), the a and c phases (3u each).
-    - measure_transforms of N atoms with weights summing to 1 is within
-      e(N) = (1.5 N + 1.5 d + 12) u of sum_k w_k pi~(x_k)^*: a cube term
-      carries three phases (3u), the weight's product (u) and two complex
-      products (4u), and the N-term GEMM sums add 1.5 N u; the
-      contraction's two products (4u) and d-term sums (1.5 d u) follow.
-      The mirrored half of the cube is the built half conjugated, and the
-      exact cube has that symmetry, since fl(-a m) = -fl(a m).
-    - So the nu*nu block c is within e(n^2) + e_D + 3u (the chunk weights
-      add 3 roundings) of the sum of w_k w_l pi(x_k x_l)^*, which is within
-      _IRREP_TOL of B B for B = sum_k w_k pi(x_k)^*, as the weights sum to
-      1.  b is within e(n) + e_D of B, entrywise, and rows and columns of
-      b and B have norm <= 1, so b @ b is within 2 sqrt(d) (e(n) + e_D) of
-      B B, plus 1.5 d u for its own rounding.
-
-    The sum is _IRREP_TOL + (1.5 n^2 + 4.5 d + 24) u + 2 sqrt(d)
-    (1.5 n + 3 d + 21) u.  With 2 sqrt(d) n <= n^2 + d and sqrt(d) <= d it
-    is within _IRREP_TOL + 3 (n^2 + 2 (d + 4)^2) u: 1.3e-12 on the 6-atom
-    norm-5 LPS set and 1.9e-12 on the 30-atom norm-29 set (d = 11).
+    - The nu*nu block c is within e(n^2) + 6u (3 roundings of the chunk
+      weights) of the sum of w_k w_l pi(x_k x_l)^*, which is within
+      _IRREP_TOL of B B for B = sum_k w_k pi(x_k)^*, as the weights sum to 1.
+    - b is within e(n) of B, entrywise, and rows and columns of b and B
+      have norm <= 1, so b @ b is within 2 sqrt(d) e(n) of B B, plus 3 d u
+      for its own rounding.
     """
     irreps = groups.enumerate_irreps(G, min(M, 4.0 * G.admissibility_threshold))
     blocks = fourier.measure_transforms(G, nu, irreps)
@@ -416,7 +394,8 @@ def _verify_walk_convolution(G, nu, M: float):
         for c, b in zip(conv, fourier.measure_transforms(G, part, irreps)):
             c += mass * b
     d = max(p.dim for p in irreps)
-    tol = _IRREP_TOL + 3.0 * (n * n + 2 * (d + 4) ** 2) * np.finfo(float).eps
+    tol = (_IRREP_TOL + fourier.transform_error(n * n, d) + 6.0 * U
+           + 2.0 * math.sqrt(d) * fourier.transform_error(n, d) + 3.0 * d * U)
     for p, b, c in zip(irreps, blocks, conv):
         dev = float(np.max(np.abs(c - b @ b)))
         if dev > tol:

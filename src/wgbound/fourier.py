@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from ._util import pairwise_sum
+from ._util import U, gamma, pairwise_sum
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -63,8 +63,7 @@ _TORUS_CHUNK = 256
 _ROW_BYTES = 1 << 22
 # measure_transforms on su2/so3: bytes of the frequency cube's temporaries
 _TRANSFORM_BYTES = 1 << 24
-# hs_roundoff: unit roundoff, |nu1 - nu2| mass bound, pairwise-sum depth
-_U = 2.0 ** -53
+# hs_roundoff: |nu1 - nu2| mass bound, pairwise-sum depth
 _MASS = 2.0 * (1.0 + 2.0 * _WEIGHT_SUM_TOL)
 _SUM_DEPTH = 63
 
@@ -127,10 +126,6 @@ def product_measure(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
 # irreducible matrices
 
 
-def _two_j_of(irrep: groups.Irrep) -> int:
-    return irrep.dim - 1
-
-
 def _spin_ladder(two_j: int) -> np.ndarray:
     """Real ladder L with L[k+1, k] = sqrt((2j - k)(k + 1))."""
     k = np.arange(two_j)
@@ -177,7 +172,7 @@ def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
     if groups.torus_dim(G.group_id) is not None:
         return characters(G, irrep, X).reshape(-1, 1, 1)
     a, b, c = _euler_angles(X)
-    m, V = _jy_eigenbasis(_two_j_of(irrep))
+    m, V = _jy_eigenbasis(irrep.dim - 1)
     n, d = X.shape[0], irrep.dim
     inner = V[None, :, :] * np.exp(1j * b[:, None] * m[None, :])[:, None, :]
     D = (inner.reshape(n * d, d) @ V.conj().T).reshape(n, d, d)
@@ -236,13 +231,41 @@ def measure_transforms(G: groups.GroupDescriptor, nu: DiscreteMeasure,
                                      axes=(0, 0))).reshape(1, 1)
                 for p in irreps]
     angles = _euler_angles(nu.atoms)
-    spins = sorted({_two_j_of(p) for p in irreps})
+    spins = sorted({p.dim - 1 for p in irreps})
     blocks = {}
     for parity in (0, 1):
         same = [two_j for two_j in spins if two_j % 2 == parity]
         if same:
             blocks.update(_cube_blocks(angles, nu.weights, same))
-    return [blocks[_two_j_of(p)] for p in irreps]
+    return [blocks[p.dim - 1] for p in irreps]
+
+
+def transform_error(n_atoms: int, d: int) -> float:
+    """Entrywise bound e(N) + e_D on |measure_transforms - sum_k w_k pi(x_k)^*|.
+
+    For N = n_atoms atoms with weights summing to 1, blocks of dimension at
+    most d and pi = irrep_matrices; u = 2^-53 as in hs_roundoff.  On the
+    torus pi is a character, and a block's N-term sum is within e(N) for
+    d = 1.  On su2/so3 both routes evaluate one matrix function pi~: the
+    computed Euler angles, V and weights m, and the exact exponentials of
+    the phase arguments fl(a m), which both form alike.  With cos and sin
+    within one ulp (the bound glibc documents) a phase entry is within 2u
+    of its exponential.  A product of two computed complex numbers adds at
+    most 4u of their moduli, a complex sum of N products, in any order, at
+    most 3 N u of their moduli's sum, and sum_r |V[p, r]| |V[q, r]| <= 1
+    to working accuracy; these constants round 2 sqrt(2) u and
+    2 sqrt(2) N u up, which covers second-order terms.
+
+    - e(N) = (3 N + 3 d + 24) u bounds the distance to sum_k w_k pi~(x_k)^*:
+      a cube term carries three phases (6u), the weight's product (2u) and
+      two complex products (8u), and the N-term GEMM sums add 3 N u; the
+      contraction's two products (8u) and d-term sums (3 d u) follow.  The
+      exact cube has the mirror symmetry of _cube_blocks, as
+      fl(-a m) = -fl(a m).
+    - e_D = (3 d + 18) u bounds |pi - pi~|: V times the b phases (6u), the
+      d-term product with V^* (3 d u), the a and c phases (6u each).
+    """
+    return (3.0 * n_atoms + 6.0 * d + 42.0) * U
 
 
 def _cube_blocks(angles, weights: np.ndarray, spins: list) -> dict:
@@ -544,16 +567,12 @@ def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.nd
     return out
 
 
-def _gamma(k):
-    return k * _U / (1.0 - k * _U)
-
-
 def _chebyshev_error(extra: np.ndarray) -> np.ndarray:
     """E(extra)_k of hs_roundoff: rounding plus the start's error ``extra``."""
     E = np.array(extra, dtype=float)
     eps = np.zeros(E.size)
     for k in range(2, E.size):
-        eps[k] = _U * ((4.0 + 2.0 * _U) * (1.0 + E[k - 1]) + 1.0 + E[k - 2])
+        eps[k] = U * ((4.0 + 2.0 * U) * (1.0 + E[k - 1]) + 1.0 + E[k - 2])
         E[k] += eps[2:k + 1] @ np.arange(k - 1, 0, -1.0)
     return E
 
@@ -565,16 +584,16 @@ def _moment_errors(top: int, dx: float) -> np.ndarray:
     ai = np.arange(a[-1] + 1, dtype=float)
     E = _chebyshev_error(np.zeros(_SPLIT + 1))
     e_z = E[_SPLIT]
-    K = _chebyshev_error(ai * _U + ai * ai * e_z)
-    start = (1.0 + _U) * ((1.0 + _gamma(4)) * e_z + _gamma(4)) + _U
+    K = _chebyshev_error(ai * U + ai * ai * e_z)
+    start = (1.0 + U) * ((1.0 + gamma(4)) * e_z + gamma(4)) + U
     lip = np.minimum((ai ** 3 - ai) / 3.0,
                      ai * ai / 2.0 + math.sqrt(2.0 * e_z) * (ai ** 3 - ai) / 3.0)
     H = _chebyshev_error(ai * start + lip * e_z)
     Eb, Ka, Ha = E[b], K[a], H[a]
     Z = (1.0 + Eb) * (2.0 + Ka + Ha)
     table = Eb * (1.0 + Ka) + Ka + Eb * (1.0 + Ha) + Ha
-    return ((1.0 + _U) * (table + _gamma(2 * _CHUNK + _SUM_DEPTH) * Z)
-            + _U + m * m * dx)
+    return ((1.0 + U) * (table + gamma(2 * _CHUNK + _SUM_DEPTH) * Z)
+            + U + m * m * dx)
 
 
 def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
@@ -591,11 +610,10 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     bounds over the irreps below it (CutoffSweep.roundoff).  Clamping at 0
     only moves a value towards the exact one, which is nonnegative.
 
-    Model: u = 2^-53, each operation is exact times (1 + t) with |t| <= u,
-    gamma_k = k u / (1 - k u).  A BLAS dot product of length n errs by at
-    most gamma_n times the sum of its terms' moduli, in any order.  A
-    pairwise sum has depth at most _SUM_DEPTH = 63, since no array holds
-    2^63 elements.
+    Model: u = _util.U = 2^-53 and gamma_k = _util.gamma(k).  A BLAS dot
+    product of length n errs by at most gamma_n times the sum of its
+    terms' moduli, in any order.  A pairwise sum has depth at most
+    _SUM_DEPTH = 63, since no array holds 2^63 elements.
 
     Masses.  A merged mass is correctly rounded (_group_sums), so
     ||c^ - c||_1 <= u M.
@@ -671,28 +689,28 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     d_t = groups.torus_dim(G.group_id)
     if d_t is not None:
         m = np.abs(np.asarray([p.label for p in irreps], dtype=float))
-        eta = 2.0 * np.pi * m * _gamma(3) + math.sqrt(2.0) * _U
+        eta = 2.0 * np.pi * m * gamma(3) + math.sqrt(2.0) * U
         # products of (1 + small) minus 1, without cancellation
         e = np.expm1(np.sum(np.log1p(eta), axis=1)
-                     + (d_t - 1) * math.log1p(math.sqrt(2.0) * _gamma(2)))
-        delta = (mass * (1.0 + _U) * (e + _U * (1.0 + e)
-                                      + _gamma(_SUM_DEPTH) * (1.0 + _U) * (1.0 + e))
-                 + _U * mass)
-        return delta * (2.0 * mass + delta) + _gamma(2) * (mass + delta) ** 2
-    nu = math.expm1(math.log1p(groups.UNIT_NORM_TOL) - 0.5 * math.log1p(-_gamma(4))
-                    - math.log1p(-_U))
-    dx = 2.0 * nu + nu * nu + _gamma(4) * (1.0 + nu) ** 2
+                     + (d_t - 1) * math.log1p(math.sqrt(2.0) * gamma(2)))
+        delta = (mass * (1.0 + U) * (e + U * (1.0 + e)
+                                     + gamma(_SUM_DEPTH) * (1.0 + U) * (1.0 + e))
+                 + U * mass)
+        return delta * (2.0 * mass + delta) + gamma(2) * (mass + delta) ** 2
+    nu = math.expm1(math.log1p(groups.UNIT_NORM_TOL) - 0.5 * math.log1p(-gamma(4))
+                    - math.log1p(-U))
+    dx = 2.0 * nu + nu * nu + gamma(4) * (1.0 + nu) ** 2
     if G.group_id == "so3":
-        dx = 4.0 * dx + 3.0 * _U + 2.0 * _U * _U
+        dx = 4.0 * dx + 3.0 * U + 2.0 * U * U
     levels = np.asarray([p.label[0] for p in irreps])
     n = np.arange(int(levels.max()) + 1)
     err = _moment_errors(int(n[-1]), dx)
     q = n + 1 if G.group_id == "so3" else n // 2 + 1
-    W = ((1.0 + _U) * mass) ** 2
+    W = ((1.0 + U) * mass) ** 2
     per_level = W * (_level_sums(G, err)
-                     + _gamma(q - 1) * _level_sums(G, 1.0 + err))
+                     + gamma(q - 1) * _level_sums(G, 1.0 + err))
     dims = np.asarray([p.dim for p in irreps], dtype=float)
-    return per_level[levels] + _U * (2.0 + _U) * mass ** 2 * dims
+    return per_level[levels] + U * (2.0 + U) * mass ** 2 * dims
 
 
 def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,
@@ -727,7 +745,7 @@ def derived_rep(G: groups.GroupDescriptor, irrep: groups.Irrep,
     if d_t is not None:
         m = np.asarray(irrep.label, dtype=float)
         return np.array([[2j * np.pi * float(m @ X)]])
-    two_j = _two_j_of(irrep)
+    two_j = irrep.dim - 1
     L = _spin_ladder(two_j)
     A1 = -0.5j * (L + L.T)
     A2 = 0.5 * (L - L.T)

@@ -24,9 +24,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import U
+
 _TORUS_RE = re.compile(r"^torus\((\d+)\)$")
 # canonicalize leaves a quaternion whose computed norm is within this of 1
-UNIT_NORM_TOL = 6.0 * 2.0 ** -53
+UNIT_NORM_TOL = 6.0 * U
 # pairwise_distance reads angles whose |cosine| exceeds this from chords;
 # below it arccos amplifies the cosine's rounding at most 7-fold
 _CHORD_COS = 0.99

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._util import SolverError, pairwise_sum
+from ._util import SolverError, U, pairwise_sum
 from .groups import GroupDescriptor, Irrep, enumerate_irreps
 
 PROFILE_IDS = ("paper_bump", "plateau")
@@ -132,15 +132,12 @@ class BumpProfile:
         return jet
 
 
-def bump_profile(profile_id: str) -> BumpProfile:
+def bump_profile(profile) -> BumpProfile:
+    """The profile given as a BumpProfile or as its id string, checked."""
+    profile_id = profile.profile_id if isinstance(profile, BumpProfile) else str(profile)
     if profile_id not in PROFILE_IDS:
         raise ValueError(f"unknown profile {profile_id!r}; expected one of {PROFILE_IDS}")
     return BumpProfile(profile_id=profile_id, is_plateau=profile_id == "plateau")
-
-
-def as_profile_id(profile) -> str:
-    """Id of a profile given as a BumpProfile or as its id string."""
-    return profile.profile_id if isinstance(profile, BumpProfile) else str(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +484,7 @@ def _bump_transform_cached(profile_id: str, r: int) -> BumpTransform:
     scale[0] = 1.0 / _T_NODES
     weights = scale * p[:-1]
     check = float(scale @ np.abs(p - p_lo)[:-1])
-    rounding = _ROUNDING_UNITS * 2.0 ** -53 * float(scale @ np.abs(p[:-1]))
+    rounding = _ROUNDING_UNITS * U * float(scale @ np.abs(p[:-1]))
     majorants = _tail_majorants(profile, r)
     # the m = 1 alias, then m >= 2 under int_1^inf C_k / (s K - X)^k ds
     k = max(_TAIL_ORDERS)
@@ -507,10 +504,7 @@ def bump_transform(profile, r: int) -> BumpTransform:
     """Fourier transform of a radial bump over R^r, with tail majorants."""
     if r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {r}")
-    profile_id = as_profile_id(profile)
-    if profile_id not in PROFILE_IDS:
-        raise ValueError(f"unknown profile {profile_id!r}")
-    return _bump_transform_cached(profile_id, r)
+    return _bump_transform_cached(bump_profile(profile).profile_id, r)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +558,7 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
         raise ValueError(
             f"M={M} below admissibility threshold {G.admissibility_threshold} "
             f"for {G.group_id}")
-    prof = profile if isinstance(profile, BumpProfile) else bump_profile(str(profile))
+    prof = bump_profile(profile)
     m0 = kernel_degree(G, M)
     dens = weyl_density_coeffs(G)
     lams = np.asarray(list(dens.keys()), dtype=float)

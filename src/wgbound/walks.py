@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import bound, fourier, groups, transport
-from ._util import DominanceError, SolverError, pairwise_sum, tolerance_union
+from ._util import DominanceError, SolverError, U, pairwise_sum, tolerance_union
 
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
@@ -25,7 +25,6 @@ _SUBMULT_TOL = 1e-9
 # blocks whose anti-Hermitian part has at most this Frobenius norm are
 # diagonalised once; the part itself enters their eigenvalue error bound
 _HERMITIAN_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 _INVERSE_MATCH_TOL = 1e-12
 # irreps tested against the dim/N variance law: a few multiples of the
 # lowest weight norm, which scales with the admissibility threshold
@@ -144,15 +143,15 @@ def _diagonalise(b: np.ndarray):
     with q = max |lam_i|, and its squared HS norm is sum |lam_i|^2k.
     delta bounds how far each |lam_i| may sit from an exact modulus.
     Below, |X| is the spectral norm, |X|_F >= |X| the Frobenius norm and
-    u = 2^-52 the machine epsilon.
+    u = 2^-53 (_util.U).
 
-    * A 1x1 block is its own eigenvalue; delta = 2 u |b| covers the
+    * A 1x1 block is its own eigenvalue; delta = 4 u |b| covers the
       rounding of |b| and of its k-th power.
     * A d x d block is taken when its anti-Hermitian part A = B - H,
       H = (B + B^*)/2, has alpha = |A|_F <= _HERMITIAN_TOL; eigh then
       diagonalises H.  The residual rho = |HV - V diag(lam)|_F and the
       orthogonality defect eta = |V^*V - I|_F are evaluated in floating
-      point, and each is raised by 2 (d + 2) u |X|_F |Y|_F, a bound on
+      point, and each is raised by 4 (d + 2) u |X|_F |Y|_F, a bound on
       the rounding of the product X Y that forms it.  With eta < 1, write
       V = QP with Q unitary and P = (V^*V)^(1/2), so |P - I| <= eta and
       |P^-1| <= 1/(1 - eta).  Then, with R = HV - V diag(lam),
@@ -161,7 +160,7 @@ def _diagonalise(b: np.ndarray):
       Weyl's inequality puts each eigenvalue of H within that distance of
       its lam_i.  Adding A moves B^k from H^k by at most
       (|H| + alpha)^k - |H|^k.  So with
-      delta = alpha + (2 eta q + rho) / (1 - eta) + 2 u q:
+      delta = alpha + (2 eta q + rho) / (1 - eta) + 4 u q:
 
           | |B^k| - q^k |                        <= (q + delta)^k - q^k = eps_k
           | |B^k|_F - (sum |lam_i|^2k)^(1/2) |   <= sqrt(d) eps_k.
@@ -173,13 +172,13 @@ def _diagonalise(b: np.ndarray):
     """
     d = b.shape[0]
     if d == 1:
-        return b[0], np.ones((1, 1)), 2.0 * _EPS * abs(b[0, 0])
+        return b[0], np.ones((1, 1)), 4.0 * U * abs(b[0, 0])
     H = 0.5 * (b + b.conj().T)
     alpha = float(np.linalg.norm(b - H))
     if alpha > _HERMITIAN_TOL:
         return None
     lam, V = np.linalg.eigh(H)
-    gamma = 2.0 * (d + 2) * _EPS
+    gamma = 4.0 * (d + 2) * U
     v_f = float(np.linalg.norm(V))
     rho = float(np.linalg.norm(H @ V - V * lam)) \
         + gamma * float(np.linalg.norm(H)) * v_f
@@ -187,7 +186,7 @@ def _diagonalise(b: np.ndarray):
     if eta >= 1.0:
         return None
     q = float(np.max(np.abs(lam)))
-    return lam, V, alpha + (2.0 * eta * q + rho) / (1.0 - eta) + 2.0 * _EPS * q
+    return lam, V, alpha + (2.0 * eta * q + rho) / (1.0 - eta) + 4.0 * U * q
 
 
 def _power_gap(q: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
@@ -216,13 +215,12 @@ def _carried_powers(blocks):
 
 def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
                 k_max: int, M: float, g=None, profile="paper_bump",
-                q_hint: Optional[float] = None,
-                m_grid=None) -> List[WalkState]:
+                q_hint: Optional[float] = None) -> List[WalkState]:
     """Power the walk of nu for k_max steps and bound each step against Haar.
 
     Each state carries the truncated gap trace q_hat(k) over the irreps
     below M, the full Fourier sum below M, and the best exact bound total
-    over admissible cutoffs M' <= M.
+    over the default cutoff grid, which ends at M and holds those irreps.
 
     Blocks that are 1x1 (every torus irrep) or Hermitian within
     _HERMITIAN_TOL (every block of a symmetric step set) are diagonalised
@@ -254,14 +252,14 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         raise ValueError("measure/group mismatch")
     if g is None:
         g = bound.ModulusOfContinuity.power(1.0)
-    irreps = groups.enumerate_irreps(G, M)
-    if not irreps:
+    # spectral_data rejects M = inf, default_m_grid an M below the threshold with irreps
+    sweep = None
+    if G.admissibility_threshold <= M < math.inf or groups.enumerate_irreps(G, M):
+        sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
+    if sweep is None or not sweep.irreps:
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
+    irreps, ratios = sweep.irreps, sweep.ratios
     base = fourier.measure_transforms(G, nu, irreps)
-    ratios = np.asarray([p.dim / p.casimir for p in irreps])
-    grid = np.asarray(bound.default_m_grid(G, cap=float(M)) if m_grid is None
-                      else m_grid, dtype=float)
-    sweep = bound.CutoffSweep(G, g, profile, grid[grid <= M])
     gap_sweep = None if q_hint is None else bound.CutoffSweep(
         G, g, profile, relaxed=True)
 
@@ -484,7 +482,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
             if with_oracle and not haar_source:
                 nu_bar = fourier.DiscreteMeasure.uniform(G, source.atoms[picks[i][r]])
                 cost = transport.exact_wasserstein(G, g, nu_bar, source).cost
-                if rep.total + rep.tolerance < cost:
+                # the LP cost is certified to within GAP_TOL, as in bound --verify
+                if rep.total + rep.tolerance + transport.GAP_TOL < cost:
                     raise DominanceError(
                         f"bound {rep.total} below LP cost {cost} at N={N}")
                 oracles.append(cost)

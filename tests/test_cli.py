@@ -382,8 +382,8 @@ class TestWalkCommand:
     def test_convolution_check_failure_exit(self, runner, tmp_path,
                                             monkeypatch):
         # one entry of the step measure's l = 1 block moved by 1e-9: b @ b
-        # then misses the nu*nu block by 1.3e-10, 100 times the check's
-        # tolerance
+        # then misses the nu*nu block by 1.3e-10, 119 times the check's
+        # tolerance (1.12e-12 at n = 6, d = 11)
         rot = walks.lps_generators(5).rotations
         pts = tmp_path / "p5.csv"
         groups.save_points(pts, "so3", rot)
@@ -487,6 +487,35 @@ class TestEmpiricalCommand:
             1e-11 * max(1.0, float(r["bound_max"])) for r in rows)
         assert max(tol[k] for k in parts) <= tol["total"] <= sum(
             tol[k] for k in parts)
+
+    @pytest.mark.parametrize("excess,code", [(0.5, 0), (2.0, cli.EXIT_DOMINANCE)])
+    def test_verify_allows_the_lp_gap(self, runner, tmp_path, circle_pair,
+                                      monkeypatch, excess, code):
+        # an LP cost above a draw's total + tolerance by less than GAP_TOL is
+        # within the LP's own certificate, as bound --verify allows
+        a, _ = circle_pair
+        best, reports = bound.CutoffSweep.best, []
+        real = transport.exact_wasserstein
+
+        def recorded(self, *args, **kw):
+            reports.append(best(self, *args, **kw))
+            return reports[-1]
+
+        def above(G, g, nu1, nu2, **kw):
+            plan = real(G, g, nu1, nu2, **kw)
+            rep = reports[-1][1]
+            object.__setattr__(plan, "cost", rep.total + rep.tolerance
+                               + excess * transport.GAP_TOL)
+            return plan
+
+        monkeypatch.setattr(bound.CutoffSweep, "best", recorded)
+        monkeypatch.setattr(transport, "exact_wasserstein", above)
+        res = runner.invoke(cli.main, [
+            "empirical", "--group", "torus(1)", "--points", a, "--n-list", "4,8",
+            "--reps", "2", "--verify", "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+        # every draw is checked; the first one above the slack stops the run
+        assert len(reports) == (4 if code == 0 else 1)
 
 
 class TestOracleCommand:

@@ -198,6 +198,45 @@ def _assert_blocks_match_stack(G, nu, irreps):
     return blocks
 
 
+def _longdouble_blocks(nu, irreps):
+    """sum_k w_k pi~(x_k)^* per su2/so3 irrep, in long double.
+
+    pi~ is the matrix function that fourier.transform_error names: the
+    computed Euler angles, V and phase arguments fl(a m), here with the
+    exponentials and every sum in np.clongdouble.  The terms are summed
+    over the atoms first, into one cube per spin parity on the top spin's
+    weights, and then over r with each level's V.
+    """
+    angles = fourier._euler_angles(nu.atoms)
+    w = nu.weights.astype(np.longdouble)
+    cubes, out = {}, []
+    for p in irreps:
+        two_j = p.dim - 1
+        top = max(q.dim - 1 for q in irreps if (q.dim - p.dim) % 2 == 0)
+        if top not in cubes:
+            m = np.arange(top + 1) - top / 2.0
+            ea, eb, ec = (np.exp(1j * (t[:, None] * m).astype(np.longdouble))
+                          for t in angles)
+            vw = (eb[:, :, None] * ec[:, None, :]).reshape(w.size, -1)
+            cubes[top] = ((w[:, None] * ea).T @ vw).reshape((top + 1,) * 3)
+        o = (top - two_j) // 2
+        F = cubes[top][o:o + p.dim, o:o + p.dim, o:o + p.dim]
+        V = fourier._jy_eigenbasis(two_j)[1].astype(np.clongdouble)
+        out.append(np.einsum("pr,prq,qr->pq", V, F, V.conj()).conj().T)
+    return out
+
+
+def _assert_within_transform_error(G, irreps, seed):
+    # one atom and 300 atoms, against the long-double evaluation
+    for n_atoms in (1, 300):
+        nu = random_measure(G, n_atoms, seed)
+        blocks = fourier.measure_transforms(G, nu, irreps)
+        for p, blk, ref in zip(irreps, blocks, _longdouble_blocks(nu, irreps)):
+            assert ref.dtype == np.clongdouble
+            err = np.max(np.abs(blk - ref))
+            assert err <= fourier.transform_error(n_atoms, p.dim), (n_atoms, p.label)
+
+
 def test_measure_transform_chunks_match_one_stack():
     # 300 atoms at spins up to 25 (n = 51 weights): the default budget
     # takes the half cube in one tile, from two chunks of at most 197 atoms
@@ -208,6 +247,7 @@ def test_measure_transform_chunks_match_one_stack():
     blocks = _assert_blocks_match_stack(G, nu, irreps)
     one = fourier.measure_transform(G, nu, irreps[-1])
     assert np.max(np.abs(one - blocks[-1])) < 1e-14
+    _assert_within_transform_error(G, irreps, 21)
 
 
 def _mixed_su2_irreps(G):
@@ -221,6 +261,7 @@ def test_measure_transforms_mixed_spin_parities():
     # follow the order of the list
     G = groups.descriptor("su2")
     _assert_blocks_match_stack(G, random_measure(G, 300, 22), _mixed_su2_irreps(G))
+    _assert_within_transform_error(G, _mixed_su2_irreps(G), 22)
 
 
 @pytest.mark.parametrize("gid", ["so3", "su2"])

@@ -158,13 +158,6 @@ class TestWalkEvolve:
         with pytest.raises(ValueError, match="irreps"):
             walks.walk_evolve(G_SO3, nu, 2, 0.5)
 
-    def test_m_grid_override(self):
-        nu = walks.lps_generators(5).measure()
-        states = walks.walk_evolve(G_SO3, nu, 3, 10.5, m_grid=[4.5])
-        assert all(s.exact_m == 4.5 for s in states)
-        with pytest.raises(ValueError, match="admissible"):
-            walks.walk_evolve(G_SO3, nu, 3, 10.5, m_grid=[0.7])
-
 
 def _powering_reference(G, nu, k_max, M, blocks=None):
     """q_hat, Fourier sum and best cutoff per step from explicit powers."""

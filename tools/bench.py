@@ -13,10 +13,13 @@ fraction of the median).  Each seed's run medians are kept too.  The
 per-layer metrics are the traced run's medians.  The file also records
 the commit, whether the measured code (src/, perfbench/, BENCHMARK.json)
 had uncommitted changes, and the BLAS thread settings of the rounds and of
-the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json and,
-if there is an earlier one made with the same seeds and run length, prints
-each end-to-end median next to its own.  SEEDS is fixed so that successive
-files measure the same runs.
+the Tier-1 run.  Without --out it writes the next free BENCH_<n>.json.
+SEEDS is fixed so that successive files measure the same runs.
+
+It compares no two files: two BENCH files are measured hours apart on a
+shared machine, so the difference of their medians carries the machine's
+load (one such comparison showed a paired 20.6% gain as 6%).  A speed
+claim rests on alternating parent and change runs instead.
 
 The script changes nothing under perfbench/: it only runs run.py and reads
 its ROUND_ENV, without writing bytecode there.
@@ -131,19 +134,6 @@ def main(argv=None) -> int:
 
     earlier = bench_numbers()
     path = args.out or os.path.join(ROOT, f"BENCH_{(earlier or [0])[-1] + 1}.json")
-    if not args.out and earlier:
-        with open(os.path.join(ROOT, f"BENCH_{earlier[-1]}.json"), encoding="utf-8") as fh:
-            prev = json.load(fh)
-        if (prev["seeds"], prev["seconds"]) != (seeds, seconds):
-            print(f"BENCH_{earlier[-1]}.json ran seeds {prev['seeds']} for "
-                  f"{prev['seconds']} s; not compared", file=sys.stderr)
-        else:
-            for wl, data in out["workloads"].items():
-                for name, m in data["end_to_end"].items():
-                    old = prev["workloads"].get(wl, {}).get("end_to_end", {}).get(name)
-                    if old:
-                        print(f"{wl} {name}: {old['median']:.4g} -> {m['median']:.4g} "
-                              f"{m['unit']}", file=sys.stderr)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
