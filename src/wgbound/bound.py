@@ -131,13 +131,6 @@ _PSI_LAYOUT = {
 }
 
 
-def _psi_layout(G: GroupDescriptor):
-    try:
-        return _PSI_LAYOUT[G.group_id]
-    except KeyError:
-        raise ValueError(f"no smoothing-cost layout for group {G.group_id!r}")
-
-
 # the bracket width that 32 bisections of the torus scan step leave
 _ZERO_WIDTH = 3.7e-12
 
@@ -212,8 +205,7 @@ def _psi_nodes(group_id: str, profile_id: str):
     nondecreasing, so g at the right end times that bounds the panel's
     share of tf.error * sum w g base.
     """
-    G = groups.descriptor(group_id)
-    r, R, A, a_f, xpow = _psi_layout(G)
+    r, R, A, a_f, xpow = _PSI_LAYOUT[group_id]
     tf = bump_transform(profile_id, r)
     breaks = np.concatenate(([0.0], _f_sign_changes(tf, a_f, R), [R]))
     lo, hi = _panels(breaks, 0.5)
@@ -223,7 +215,7 @@ def _psi_nodes(group_id: str, profile_id: str):
                                     np.column_stack((mid, hi)).ravel(), 10)
     x = np.concatenate((xc, xf))
     factor = A * x ** xpow
-    if G.group_id in ("su2", "so3"):
+    if group_id in ("su2", "so3"):
         factor = factor * np.sin(np.pi * x) ** 2
     base = np.abs(tf.evaluate(a_f * x)) * factor
     charge = tf.error * pairwise_sum((wf * factor[xc.size:]).reshape(lo.size, -1).T)
@@ -344,7 +336,7 @@ def phi(n: int, g, t: float) -> float:
     Infimum over the budget parameter c of _phi_objective, including the
     c -> 0 boundary limit when g has finite slope at zero.  For power
     moduli the optimization is scale-invariant and reduces to a cached
-    constant.  Its square is smoothing.fourier_decay_budget.
+    constant.  Its square is fourier_decay_budget.
     """
     if not t > 0:
         raise ValueError(f"need t > 0, got {t}")
@@ -358,6 +350,25 @@ def phi(n: int, g, t: float) -> float:
         if s0 is not None and math.isfinite(s0):
             best = min(best, math.sqrt(n) * s0)
     return best
+
+
+def fourier_decay_budget(n: int, g, M: float, c: Optional[float] = None) -> float:
+    """Budget bounding sum of d_pi kappa_pi |f_hat(pi)|_HS^2 over |weight| <= M.
+
+    Valid for any f whose L2 translation modulus is bounded by g.  The
+    budget at parameter c is the square of the objective phi minimises, so
+    without c it is phi(n, g, M)^2: the infimum over the admissible
+    interval, including the c -> 0 boundary limit when g has a finite
+    slope at zero.
+    """
+    if not (M > 0 and n >= 1):
+        raise ValueError("need M > 0 and n >= 1")
+    if c is None:
+        return phi(n, g, M) ** 2
+    c_max = budget_interval(n)
+    if not (0.0 < c < c_max):
+        raise ValueError(f"c={c} outside (0, {c_max})")
+    return _phi_objective(n, g, M, c) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +472,9 @@ def default_m_grid(G: GroupDescriptor, cap: Optional[float] = None) -> np.ndarra
     """
     lo = G.admissibility_threshold
     hi = float(cap) if cap is not None else _GRID_CAPS[G.group_id]
-    if hi < lo:
-        raise ValueError(f"grid cap {hi} below admissibility threshold {lo}")
+    if not lo <= hi < math.inf:
+        raise ValueError(f"grid cap {hi} must be finite and at least the "
+                         f"admissibility threshold {lo}")
     n_pts = max(2, int(math.ceil(16.0 * math.log10(hi / lo))) + 1)
     return np.geomspace(lo, hi, n_pts)
 

@@ -4,6 +4,11 @@ Every artifact embeds the configuration echo, its hash, the module
 versions, and the numeric tolerances the computation consumed.  Identical
 config and seed reproduce identical bytes; no timestamps are written.
 
+_TABLE declares each command: its runner, how many --points files it
+takes, the options it needs and the others it reads (all read --group,
+--seed and --out).  run refuses, with exit 2, a config that sets any other
+option away from its default; click registers only the options read.
+
 Exit codes: 0 success, 2 configuration or input parse error, 3 file I/O
 error, 4 solver failure, 5 certified-dominance violation.  Only `run` maps
 a command's exceptions to exit codes; a library ValueError exits 2 as it
@@ -19,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import click
 import numpy as np
@@ -35,7 +40,6 @@ EXIT_SOLVER = 4
 EXIT_DOMINANCE = 5
 
 _PROFILES = {"paper": "paper_bump", "plateau": "plateau"}
-_COMMANDS = ("audit", "walk", "empirical", "kernel", "bound", "oracle")
 _AUDIT_PROXY_N = 1 << 14  # lattice stand-in for Haar in circle verification
 # atoms of nu*nu that walk --verify transforms at once
 _CONV_CHUNK_ATOMS = 4096
@@ -71,7 +75,7 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _TABLE:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.profile not in _PROFILES:
             raise ConfigError(
@@ -105,6 +109,14 @@ class RunConfig:
     @property
     def hash(self) -> str:
         return config_hash(self.as_json_dict())
+
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)
+             if f.default is not dataclasses.MISSING}
+
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +243,12 @@ def write_csv_artifact(cfg: RunConfig, header, rows, tolerances: dict) -> str:
 # commands
 
 
-def _cmd_kernel(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
-    if cfg.M is None:
-        raise ConfigError("kernel needs --M")
+def _cmd_kernel(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     kc = smoothing.kernel_coefficients(G, cfg.M, profile=_PROFILES[cfg.profile])
     return write_json_artifact(cfg, kc.as_json_dict(), {})
 
 
-def _cmd_oracle(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
-    if len(cfg.points) != 2:
-        raise ConfigError("oracle needs exactly two --points files")
+def _cmd_oracle(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
     nu1 = _load_measure(cfg.points[0], G)
     nu2 = _load_measure(cfg.points[1], G)
@@ -268,11 +274,8 @@ def _check_dominance(reports, oracle_cost: Optional[float]):
                 f"oracle cost {oracle_cost!r}")
 
 
-def _cmd_bound(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
+def _cmd_bound(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
-    if not 1 <= len(cfg.points) <= 2:
-        raise ConfigError("bound needs one or two --points files")
     nu1 = _load_measure(cfg.points[0], G)
     nu2 = _load_measure(cfg.points[1], G) if len(cfg.points) == 2 else None
     profile_id = _PROFILES[cfg.profile]
@@ -304,11 +307,8 @@ def _cmd_bound(cfg: RunConfig) -> str:
                               [r.csv_row(cfg.seed) for r in reports], tolerances)
 
 
-def _cmd_audit(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
+def _cmd_audit(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
-    if len(cfg.points) != 1:
-        raise ConfigError("audit needs exactly one --points file")
     grid = parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None
     if cfg.verify and (G.group_id != "torus(1)" or g.descriptor() != "power:1"):
         raise ConfigError(
@@ -338,13 +338,8 @@ def _cmd_audit(cfg: RunConfig) -> str:
     return write_json_artifact(cfg, result, tolerances)
 
 
-def _cmd_walk(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
+def _cmd_walk(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
-    if len(cfg.points) != 1:
-        raise ConfigError("walk needs exactly one --points file (step measure)")
-    if cfg.M is None:
-        raise ConfigError("walk needs --M (block enumeration cutoff)")
     nu = _load_measure(cfg.points[0], G)
     states = walks.walk_evolve(G, nu, cfg.reps, cfg.M, g=g,
                                profile=_PROFILES[cfg.profile],
@@ -404,23 +399,16 @@ def _verify_walk_convolution(G, nu, M: float):
                 f"(tolerance {tol:.3e}) on irrep {p.label}")
 
 
-def _cmd_empirical(cfg: RunConfig) -> str:
-    G = groups.descriptor(cfg.group)
+def _cmd_empirical(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
-    if not cfg.n_list:
-        raise ConfigError('empirical needs --n-list, e.g. "8,16,32"')
     try:
         Ns = [int(tok) for tok in cfg.n_list.split(",")]
     except ValueError:
         raise ConfigError(f"--n-list entries must be integers: {cfg.n_list!r}") \
             from None
-    source: object = "haar"
-    if cfg.points:
-        if len(cfg.points) != 1:
-            raise ConfigError("empirical takes at most one --points file")
-        source = _load_measure(cfg.points[0], G)
-    if cfg.verify and isinstance(source, str):
+    if cfg.verify and not cfg.points:
         raise ConfigError("--verify needs a discrete source (give --points)")
+    source = _load_measure(cfg.points[0], G) if cfg.points else "haar"
     rows = walks.empirical_experiment(
         G, source, Ns, cfg.reps, g, cfg.seed,
         profile=_PROFILES[cfg.profile], m_cap=cfg.M,
@@ -434,14 +422,59 @@ def _cmd_empirical(cfg: RunConfig) -> str:
                               tolerances)
 
 
-_RUNNERS = {"kernel": _cmd_kernel, "oracle": _cmd_oracle, "bound": _cmd_bound,
-            "audit": _cmd_audit, "walk": _cmd_walk, "empirical": _cmd_empirical}
+class _Command(NamedTuple):
+    """A command's runner and summary, the number of --points files it takes
+    (lo, hi), the options it needs and the others it reads."""
+
+    runner: Callable[[RunConfig, groups.GroupDescriptor], str]
+    summary: str
+    points: Tuple[int, int]
+    needs: Tuple[str, ...]
+    reads: Tuple[str, ...]
+
+    def read_fields(self) -> set:
+        return {"group", "seed", "out", *self.needs, *self.reads,
+                *(("points",) if self.points[1] else ())}
+
+
+_TABLE = {
+    "kernel": _Command(_cmd_kernel, "Smoothing-kernel coefficients at a cutoff.",
+                       (0, 0), ("M",), ("profile",)),
+    "oracle": _Command(_cmd_oracle, "Exact transport oracle for two point sets.",
+                       (2, 2), (), ("g",)),
+    "bound": _Command(_cmd_bound, "Bound the distance between measures (or to Haar).",
+                      (1, 2), (), ("g", "M", "M_grid", "profile", "verify")),
+    "audit": _Command(_cmd_audit, "Equidistribution audit of a point set against Haar.",
+                      (1, 1), (), ("g", "M_grid", "profile", "verify")),
+    "walk": _Command(_cmd_walk, "Exact Fourier-side random-walk bounds per step.",
+                     (1, 1), ("M",), ("g", "profile", "reps", "gap_hint", "verify")),
+    "empirical": _Command(_cmd_empirical, "Empirical-measure sweeps with variance checks.",
+                          (0, 1), ("n_list",), ("g", "M", "profile", "reps", "verify")),
+}
+
+
+def _check_options(cfg: RunConfig) -> None:
+    """Refuse a config its command would not honour in full (see _TABLE)."""
+    cmd = _TABLE[cfg.command]
+    read = cmd.read_fields()
+    for name, default in _DEFAULTS.items():
+        if name not in read and getattr(cfg, name) != default:
+            raise ConfigError(f"{cfg.command} does not read {_flag(name)}")
+    lo, hi = cmd.points
+    if not lo <= len(cfg.points) <= hi:
+        want = f"{lo}" if lo == hi else f"{lo} to {hi}"
+        raise ConfigError(f"{cfg.command} takes {want} --points "
+                          f"file{'s' if hi > 1 else ''}, got {len(cfg.points)}")
+    for name in cmd.needs:
+        if getattr(cfg, name) == _DEFAULTS[name]:
+            raise ConfigError(f"{cfg.command} needs {_flag(name)}")
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one config; writes artifacts and returns the exit code."""
     try:
-        path = _RUNNERS[cfg.command](cfg)
+        _check_options(cfg)
+        path = _TABLE[cfg.command].runner(cfg, groups.descriptor(cfg.group))
     except ValueError as exc:  # ConfigError included
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
@@ -461,47 +494,26 @@ def run(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # click wiring
 
-
-def _common_options(fn):
-    decorators = [
-        click.option("--group", required=True,
-                     help="torus(1), torus(2), torus(3), su2 or so3"),
-        click.option("--g", "g", default="power:1", show_default=True,
-                     help="modulus of continuity: power:<p> or table:<file>"),
-        click.option("--M", "M", type=float, default=None,
-                     help="single cutoff (kernel, bound, walk; cap for empirical)"),
-        click.option("--M-grid", "M_grid", default=None,
-                     help="geometric cutoff grid start:stop:points"),
-        click.option("--profile", default="paper", show_default=True,
-                     help="smoothing bump: paper or plateau"),
-        click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=0,
-                     show_default=True),
-        click.option("--reps", type=int, default=16, show_default=True,
-                     help="repetitions (walk: number of steps)"),
-        click.option("--points", multiple=True,
-                     help="point-set CSV (repeat for a second measure)"),
-        click.option("--n-list", "n_list", default="",
-                     help="empirical sample sizes, e.g. 8,16,32"),
-        click.option("--gap-hint", "gap_hint", type=float, default=None,
-                     help="walk: add gap-relaxed totals under gap <= hint^k"),
-        click.option("--out", default=".", show_default=True,
-                     help="artifact output directory"),
-        click.option("--verify", is_flag=True,
-                     help="run transport oracles alongside and fail on "
-                          "dominance violations"),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
-
-
-def _dispatch(command: str, kwargs: dict):
-    try:
-        cfg = RunConfig.from_dict({"command": command, **kwargs})
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    sys.exit(run(cfg))
+# RunConfig field -> click.option arguments besides its flag and default
+_OPTIONS = {
+    "group": dict(required=True, help="torus(1), torus(2), torus(3), su2 or so3"),
+    "points": dict(multiple=True,
+                   help="point-set CSV (repeat for a second measure)"),
+    "g": dict(show_default=True,
+              help="modulus of continuity: power:<p> or table:<file>"),
+    "M": dict(type=float, help="single cutoff (empirical: cap on the grid)"),
+    "M_grid": dict(help="geometric cutoff grid start:stop:points"),
+    "n_list": dict(help="empirical sample sizes, e.g. 8,16,32"),
+    "profile": dict(show_default=True, help="smoothing bump: paper or plateau"),
+    "reps": dict(type=int, show_default=True,
+                 help="repetitions (walk: number of steps)"),
+    "gap_hint": dict(type=float,
+                     help="add gap-relaxed totals under gap <= hint^k"),
+    "verify": dict(is_flag=True, help="cross-check with an independent "
+                                      "oracle and fail on a violation"),
+    "seed": dict(type=click.IntRange(0, 2 ** 64 - 1), show_default=True),
+    "out": dict(show_default=True, help="artifact output directory"),
+}
 
 
 @click.group()
@@ -510,22 +522,23 @@ def main():
     """Certified Wasserstein bounds with machine-checked oracles."""
 
 
-def _register(name: str, summary: str):
-    @main.command(name=name, short_help=summary)
-    @_common_options
-    def _cmd(**kwargs):
-        _dispatch(name, kwargs)
+def _register(name: str, cmd: _Command):
+    def _run(**kwargs):
+        try:
+            cfg = RunConfig.from_dict({"command": name, **kwargs})
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        sys.exit(run(cfg))
 
-    _cmd.__doc__ = summary
-    return _cmd
+    for field in reversed([f for f in _OPTIONS if f in cmd.read_fields()]):
+        _run = click.option(_flag(field), field, default=_DEFAULTS.get(field),
+                            **_OPTIONS[field])(_run)
+    main.command(name=name, help=cmd.summary, short_help=cmd.summary)(_run)
 
 
-_register("bound", "Bound the distance between measures (or to Haar).")
-_register("audit", "Equidistribution audit of a point set against Haar.")
-_register("walk", "Exact Fourier-side random-walk bounds per step.")
-_register("empirical", "Empirical-measure sweeps with variance checks.")
-_register("kernel", "Smoothing-kernel coefficients at a cutoff.")
-_register("oracle", "Exact transport oracle for two point sets.")
+for _name, _cmd in _TABLE.items():
+    _register(_name, _cmd)
 
 
 if __name__ == "__main__":

@@ -754,6 +754,56 @@ def derived_rep(G: groups.GroupDescriptor, irrep: groups.Irrep,
 
 
 # ---------------------------------------------------------------------------
+# Laplacian consistency oracle
+
+_PROBE_SEED = 20240817  # fixed so the oracle is deterministic
+
+_STENCILS = {
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    4: ((-2, -1.0 / 12), (-1, 16.0 / 12), (0, -30.0 / 12), (1, 16.0 / 12), (2, -1.0 / 12)),
+}
+
+
+def casimir_residual(G: groups.GroupDescriptor, irrep: groups.Irrep, h: float,
+                     order: int = 4) -> float:
+    """Relative defect of the finite-difference Laplacian on irrep entries.
+
+    Applies a central second-difference stencil (order 2 or 4) along an
+    orthonormal basis of the Lie algebra at the identity and eight fixed
+    pseudo-random probe points, and compares against ``-casimir * matrix``.
+    Returns the worst relative Frobenius defect over the probes.
+    """
+    if order not in _STENCILS:
+        raise ValueError(f"stencil order must be one of {sorted(_STENCILS)}")
+    if irrep.casimir == 0:
+        return 0.0  # trivial irrep: constant entries, zero Laplacian exactly
+    if irrep.casimir < 0:
+        raise ValueError("negative casimir")
+    if not (h > 0):
+        raise ValueError("step h must be positive")
+    probes = [groups.identity(G)]
+    probes.extend(groups.haar_sample(G, _PROBE_SEED, 8))
+    dim_alg = G.n
+    basis = np.eye(dim_alg)
+    stencil = _STENCILS[order]
+    worst = 0.0
+    for x in probes:
+        base = irrep_matrix(G, irrep, x)
+        acc = np.zeros_like(base)
+        for k in range(dim_alg):
+            for shift, coef in stencil:
+                if shift == 0:
+                    acc += coef * base
+                    continue
+                step = groups.exp_map(G, shift * h * basis[k])
+                acc += coef * irrep_matrix(G, irrep, groups.multiply(G, x, step))
+        lap = acc / (h * h)
+        defect = np.linalg.norm(lap + irrep.casimir * base, "fro")
+        worst = max(worst, defect / (irrep.casimir * np.linalg.norm(base, "fro")))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # quadrature over conjugacy classes
 
 

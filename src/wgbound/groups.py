@@ -362,58 +362,6 @@ def enumerate_irreps(G: GroupDescriptor, M: float,
 
 
 # ---------------------------------------------------------------------------
-# Laplacian consistency oracle
-
-_PROBE_SEED = 20240817  # fixed so the oracle is deterministic
-
-_STENCILS = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: ((-2, -1.0 / 12), (-1, 16.0 / 12), (0, -30.0 / 12), (1, 16.0 / 12), (2, -1.0 / 12)),
-}
-
-
-def casimir_residual(G: GroupDescriptor, irrep: Irrep, h: float,
-                     order: int = 4) -> float:
-    """Relative defect of the finite-difference Laplacian on irrep entries.
-
-    Applies a central second-difference stencil (order 2 or 4) along an
-    orthonormal basis of the Lie algebra at the identity and eight fixed
-    pseudo-random probe points, and compares against ``-casimir * matrix``.
-    Returns the worst relative Frobenius defect over the probes.
-    """
-    from . import fourier  # local import: fourier builds on this module
-
-    if order not in _STENCILS:
-        raise ValueError(f"stencil order must be one of {sorted(_STENCILS)}")
-    if irrep.casimir == 0:
-        return 0.0  # trivial irrep: constant entries, zero Laplacian exactly
-    if irrep.casimir < 0:
-        raise ValueError("negative casimir")
-    if not (h > 0):
-        raise ValueError("step h must be positive")
-    probes = [identity(G)]
-    probes.extend(haar_sample(G, _PROBE_SEED, 8))
-    dim_alg = G.n
-    basis = np.eye(dim_alg)
-    stencil = _STENCILS[order]
-    worst = 0.0
-    for x in probes:
-        base = fourier.irrep_matrix(G, irrep, x)
-        acc = np.zeros_like(base)
-        for k in range(dim_alg):
-            for shift, coef in stencil:
-                if shift == 0:
-                    acc += coef * base
-                    continue
-                step = exp_map(G, shift * h * basis[k])
-                acc += coef * fourier.irrep_matrix(G, irrep, multiply(G, x, step))
-        lap = acc / (h * h)
-        defect = np.linalg.norm(lap + irrep.casimir * base, "fro")
-        worst = max(worst, defect / (irrep.casimir * np.linalg.norm(base, "fro")))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # point-set files
 
 _HEADER_RE = re.compile(r"^#\s*group=(\S+)\s*$")

@@ -4,14 +4,14 @@ Radial bump profiles on the Cartan algebra, their Fourier transforms
 (evaluated within a stated error bound) with power-law tail majorants
 proven from the derivatives of the bump's projection, Weyl density
 coefficients, the coefficients a_pi of the degree-limited smoothing
-polynomial, and the Fourier decay budget.
+polynomial, and the budget interval of bound.fourier_decay_budget.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -582,24 +582,3 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
 def budget_interval(n: int) -> float:
     """Right endpoint of the admissible interval for the budget parameter c."""
     return 2.0 * (math.sqrt(n * n + n) - n)
-
-
-def fourier_decay_budget(n: int, g, M: float, c: Optional[float] = None) -> float:
-    """Budget bounding sum of d_pi kappa_pi |f_hat(pi)|_HS^2 over |weight| <= M.
-
-    Valid for any f whose L2 translation modulus is bounded by g.  The
-    budget at parameter c is the square of the objective bound.phi
-    minimises, so without c it is phi(n, g, M)^2: the infimum over the
-    admissible interval, including the c -> 0 boundary limit when g has a
-    finite slope at zero.
-    """
-    from . import bound as _bound
-
-    if not (M > 0 and n >= 1):
-        raise ValueError("need M > 0 and n >= 1")
-    if c is None:
-        return _bound.phi(n, g, M) ** 2
-    c_max = budget_interval(n)
-    if not (0.0 < c < c_max):
-        raise ValueError(f"c={c} outside (0, {c_max})")
-    return _bound._phi_objective(n, g, M, c) ** 2

@@ -252,12 +252,10 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         raise ValueError("measure/group mismatch")
     if g is None:
         g = bound.ModulusOfContinuity.power(1.0)
-    # spectral_data rejects M = inf, default_m_grid an M below the threshold with irreps
-    sweep = None
-    if G.admissibility_threshold <= M < math.inf or groups.enumerate_irreps(G, M):
-        sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
-    if sweep is None or not sweep.irreps:
+    # spectral_data rejects a non-finite M, default_m_grid one below the threshold
+    if not groups.enumerate_irreps(G, M):
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
+    sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
     irreps, ratios = sweep.irreps, sweep.ratios
     base = fourier.measure_transforms(G, nu, irreps)
     gap_sweep = None if q_hint is None else bound.CutoffSweep(

@@ -110,7 +110,7 @@ def test_04_representation_theory_oracles():
                     else abs(p.label[0]) <= 6)]
         assert reps
         for p in reps:
-            assert groups.casimir_residual(G, p, h=1e-3) <= 1e-5, p.label
+            assert fourier.casimir_residual(G, p, h=1e-3) <= 1e-5, p.label
     # character orthonormality under the class quadrature
     for gid in ("torus(1)", "torus(2)", "torus(3)", "su2", "so3"):
         G = groups.descriptor(gid)
@@ -178,7 +178,7 @@ def test_06_fourier_decay_budget():
             coefs = fourier.class_coefficients(G_SU2, f, reps, quad=(pts, w))
             lhs = float(np.sum([p.casimir * abs(c) ** 2
                                 for p, c in zip(reps, coefs)]))
-            budget = smoothing.fourier_decay_budget(3, g, M)
+            budget = bound.fourier_decay_budget(3, g, M)
             assert lhs <= budget + 1e-9, (p_exp, M, lhs, budget)
     # closed-form cap at the explicit budget parameter
     c_star = (math.sqrt(17.0) - 3.0) / 2.0
@@ -186,10 +186,10 @@ def test_06_fourier_decay_budget():
         for p_exp in (0.5, 1.0):
             g = bound.ModulusOfContinuity.power(p_exp)
             for M in (2.0, 5.0, 10.0):
-                at_c = smoothing.fourier_decay_budget(n, g, M, c=c_star)
+                at_c = bound.fourier_decay_budget(n, g, M, c=c_star)
                 cap = 9.0 * n ** (3.0 - 2.0 * p_exp) * M ** (2.0 - 2.0 * p_exp)
                 assert at_c <= cap + 1e-9, (n, p_exp, M)
-                assert smoothing.fourier_decay_budget(n, g, M) <= at_c + 1e-12
+                assert bound.fourier_decay_budget(n, g, M) <= at_c + 1e-12
 
 
 def test_07_rate_slopes():

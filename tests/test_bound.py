@@ -196,7 +196,7 @@ def _psi_reference_nodes(profile_id, R, A, a_f, trig):
 
 def _psi_reference(G, profile_id, p, M):
     """(int_0^R, int_R^{R+20}) of psi's integrand with g = t^p."""
-    _, R, A, a_f, _ = bound._psi_layout(G)
+    _, R, A, a_f, _ = bound._PSI_LAYOUT[G.group_id]
     trig = G.group_id in ("su2", "so3")
     first, x, wb = _psi_reference_nodes(profile_id, R, A, a_f, trig)
     m0 = smoothing.kernel_degree(G, M)
@@ -487,6 +487,11 @@ class TestOptimizeM:
         assert np.all(np.diff(grid) > 0)
         capped = bound.default_m_grid(any_group, cap=20.0)
         assert capped[-1] <= 20.0
+        # a non-finite cap used to raise OverflowError (inf) or a ValueError
+        # about integer conversion (nan)
+        for cap in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid cap"):
+                bound.default_m_grid(any_group, cap=cap)
 
     def test_best_cutoff_grows_with_sample_size(self):
         grid = bound.default_m_grid(G_SU2, cap=64.0)

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -669,6 +670,132 @@ class TestExitPaths:
         assert res.stderr == f"config error: {line.format(**files)}\n"
         assert res.stdout == ""
         assert not out.exists()
+
+
+# The option matrix of the README, written out here rather than read from
+# cli: per command the --points files it takes, the options it needs and the
+# others it reads.  Every command also reads --group, --seed and --out.
+COMMAND_TABLE = {
+    "kernel": ((0, 0), {"--M"}, {"--profile"}),
+    "oracle": ((2, 2), set(), {"--g"}),
+    "bound": ((1, 2), set(), {"--g", "--M", "--M-grid", "--profile", "--verify"}),
+    "audit": ((1, 1), set(), {"--g", "--M-grid", "--profile", "--verify"}),
+    "walk": ((1, 1), {"--M"},
+             {"--g", "--profile", "--reps", "--gap-hint", "--verify"}),
+    "empirical": ((0, 1), {"--n-list"},
+                  {"--g", "--M", "--profile", "--reps", "--verify"}),
+}
+ALWAYS = {"--group", "--seed", "--out"}
+# flag -> (RunConfig field, a value away from its default); points name files
+OPTION_VALUES = {
+    "--points": ("points", ("a",)), "--g": ("g", "power:0.5"),
+    "--M": ("M", 30.0), "--M-grid": ("M_grid", "4:64:6"),
+    "--n-list": ("n_list", "4,8"), "--profile": ("profile", "plateau"),
+    "--reps": ("reps", 2), "--gap-hint": ("gap_hint", 0.5),
+    "--verify": ("verify", True), "--seed": ("seed", 5),
+}
+# a run on torus(1) that succeeds with every option the command reads
+TABLE_BASE = {
+    "kernel": {"--M": 30.0},
+    "oracle": {"--points": ("a", "b")},
+    "bound": {"--points": ("a", "b")},
+    "audit": {"--points": ("lattice",)},
+    "walk": {"--points": ("golden",), "--M": 30.0},
+    "empirical": {"--points": ("a",), "--n-list": "4,8"},
+}
+
+
+def _reads(cmd: str) -> set:
+    (_, hi), needs, also = COMMAND_TABLE[cmd]
+    return needs | also | ALWAYS | ({"--points"} if hi else set())
+
+
+def _pairs(read: bool) -> list:
+    return [(cmd, flag) for cmd in COMMAND_TABLE for flag in sorted(OPTION_VALUES)
+            if (flag in _reads(cmd)) == read]
+
+
+class TestCommandTable:
+    @pytest.fixture
+    def files(self, tmp_path, circle_pair):
+        lattice, golden = tmp_path / "lattice.csv", tmp_path / "golden.csv"
+        groups.save_points(lattice, "torus(1)", np.arange(16)[:, None] / 16)
+        groups.save_points(golden, "torus(1)", [[0.0], [(math.sqrt(5) - 1) / 2]])
+        return {"a": circle_pair[0], "b": circle_pair[1],
+                "lattice": str(lattice), "golden": str(golden)}
+
+    @staticmethod
+    def _options(cmd: str, flag: str) -> dict:
+        options = {flag: OPTION_VALUES[flag][1], **TABLE_BASE[cmd]}
+        if flag == "--M-grid":
+            options.pop("--M", None)  # RunConfig refuses both at once
+        return options
+
+    @staticmethod
+    def _cli_args(cmd, options, files, out) -> list:
+        args = [cmd, "--group", "torus(1)", "--out", str(out)]
+        for flag, value in options.items():
+            if flag == "--points":
+                for key in value:
+                    args += [flag, files[key]]
+            else:
+                args += [flag] if value is True else [flag, str(value)]
+        return args
+
+    @staticmethod
+    def _config(cmd, options, files, out) -> cli.RunConfig:
+        fields = {OPTION_VALUES[flag][0]: value for flag, value in options.items()}
+        if "points" in fields:
+            fields["points"] = tuple(files[key] for key in fields["points"])
+        return cli.RunConfig(command=cmd, group="torus(1)", out=str(out), **fields)
+
+    @pytest.mark.parametrize("cmd,flag", _pairs(read=False))
+    def test_unread_option_exits_2(self, runner, tmp_path, files, capsys,
+                                   cmd, flag):
+        # these used to be dropped silently, with exit 0 and the unread
+        # value recorded in the artifact's config echo
+        options, out = self._options(cmd, flag), tmp_path / "art"
+        res = runner.invoke(cli.main, self._cli_args(cmd, options, files, out))
+        assert res.exit_code == cli.EXIT_CONFIG, res.output
+        assert f"No such option '{flag}'" in res.output
+        capsys.readouterr()
+        assert cli.run(self._config(cmd, options, files, out)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {cmd} does not read {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,flag", _pairs(read=True))
+    def test_read_option_runs(self, runner, tmp_path, files, cmd, flag):
+        options = self._options(cmd, flag)
+        res = runner.invoke(cli.main, self._cli_args(cmd, options, files,
+                                                     tmp_path / "art"))
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("cmd,n", [
+        (cmd, n) for cmd, ((lo, hi), _, _) in COMMAND_TABLE.items()
+        for n in range(4) if hi and not lo <= n <= hi])
+    def test_points_count(self, tmp_path, capsys, cmd, n):
+        options = {**TABLE_BASE[cmd], "--points": ("a",) * n}
+        cfg = self._config(cmd, options, {"a": "absent.csv"}, tmp_path)
+        assert cli.run(cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cmd} takes ") and "--points" in err
+
+    @pytest.mark.parametrize("cmd,flag", [
+        (cmd, flag) for cmd, (_, needs, _) in COMMAND_TABLE.items()
+        for flag in sorted(needs)])
+    def test_missing_need(self, tmp_path, capsys, files, cmd, flag):
+        options = {k: v for k, v in TABLE_BASE[cmd].items() if k != flag}
+        assert cli.run(self._config(cmd, options, files, tmp_path)) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {cmd} needs {flag}\n"
+
+    @pytest.mark.parametrize("cmd", sorted(COMMAND_TABLE))
+    def test_help_lists_exactly_read_options(self, runner, cmd):
+        res = runner.invoke(cli.main, [cmd, "--help"])
+        assert res.exit_code == 0, res.output
+        listed = set(re.findall(r"^  (--[\w-]+)", res.output, re.M))
+        assert listed == _reads(cmd) | {"--help"}
 
 
 class TestReproducibility:

@@ -308,20 +308,20 @@ def test_casimir_residual_small(gid, label):
     G = groups.descriptor(gid)
     reps = groups.enumerate_irreps(G, 10.0, include_trivial=True)
     p = next(r for r in reps if r.label == label)
-    assert groups.casimir_residual(G, p, 1e-3) < 1e-5
+    assert fourier.casimir_residual(G, p, 1e-3) < 1e-5
 
 
 def test_casimir_residual_second_order_rate():
     G = groups.descriptor("su2")
     p = groups.enumerate_irreps(G, 2.0)[1]
-    r_coarse = groups.casimir_residual(G, p, 2e-2, order=2)
-    r_fine = groups.casimir_residual(G, p, 1e-2, order=2)
+    r_coarse = fourier.casimir_residual(G, p, 2e-2, order=2)
+    r_fine = fourier.casimir_residual(G, p, 1e-2, order=2)
     assert 2.5 < r_coarse / r_fine < 6.0
 
 
 def test_casimir_residual_trivial_is_zero(any_group):
     triv = groups.trivial_irrep(any_group)
-    assert groups.casimir_residual(any_group, triv, 1e-3) == 0.0
+    assert fourier.casimir_residual(any_group, triv, 1e-3) == 0.0
 
 
 def test_point_file_roundtrip(tmp_path, any_group):

@@ -370,7 +370,7 @@ def test_budget_interval_and_feasible_candidate():
 def test_budget_boundary_limit_for_linear_modulus(n):
     g = bound.ModulusOfContinuity.power(1.0)
     for M in (2.0, 5.0, 10.0):
-        assert smoothing.fourier_decay_budget(n, g, M) == pytest.approx(n, rel=1e-9)
+        assert bound.fourier_decay_budget(n, g, M) == pytest.approx(n, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -379,18 +379,18 @@ def test_budget_closed_form_cap(n, p):
     g = bound.ModulusOfContinuity.power(p)
     c_star = (math.sqrt(17.0) - 3.0) / 2.0
     for M in (2.0, 5.0, 10.0):
-        at_c = smoothing.fourier_decay_budget(n, g, M, c=c_star)
+        at_c = bound.fourier_decay_budget(n, g, M, c=c_star)
         assert at_c <= 9.0 * n ** (3 - 2 * p) * M ** (2 - 2 * p) + 1e-9
-        inf = smoothing.fourier_decay_budget(n, g, M)
+        inf = bound.fourier_decay_budget(n, g, M)
         assert inf <= at_c + 1e-12
 
 
 def test_budget_rejects_out_of_range_c():
     g = bound.ModulusOfContinuity.power(0.5)
     with pytest.raises(ValueError, match="c"):
-        smoothing.fourier_decay_budget(3, g, 5.0, c=smoothing.budget_interval(3))
+        bound.fourier_decay_budget(3, g, 5.0, c=smoothing.budget_interval(3))
     with pytest.raises(ValueError, match="c"):
-        smoothing.fourier_decay_budget(3, g, 5.0, c=0.0)
+        bound.fourier_decay_budget(3, g, 5.0, c=0.0)
 
 
 def test_budget_dominates_band_energy_small():
@@ -405,4 +405,4 @@ def test_budget_dominates_band_energy_small():
     reps = groups.enumerate_irreps(G, M)
     coefs = fourier.class_coefficients(G, f, reps, quad=(pts, w))
     lhs = float(sum(p.casimir * abs(c) ** 2 for c, p in zip(coefs, reps)))
-    assert lhs <= smoothing.fourier_decay_budget(3, g, M)
+    assert lhs <= bound.fourier_decay_budget(3, g, M)

@@ -153,7 +153,8 @@ def configs(f: dict) -> dict:
 
 
 def failures(f: dict) -> dict:
-    """Name -> RunConfig fields, 6 configurations that exit 2, one per command."""
+    """Name -> RunConfig fields, 7 configurations that exit 2: an input
+    error per command, and audit given --M, which it does not read."""
     t1 = f["torus(1)", "a"]
     return {
         "fail-oracle-unknown-group": dict(command="oracle", group="su3",
@@ -168,6 +169,8 @@ def failures(f: dict) -> dict:
                                         points=(f["su2", "a"],)),
         "fail-empirical-descending": dict(command="empirical", group="torus(1)",
                                           n_list="4,2"),
+        "fail-audit-unread-M": dict(command="audit", group="torus(1)",
+                                    points=(f["torus(1)", "audit"],), M=30.0),
     }
 
 
