@@ -31,10 +31,10 @@ character sums (hs_profile): prefix sums of Chebyshev moments of the class
 cosines on su2/so3, and products of per-axis character tables on the torus.
 hs_profile_rows profiles many signed measures on one shared support in one
 pass: the cosines and the unweighted Chebyshev or character tables are
-built once, and each measure's masses only weight them, in fixed-shape
-GEMMs on su2/so3, with rows taken in groups of a fixed byte budget
-(_ROW_BYTES).  hs_profile is one such row.  hs_roundoff bounds the rounding
-error a priori, for measures of any size.
+built once, and each measure's masses only weight them, in GEMMs whose
+shapes the support alone fixes, with su2/so3 rows taken in groups of a
+fixed byte budget (_ROW_BYTES).  hs_profile is one such row.  hs_roundoff
+bounds the rounding error a priori, for measures of any size.
 """
 from __future__ import annotations
 
@@ -51,15 +51,16 @@ from ._util import U, gamma, pairwise_sum
 _WEIGHT_SUM_TOL = 1e-12
 
 # hs_profile on su2/so3: moments m = a * _SPLIT + b, GEMMs of _PANEL values of
-# a over _CHUNK pairs, tables built _BLOCK chunks at a time
+# a over chunks of at most _CHUNK pairs, tables built _BLOCK chunks at a time
 _SPLIT = 16
 _PANEL = 8
 _CHUNK = 2048
 _BLOCK = 4
-# hs_profile on the torus: irreps per gathered product
-_TORUS_CHUNK = 256
-# hs_profile_rows: bytes of pair weights (or weighted torus columns) per
-# group of rows
+# hs_profile on the torus: GEMMs over tiles of _TILE frequencies per axis
+# and chunks of at most _TORUS_ATOMS atoms
+_TILE = 32
+_TORUS_ATOMS = 64
+# hs_profile_rows on su2/so3: bytes of pair weights per group of rows
 _ROW_BYTES = 1 << 22
 # measure_transforms on su2/so3: bytes of the frequency cube's temporaries
 _TRANSFORM_BYTES = 1 << 24
@@ -433,20 +434,21 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     x comes from groups.class_cosines, once for all rows.  _cosine_moments
     builds the unweighted Chebyshev tables of the pairs once per group of
     rows; each row's pair weights then multiply the tables in its own
-    fixed-shape GEMMs: about N^2 (top + 1) real multiply-adds in BLAS per
-    row, and N^2 (_SPLIT + top/_SPLIT) recurrence steps per group, for N
-    atoms.  On the torus every block is a scalar: per-axis tables of
-    exp(-2 pi i j x_d) are built once, each irrep's column is their
-    gathered product, and the columns, _TORUS_CHUNK irreps at a time, are
-    weighted by each row's masses and summed pairwise over the atoms.
+    GEMMs: about N^2 (top + 1) real multiply-adds in BLAS per row, and
+    N^2 (_SPLIT + top/_SPLIT) recurrence steps per group, for N atoms.
+    Rows go through in groups whose pair weights take at most about
+    _ROW_BYTES, so memory does not grow with R.  On the torus every block
+    is a scalar: per-axis tables of exp(-2 pi i j x_d) are built once, in
+    tiles of _TILE frequencies, and each row takes one complex GEMM per
+    tile of labels (_torus_profile): about N (2 top + 1)^D complex
+    multiply-adds for labels up to |m_d| <= top on torus(D).
 
-    Rows go through in groups whose pair weights (su2/so3) or weighted
-    columns (torus) take at most about _ROW_BYTES, so memory does not grow
-    with R.  A value comes from the same operations whatever other rows
-    and irreps the call holds, so a row or a slice of irreps equals a
-    separate call bit for bit, and an all-zero row reads 0.  hs_roundoff
-    bounds the rounding error of every value when each row holds the
-    correctly rounded masses of a signed measure with sum_k |c_k| <= _MASS.
+    Every GEMM's shape is fixed by the support alone, and a value comes
+    from the same operations whatever other rows and irreps the call holds,
+    so a row or a slice of irreps equals a separate call bit for bit, and
+    an all-zero row reads 0.  hs_roundoff bounds the rounding error of every
+    value when each row holds the correctly rounded masses of a signed
+    measure with sum_k |c_k| <= _MASS.
     """
     masses = np.asarray(masses, dtype=float)
     out = np.zeros((masses.shape[0], len(irreps)))
@@ -486,11 +488,19 @@ def _level_sums(G: groups.GroupDescriptor, v: np.ndarray) -> np.ndarray:
     return d
 
 
+def _chunks(n: int, most: int):
+    """Count and length of the chunks that cut n items into pieces of at most
+    most: ceil(n / most) chunks of ceil(n / count) items, the last one
+    short by fewer than count items."""
+    count = -(-n // most)
+    return count, -(-n // count)
+
+
 def _chebyshev_rows(x2: np.ndarray, rows: np.ndarray):
-    """rows[:, r] = x2 * rows[:, r-1] - rows[:, r-2] for r >= 2, in place."""
-    for r in range(2, rows.shape[1]):
-        np.multiply(x2, rows[:, r - 1], out=rows[:, r])
-        rows[:, r] -= rows[:, r - 2]
+    """rows[r] = x2 * rows[r-1] - rows[r-2] for r >= 2, in place."""
+    for r in range(2, rows.shape[0]):
+        np.multiply(x2, rows[r - 1], out=rows[r])
+        rows[r] -= rows[r - 2]
 
 
 def _cosine_moments(x: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
@@ -498,48 +508,58 @@ def _cosine_moments(x: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
 
     With m = a B + b (B = _SPLIT, 0 <= b < B), z = T_B(x) and
     Q_a = (1 - x^2) U_{aB-1}(x) = (1 - x^2) U_{B-1}(x) U_{a-1}(z),
-    T_m(x) = T_b(x) T_a(z) - U_{b-1}(x) Q_a.  Per chunk of _CHUNK pairs the
+    T_m(x) = T_b(x) T_a(z) - U_{b-1}(x) Q_a.  Per chunk of pairs the
     rows [T_b, U_{b-1}] (b < B) come from Chebyshev recurrences in x, and
     the rows [T_a(z), -Q_a] from recurrences in z, _PANEL values of a at a
     time.  Both are unweighted and built once for all of W's rows; each
     row multiplies the z panel by its weights and takes one GEMM per panel,
-    which gives the moments of B _PANEL consecutive m.  The chunks are
-    padded with weight-0 pairs and summed pairwise, so every GEMM has the
-    same shape and every moment the same operations whatever top and the
-    other rows are.
+    which gives the moments of B _PANEL consecutive m.  The P pairs are cut
+    into n = ceil(P / _CHUNK) chunks of ceil(P / n) pairs (_chunks), the
+    last one padded with fewer than n weight-0 pairs, and the chunks are
+    summed pairwise, so every GEMM has a shape that P alone fixes and every
+    moment the same operations whatever top and the other rows are.
     """
-    n_chunks = -(-x.size // _CHUNK)
-    xs = np.ones(n_chunks * _CHUNK)
-    ws = np.zeros((W.shape[0], n_chunks * _CHUNK))
+    n_chunks, size = _chunks(x.size, _CHUNK)
+    xs = np.ones(n_chunks * size)
+    ws = np.zeros((W.shape[0], n_chunks * size))
     xs[:x.size] = x
     ws[:, :x.size] = W
+    # the tables are (row, chunk, component, pair), each recurrence's
+    # multiplier is repeated over both components, and a row's weights of
+    # one chunk are copied into weight once per component, so that no
+    # elementwise step broadcasts along an inner axis
+    weight = np.empty((2, size))
+    pair_weight = weight.reshape(-1)
+    weighted = np.empty((_PANEL, 2 * size))
     # parts[r][c][b, a] is row r's moment a B + b of chunk c
     parts = [[] for _ in ws]
-    for lo in range(0, n_chunks * _CHUNK, _BLOCK * _CHUNK):
-        xb = xs[lo:lo + _BLOCK * _CHUNK].reshape(-1, 1, _CHUNK)
-        wb = ws[:, lo:lo + _BLOCK * _CHUNK].reshape(ws.shape[0], -1, 1, 1, _CHUNK)
-        left = np.empty((xb.shape[0], _SPLIT + 1, 2, _CHUNK))
-        left[:, 0, 0], left[:, 0, 1] = 1.0, 0.0
-        left[:, 1, 0], left[:, 1, 1] = xb[:, 0], 1.0
-        _chebyshev_rows(2.0 * xb, left)
-        z = np.clip(left[:, _SPLIT, :1], -1.0, 1.0)
-        # rows[:, :2] hold a = first, first + 1 of the next panel
-        rows = np.empty((xb.shape[0], _PANEL + 2, 2, _CHUNK))
-        rows[:, 0, 0], rows[:, 0, 1] = 1.0, 0.0
-        rows[:, 1, 0] = z[:, 0]
-        rows[:, 1, 1] = -((1.0 - xb[:, 0]) * (1.0 + xb[:, 0]) * left[:, _SPLIT, 1])
-        lhs = left[:, :_SPLIT].reshape(-1, _SPLIT, 2 * _CHUNK)
+    for lo in range(0, n_chunks, _BLOCK):
+        xb = xs[lo * size:(lo + _BLOCK) * size].reshape(-1, size)
+        nb = xb.shape[0]
+        left = np.empty((_SPLIT + 1, nb, 2, size))
+        left[0, :, 0], left[0, :, 1] = 1.0, 0.0
+        left[1, :, 0], left[1, :, 1] = xb, 1.0
+        _chebyshev_rows(np.repeat(2.0 * xb[:, None], 2, axis=1), left)
+        z = np.clip(left[_SPLIT, :, 0], -1.0, 1.0)
+        # rows[:2] hold a = first, first + 1 of the next panel
+        rows = np.empty((_PANEL + 2, nb, 2, size))
+        rows[0, :, 0], rows[0, :, 1] = 1.0, 0.0
+        rows[1, :, 0] = z
+        rows[1, :, 1] = -((1.0 - xb) * (1.0 + xb) * left[_SPLIT, :, 1])
+        z2 = np.repeat(2.0 * z[:, None], 2, axis=1)
+        lhs = [left[:_SPLIT, c].reshape(_SPLIT, 2 * size) for c in range(nb)]
+        panel = [rows[:_PANEL, c].reshape(_PANEL, 2 * size) for c in range(nb)]
+        wb = ws[:, lo * size:(lo + nb) * size].reshape(-1, nb, 1, size)
         blocks = [[[] for _ in lhs] for _ in ws]
-        weighted = np.empty((_PANEL, 2, _CHUNK))
-        z2 = 2.0 * z
         for first in range(0, top // _SPLIT + 1, _PANEL):
             if first:
-                rows[:, :2] = rows[:, _PANEL:]
+                rows[:2] = rows[_PANEL:]
             _chebyshev_rows(z2, rows)
             for block, w in zip(blocks, wb):
-                for out, l_c, r_c, w_c in zip(block, lhs, rows, w):
-                    np.multiply(r_c[:_PANEL], w_c, out=weighted)
-                    out.append(l_c @ weighted.reshape(_PANEL, 2 * _CHUNK).T)
+                for out, l_c, r_c, w_c in zip(block, lhs, panel, w):
+                    weight[:] = w_c
+                    np.multiply(r_c, pair_weight, out=weighted)
+                    out.append(l_c @ weighted.T)
         for part, block in zip(parts, blocks):
             part += [np.concatenate(out, axis=1) for out in block]
     return np.stack([pairwise_sum(np.stack(part)).T.ravel()[:top + 1]
@@ -547,23 +567,56 @@ def _cosine_moments(x: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
 
 
 def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.ndarray:
-    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per row c of masses and torus irrep m."""
+    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per row c of masses and torus irrep m.
+
+    With A_d[k, j] = exp(-2 pi i j x_kd), the sum at m is
+    sum_k c_k prod_d A_d[k, m_d].  Frequencies are cut into tiles of _TILE
+    consecutive j, aligned at multiples of _TILE, and the labels whose
+    components lie in the tiles t_1..t_D take one GEMM per row and atom
+    chunk: L^T @ A_D[chunk, t_D] for the left side L[k, .] = c_k times the
+    row-major product of A_d[k, t_d] over d < D (c itself on torus(1), a
+    GEMV).  Each L serves every tile t_D under it.  The atoms go in chunks
+    of at most _TORUS_ATOMS (_chunks), whose GEMMs are summed pairwise.
+    """
     labels = np.asarray([p.label for p in irreps], dtype=np.int64)
-    top = int(np.abs(labels).max())
-    j = np.arange(-top, top + 1)
-    axes = [np.exp(-2j * np.pi * np.multiply.outer(atoms[:, d], j))
-            for d in range(labels.shape[1])]
-    step = max(1, _ROW_BYTES // (16 * atoms.shape[0] * _TORUS_CHUNK))
+    dim = labels.shape[1]
+    tile, offset = np.divmod(labels, _TILE)
+    low = tile.min(axis=0)
+    span = tuple(tile.max(axis=0) - low + 1)
+    # axes[d][t] = A_d[:, tile low_d + t], (atoms, _TILE)
+    axes = []
+    for d in range(dim):
+        j = low[d] * _TILE + np.arange(span[d] * _TILE).reshape(-1, 1, _TILE)
+        axes.append(np.exp(-2j * np.pi * (atoms[None, :, d, None] * j)))
+    flat = np.ravel_multi_index(tuple(offset.T), (_TILE,) * dim)
+    # the labels of each tile, tiles in row-major order
+    key = np.ravel_multi_index(tuple((tile - low).T), span)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    members = np.split(order, starts[1:])
+    tiles = np.transpose(np.unravel_index(key[order[starts]], span))
+    # tiles that share t_1..t_{D-1}, and so the left side, are consecutive
+    lead = key[order[starts]] // span[-1]
+    bounds = np.flatnonzero(np.diff(lead, append=-1)) + 1
+    size = _chunks(atoms.shape[0], _TORUS_ATOMS)[1]
+    chunks = [slice(lo, lo + size) for lo in range(0, atoms.shape[0], size)]
     out = np.empty((masses.shape[0], len(irreps)))
-    for lo in range(0, len(irreps), _TORUS_CHUNK):
-        idx = labels[lo:lo + _TORUS_CHUNK] + top
-        ph = axes[0][:, idx[:, 0]]
-        for d in range(1, len(axes)):
-            ph *= axes[d][:, idx[:, d]]
-        for r in range(0, masses.shape[0], step):
-            # (atoms, rows, irreps), summed over the atoms
-            f = pairwise_sum(ph[:, None, :] * masses[r:r + step].T[:, :, None])
-            out[r:r + step, lo:lo + idx.shape[0]] = f.real * f.real + f.imag * f.imag
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        t, under = tiles[lo], range(lo, hi)
+        for c, row in zip(masses, out):
+            picked = [[] for _ in under]
+            for k in chunks:
+                L = c[k]
+                if dim > 1:
+                    L = L[:, None] * axes[0][t[0]][k]
+                if dim > 2:
+                    L = (L[:, :, None] * axes[1][t[1]][k, None, :]).reshape(len(L), -1)
+                for i, p in zip(under, picked):
+                    f = L.T @ axes[-1][tiles[i, -1]][k]
+                    p.append(f.ravel()[flat[members[i]]])
+            for i, p in zip(under, picked):
+                f = pairwise_sum(np.stack(p))
+                row[members[i]] = f.real * f.real + f.imag * f.imag
     return out
 
 
@@ -612,8 +665,8 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
 
     Model: u = _util.U = 2^-53 and gamma_k = _util.gamma(k).  A BLAS dot
     product of length n errs by at most gamma_n times the sum of its
-    terms' moduli, in any order.  A pairwise sum has depth at most
-    _SUM_DEPTH = 63, since no array holds 2^63 elements.
+    terms' moduli, in any order (Higham 2002, ch. 3).  A pairwise sum has
+    depth at most _SUM_DEPTH = 63, since no array holds 2^63 elements.
 
     Masses.  A merged mass is correctly rounded (_group_sums), so
     ||c^ - c||_1 <= u M.
@@ -662,26 +715,44 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
       for a = 1, k_1 = E_B, h_1 = I_0 and K_1 = u + E_B, H_1 = I.
     - Moments: T_m = T_b T_a(z) - U_{b-1} Q_a for m = a B + b.  Per unit
       |w^| the table products err by E_b (1 + K_a) + K_a + E_b (1 + H_a) + H_a,
-      and the GEMM of length 2 _CHUNK with the pairwise sum over chunks by
-      gamma_{2 _CHUNK + 63} Z, Z = (1 + E_b)(2 + K_a + H_a) bounding the two
-      products' moduli.  |w^| <= (1 + u)|w| and w^ errs by u |w|, so with
-      the argument, moment m errs by err_m = (1 + u)(tables + GEMM) + u +
-      m^2 dx per unit of sum |w| <= W = (1 + u)^2 M^2 (_moment_errors).
+      and the GEMM of length 2 c <= 2 _CHUNK (_chunks) with the pairwise sum
+      over chunks by gamma_{2 _CHUNK + 63} Z, Z = (1 + E_b)(2 + K_a + H_a)
+      bounding the two products' moduli.  |w^| <= (1 + u)|w| and w^ errs
+      by u |w|, so with the argument, moment m errs by err_m = (1 + u)
+      (tables + GEMM) + u + m^2 dx per unit of sum |w| <= W = (1 + u)^2 M^2
+      (_moment_errors).
     - Levels: a level sums mu_m S^(m) over q moments (_level_sums); cumsum
       adds gamma_{q-1} sum mu_m |S^(m)|, and |S^(m)| <= W (1 + err_m).  A
       level errs by at most W (sum mu_m err_m + gamma_{q-1} sum mu_m
       (1 + err_m)) + u (2 + u) M^2 d.
 
-    Torus.  An axis table entry takes the angle fl(2 pi^ fl(x j)), within
-    2 pi |j| gamma_3 of 2 pi j x, and cos and sin within one ulp (the bound
-    glibc documents), so it is within eta_j = 2 pi |j| gamma_3 + sqrt(2) u
-    of exp(-2 pi i j x).  The D - 1 complex products err by sqrt(2) gamma_2
-    each, so a character is within e = prod_d (1 + eta_{m_d})
-    (1 + sqrt(2) gamma_2)^(D-1) - 1.  The mass product, the pairwise sum
-    over atoms and the masses' rounding put F^ = sum_k c^_k chi^_k within
-    Delta = M (1 + u)(e + u (1 + e) + gamma_63 (1 + u)(1 + e)) + u M of F,
-    and |F| <= M.  So |F^|^2 is within Delta (2 M + Delta), and
-    re^2 + im^2 adds gamma_2 (M + Delta)^2.
+    Torus.  An axis table entry A^ takes the angle fl(2 pi^ fl(x j)),
+    within 2 pi |j| gamma_3 of 2 pi j x, and cos and sin within one ulp
+    (the bound glibc documents), so it is within eta_j = 2 pi |j| gamma_3
+    + sqrt(2) u of chi_j = exp(-2 pi i j x); with |chi_j| = 1, the product
+    of the D entries of a label m is within e_0 = prod_d (1 + eta_{m_d}) - 1
+    of its character, and has modulus at most 1 + e_0.
+
+    - Left side: c^_k times A^_1 rounds each component once (u), and each
+      further axis below the last is one complex product (sqrt(2) gamma_2,
+      Higham 2002, Lemma 3.5), so the GEMM operand x_k is within p - 1,
+      p = (1 + u)(1 + sqrt(2) gamma_2)^max(D-2, 0), of c^_k prod_{d<D} A^_d
+      per unit of |c^_k| prod_{d<D} |A^_d| (on torus(1) x_k = c^_k).
+    - Sum: a BLAS complex dot product of length n errs by at most
+      sqrt(2) gamma_{2n} times the sum of its terms' moduli, in any order:
+      its real and imaginary parts are real dot products of length 2n
+      (gamma_{2n} each, and (a c + b d, a d + b c) has modulus at most
+      sqrt(2) sqrt(a^2 + b^2) sqrt(c^2 + d^2)), or it takes n complex
+      products (sqrt(2) gamma_2 each) and n - 1 complex additions (u each).
+      A chunk holds at most _TORUS_ATOMS = C atoms, and the chunks are
+      summed pairwise, so F^ is within (1 + sqrt(2) gamma_{2C})(1 + gamma_63)
+      - 1 of sum_k x_k A^_D[k] per unit of sum_k |x_k| |A^_D[k]|.
+    - With 1 + g = p (1 + sqrt(2) gamma_{2C})(1 + gamma_63), the products and
+      the sum put F^ within g (1 + u) M (1 + e_0) of sum_k c^_k prod_d A^_d,
+      the tables add (1 + u) M e_0 and the masses' rounding u M.  So F^ is
+      within Delta = (1 + u) M ((1 + g)(1 + e_0) - 1) + u M of F, and
+      |F| <= M.  |F^|^2 is within Delta (2 M + Delta), and re^2 + im^2 adds
+      gamma_2 (M + Delta)^2.
     """
     if not irreps:
         return np.zeros(0)
@@ -690,12 +761,12 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     if d_t is not None:
         m = np.abs(np.asarray([p.label for p in irreps], dtype=float))
         eta = 2.0 * np.pi * m * gamma(3) + math.sqrt(2.0) * U
-        # products of (1 + small) minus 1, without cancellation
-        e = np.expm1(np.sum(np.log1p(eta), axis=1)
-                     + (d_t - 1) * math.log1p(math.sqrt(2.0) * gamma(2)))
-        delta = (mass * (1.0 + U) * (e + U * (1.0 + e)
-                                     + gamma(_SUM_DEPTH) * (1.0 + U) * (1.0 + e))
-                 + U * mass)
+        # (1 + g)(1 + e_0) - 1 as a sum of logs, without cancellation
+        e = np.expm1(np.sum(np.log1p(eta), axis=1) + math.log1p(U)
+                     + max(d_t - 2, 0) * math.log1p(math.sqrt(2.0) * gamma(2))
+                     + math.log1p(math.sqrt(2.0) * gamma(2 * _TORUS_ATOMS))
+                     + math.log1p(gamma(_SUM_DEPTH)))
+        delta = mass * (1.0 + U) * e + U * mass
         return delta * (2.0 * mass + delta) + gamma(2) * (mass + delta) ** 2
     nu = math.expm1(math.log1p(groups.UNIT_NORM_TOL) - 0.5 * math.log1p(-gamma(4))
                     - math.log1p(-U))

@@ -351,21 +351,32 @@ def _signed(nu1, nu2):
             np.concatenate([nu1.weights, -nu2.weights]))
 
 
-@pytest.mark.parametrize("gid,M", [
-    ("su2", 400.0),                     # two_j = 1..799
-    ("so3", 400.0),                     # l = 1..399
-    ("torus(2)", 2 * math.pi * 60.5)])  # |m| <= 60
-def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M):
+_ORACLE_CASES = [
+    ("su2", 400.0, 60, 40),                      # two_j = 1..799
+    ("so3", 400.0, 60, 40),                      # l = 1..399
+    ("torus(1)", 2 * math.pi * 1000.5, 60, 40),  # |m| <= 1000
+    ("torus(2)", 2 * math.pi * 60.5, 60, 40),    # |m| <= 60
+    ("torus(2)", 2 * math.pi * 30.5, 300, 200),  # eight atom chunks
+    ("torus(3)", 2 * math.pi * 12.5, 60, 40)]    # |m| <= 12
+
+
+@pytest.mark.parametrize("gid,M,n1,n2", _ORACLE_CASES, ids=[
+    f"{gid}-{M}" + ("" if n1 == 60 else f"-{n1 + n2}-atoms")
+    for gid, M, n1, n2 in _ORACLE_CASES])
+def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2):
     G = groups.descriptor(gid)
     rng = np.random.default_rng(96)
-    a1, a2 = groups.haar_sample(G, 96, 60), groups.haar_sample(G, 97, 40)
-    if gid != "torus(2)":
+    a1, a2 = groups.haar_sample(G, 96, n1), groups.haar_sample(G, 97, n2)
+    if gid.startswith("torus"):
+        # more than one chunk of atoms, summed pairwise
+        assert n1 + n2 > fourier._TORUS_ATOMS
+    else:
         # two atoms 1e-9 apart: a class cosine next to 1; and -a2[0], a
         # class cosine of -1 on su2 and a repeated rotation on so3
         a2[0] = groups.canonicalize(G, a1[0] + 1e-9 * rng.standard_normal(4))
         a2[1] = -a2[0]
-    nu1 = fourier.DiscreteMeasure(gid, a1, rng.dirichlet(np.ones(60)))
-    nu2 = fourier.DiscreteMeasure(gid, a2, rng.dirichlet(np.ones(40)))
+    nu1 = fourier.DiscreteMeasure(gid, a1, rng.dirichlet(np.ones(n1)))
+    nu2 = fourier.DiscreteMeasure(gid, a2, rng.dirichlet(np.ones(n2)))
     irreps = groups.enumerate_irreps(G, M)
     hs = fourier.hs_profile(G, nu1, nu2, irreps)
     ref = longdouble_profile(gid, *_signed(nu1, nu2), [p.label for p in irreps])
@@ -434,11 +445,13 @@ def test_hs_profile_of_reordered_copy_is_zero(any_group):
 @pytest.mark.parametrize("gid,M,counts", [
     ("su2", 300.0, (127, 128, 129, 255, 256, 257, 511, 512, 513)),
     ("so3", 300.0, (127, 128, 129, 255, 256, 257)),
-    ("torus(2)", 2 * math.pi * 16, (255, 256, 257, 511, 512, 513))])
+    ("torus(2)", 2 * math.pi * 16, (255, 256, 257, 511, 512, 513)),
+    ("torus(2)", 2 * math.pi * 34.5, (3206, 3207, 3208, 3404, 3405))])
 def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
     # counts on both sides of the su2/so3 GEMM panel edges (every 128
-    # moments) and of the torus irrep chunks (256); 5050 pairs fill three
-    # chunks of pairs
+    # moments) and of the first torus labels in a new frequency tile
+    # (irreps[3206] is the first with a component 32, irreps[3404] the
+    # first with -33); 5050 pairs fill three chunks of pairs
     G = groups.descriptor(gid)
     nu1, nu2 = random_measure(G, 70, 94), random_measure(G, 30, 95)
     irreps = groups.enumerate_irreps(G, M)
@@ -449,13 +462,19 @@ def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
             == full[:k].tolist(), k
 
 
-@pytest.mark.parametrize("gid,M", [
-    ("su2", 150.0),                    # two_j up to 299: three z panels
-    ("so3", 150.0),
-    ("torus(2)", 2 * math.pi * 12)])   # 449 irreps: two chunks
-def test_hs_profile_rows_are_independent(gid, M, monkeypatch):
+_ROWS_CASES = [
+    ("su2", 150.0, 40),                   # two_j up to 299: three z panels
+    ("su2", 150.0, 65),                   # 2145 pairs: two chunks
+    ("so3", 150.0, 40),
+    ("torus(1)", 2 * math.pi * 100, 40),  # eight frequency tiles
+    ("torus(2)", 2 * math.pi * 12, 40),   # 449 irreps
+    ("torus(3)", 2 * math.pi * 6, 40)]
+
+
+@pytest.mark.parametrize("gid,M,n", _ROWS_CASES, ids=[
+    f"{gid}-{M}" + ("" if n == 40 else f"-{n}-atoms") for gid, M, n in _ROWS_CASES])
+def test_hs_profile_rows_are_independent(gid, M, n, monkeypatch):
     G = groups.descriptor(gid)
-    n = 40
     atoms = groups.haar_sample(G, 81, n)
     rng = np.random.default_rng(81)
     a, b = rng.dirichlet(np.ones(n), size=48), rng.dirichlet(np.ones(n), size=48)
@@ -469,8 +488,7 @@ def test_hs_profile_rows_are_independent(gid, M, monkeypatch):
         assert fourier.hs_profile_rows(G, atoms, masses[:R], irreps).tolist() \
             == alone[:R], R
     # groups of 5 rows: boundaries after rows 4, 9, ...
-    per_row = (16 * n * fourier._TORUS_CHUNK if gid.startswith("torus")
-               else 8 * n * (n + 1) // 2)
+    per_row = 8 * n * (n + 1) // 2
     monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
     assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
     # one row is the distance between the two measures it is made of, by
