@@ -47,6 +47,56 @@ def pairwise_sum(values: Any) -> Any:
     return a[0].item() if a.ndim == 1 else a[0]
 
 
+# cosine sums split node k = COSINE_BLOCK a + b by angle addition
+COSINE_BLOCK = 64
+
+
+def phases(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """2 pi s j modulo 2 pi, in about [-pi, pi], per s (rows) and integer j (columns).
+
+    s splits as hi + lo with hi a multiple of 2^-40, so hi j is exact while
+    it stays below 2^13, its reduction to [-1/2, 1/2] turns is exact, and
+    only the tiny lo j is rounded: for 0 <= s <= 1/8 and j < 2^11 each
+    phase is off by at most 3 pi u.  For s = m / N with N <= 2^40 a power
+    of two, hi = s and lo = 0, so hi j = m j / N is exact whenever m j <
+    2^53, and only the final product by 2 pi rounds (at most 2 pi u).
+    """
+    hi = np.round(s * 2.0 ** 40) * 2.0 ** -40
+    turns = hi[:, None] * j
+    turns -= np.round(turns)
+    return 2.0 * np.pi * (turns + (s - hi)[:, None] * j)
+
+
+def cosine_tables(s: np.ndarray, nodes: int):
+    """cos and sin of phi_b = 2 pi s b (b < COSINE_BLOCK) and of theta_a =
+    2 pi s COSINE_BLOCK a (a < nodes / COSINE_BLOCK), for cosine_sum."""
+    phi = phases(s, np.arange(COSINE_BLOCK))
+    theta = phases(s, COSINE_BLOCK * np.arange(nodes // COSINE_BLOCK))
+    return np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
+
+
+def cosine_sum(weights: np.ndarray, tables) -> np.ndarray:
+    """sum_k weights[..., k] cos(2 pi s k) per s of cosine_tables(s, nodes),
+    shape (s.size,) + weights.shape[:-1], for weights of `nodes` columns.
+
+    With k = COSINE_BLOCK a + b, cos(theta_a + phi_b) = cos theta_a cos phi_b
+    - sin theta_a sin phi_b: one GEMM over b per trig function, then a
+    pairwise sum over a.  Every cosine is exact angle addition of two
+    directly evaluated phases, never a recurrence.  With phases within
+    3 pi u and trig values within 4 ulp, each cosine is within
+    2 sqrt(2) (3 pi + 4) u < 38 u, and the GEMM over b, the product, the
+    difference and the pairwise sum over a add gamma_{COSINE_BLOCK + 2 +
+    ceil(log2 A)} for A = nodes / COSINE_BLOCK, relative to sum_k |weights[k]|.
+    """
+    cos_phi, sin_phi, cos_theta, sin_theta = tables
+    w = weights.reshape(-1, COSINE_BLOCK)
+    shape = (cos_theta.shape[0], -1, cos_theta.shape[1])
+    terms = ((cos_phi @ w.T).reshape(shape) * cos_theta[:, None, :]
+             - (sin_phi @ w.T).reshape(shape) * sin_theta[:, None, :])
+    return pairwise_sum(np.moveaxis(terms, -1, 0)).reshape(
+        cos_theta.shape[:1] + weights.shape[:-1])
+
+
 def tolerance_union(records) -> dict:
     """Each tolerance key of the records, at its largest value (0 if absent)."""
     keys = sorted(set().union(*(r.tolerances for r in records)))

@@ -27,14 +27,20 @@ N sum d^3 for the levels' own matrices.  The cube is built and contracted
 in tiles, so its temporaries stay within _TRANSFORM_BYTES.
 
 Squared HS distances between two measures at many irreps come from
-character sums (hs_profile): prefix sums of Chebyshev moments of the class
-cosines on su2/so3, and products of per-axis character tables on the torus.
-hs_profile_rows profiles many signed measures on one shared support in one
-pass: the cosines and the unweighted Chebyshev or character tables are
-built once, and each measure's masses only weight them, in GEMMs whose
-shapes the support alone fixes, with su2/so3 rows taken in groups of a
-fixed byte budget (_ROW_BYTES).  hs_profile is one such row.  hs_roundoff
-bounds the rounding error a priori, for measures of any size.
+character sums (hs_profile): prefix sums of the cosine moments
+sum_p w_p cos(m phi_p) of the atom pairs' class angles on su2/so3, and
+products of per-axis character tables on the torus.  On su2/so3 the
+moments come by Gaussian gridding (Dutt & Rokhlin 1993; Steidl 1998): each
+pair is spread onto a fixed stencil of a uniform grid of N points, and the
+moments are a cosine transform of the N/2 + 1 node values, deconvolved by
+the Gaussian's Fourier coefficients: about 3 _SPREAD P + (N/2) top
+multiply-adds per measure for P pairs, instead of P top.  hs_profile_rows
+profiles many signed measures on one shared support in one pass: the class
+angles, the kernel tables and the character tables are built from the
+support alone, and each measure's masses only weight them, in GEMMs whose
+shapes the support alone fixes, with su2/so3 rows in GEMMs of _ROWS rows.
+hs_profile is one such row.  hs_roundoff bounds the rounding error a
+priori, for measures of any size.
 """
 from __future__ import annotations
 
@@ -46,21 +52,31 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from ._util import U, gamma, pairwise_sum
+from ._util import COSINE_BLOCK, U, cosine_sum, cosine_tables, gamma, pairwise_sum
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# hs_profile on su2/so3: moments m = a * _SPLIT + b, GEMMs of _PANEL values of
-# a over chunks of at most _CHUNK pairs, tables built _BLOCK chunks at a time
-_SPLIT = 16
-_PANEL = 8
-_CHUNK = 2048
-_BLOCK = 4
+# hs_profile on su2/so3, by Gaussian gridding: moment m < _MOMENTS _LADDER^g
+# is read from grid g, the first that holds it, of N = 4 _MOMENTS _LADDER^g
+# points on the circle (oversampling 2), so every moment comes from the same
+# grid whatever top is.  A pair is spread with exp(-_BETA (i - x)^2) onto
+# the nodes i of its tile of _SPREAD nodes and _SPREAD more on either side,
+# in GEMMs of _ROWS rows by at most _PAIRS pairs; _BETA = 3 pi / (4
+# _SPREAD) makes the aliases and the cut about e^{-2 pi _SPREAD / 3}.  The
+# moments come from the nodes _PANEL at a time
+_MOMENTS = 1024
+_LADDER = 8
+_SPREAD = 16
+_BETA = 3.0 * math.pi / (4.0 * _SPREAD)
+_PAIRS = 512
+_ROWS = 8
+_PANEL = 128
 # hs_profile on the torus: GEMMs over tiles of _TILE frequencies per axis
 # and chunks of at most _TORUS_ATOMS atoms
 _TILE = 32
 _TORUS_ATOMS = 64
-# hs_profile_rows on su2/so3: bytes of pair weights per group of rows
+# hs_profile_rows on su2/so3: bytes of pair weights and grid nodes per batch
+# of rows; a quarter of it bounds each kernel table
 _ROW_BYTES = 1 << 22
 # measure_transforms on su2/so3: bytes of the frequency cube's temporaries
 _TRANSFORM_BYTES = 1 << 24
@@ -431,22 +447,30 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     - so3, x = cos(theta) = 2 cos(theta/2)^2 - 1: chi_l = U_2l(cos(theta/2))
       = 1 + 2 sum_{m=1..l} T_m(x).
 
-    x comes from groups.class_cosines, once for all rows.  _cosine_moments
-    builds the unweighted Chebyshev tables of the pairs once per group of
-    rows; each row's pair weights then multiply the tables in its own
-    GEMMs: about N^2 (top + 1) real multiply-adds in BLAS per row, and
-    N^2 (_SPLIT + top/_SPLIT) recurrence steps per group, for N atoms.
-    Rows go through in groups whose pair weights take at most about
-    _ROW_BYTES, so memory does not grow with R.  On the torus every block
-    is a scalar: per-axis tables of exp(-2 pi i j x_d) are built once, in
-    tiles of _TILE frequencies, and each row takes one complex GEMM per
-    tile of labels (_torus_profile): about N (2 top + 1)^D complex
-    multiply-adds for labels up to |m_d| <= top on torus(D).
+    x comes from groups.class_cosines, once for all rows, and with
+    phi = acos x, T_m(x) = cos(m phi): the moments are a cosine transform of
+    the P = N(N + 1)/2 pairs' angles, for N atoms.  Gaussian gridding
+    (_gridded_moments, _spread) spreads each pair onto a fixed stencil of
+    nodes of a uniform grid, in GEMMs of the rows' pair weights with kernel
+    tables that the support alone fixes, and reads the moments off the
+    nodes by a split-angle cosine sum: about 3 _SPREAD P multiply-adds per
+    row for the stencils and (N / 2) top for the moments, on a grid of N
+    points, where a direct sum takes P top.  Rows go through in batches
+    whose pair weights and grid nodes take about _ROW_BYTES, and in GEMMs
+    of _ROWS rows, so memory does not grow with R or P.  On the torus every
+    block is a scalar: per-axis tables of
+    exp(-2 pi i j x_d) are built once, in tiles of _TILE frequencies, and
+    each row takes one complex GEMM per tile of labels (_torus_profile):
+    about N (2 top + 1)^D complex multiply-adds for labels up to
+    |m_d| <= top on torus(D).
 
     Every GEMM's shape is fixed by the support alone, and a value comes
     from the same operations whatever other rows and irreps the call holds,
     so a row or a slice of irreps equals a separate call bit for bit, and
-    an all-zero row reads 0.  hs_roundoff bounds the rounding error of every
+    an all-zero row reads 0.  (This rests on BLAS giving a GEMM row the
+    same bits at any row position within one fixed shape, which holds for
+    OpenBLAS 0.3.31; it does not give the same bits to shapes of
+    different heights.)  hs_roundoff bounds the rounding error of every
     value when each row holds the correctly rounded masses of a signed
     measure with sum_k |c_k| <= _MASS.
     """
@@ -460,14 +484,17 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     x = groups.class_cosines(G, atoms, atoms)[k, l]
     if G.group_id == "so3":
         x = np.clip(2.0 * x * x - 1.0, -1.0, 1.0)
-    pair = np.where(k == l, 1.0, 2.0)
     levels = np.asarray([p.label[0] for p in irreps])
-    step = max(1, _ROW_BYTES // (8 * k.size))
+    top = int(levels.max())
+    phi = np.arccos(x)
+    pair = np.where(k == l, 1.0, 2.0)
+    step = max(1, _ROW_BYTES // (8 * (k.size + _grid_points(top) // 2)))
     for lo in range(0, masses.shape[0], step):
-        W = masses[lo:lo + step, k]
-        W *= masses[lo:lo + step, l]
+        c = masses[lo:lo + step]
+        W = c[:, k]
+        W *= c[:, l]
         W *= pair
-        S = _cosine_moments(x, W, int(levels.max()))
+        S = _gridded_moments(phi, W, top)
         out[lo:lo + step] = np.maximum(_level_sums(G, S)[:, levels], 0.0)
     return out
 
@@ -496,74 +523,145 @@ def _chunks(n: int, most: int):
     return count, -(-n // count)
 
 
-def _chebyshev_rows(x2: np.ndarray, rows: np.ndarray):
-    """rows[r] = x2 * rows[r-1] - rows[r-2] for r >= 2, in place."""
-    for r in range(2, rows.shape[0]):
-        np.multiply(x2, rows[r - 1], out=rows[r])
-        rows[r] -= rows[r - 2]
+def _grid_points(m):
+    """Points N = 4 _MOMENTS _LADDER^g of the grid g that holds moment m:
+    the first with m < _MOMENTS _LADDER^g.  Elementwise on an array of m."""
+    m = np.asarray(m)
+    N = np.full(m.shape, 4 * _MOMENTS)
+    while np.any(far := m >= N // 4):
+        N[far] *= _LADDER
+    return int(N) if N.ndim == 0 else N
 
 
-def _cosine_moments(x: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
-    """S[r, m] = sum_p W[r, p] T_m(x_p) for m = 0..top, x in [-1, 1].
+def _gridded_moments(phi: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
+    """S[r, m] = sum_p W[r, p] cos(m phi_p) for m = 0..top, phi in [0, pi].
 
-    With m = a B + b (B = _SPLIT, 0 <= b < B), z = T_B(x) and
-    Q_a = (1 - x^2) U_{aB-1}(x) = (1 - x^2) U_{B-1}(x) U_{a-1}(z),
-    T_m(x) = T_b(x) T_a(z) - U_{b-1}(x) Q_a.  Per chunk of pairs the
-    rows [T_b, U_{b-1}] (b < B) come from Chebyshev recurrences in x, and
-    the rows [T_a(z), -Q_a] from recurrences in z, _PANEL values of a at a
-    time.  Both are unweighted and built once for all of W's rows; each
-    row multiplies the z panel by its weights and takes one GEMM per panel,
-    which gives the moments of B _PANEL consecutive m.  The P pairs are cut
-    into n = ceil(P / _CHUNK) chunks of ceil(P / n) pairs (_chunks), the
-    last one padded with fewer than n weight-0 pairs, and the chunks are
-    summed pairwise, so every GEMM has a shape that P alone fixes and every
-    moment the same operations whatever top and the other rows are.
+    Moments m < _MOMENTS come from grid 0 of N points, the next ones from
+    grid 1, and so on (_grid_points).  With the node values v of _spread
+    on the nodes 0..N/2, S(m) = sqrt(_BETA / pi) e^{m^2 tau} sum_j v_j
+    cos(2 pi m j / N), tau = (pi / N)^2 / _BETA (hs_roundoff derives it).
+    Node N/2 - j has cosine (-1)^m cos(2 pi m j / N), so even moments sum
+    v_j + v_{N/2-j} and odd ones v_j - v_{N/2-j} over j = 0..N/4 (node N/4
+    once).  Each sum is _util.cosine_sum over the even or odd half of a
+    panel of _PANEL moments, for each group of _ROWS rows (the last one
+    padded with zero rows), so every GEMM has a shape that the support
+    alone fixes, and every moment the same operations whatever top and the
+    other rows are.
     """
-    n_chunks, size = _chunks(x.size, _CHUNK)
-    xs = np.ones(n_chunks * size)
-    ws = np.zeros((W.shape[0], n_chunks * size))
-    xs[:x.size] = x
-    ws[:, :x.size] = W
-    # the tables are (row, chunk, component, pair), each recurrence's
-    # multiplier is repeated over both components, and a row's weights of
-    # one chunk are copied into weight once per component, so that no
-    # elementwise step broadcasts along an inner axis
-    weight = np.empty((2, size))
-    pair_weight = weight.reshape(-1)
-    weighted = np.empty((_PANEL, 2 * size))
-    # parts[r][c][b, a] is row r's moment a B + b of chunk c
-    parts = [[] for _ in ws]
-    for lo in range(0, n_chunks, _BLOCK):
-        xb = xs[lo * size:(lo + _BLOCK) * size].reshape(-1, size)
-        nb = xb.shape[0]
-        left = np.empty((_SPLIT + 1, nb, 2, size))
-        left[0, :, 0], left[0, :, 1] = 1.0, 0.0
-        left[1, :, 0], left[1, :, 1] = xb, 1.0
-        _chebyshev_rows(np.repeat(2.0 * xb[:, None], 2, axis=1), left)
-        z = np.clip(left[_SPLIT, :, 0], -1.0, 1.0)
-        # rows[:2] hold a = first, first + 1 of the next panel
-        rows = np.empty((_PANEL + 2, nb, 2, size))
-        rows[0, :, 0], rows[0, :, 1] = 1.0, 0.0
-        rows[1, :, 0] = z
-        rows[1, :, 1] = -((1.0 - xb) * (1.0 + xb) * left[_SPLIT, :, 1])
-        z2 = np.repeat(2.0 * z[:, None], 2, axis=1)
-        lhs = [left[:_SPLIT, c].reshape(_SPLIT, 2 * size) for c in range(nb)]
-        panel = [rows[:_PANEL, c].reshape(_PANEL, 2 * size) for c in range(nb)]
-        wb = ws[:, lo * size:(lo + nb) * size].reshape(-1, nb, 1, size)
-        blocks = [[[] for _ in lhs] for _ in ws]
-        for first in range(0, top // _SPLIT + 1, _PANEL):
-            if first:
-                rows[:2] = rows[_PANEL:]
-            _chebyshev_rows(z2, rows)
-            for block, w in zip(blocks, wb):
-                for out, l_c, r_c, w_c in zip(block, lhs, panel, w):
-                    weight[:] = w_c
-                    np.multiply(r_c, pair_weight, out=weighted)
-                    out.append(l_c @ weighted.T)
-        for part, block in zip(parts, blocks):
-            part += [np.concatenate(out, axis=1) for out in block]
-    return np.stack([pairwise_sum(np.stack(part)).T.ravel()[:top + 1]
-                     for part in parts])
+    rows = -(-W.shape[0] // _ROWS) * _ROWS
+    S = np.empty((rows, -(-(top + 1) // _PANEL) * _PANEL))
+    lo = 0
+    while lo <= top:
+        points = _grid_points(lo)
+        v, h = _spread(phi, W, points, rows), points // 4
+        # u[0] = v_j + v_{N/2-j} and u[1] = v_j - v_{N/2-j}, zero past node N/4
+        u = np.zeros((2, rows, -(-(h + 1) // COSINE_BLOCK) * COSINE_BLOCK))
+        np.add(v[:, :h], v[:, 2 * h:h:-1], out=u[0, :, :h])
+        np.subtract(v[:, :h], v[:, 2 * h:h:-1], out=u[1, :, :h])
+        u[:, :, h] = v[:, h]
+        for m0 in range(lo, min(top + 1, h), _PANEL):
+            for parity in (0, 1):
+                m = np.arange(m0 + parity, m0 + _PANEL, 2)
+                tables = cosine_tables(m / points, u.shape[2])
+                scale = np.sqrt(_BETA / np.pi) * np.exp((np.pi * m / points) ** 2 / _BETA)
+                for r in range(0, rows, _ROWS):
+                    S[r:r + _ROWS, m] = cosine_sum(u[parity, r:r + _ROWS], tables).T * scale
+        lo = h
+    return S[:W.shape[0], :top + 1]
+
+
+def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarray:
+    """Node values v[r, j] = sum_p W[r, p] exp(-_BETA (i - x_p)^2), summed
+    over the nodes i that fold onto j = 0..N/2 (i = j, -j or N - j) of the
+    grid of N points, for x_p = phi_p N / (2 pi) and each pair's kernel cut
+    to the band of its tile; W padded with zero rows to rows.
+
+    Tile t holds the pairs with t T <= x < (t + 1) T, T = _SPREAD, and its
+    band the 3 T nodes from t T - T, so each pair reaches at least T nodes
+    to either side.  With d = x - c for c = t T + T / 2 and the band's
+    offsets j = i - c, exp(-_BETA (j - d)^2) = e^{-_BETA d^2} (e^{2 _BETA
+    d})^j e^{-_BETA j^2}: the kernel table (_kernel_table) holds the first
+    two factors, and the GEMMs of the pair weights with it are scaled by
+    the third.  A tile's pairs go in ceil(count / _PAIRS) chunks whose
+    lengths differ by at most one, and the chunks' GEMMs are summed
+    pairwise.  The kernel tables and the pair weights beside them are built
+    for runs of whole chunks of at most a quarter of _ROW_BYTES.  The bands
+    add into the nodes, three to a node, and the nodes past 0 and N/2 fold
+    onto their mirrors: the measure is even.
+    """
+    T = _SPREAD
+    tiles, half = points // (2 * T) + 1, points // 2
+    x = phi * (points / (2.0 * math.pi))
+    tile = (x / T).astype(np.int64)
+    # pairs by tile, in their given order within a tile (a radix sort)
+    order = np.argsort(tile.astype(np.min_scalar_type(tiles)), kind="stable")
+    x, tile = x[order], tile[order]
+    bounds = np.searchsorted(tile, np.arange(tiles + 1))
+    d = x - (tile * T + T // 2)
+    j = np.arange(3 * T) - 3 * T // 2
+    gauss = np.exp(-_BETA * (j * j))
+    budget = max(_PAIRS, _ROW_BYTES // (4 * 8 * 3 * T))
+    weights = np.zeros((rows, budget))
+    # the nodes -T..(tiles + 1) T - 1
+    ext = np.zeros((rows, (tiles + 2) * T))
+    parts = []
+    for lo, hi, runs in _pieces(bounds, budget):
+        table = _kernel_table(d[lo:hi])
+        weights[:W.shape[0], :hi - lo] = W[:, order[lo:hi]]
+        for t, a, count, size in runs:
+            a -= lo
+            w = weights[:, a:a + count * size].reshape(-1, _ROWS, count, size)
+            e = table[:, a:a + count * size].reshape(3 * T, count, size)
+            parts.append(w.transpose(2, 0, 1, 3) @ e.transpose(1, 2, 0)[:, None])
+            if lo + a + count * size == bounds[t + 1]:
+                out = pairwise_sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
+                ext[:, t * T:(t + 3) * T] += out.reshape(-1, 3 * T) * gauss
+                parts = []
+    v = ext[:, T:T + half + 1]
+    v[:, 1:T + 1] += ext[:, T - 1::-1]
+    beyond = ext.shape[1] - (T + half + 1)
+    v[:, half - 1:half - 1 - beyond:-1] += ext[:, T + half + 1:]
+    return v
+
+
+def _pieces(bounds: np.ndarray, budget: int):
+    """Runs (t, start, count, size) of count equal-length chunks of the
+    pairs of tile t, which has pairs bounds[t]..bounds[t+1]-1, grouped into
+    pieces (lo, hi, runs) of consecutive pairs lo..hi-1, at most budget.
+
+    A tile's pairs go in ceil(count / _PAIRS) chunks whose lengths differ
+    by at most one, the longer ones first.
+    """
+    lo, a, runs = 0, 0, []
+    for t in np.flatnonzero(np.diff(bounds)):
+        a, b = int(bounds[t]), int(bounds[t + 1])
+        count = -(-(b - a) // _PAIRS)
+        size, longer = divmod(b - a, count)
+        for n_chunks, length in ((longer, size + 1), (count - longer, size)):
+            while n_chunks:
+                if lo + budget - a < length:
+                    yield lo, a, runs
+                    lo, runs = a, []
+                take = min(n_chunks, (lo + budget - a) // length)
+                runs.append((t, a, take, length))
+                a += take * length
+                n_chunks -= take
+    yield lo, a, runs
+
+
+def _kernel_table(d: np.ndarray) -> np.ndarray:
+    """E[i, p] = e^{-_BETA d_p^2} (e^{2 _BETA d_p})^(i - c) for i < 3 _SPREAD,
+    c = 3 _SPREAD / 2, by products from row c outwards."""
+    c = 3 * _SPREAD // 2
+    e2 = np.exp(2.0 * _BETA * d)
+    table = np.empty((3 * _SPREAD, d.size))
+    table[c] = np.exp(-_BETA * d * d)
+    for i in range(c + 1, 3 * _SPREAD):
+        np.multiply(table[i - 1], e2, out=table[i])
+    e2 = 1.0 / e2
+    for i in range(c - 1, -1, -1):
+        np.multiply(table[i + 1], e2, out=table[i])
+    return table
 
 
 def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.ndarray:
@@ -620,35 +718,6 @@ def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.nd
     return out
 
 
-def _chebyshev_error(extra: np.ndarray) -> np.ndarray:
-    """E(extra)_k of hs_roundoff: rounding plus the start's error ``extra``."""
-    E = np.array(extra, dtype=float)
-    eps = np.zeros(E.size)
-    for k in range(2, E.size):
-        eps[k] = U * ((4.0 + 2.0 * U) * (1.0 + E[k - 1]) + 1.0 + E[k - 2])
-        E[k] += eps[2:k + 1] @ np.arange(k - 1, 0, -1.0)
-    return E
-
-
-def _moment_errors(top: int, dx: float) -> np.ndarray:
-    """Bound on |S^(m) - S(m)| per unit of sum |w|, m = 0..top."""
-    m = np.arange(top + 1)
-    a, b = np.divmod(m, _SPLIT)
-    ai = np.arange(a[-1] + 1, dtype=float)
-    E = _chebyshev_error(np.zeros(_SPLIT + 1))
-    e_z = E[_SPLIT]
-    K = _chebyshev_error(ai * U + ai * ai * e_z)
-    start = (1.0 + U) * ((1.0 + gamma(4)) * e_z + gamma(4)) + U
-    lip = np.minimum((ai ** 3 - ai) / 3.0,
-                     ai * ai / 2.0 + math.sqrt(2.0 * e_z) * (ai ** 3 - ai) / 3.0)
-    H = _chebyshev_error(ai * start + lip * e_z)
-    Eb, Ka, Ha = E[b], K[a], H[a]
-    Z = (1.0 + Eb) * (2.0 + Ka + Ha)
-    table = Eb * (1.0 + Ka) + Ka + Eb * (1.0 + Ha) + Ha
-    return ((1.0 + U) * (table + gamma(2 * _CHUNK + _SUM_DEPTH) * Z)
-            + U + m * m * dx)
-
-
 def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     """A-priori bound on |hs_profile - exact value| at each irrep.
 
@@ -682,45 +751,57 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
       length-4 dot product, so y is within dy = (1 + nu)^2 (1 + gamma_4) - 1
       of the unit-norm cosine (clipping and |.| only help).  On so3,
       x = fl(2 y^2 - 1) is within dx = 4 dy + 3u + 2u^2.  |T_m'| <= m^2 on
-      [-1, 1], so moment m moves by m^2 dx per unit of sum |w|.
-    - Recurrences: a step fl(fl(2x p_k) - p_{k-1}) errs by at most
-      u ((4 + 2u) |p^_k| + |p^_{k-1}|), and an error made at step j enters
-      p_k times U_{k-j}(x), |U_i| <= i + 1.  For sequences bounded by 1
-      (T_k, and s U_{k-1} = sin(k phi) with s = sqrt(1 - x^2)) whose start
-      moves p_k by at most e_k, the error (times s for a U row) is at most
-      E(e)_k = e_k + sum_{j=2..k} (k - j + 1) u ((4 + 2u)(1 + E(e)_{j-1})
-      + 1 + E(e)_{j-2}) (_chebyshev_error).  The x rows start exactly:
-      E = E(0), and z^ = clip(T^_B) is within E_B of z = T_B(x).
-    - Rows in z.  The recurrences in z run unweighted, and a pair's weight
-      w^ enters afterwards as one product fl(w^ t) with each table entry t.
-      T_a(z^) starts exactly from 1 and z^, and T_a is a^2-Lipschitz, so
-      its row is within k_a = E(a^2 E_B)_a of T_a(z).  -Q_a, with
-      Q_a = s sin(aB phi), starts from -fl(fl(fl(1 - x) fl(1 + x)) U^_{B-1})
-      within s I_0 of -Q_1, I_0 = (1 + gamma_4) E_B + gamma_4, and that
-      enters times |U_{a-1}| <= a.  Running in z^ instead of z moves
-      Q_1 U_{a-1} by |Q_1| |U_{a-1}'(t)| E_B for some t between z and z^,
-      where |Q_1| = s sqrt(1 - z^2); sqrt(1 - t^2) |U_{a-1}'(t)| <= a^2/2,
-      sqrt(1 - z^2) <= sqrt(1 - t^2) + sqrt(2 E_B) and |U_{a-1}'| <=
-      (a^3 - a)/3, so that move is at most s L_a E_B with L_a =
-      min((a^3 - a)/3, a^2/2 + sqrt(2 E_B)(a^3 - a)/3).  The row is within
-      s h_a, h_a = E(a I_0 + L_a E_B)_a.  The weight's product adds u times
-      the entry's modulus: per unit |w^| the weighted rows are within
-      k_a + u (1 + k_a) of w^ T_a(z) and s (h_a + u (1 + h_a)) of -w^ Q_a;
-      for a = 0 (entries 1 and 0) they are exact.  Both are at most
-      K = E(a u + a^2 E_B) and s H, H = E(a I + L_a E_B),
-      I = (1 + u) I_0 + u, the bounds of the rows when w^ seeded the
-      recurrences: E(e + d) >= E(e) + d for d >= 0, so K_a >= k_a + a u
-      and H_a >= h_a + a u, and a u >= u (1 + k_a), u (1 + h_a) for
-      a >= 2 because k_a, h_a < 7e-14 a^2 < 1 for every a < 10^6;
-      for a = 1, k_1 = E_B, h_1 = I_0 and K_1 = u + E_B, H_1 = I.
-    - Moments: T_m = T_b T_a(z) - U_{b-1} Q_a for m = a B + b.  Per unit
-      |w^| the table products err by E_b (1 + K_a) + K_a + E_b (1 + H_a) + H_a,
-      and the GEMM of length 2 c <= 2 _CHUNK (_chunks) with the pairwise sum
-      over chunks by gamma_{2 _CHUNK + 63} Z, Z = (1 + E_b)(2 + K_a + H_a)
-      bounding the two products' moduli.  |w^| <= (1 + u)|w| and w^ errs
-      by u |w|, so with the argument, moment m errs by err_m = (1 + u)
-      (tables + GEMM) + u + m^2 dx per unit of sum |w| <= W = (1 + u)^2 M^2
-      (_moment_errors).
+      [-1, 1], so moment m moves by m^2 dx per unit of sum |w|.  Then
+      phi^ = fl(acos x) is within one ulp, 2 pi u, of acos x, and the pair
+      is spread from x~ = c + d^ (_spread), d^ = fl(x^ - c) for the node
+      coordinate x^ = fl(phi^ fl(N / (2 pi))) and |x^ - c| <= T/2: x~ h,
+      h = 2 pi / N, is within gamma_3 pi + 8 u h of phi^.  cos(m phi) is
+      m-Lipschitz in phi, so these move moment m by m (5 pi + 1) u.
+    - Gridding (_gridded_moments; Dutt & Rokhlin 1993, Steidl 1998).
+      Moment m < N/4 comes from the grid of N points, with beta = _BETA,
+      T = _SPREAD and tau = (pi / N)^2 / beta.  By Poisson summation, for
+      x = phi N / (2 pi), sqrt(beta / pi) e^{m^2 tau} sum_{i in Z}
+      e^{-beta (i - x)^2} cos(2 pi m i / N) = sum_l e^{-((m + l N)^2 -
+      m^2) tau} cos((m + l N) phi).  The term l = 0 is cos(m phi), and
+      (m + l N)^2 - m^2 >= |l| N^2 / 2 for m < N/4, so the aliases add at
+      most A = 2 q / (1 - q), q = e^{-pi^2 / (2 beta)}, per unit of
+      sum |w^| (Steidl's bound for this oversampling is about
+      4 e^{-pi T (1 - 1/3)}; A does not rely on it).  At m = 0 the same sum
+      gives sum_i e^{-beta (i - x)^2} <= rho sqrt(pi / beta), with
+      rho = 1 + 2 q^2 / (1 - q^2).
+    - Cut: a pair's kernel is kept on the 3 T nodes of its tile's band,
+      which reach at least f = T - 2^-30 from x~ on either side, so the
+      nodes left out carry at most 2 e^{-beta f^2} / (1 - e^{-2 beta f})
+      of it: C_m = sqrt(beta / pi) e^{m^2 tau} times that, per unit of
+      sum |w^|, after the scale.
+    - Kernel values: e1 = exp(fl(fl(-beta d) d)) has its argument within
+      gamma_2 beta (T/2)^2, as |d| <= T/2, and exp is within one ulp
+      (gamma_2 in the logarithm); e2 = exp(fl(2 beta d)) is within
+      gamma_1 beta T + gamma_2, and a step of the products of e2, or of
+      fl(1 / e2), adds gamma_1 or 2 gamma_1, for |j| <= 3T/2 steps; the
+      Gaussian factor exp(fl(-beta j^2)) adds gamma_1 beta (3T/2)^2 +
+      gamma_2 and its product gamma_1.  Summing these logarithms, each
+      kernel value is within e_K = expm1(gamma_2 beta (T/2)^2 + gamma_2 +
+      (3T/2)(gamma_1 beta T + gamma_2 + 2 gamma_1) + gamma_1 beta (3T/2)^2
+      + gamma_2 + gamma_1) of e^{-beta (i - x~)^2}, relative.
+    - Node sums: a node value sums pair terms to depth at most _PAIRS (a
+      chunk's GEMM) + 63 (the pairwise sum over chunks) + 2 (three bands)
+      + 1 (a fold) + 1 (v_j +- v_{N/2-j}), so it is within e_V = (1 + e_K)
+      (1 + gamma_{_PAIRS + 67}) - 1 of the exact one, relative to the sum
+      of its terms' moduli.  Over all nodes those moduli sum to at most
+      rho sqrt(pi / beta) sum |w^|.
+    - Transform: _util.cosine_sum puts each cosine within 38 u and its sums
+      add gamma_{64 + 2 + 63}, so it errs by at most e_T = 38 u + gamma_129
+      (1 + 38 u) times the sum of the nodes' moduli.  The scale
+      fl(sqrt(beta / pi^) exp(fl(pi^ m / N)^2 / beta)) is within
+      e_f = expm1(gamma_6 m^2 tau + gamma_5) of sqrt(beta / pi) e^{m^2 tau},
+      and its product rounds once.  Per unit of sum |w^| the computed
+      moment is thus within R_m = rho e^{m^2 tau} ((1 + e_T)(1 + e_V)
+      (1 + e_f)(1 + u) - 1) of the same sums in exact arithmetic.
+      m^2 tau <= pi^2 / (16 beta) = pi T / 12, so e^{m^2 tau} <= 66.
+    - Moments: |w^| <= (1 + u)|w| and w^ errs by u |w|, so with the
+      argument moment m errs by err_m = (1 + u)(R_m + C_m + A +
+      m (5 pi + 1) u + m^2 dx) + u per unit of sum |w| <= W = (1 + u)^2 M^2.
     - Levels: a level sums mu_m S^(m) over q moments (_level_sums); cumsum
       adds gamma_{q-1} sum mu_m |S^(m)|, and |S^(m)| <= W (1 + err_m).  A
       level errs by at most W (sum mu_m err_m + gamma_{q-1} sum mu_m
@@ -775,11 +856,29 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
         dx = 4.0 * dx + 3.0 * U + 2.0 * U * U
     levels = np.asarray([p.label[0] for p in irreps])
     n = np.arange(int(levels.max()) + 1)
-    err = _moment_errors(int(n[-1]), dx)
-    q = n + 1 if G.group_id == "so3" else n // 2 + 1
+    T, beta = _SPREAD, _BETA
+    # the scale's exponent m^2 tau and the sums of the kernel over the nodes
+    expo = (np.pi * n / _grid_points(n)) ** 2 / beta
+    q = math.exp(-math.pi ** 2 / (2.0 * beta))
+    rho = 1.0 + 2.0 * q * q / (1.0 - q * q)
+    far = T - 2.0 ** -30
+    cut = (2.0 * math.sqrt(beta / math.pi) * math.exp(-beta * far * far)
+           / -math.expm1(-2.0 * beta * far))
+    # the kernel's values, the node sums, the transform and the scale
+    e_kernel = math.expm1(gamma(2) * beta * (T / 2) ** 2 + gamma(2)
+                          + 1.5 * T * (gamma(1) * beta * T + gamma(2) + 2.0 * gamma(1))
+                          + gamma(1) * beta * (1.5 * T) ** 2 + gamma(2) + gamma(1))
+    e_nodes = (1.0 + e_kernel) * (1.0 + gamma(_PAIRS + _SUM_DEPTH + 4)) - 1.0
+    e_sum = 38.0 * U + gamma(COSINE_BLOCK + 2 + _SUM_DEPTH) * (1.0 + 38.0 * U)
+    e_scale = np.expm1(gamma(6) * expo + gamma(5))
+    rounding = np.exp(expo) * rho * ((1.0 + e_sum) * (1.0 + e_nodes) * (1.0 + e_scale)
+                                     * (1.0 + U) - 1.0)
+    err = ((1.0 + U) * (rounding + cut * np.exp(expo) + 2.0 * q / (1.0 - q)
+                        + n * (5.0 * math.pi + 1.0) * U + n * n * dx) + U)
+    q_n = n + 1 if G.group_id == "so3" else n // 2 + 1
     W = ((1.0 + U) * mass) ** 2
     per_level = W * (_level_sums(G, err)
-                     + gamma(q - 1) * _level_sums(G, 1.0 + err))
+                     + gamma(q_n - 1) * _level_sums(G, 1.0 + err))
     dims = np.asarray([p.dim for p in irreps], dtype=float)
     return per_level[levels] + U * (2.0 + U) * mass ** 2 * dims
 

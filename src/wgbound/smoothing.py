@@ -16,7 +16,7 @@ from typing import Callable, Dict
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._util import SolverError, U, pairwise_sum
+from ._util import SolverError, U, cosine_sum, cosine_tables, pairwise_sum
 from .groups import GroupDescriptor, Irrep, enumerate_irreps
 
 PROFILE_IDS = ("paper_bump", "plateau")
@@ -155,12 +155,11 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
 
 
 # F is summed by the trapezoidal rule on t_k = k / _T_NODES.  A power of
-# two, so that t_k and the phase reduction of _phases are exact, and far
-# enough beyond _X_MAX, the largest |X| evaluated (80 pi on the tori), that
-# the aliases F(X + m _T_NODES) stay below the rounding.  k = _T_BLOCK a + b
-# splits every cosine by angle addition.
+# two, so that t_k and the phase reduction of _util.phases are exact, and
+# far enough beyond _X_MAX, the largest |X| evaluated (80 pi on the tori),
+# that the aliases F(X + m _T_NODES) stay below the rounding.
+# _util.cosine_sum splits every cosine by angle addition.
 _T_NODES = 2048
-_T_BLOCK = 64
 _X_MAX = 256.0
 # P_r for r = 2, 3 by Gauss-Legendre on _P_PANELS panels, at two orders
 _P_PANELS = 32
@@ -200,35 +199,6 @@ def _projection(profile: BumpProfile, r: int, order: int) -> np.ndarray:
         vals = profile.radial(np.hypot(tb, u)) * u ** (r - 2) * w
         out[lo:lo + _ROWS] = half[:, 0] * pairwise_sum(vals.T)
     return (2.0 if r == 2 else 2.0 * np.pi) * out
-
-
-def _phases(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """2 pi s j modulo 2 pi, in about [-pi, pi], for 0 <= s <= 1/8 and integers j < 2^11.
-
-    s splits as hi + lo with hi a multiple of 2^-40, so hi j (a multiple of
-    2^-40 below 2^8) and its reduction to [-1/2, 1/2] turns are exact and
-    only the tiny lo j is rounded: each phase is off by at most 3 pi u.
-    """
-    hi = np.round(s * 2.0 ** 40) * 2.0 ** -40
-    turns = hi[:, None] * j
-    turns -= np.round(turns)
-    return 2.0 * np.pi * (turns + (s - hi)[:, None] * j)
-
-
-def _cosine_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] cos(2 pi x t_k) for one block of x in [0, _X_MAX].
-
-    With k = _T_BLOCK a + b, cos(theta_a + phi_b) = cos theta_a cos phi_b -
-    sin theta_a sin phi_b: one GEMM over b per trig function, then a
-    pairwise sum over a.  Every cosine is exact angle addition of two
-    directly evaluated phases, never a recurrence.
-    """
-    s = x / _T_NODES
-    phi = _phases(s, np.arange(_T_BLOCK))
-    theta = _phases(s, _T_BLOCK * np.arange(_T_NODES // _T_BLOCK))
-    w = weights.reshape(-1, _T_BLOCK)
-    terms = (np.cos(phi) @ w.T) * np.cos(theta) - (np.sin(phi) @ w.T) * np.sin(theta)
-    return pairwise_sum(terms.T)
 
 
 # _tail_majorants: cells per unit of t in each rank (rank 2 pays a
@@ -464,7 +434,8 @@ class BumpTransform:
         padded[:flat.size] = flat
         out = np.empty_like(padded)
         for lo in range(0, padded.size, _ROWS):
-            out[lo:lo + _ROWS] = _cosine_sum(self.weights, padded[lo:lo + _ROWS])
+            tables = cosine_tables(padded[lo:lo + _ROWS] / _T_NODES, _T_NODES)
+            out[lo:lo + _ROWS] = cosine_sum(self.weights, tables)
         return out[:flat.size].reshape(x.shape)
 
     def tail_bound(self, x: float) -> float:

@@ -352,18 +352,29 @@ def _signed(nu1, nu2):
 
 
 _ORACLE_CASES = [
-    ("su2", 400.0, 60, 40),                      # two_j = 1..799
-    ("so3", 400.0, 60, 40),                      # l = 1..399
-    ("torus(1)", 2 * math.pi * 1000.5, 60, 40),  # |m| <= 1000
-    ("torus(2)", 2 * math.pi * 60.5, 60, 40),    # |m| <= 60
-    ("torus(2)", 2 * math.pi * 30.5, 300, 200),  # eight atom chunks
-    ("torus(3)", 2 * math.pi * 12.5, 60, 40)]    # |m| <= 12
+    # gid, M, atoms of nu1 and nu2, support, every stride-th irrep, test id
+    ("su2", 400.0, 60, 40, "haar", 1, "su2-400.0"),          # two_j = 1..799
+    ("so3", 400.0, 60, 40, "haar", 1, "so3-400.0"),          # l = 1..399
+    ("torus(1)", 2 * math.pi * 1000.5, 60, 40, "haar", 1, None),  # |m| <= 1000
+    ("torus(2)", 2 * math.pi * 60.5, 60, 40, "haar", 1, None),    # |m| <= 60
+    ("torus(2)", 2 * math.pi * 30.5, 300, 200, "haar", 1, None),  # 8 atom chunks
+    ("torus(3)", 2 * math.pi * 12.5, 60, 40, "haar", 1, None),    # |m| <= 12
+    # su2/so3 supports where the gridding folds or reaches the grid's edge
+    ("su2", 400.0, 30, 20, "cluster", 1, "su2-400.0-coincident"),
+    ("so3", 400.0, 30, 20, "cluster", 1, "so3-400.0-coincident"),
+    ("su2", 400.0, 30, 20, "antipodal", 1, "su2-400.0-antipodal"),
+    ("so3", 400.0, 30, 20, "antipodal", 1, "so3-400.0-antipodal"),
+    ("su2", 512.0, 24, 16, "haar", 1, "su2-512.0-top-1023"),
+    ("su2", 512.5, 24, 16, "haar", 1, "su2-512.5-top-1024"),
+    ("so3", 1024.5, 24, 16, "haar", 1, "so3-1024.5-top-1024"),
+    ("su2", 400.0, 1, 40, "haar", 1, "su2-400.0-one-atom"),
+    ("su2", 400.0, 256, 256, "haar", 47, "su2-400.0-512-atoms")]  # 131,328 pairs
 
 
-@pytest.mark.parametrize("gid,M,n1,n2", _ORACLE_CASES, ids=[
-    f"{gid}-{M}" + ("" if n1 == 60 else f"-{n1 + n2}-atoms")
-    for gid, M, n1, n2 in _ORACLE_CASES])
-def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2):
+@pytest.mark.parametrize("gid,M,n1,n2,support,stride", [c[:6] for c in _ORACLE_CASES], ids=[
+    ident or f"{gid}-{M}" + ("" if n1 == 60 else f"-{n1 + n2}-atoms")
+    for gid, M, n1, n2, _, _, ident in _ORACLE_CASES])
+def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2, support, stride):
     G = groups.descriptor(gid)
     rng = np.random.default_rng(96)
     a1, a2 = groups.haar_sample(G, 96, n1), groups.haar_sample(G, 97, n2)
@@ -371,6 +382,16 @@ def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2):
         # more than one chunk of atoms, summed pairwise
         assert n1 + n2 > fourier._TORUS_ATOMS
     else:
+        if support == "cluster":
+            # nu1 within 1e-13 of one rotation: its pairs have class cosine 1
+            a1 = groups.canonicalize(G, a1[0] + 1e-13 * rng.standard_normal((n1, 4)))
+        elif support == "antipodal":
+            # rotations of each atom of nu1 by pi - 1e-9 (so3) or by 2 pi, to
+            # -x (su2): class cosines of about 0 (so3) and -1 (su2), where
+            # the spreading folds at pi
+            turn = np.array([math.sin(0.5e-9), 0.0, 0.0, math.cos(0.5e-9)])
+            a2 = (-a1[:n2] if gid == "su2"
+                  else groups.canonicalize(G, groups.quaternion_product(a1[:n2], turn)))
         # two atoms 1e-9 apart: a class cosine next to 1; and -a2[0], a
         # class cosine of -1 on su2 and a repeated rotation on so3
         a2[0] = groups.canonicalize(G, a1[0] + 1e-9 * rng.standard_normal(4))
@@ -378,6 +399,9 @@ def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2):
     nu1 = fourier.DiscreteMeasure(gid, a1, rng.dirichlet(np.ones(n1)))
     nu2 = fourier.DiscreteMeasure(gid, a2, rng.dirichlet(np.ones(n2)))
     irreps = groups.enumerate_irreps(G, M)
+    # every stride-th irrep and the last one: the values do not depend on
+    # the others (test_hs_profile_prefix_invariant_across_panels)
+    irreps = irreps[-1 - (len(irreps) - 1) // stride * stride::stride]
     hs = fourier.hs_profile(G, nu1, nu2, irreps)
     ref = longdouble_profile(gid, *_signed(nu1, nu2), [p.label for p in irreps])
     excess = np.abs(hs - ref) - fourier.hs_roundoff(G, irreps)
@@ -446,12 +470,13 @@ def test_hs_profile_of_reordered_copy_is_zero(any_group):
     ("su2", 300.0, (127, 128, 129, 255, 256, 257, 511, 512, 513)),
     ("so3", 300.0, (127, 128, 129, 255, 256, 257)),
     ("torus(2)", 2 * math.pi * 16, (255, 256, 257, 511, 512, 513)),
-    ("torus(2)", 2 * math.pi * 34.5, (3206, 3207, 3208, 3404, 3405))])
+    ("torus(2)", 2 * math.pi * 34.5, (3206, 3207, 3208, 3404, 3405)),
+    ("su2", 600.0, (1023, 1024, 1025))])
 def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
-    # counts on both sides of the su2/so3 GEMM panel edges (every 128
-    # moments) and of the first torus labels in a new frequency tile
-    # (irreps[3206] is the first with a component 32, irreps[3404] the
-    # first with -33); 5050 pairs fill three chunks of pairs
+    # counts on both sides of the su2/so3 moment panel edges (every 128
+    # moments) and of the first grid's last moment (1023), and of the first
+    # torus labels in a new frequency tile (irreps[3206] is the first with a
+    # component 32, irreps[3404] the first with -33)
     G = groups.descriptor(gid)
     nu1, nu2 = random_measure(G, 70, 94), random_measure(G, 30, 95)
     irreps = groups.enumerate_irreps(G, M)
@@ -463,8 +488,9 @@ def test_hs_profile_prefix_invariant_across_panels(gid, M, counts):
 
 
 _ROWS_CASES = [
-    ("su2", 150.0, 40),                   # two_j up to 299: three z panels
-    ("su2", 150.0, 65),                   # 2145 pairs: two chunks
+    ("su2", 150.0, 40),                   # two_j up to 299: three moment panels
+    ("su2", 150.0, 65),                   # 2145 pairs
+    ("su2", 150.0, 300),                  # 45,150 pairs: tiles of two chunks
     ("so3", 150.0, 40),
     ("torus(1)", 2 * math.pi * 100, 40),  # eight frequency tiles
     ("torus(2)", 2 * math.pi * 12, 40),   # 449 irreps
@@ -488,7 +514,7 @@ def test_hs_profile_rows_are_independent(gid, M, n, monkeypatch):
         assert fourier.hs_profile_rows(G, atoms, masses[:R], irreps).tolist() \
             == alone[:R], R
     # groups of 5 rows: boundaries after rows 4, 9, ...
-    per_row = 8 * n * (n + 1) // 2
+    per_row = 8 * (n * (n + 1) // 2 + 2 * fourier._MOMENTS)
     monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
     assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
     # one row is the distance between the two measures it is made of, by

@@ -1,6 +1,7 @@
 """Run the benchmark over several seeds, time the Tier-1 suite, write BENCH_<n>.json.
 
     python3 tools/bench.py [--out FILE]
+    python3 tools/bench.py --against REV [--pairs N] [--seconds S] --out FILE
 
 Run from the root of a checkout.  For each workload of BENCHMARK.json it
 runs perfbench/run.py untraced once per seed of SEEDS, for BENCHMARK.json's
@@ -19,7 +20,20 @@ SEEDS is fixed so that successive files measure the same runs.
 It compares no two files: two BENCH files are measured hours apart on a
 shared machine, so the difference of their medians carries the machine's
 load (one such comparison showed a paired 20.6% gain as 6%).  A speed
-claim rests on alternating parent and change runs instead.
+claim rests on alternating parent and change runs instead, which
+--against makes: it checks REV out into a git worktree under
+.perfbench_run/ (removed at the end), then per workload runs perfbench on
+REV (the parent) and on this checkout (the change) --pairs times each, for
+--seconds per run (default run_seconds), alternating which side runs first
+from pair to pair, on one seed per pair.  The seeds come from the two
+commits' hashes, so another comparison gets other seeds, and the file
+records them with every run.  Per end-to-end metric it writes each side's
+median and quartiles over its runs, the change's wins, losses and ties,
+the parent's IQR and two verdicts (paired()): "gain" by the rule the
+issues use (the change better in at least 9 of 10 pairs, ties counting for
+neither, and the medians apart by more than the parent's IQR), and
+"within_bound" (the change's median no worse than the parent's by more
+than the metric's bound).
 
 The script changes nothing under perfbench/: it only runs run.py and reads
 its ROUND_ENV, without writing bytecode there.
@@ -28,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import re
@@ -44,12 +59,12 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 
 
-def run_perfbench(workload: str, seed: int, seconds: float, trace: int):
-    """One perfbench run: its JSON result and its untraced rounds."""
+def run_perfbench(workload: str, seed: int, seconds: float, trace: int, root: str = ROOT):
+    """One perfbench run of the checkout at root: its JSON result and its untraced rounds."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=False)
+        cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"perfbench/run.py failed on {workload} seed {seed}")
@@ -63,6 +78,80 @@ def spread(values, bound: float) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values),
             "iqr_over_third_of_bound": (q3 - q1) > bound * median / 3.0}
+
+
+def paired(parent, change, better: str, bound: float) -> dict:
+    """Statistics of one metric over runs paired by index, parent against change.
+
+    A pair is a win when the change is better (lower or higher, as
+    `better` says), a loss when it is worse, and a tie otherwise.  "gain"
+    holds when the change wins at least 9 in 10 of all pairs and its median
+    is better than the parent's by more than the parent's IQR;
+    "within_bound" when its median is no worse than the parent's by more
+    than bound times the parent's median.
+    """
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("paired() needs two equal lists of at least 2 runs")
+    sign = 1.0 if better == "lower" else -1.0
+    gains = [sign * (p - c) for p, c in zip(parent, change)]
+    sides = {}
+    for name, values in (("parent", parent), ("change", change)):
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        sides[name] = {"median": median, "q1": q1, "q3": q3}
+    wins = sum(g > 0 for g in gains)
+    iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+    ahead = sign * (sides["parent"]["median"] - sides["change"]["median"])
+    return {**sides, "pairs": len(gains), "wins": wins,
+            "losses": sum(g < 0 for g in gains), "ties": sum(g == 0 for g in gains),
+            "parent_iqr": iqr,
+            "median_change": -sign * ahead / sides["parent"]["median"],
+            "gain": 10 * wins >= 9 * len(gains) and ahead > iqr,
+            "within_bound": -ahead <= bound * sides["parent"]["median"]}
+
+
+def pair_seeds(parent: str, change: str, pairs: int) -> list:
+    """One seed per pair, from the two commits' hashes."""
+    base = int(hashlib.sha256(f"{parent} {change}".encode()).hexdigest()[:6], 16)
+    return [base + i for i in range(pairs)]
+
+
+def against(spec: dict, rev: str, pairs: int, seconds: float) -> dict:
+    """Alternating perfbench runs of REV (checked out in a worktree) and this checkout."""
+    parent = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    head = git("rev-parse", "HEAD")
+    tree = os.path.join(ROOT, ".perfbench_run", f"against-{parent[:12]}")
+    os.makedirs(os.path.dirname(tree), exist_ok=True)
+    git("worktree", "add", "--detach", "--force", tree, parent)
+    seeds = pair_seeds(parent, head, pairs)
+    out = {"parent": parent, "change": head,
+           "change_dirty": bool(git("status", "--porcelain", "--", "src", "perfbench",
+                                    "BENCHMARK.json")),
+           "seeds": seeds, "seconds": seconds, "workloads": {}}
+    try:
+        for wl in (w["name"] for w in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change")[::1 - 2 * (i % 2)]
+                for side in order:
+                    result, _ = run_perfbench(wl, seed, seconds, 0,
+                                              tree if side == "parent" else ROOT)
+                    runs[side].append({"seed": seed, "first": side == order[0],
+                                       "attempted": result["attempted"],
+                                       "failed": result["failed"],
+                                       **{k: v["value"] for k, v in result["metrics"].items()}})
+                print(f"{wl} pair {i + 1}/{pairs} (seed {seed}): wall_s parent "
+                      f"{runs['parent'][-1]['wall_s']:.3f} change "
+                      f"{runs['change'][-1]['wall_s']:.3f}", file=sys.stderr)
+            out["workloads"][wl] = {
+                "runs": runs,
+                "end_to_end": {m["name"]: {"unit": m["unit"], "bound": m["bound"],
+                                           **paired([r[m["name"]] for r in runs["parent"]],
+                                                    [r[m["name"]] for r in runs["change"]],
+                                                    m["better"], m["bound"])}
+                               for m in spec["end_to_end"]}}
+    finally:
+        git("worktree", "remove", "--force", tree)
+    return out
 
 
 def tier1() -> dict:
@@ -94,6 +183,9 @@ def git(*args) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out")
+    ap.add_argument("--against", metavar="REV")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -101,6 +193,23 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     from run import ROUND_ENV  # noqa: E402  (perfbench/ is not a package)
+
+    if args.against is not None:
+        if not args.out or args.pairs < 2:
+            ap.error("--against needs --out and --pairs of at least 2")
+        out = against(spec, args.against, args.pairs, args.seconds or seconds)
+        out["thread_env"] = {"rounds": ROUND_ENV}
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(out, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        for wl, res in out["workloads"].items():
+            for name, m in res["end_to_end"].items():
+                print(f"{wl} {name}: parent {m['parent']['median']:.4g} change "
+                      f"{m['change']['median']:.4g} ({m['median_change']:+.1%}), wins "
+                      f"{m['wins']}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, "
+                      f"gain {m['gain']}, within bound {m['within_bound']}", file=sys.stderr)
+        print(args.out)
+        return 0
 
     out = {"commit": git("rev-parse", "HEAD"),
            "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench",
