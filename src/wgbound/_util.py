@@ -93,7 +93,7 @@ def cosine_sum(weights: np.ndarray, tables) -> np.ndarray:
     shape = (cos_theta.shape[0], -1, cos_theta.shape[1])
     terms = ((cos_phi @ w.T).reshape(shape) * cos_theta[:, None, :]
              - (sin_phi @ w.T).reshape(shape) * sin_theta[:, None, :])
-    return pairwise_sum(np.moveaxis(terms, -1, 0)).reshape(
+    return pairwise_sum(terms.transpose(2, 0, 1)).reshape(
         cos_theta.shape[:1] + weights.shape[:-1])
 
 

@@ -565,7 +565,8 @@ def _gridded_moments(phi: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
                 tables = cosine_tables(m / points, u.shape[2])
                 scale = np.sqrt(_BETA / np.pi) * np.exp((np.pi * m / points) ** 2 / _BETA)
                 for r in range(0, rows, _ROWS):
-                    S[r:r + _ROWS, m] = cosine_sum(u[parity, r:r + _ROWS], tables).T * scale
+                    S[r:r + _ROWS, m0 + parity:m0 + _PANEL:2] = \
+                        cosine_sum(u[parity, r:r + _ROWS], tables).T * scale
         lo = h
     return S[:W.shape[0], :top + 1]
 
@@ -602,8 +603,8 @@ def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarra
     gauss = np.exp(-_BETA * (j * j))
     budget = max(_PAIRS, _ROW_BYTES // (4 * 8 * 3 * T))
     weights = np.zeros((rows, budget))
-    # the nodes -T..(tiles + 1) T - 1
-    ext = np.zeros((rows, (tiles + 2) * T))
+    # bands[t] holds tile t's band, nodes t T - T..t T + 2 T - 1
+    bands = np.zeros((tiles, rows, 3 * T))
     parts = []
     for lo, hi, runs in _pieces(bounds, budget):
         table = _kernel_table(d[lo:hi])
@@ -615,8 +616,14 @@ def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarra
             parts.append(w.transpose(2, 0, 1, 3) @ e.transpose(1, 2, 0)[:, None])
             if lo + a + count * size == bounds[t + 1]:
                 out = pairwise_sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
-                ext[:, t * T:(t + 3) * T] += out.reshape(-1, 3 * T) * gauss
+                bands[t] = out.reshape(rows, 3 * T)
                 parts = []
+    bands *= gauss
+    # the nodes -T..(tiles + 1) T - 1 in blocks of T: band t covers blocks t..t+2
+    ext = np.zeros((rows, tiles + 2, T))
+    for k in range(3):
+        ext[:, k:k + tiles] += bands[:, :, k * T:(k + 1) * T].transpose(1, 0, 2)
+    ext = ext.reshape(rows, -1)
     v = ext[:, T:T + half + 1]
     v[:, 1:T + 1] += ext[:, T - 1::-1]
     beyond = ext.shape[1] - (T + half + 1)
