@@ -76,25 +76,28 @@ def cosine_tables(s: np.ndarray, nodes: int):
 
 
 def cosine_sum(weights: np.ndarray, tables) -> np.ndarray:
-    """sum_k weights[..., k] cos(2 pi s k) per s of cosine_tables(s, nodes),
-    shape (s.size,) + weights.shape[:-1], for weights of `nodes` columns.
+    """sum_k weights[..., r, k] cos(2 pi s k) per s of cosine_tables(s, nodes),
+    for weights of `nodes` columns: shape (s.size,) for one weight vector,
+    lead + (s.size, R) for weights of shape lead + (R, nodes).
 
     With k = COSINE_BLOCK a + b, cos(theta_a + phi_b) = cos theta_a cos phi_b
-    - sin theta_a sin phi_b: one GEMM over b per trig function, then a
-    pairwise sum over a.  Every cosine is exact angle addition of two
-    directly evaluated phases, never a recurrence.  With phases within
-    3 pi u and trig values within 4 ulp, each cosine is within
-    2 sqrt(2) (3 pi + 4) u < 38 u, and the GEMM over b, the product, the
-    difference and the pairwise sum over a add gamma_{COSINE_BLOCK + 2 +
-    ceil(log2 A)} for A = nodes / COSINE_BLOCK, relative to sum_k |weights[k]|.
+    - sin theta_a sin phi_b: one GEMM over b per trig function and leading
+    index, of shape (s.size, COSINE_BLOCK) by (COSINE_BLOCK, R A) for
+    A = nodes / COSINE_BLOCK, then a pairwise sum over a.  Every cosine is
+    exact angle addition of two directly evaluated phases, never a
+    recurrence.  With phases within 3 pi u and trig values within 4 ulp,
+    each cosine is within 2 sqrt(2) (3 pi + 4) u < 38 u, and the GEMM over
+    b, the product, the difference and the pairwise sum over a add
+    gamma_{COSINE_BLOCK + 2 + ceil(log2 A)}, relative to sum_k |weights[k]|.
     """
     cos_phi, sin_phi, cos_theta, sin_theta = tables
-    w = weights.reshape(-1, COSINE_BLOCK)
-    shape = (cos_theta.shape[0], -1, cos_theta.shape[1])
-    terms = ((cos_phi @ w.T).reshape(shape) * cos_theta[:, None, :]
-             - (sin_phi @ w.T).reshape(shape) * sin_theta[:, None, :])
-    return pairwise_sum(terms.transpose(2, 0, 1)).reshape(
-        cos_theta.shape[:1] + weights.shape[:-1])
+    lead, rows = weights.shape[:-2], (weights.shape[-2] if weights.ndim > 1 else 1)
+    w = np.swapaxes(weights.reshape(lead + (-1, COSINE_BLOCK)), -1, -2)
+    shape = lead + (cos_theta.shape[0], rows, cos_theta.shape[1])
+    terms = ((cos_phi @ w).reshape(shape) * cos_theta[:, None, :]
+             - (sin_phi @ w).reshape(shape) * sin_theta[:, None, :])
+    out = pairwise_sum(np.moveaxis(terms, -1, 0))
+    return out if weights.ndim > 1 else out.reshape(-1)
 
 
 def tolerance_union(records) -> dict:

@@ -543,8 +543,8 @@ def _gridded_moments(phi: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
     Node N/2 - j has cosine (-1)^m cos(2 pi m j / N), so even moments sum
     v_j + v_{N/2-j} and odd ones v_j - v_{N/2-j} over j = 0..N/4 (node N/4
     once).  Each sum is _util.cosine_sum over the even or odd half of a
-    panel of _PANEL moments, for each group of _ROWS rows (the last one
-    padded with zero rows), so every GEMM has a shape that the support
+    panel of _PANEL moments, with one GEMM per group of _ROWS rows (the last
+    one padded with zero rows), so every GEMM has a shape that the support
     alone fixes, and every moment the same operations whatever top and the
     other rows are.
     """
@@ -564,9 +564,9 @@ def _gridded_moments(phi: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
                 m = np.arange(m0 + parity, m0 + _PANEL, 2)
                 tables = cosine_tables(m / points, u.shape[2])
                 scale = np.sqrt(_BETA / np.pi) * np.exp((np.pi * m / points) ** 2 / _BETA)
-                for r in range(0, rows, _ROWS):
-                    S[r:r + _ROWS, m0 + parity:m0 + _PANEL:2] = \
-                        cosine_sum(u[parity, r:r + _ROWS], tables).T * scale
+                sums = cosine_sum(u[parity].reshape(-1, _ROWS, u.shape[2]), tables)
+                S[:, m0 + parity:m0 + _PANEL:2] = (
+                    sums.transpose(0, 2, 1).reshape(rows, -1) * scale)
         lo = h
     return S[:W.shape[0], :top + 1]
 
@@ -596,9 +596,9 @@ def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarra
     tile = (x / T).astype(np.int64)
     # pairs by tile, in their given order within a tile (a radix sort)
     order = np.argsort(tile.astype(np.min_scalar_type(tiles)), kind="stable")
-    x, tile = x[order], tile[order]
-    bounds = np.searchsorted(tile, np.arange(tiles + 1))
-    d = x - (tile * T + T // 2)
+    counts = np.bincount(tile, minlength=tiles)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    d = x[order] - np.repeat(np.arange(tiles) * T + T // 2, counts)
     j = np.arange(3 * T) - 3 * T // 2
     gauss = np.exp(-_BETA * (j * j))
     budget = max(_PAIRS, _ROW_BYTES // (4 * 8 * 3 * T))
