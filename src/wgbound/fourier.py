@@ -69,7 +69,7 @@ _LADDER = 8
 _SPREAD = 16
 _BETA = 3.0 * math.pi / (4.0 * _SPREAD)
 _PAIRS = 512
-_ROWS = 8
+_ROWS = 4
 _PANEL = 128
 # hs_profile on the torus: GEMMs over tiles of _TILE frequencies per axis
 # and chunks of at most _TORUS_ATOMS atoms
