@@ -75,9 +75,11 @@ _PANEL = 128
 # and chunks of at most _TORUS_ATOMS atoms
 _TILE = 32
 _TORUS_ATOMS = 64
-# hs_profile_rows on su2/so3: bytes of pair weights and grid nodes per batch
-# of rows; a quarter of it bounds each kernel table
-_ROW_BYTES = 1 << 22
+# hs_profile_rows on su2/so3: bytes of temporaries per batch of rows, each
+# row counted at _row_doubles; _spread builds its kernel tables for runs of
+# _RUN_PAIRS pairs, 3 _SPREAD _RUN_PAIRS doubles (1 MiB) each
+_ROW_BYTES = 1 << 24
+_RUN_PAIRS = (1 << 20) // (8 * 3 * _SPREAD)
 # measure_transforms on su2/so3: bytes of the frequency cube's temporaries
 _TRANSFORM_BYTES = 1 << 24
 # hs_roundoff: |nu1 - nu2| mass bound, pairwise-sum depth
@@ -456,8 +458,8 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     nodes by a split-angle cosine sum: about 3 _SPREAD P multiply-adds per
     row for the stencils and (N / 2) top for the moments, on a grid of N
     points, where a direct sum takes P top.  Rows go through in batches
-    whose pair weights and grid nodes take about _ROW_BYTES, and in GEMMs
-    of _ROWS rows, so memory does not grow with R or P.  On the torus every
+    whose temporaries take at most about _ROW_BYTES (_row_doubles), and in
+    GEMMs of _ROWS rows, so memory does not grow with R or P.  On the torus every
     block is a scalar: per-axis tables of
     exp(-2 pi i j x_d) are built once, in tiles of _TILE frequencies, and
     each row takes one complex GEMM per tile of labels (_torus_profile):
@@ -488,7 +490,7 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     top = int(levels.max())
     phi = np.arccos(x)
     pair = np.where(k == l, 1.0, 2.0)
-    step = max(1, _ROW_BYTES // (8 * (k.size + _grid_points(top) // 2)))
+    step = max(1, _ROW_BYTES // (8 * _row_doubles(k.size, top)))
     for lo in range(0, masses.shape[0], step):
         c = masses[lo:lo + step]
         W = c[:, k]
@@ -497,6 +499,15 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
         S = _gridded_moments(phi, W, top)
         out[lo:lo + step] = np.maximum(_level_sums(G, S)[:, levels], 0.0)
     return out
+
+
+def _row_doubles(pairs: int, top: int) -> int:
+    """Doubles that one row of hs_profile_rows holds at once on su2/so3, at
+    most about: its pair weights (pairs) and one tile's chunk sums in
+    _spread (at most 3 _SPREAD per _PAIRS pairs), two runs of _RUN_PAIRS
+    pair weights, the bands and nodes of the largest grid (2 N) and the
+    moments and level sums (2 top)."""
+    return pairs + pairs // 8 + 2 * _RUN_PAIRS + 2 * _grid_points(top) + 2 * top
 
 
 def _level_sums(G: groups.GroupDescriptor, v: np.ndarray) -> np.ndarray:
@@ -562,13 +573,25 @@ def _gridded_moments(phi: np.ndarray, W: np.ndarray, top: int) -> np.ndarray:
         for m0 in range(lo, min(top + 1, h), _PANEL):
             for parity in (0, 1):
                 m = np.arange(m0 + parity, m0 + _PANEL, 2)
-                tables = cosine_tables(m / points, u.shape[2])
+                tables = _panel_tables(points, m0, parity)
                 scale = np.sqrt(_BETA / np.pi) * np.exp((np.pi * m / points) ** 2 / _BETA)
                 sums = cosine_sum(u[parity].reshape(-1, _ROWS, u.shape[2]), tables)
                 S[:, m0 + parity:m0 + _PANEL:2] = (
                     sums.transpose(0, 2, 1).reshape(rows, -1) * scale)
         lo = h
     return S[:W.shape[0], :top + 1]
+
+
+@lru_cache(maxsize=32)
+def _panel_tables(points: int, m0: int, parity: int):
+    """cosine_tables of the moments m0 + parity, m0 + parity + 2, ... below
+    m0 + _PANEL on the grid of points, for the N/4 + 1 folded nodes padded
+    to whole COSINE_BLOCKs; read-only, kept for the next call."""
+    nodes = -(-(points // 4 + 1) // COSINE_BLOCK) * COSINE_BLOCK
+    tables = cosine_tables(np.arange(m0 + parity, m0 + _PANEL, 2) / points, nodes)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarray:
@@ -586,7 +609,7 @@ def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarra
     the third.  A tile's pairs go in ceil(count / _PAIRS) chunks whose
     lengths differ by at most one, and the chunks' GEMMs are summed
     pairwise.  The kernel tables and the pair weights beside them are built
-    for runs of whole chunks of at most a quarter of _ROW_BYTES.  The bands
+    for runs of whole chunks of at most _RUN_PAIRS pairs.  The bands
     add into the nodes, three to a node, and the nodes past 0 and N/2 fold
     onto their mirrors: the measure is even.
     """
@@ -601,12 +624,11 @@ def _spread(phi: np.ndarray, W: np.ndarray, points: int, rows: int) -> np.ndarra
     d = x[order] - np.repeat(np.arange(tiles) * T + T // 2, counts)
     j = np.arange(3 * T) - 3 * T // 2
     gauss = np.exp(-_BETA * (j * j))
-    budget = max(_PAIRS, _ROW_BYTES // (4 * 8 * 3 * T))
-    weights = np.zeros((rows, budget))
+    weights = np.zeros((rows, _RUN_PAIRS))
     # bands[t] holds tile t's band, nodes t T - T..t T + 2 T - 1
     bands = np.zeros((tiles, rows, 3 * T))
     parts = []
-    for lo, hi, runs in _pieces(bounds, budget):
+    for lo, hi, runs in _pieces(bounds, _RUN_PAIRS):
         table = _kernel_table(d[lo:hi])
         weights[:W.shape[0], :hi - lo] = W[:, order[lo:hi]]
         for t, a, count, size in runs:

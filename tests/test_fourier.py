@@ -514,7 +514,7 @@ def test_hs_profile_rows_are_independent(gid, M, n, monkeypatch):
         assert fourier.hs_profile_rows(G, atoms, masses[:R], irreps).tolist() \
             == alone[:R], R
     # groups of 5 rows: boundaries after rows 4, 9, ...
-    per_row = 8 * (n * (n + 1) // 2 + 2 * fourier._MOMENTS)
+    per_row = 8 * fourier._row_doubles(n * (n + 1) // 2, max(p.label[0] for p in irreps))
     monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
     assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
     # one row is the distance between the two measures it is made of, by

@@ -1,7 +1,7 @@
 """Run the benchmark over several seeds, time the Tier-1 suite, write BENCH_<n>.json.
 
     python3 tools/bench.py [--out FILE]
-    python3 tools/bench.py --against REV [--pairs N] [--seconds S] --out FILE
+    python3 tools/bench.py --against REV --out FILE
 
 Run from the root of a checkout.  For each workload of BENCHMARK.json it
 runs perfbench/run.py untraced once per seed of SEEDS, for BENCHMARK.json's
@@ -23,15 +23,17 @@ load (one such comparison showed a paired 20.6% gain as 6%).  A speed
 claim rests on alternating parent and change runs instead, which
 --against makes: it checks REV out into a git worktree under
 .perfbench_run/ (removed at the end), then per workload runs perfbench on
-REV (the parent) and on this checkout (the change) --pairs times each, for
---seconds per run (default run_seconds), alternating which side runs first
-from pair to pair, on one seed per pair.  The seeds come from the two
-commits' hashes, so another comparison gets other seeds, and the file
-records them with every run.  Per end-to-end metric it writes each side's
-median and quartiles over its runs, the change's wins, losses and ties,
-the parent's IQR and two verdicts (paired()): "gain" by the rule the
-issues use (the change better in at least 9 of 10 pairs, ties counting for
-neither, and the medians apart by more than the parent's IQR), and
+REV (the parent) and on this checkout (the change) PAIRS times each, for
+run_seconds per run, alternating which side runs first from pair to
+pair, on one seed per pair.  The seeds come from the two commits' hashes,
+so another comparison gets other seeds, and the file records them with
+every run.  Per workload it writes each side's share of failed
+operations, and per end-to-end metric each side's median and quartiles
+over its runs, the change's wins, losses and ties, the parent's IQR and
+two verdicts (paired()): "gain" by the rule a speed claim must meet (at
+least 10 pairs, the change better in at least 9 of 10 of them, ties
+counting for neither, the medians apart by more than the parent's IQR,
+and no larger share of failed operations than the parent's), and
 "within_bound" (the change's median no worse than the parent's by more
 than the metric's bound).
 
@@ -54,6 +56,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUND_RE = re.compile(r"^round: setup_s=(\S+) wall_s=(\S+) peak_rss_mb=(\S+) traced=(\w+)")
 SEEDS = (101, 102, 103, 104, 105)
+# --against: pairs per workload, the least the 9-of-10 rule takes
+PAIRS = 10
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -80,15 +84,16 @@ def spread(values, bound: float) -> dict:
             "iqr_over_third_of_bound": (q3 - q1) > bound * median / 3.0}
 
 
-def paired(parent, change, better: str, bound: float) -> dict:
+def paired(parent, change, better: str, bound: float, failed: tuple) -> dict:
     """Statistics of one metric over runs paired by index, parent against change.
 
     A pair is a win when the change is better (lower or higher, as
     `better` says), a loss when it is worse, and a tie otherwise.  "gain"
-    holds when the change wins at least 9 in 10 of all pairs and its median
-    is better than the parent's by more than the parent's IQR;
-    "within_bound" when its median is no worse than the parent's by more
-    than bound times the parent's median.
+    holds when there are at least PAIRS pairs, the change wins at least 9
+    in 10 of them, its median is better than the parent's by more than the
+    parent's IQR, and its share of failed operations, failed[1], is no
+    larger than the parent's, failed[0]; "within_bound" when its median is
+    no worse than the parent's by more than bound times the parent's median.
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("paired() needs two equal lists of at least 2 runs")
@@ -105,49 +110,57 @@ def paired(parent, change, better: str, bound: float) -> dict:
             "losses": sum(g < 0 for g in gains), "ties": sum(g == 0 for g in gains),
             "parent_iqr": iqr,
             "median_change": -sign * ahead / sides["parent"]["median"],
-            "gain": 10 * wins >= 9 * len(gains) and ahead > iqr,
+            "gain": (len(gains) >= PAIRS and 10 * wins >= 9 * len(gains) and ahead > iqr
+                     and failed[1] <= failed[0]),
             "within_bound": -ahead <= bound * sides["parent"]["median"]}
 
 
-def pair_seeds(parent: str, change: str, pairs: int) -> list:
-    """One seed per pair, from the two commits' hashes."""
+def pair_seeds(parent: str, change: str) -> list:
+    """One seed per pair of PAIRS, from the two commits' hashes."""
     base = int(hashlib.sha256(f"{parent} {change}".encode()).hexdigest()[:6], 16)
-    return [base + i for i in range(pairs)]
+    return [base + i for i in range(PAIRS)]
 
 
-def against(spec: dict, rev: str, pairs: int, seconds: float) -> dict:
+def failed_share(runs: list) -> float:
+    """Failed operations over attempted ones, summed over runs."""
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+
+
+def against(spec: dict, rev: str) -> dict:
     """Alternating perfbench runs of REV (checked out in a worktree) and this checkout."""
     parent = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     head = git("rev-parse", "HEAD")
     tree = os.path.join(ROOT, ".perfbench_run", f"against-{parent[:12]}")
     os.makedirs(os.path.dirname(tree), exist_ok=True)
     git("worktree", "add", "--detach", "--force", tree, parent)
-    seeds = pair_seeds(parent, head, pairs)
+    seeds = pair_seeds(parent, head)
     out = {"parent": parent, "change": head,
            "change_dirty": bool(git("status", "--porcelain", "--", "src", "perfbench",
                                     "BENCHMARK.json")),
-           "seeds": seeds, "seconds": seconds, "workloads": {}}
+           "seeds": seeds, "seconds": spec["run_seconds"], "workloads": {}}
     try:
         for wl in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ("parent", "change")[::1 - 2 * (i % 2)]
                 for side in order:
-                    result, _ = run_perfbench(wl, seed, seconds, 0,
+                    result, _ = run_perfbench(wl, seed, spec["run_seconds"], 0,
                                               tree if side == "parent" else ROOT)
                     runs[side].append({"seed": seed, "first": side == order[0],
                                        "attempted": result["attempted"],
                                        "failed": result["failed"],
                                        **{k: v["value"] for k, v in result["metrics"].items()}})
-                print(f"{wl} pair {i + 1}/{pairs} (seed {seed}): wall_s parent "
+                print(f"{wl} pair {i + 1}/{PAIRS} (seed {seed}): wall_s parent "
                       f"{runs['parent'][-1]['wall_s']:.3f} change "
                       f"{runs['change'][-1]['wall_s']:.3f}", file=sys.stderr)
+            failed = (failed_share(runs["parent"]), failed_share(runs["change"]))
             out["workloads"][wl] = {
                 "runs": runs,
+                "failed_share": {"parent": failed[0], "change": failed[1]},
                 "end_to_end": {m["name"]: {"unit": m["unit"], "bound": m["bound"],
                                            **paired([r[m["name"]] for r in runs["parent"]],
                                                     [r[m["name"]] for r in runs["change"]],
-                                                    m["better"], m["bound"])}
+                                                    m["better"], m["bound"], failed)}
                                for m in spec["end_to_end"]}}
     finally:
         git("worktree", "remove", "--force", tree)
@@ -184,8 +197,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out")
     ap.add_argument("--against", metavar="REV")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -195,14 +206,16 @@ def main(argv=None) -> int:
     from run import ROUND_ENV  # noqa: E402  (perfbench/ is not a package)
 
     if args.against is not None:
-        if not args.out or args.pairs < 2:
-            ap.error("--against needs --out and --pairs of at least 2")
-        out = against(spec, args.against, args.pairs, args.seconds or seconds)
+        if not args.out:
+            ap.error("--against needs --out")
+        out = against(spec, args.against)
         out["thread_env"] = {"rounds": ROUND_ENV}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=1, sort_keys=True)
             fh.write("\n")
         for wl, res in out["workloads"].items():
+            print(f"{wl} failed share: parent {res['failed_share']['parent']:.3g} change "
+                  f"{res['failed_share']['change']:.3g}", file=sys.stderr)
             for name, m in res["end_to_end"].items():
                 print(f"{wl} {name}: parent {m['parent']['median']:.4g} change "
                       f"{m['change']['median']:.4g} ({m['median_change']:+.1%}), wins "
