@@ -485,14 +485,13 @@ class CutoffSweep:
     The bound total at grid[i] is psis[i] + phis[i] * sqrt(cum[cuts[i]]),
     where cum holds prefix sums of the Fourier sum over the spectrum below
     the top of the grid and cuts[i] counts that spectrum below grid[i].
-    Both kinds read the spectrum from groups.spectral_data.  An exact
-    sweep weights squared HS distances by d/kappa and also holds the
-    irreps, for hs_profile, and roundoff, the prefix sums of d/kappa times
-    fourier.hs_roundoff, which bound the rounding of each cut's Fourier
-    sum.  A relaxed sweep (the gap corollary) uses
-    d^2/kappa scaled by q^2, on a longer grid; its d^2/kappa prefix sums,
-    gap_prefix, are built once here and scaled by q^2 in best and report.
-    At one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
+    Both kinds hold labels, the label rows of groups.spectral_data.  An
+    exact sweep weights squared HS distances by d/kappa and also holds
+    roundoff, the prefix sums of d/kappa times fourier.hs_roundoff, which
+    bound the rounding of each cut's Fourier sum.  A relaxed sweep (the gap
+    corollary) uses d^2/kappa scaled by q^2, on a longer grid; its d^2/kappa
+    prefix sums, gap_prefix, are built once here and scaled by q^2 in best
+    and report.  At one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
     relaxed=True).report(0, q=q).
     """
 
@@ -509,10 +508,10 @@ class CutoffSweep:
         self.profile_id = bump_profile(profile).profile_id
         top = float(grid[-1])
         sd = groups.spectral_data(G, top)
-        self.irreps = None if relaxed else groups.enumerate_irreps(G, top)
+        self.labels = sd["label"]
         self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
         self.roundoff = None if relaxed else self.prefix(
-            fourier.hs_roundoff(G, self.irreps))
+            fourier.hs_roundoff(G, self.labels))
         self.gap_prefix = self.prefix() if relaxed else None
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
         self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
@@ -520,10 +519,11 @@ class CutoffSweep:
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
 
     def hs_profile(self, nu1, nu2) -> Optional[np.ndarray]:
-        """Squared HS distances over the irreps; None for identical measures."""
+        """Squared HS distances over the labels; None for identical measures."""
         if nu2 is not None and nu1.identical_to(nu2):
             return None
-        return fourier.hs_profile(self.G, nu1, nu2, self.irreps)
+        return fourier.hs_profile_rows(self.G, *fourier.merged_atoms(nu1, nu2),
+                                       self.labels)[0]
 
     def prefix(self, values=1.0) -> np.ndarray:
         """Prefix sums [0, r0 v0, r0 v0 + r1 v1, ...] of ratios times values."""

@@ -375,8 +375,8 @@ def _verify_walk_convolution(G, nu, M: float):
       have norm <= 1, so b @ b is within 2 sqrt(d) e(n) of B B, plus 3 d u
       for its own rounding.
     """
-    irreps = groups.enumerate_irreps(G, min(M, 4.0 * G.admissibility_threshold))
-    blocks = fourier.measure_transforms(G, nu, irreps)
+    labels = groups.spectral_data(G, min(M, 4.0 * G.admissibility_threshold))["label"]
+    blocks = fourier.measure_transforms(G, nu, labels)
     conv = [np.zeros_like(b) for b in blocks]
     n = nu.size
     step = max(1, _CONV_CHUNK_ATOMS // n)
@@ -386,17 +386,17 @@ def _verify_walk_convolution(G, nu, M: float):
         chunk = fourier.DiscreteMeasure(G.group_id, nu.atoms[lo:lo + step],
                                         w / mass)
         part = fourier.product_measure(G, chunk, nu)
-        for c, b in zip(conv, fourier.measure_transforms(G, part, irreps)):
+        for c, b in zip(conv, fourier.measure_transforms(G, part, labels)):
             c += mass * b
-    d = max(p.dim for p in irreps)
+    d = max(b.shape[0] for b in blocks)
     tol = (_IRREP_TOL + fourier.transform_error(n * n, d) + 6.0 * U
            + 2.0 * math.sqrt(d) * fourier.transform_error(n, d) + 3.0 * d * U)
-    for p, b, c in zip(irreps, blocks, conv):
+    for label, b, c in zip(labels.tolist(), blocks, conv):
         dev = float(np.max(np.abs(c - b @ b)))
         if dev > tol:
             raise SolverError(
                 f"two-step walk block deviates {dev:.3e} from b @ b "
-                f"(tolerance {tol:.3e}) on irrep {p.label}")
+                f"(tolerance {tol:.3e}) on irrep {tuple(label)}")
 
 
 def _cmd_empirical(cfg: RunConfig, G: groups.GroupDescriptor) -> str:

@@ -16,15 +16,17 @@ Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
 
 Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.  On
 su2/so3 the character of the d-dimensional irrep is U_{d-1}(cos(theta/2)),
-from the three-term Chebyshev recurrence.  measure_transforms gives a
-measure's Fourier blocks at many irreps as plain complex (d, d) arrays,
-whose norms are numpy's (np.linalg.norm), and measure_transform is its
-one-irrep call.  On su2/so3 every block of one spin parity is read from
-one frequency cube F[u, v, w] = sum_k w_k e^{i(a_k u + b_k v + c_k w)} of
-the atoms' Euler angles, built as GEMMs and contracted with each level's
-V: N n^3 / 2 multiply-adds for n weights of the top spin, against
-N sum d^3 for the levels' own matrices.  The cube is built and contracted
-in tiles, so its temporaries stay within _TRANSFORM_BYTES.
+from the three-term Chebyshev recurrence.  Functions of many irreps take
+the label rows of groups.spectral_data, the others one groups.Irrep.
+measure_transforms gives a measure's Fourier blocks at many irreps as
+plain complex (d, d) arrays, whose norms are numpy's (np.linalg.norm), and
+measure_transform is its one-irrep call.  On su2/so3 every block of one
+spin parity is read from one frequency cube F[u, v, w] = sum_k w_k
+e^{i(a_k u + b_k v + c_k w)} of the atoms' Euler angles, built as GEMMs and
+contracted with each level's V: N n^3 / 2 multiply-adds for n weights of
+the top spin, against N sum d^3 for the levels' own matrices.  The cube is
+built and contracted in tiles, so its temporaries stay within
+_TRANSFORM_BYTES.
 
 Squared HS distances between two measures at many irreps come from
 character sums (hs_profile): prefix sums of the cosine moments
@@ -231,13 +233,13 @@ def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
                       irrep: groups.Irrep) -> np.ndarray:
     """Fourier block sum_k w_k pi(x_k)^* of a discrete measure, as a complex
     (d, d) array: measure_transforms at one irrep."""
-    return measure_transforms(G, nu, [irrep])[0]
+    return measure_transforms(G, nu, np.asarray([irrep.label]))[0]
 
 
 def measure_transforms(G: groups.GroupDescriptor, nu: DiscreteMeasure,
-                       irreps: list) -> list:
+                       labels: np.ndarray) -> list:
     """Fourier blocks sum_k w_k pi(x_k)^* of a discrete measure, one complex
-    (d, d) array per irrep, in the order of irreps.
+    (d, d) array per label row (groups.spectral_data), in their order.
 
     On the torus each block is the conjugated character sum.  On su2/so3
     all blocks of one spin parity come from one frequency cube
@@ -246,17 +248,17 @@ def measure_transforms(G: groups.GroupDescriptor, nu: DiscreteMeasure,
     if nu.group_id != G.group_id:
         raise ValueError("measure/group mismatch")
     if groups.torus_dim(G.group_id) is not None:
-        return [np.conj(np.tensordot(nu.weights, characters(G, p, nu.atoms),
+        return [np.conj(np.tensordot(nu.weights, np.exp(2j * np.pi * (nu.atoms @ m)),
                                      axes=(0, 0))).reshape(1, 1)
-                for p in irreps]
+                for m in labels.astype(float)]
     angles = _euler_angles(nu.atoms)
-    spins = sorted({p.dim - 1 for p in irreps})
+    spins = groups.doubled_spins(G, labels).tolist()
     blocks = {}
     for parity in (0, 1):
-        same = [two_j for two_j in spins if two_j % 2 == parity]
+        same = sorted({two_j for two_j in spins if two_j % 2 == parity})
         if same:
             blocks.update(_cube_blocks(angles, nu.weights, same))
-    return [blocks[p.dim - 1] for p in irreps]
+    return [blocks[two_j] for two_j in spins]
 
 
 def transform_error(n_atoms: int, d: int) -> float:
@@ -373,8 +375,10 @@ def _contract_tile(levels: list, top: int, F: np.ndarray, v0: int, w0: int):
 # Hilbert-Schmidt distances by character sums
 
 
-def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
-    """Distinct atoms of the signed measure nu1 - nu2, with their nonzero masses.
+def merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
+    """Distinct atoms of nu1 - nu2 (nu2=None: Haar) and its nonzero masses in
+    one row of hs_profile_rows, shape (1, n): the pair counterpart of
+    empirical_masses.
 
     Repeated atoms (an empirical measure drawn with replacement, or an atom
     of both measures) are merged, which leaves every class-function sum
@@ -388,7 +392,7 @@ def _merged_atoms(nu1: DiscreteMeasure, nu2: Optional[DiscreteMeasure]):
     atoms, inverse = np.unique(atoms, axis=0, return_inverse=True)
     merged = _group_sums(inverse.ravel(), coeffs, atoms.shape[0])
     keep = merged != 0.0
-    return atoms[keep], merged[keep]
+    return atoms[keep], merged[None, keep]
 
 
 def empirical_masses(source: DiscreteMeasure, picks: np.ndarray) -> np.ndarray:
@@ -422,23 +426,23 @@ def _group_sums(index: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
 
 def hs_profile(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
                nu2: Optional[DiscreteMeasure], irreps: list) -> np.ndarray:
-    """Squared HS distances ||nu1^(pi) - nu2^(pi)||_HS^2 at many irreps at once.
+    """Squared HS distances ||nu1^(pi) - nu2^(pi)||_HS^2 at a list of Irreps.
 
     ``nu2=None`` stands for Haar.  The signed measure nu1 - nu2 is merged
-    over repeated atoms (_merged_atoms) and profiled as one row of
+    over repeated atoms (merged_atoms) and profiled as one row of
     hs_profile_rows, which says how the values are computed.
     """
-    atoms, coeffs = _merged_atoms(nu1, nu2)
-    return hs_profile_rows(G, atoms, coeffs[None, :], irreps)[0]
+    labels = np.asarray([p.label for p in irreps])
+    return hs_profile_rows(G, *merged_atoms(nu1, nu2), labels)[0]
 
 
 def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
-                    masses: np.ndarray, irreps: list) -> np.ndarray:
-    """hs_profile of R signed measures on one support, shape (R, len(irreps)).
+                    masses: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """hs_profile of R signed measures on one support, shape (R, len(labels)).
 
     Row r is the signed measure with mass masses[r, k] at atoms[k] (atoms
-    canonical, as DiscreteMeasure stores them), and its value at an irrep is
-    the character sum sum_kl c_k c_l chi(x_k^-1 x_l), c = masses[r].
+    canonical, as DiscreteMeasure stores them), and its value at a label
+    row's irrep is the character sum sum_kl c_k c_l chi(x_k^-1 x_l), c = masses[r].
 
     On su2/so3 the characters are prefix sums of Chebyshev moments
     S(m) = sum_{k<=l} w_kl T_m(x_kl) over the upper triangle of atom pairs,
@@ -467,8 +471,8 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     |m_d| <= top on torus(D).
 
     Every GEMM's shape is fixed by the support alone, and a value comes
-    from the same operations whatever other rows and irreps the call holds,
-    so a row or a slice of irreps equals a separate call bit for bit, and
+    from the same operations whatever other rows and labels the call holds,
+    so a row or a slice of labels equals a separate call bit for bit, and
     an all-zero row reads 0.  (This rests on BLAS giving a GEMM row the
     same bits at any row position within one fixed shape, which holds for
     OpenBLAS 0.3.31; it does not give the same bits to shapes of
@@ -477,16 +481,16 @@ def hs_profile_rows(G: groups.GroupDescriptor, atoms: np.ndarray,
     measure with sum_k |c_k| <= _MASS.
     """
     masses = np.asarray(masses, dtype=float)
-    out = np.zeros((masses.shape[0], len(irreps)))
-    if not irreps or masses.shape[1] == 0:
+    out = np.zeros((masses.shape[0], len(labels)))
+    if not len(labels) or masses.shape[1] == 0:
         return out
     if groups.torus_dim(G.group_id) is not None:
-        return _torus_profile(atoms, masses, irreps)
+        return _torus_profile(atoms, masses, labels)
     k, l = np.triu_indices(masses.shape[1])
     x = groups.class_cosines(G, atoms, atoms)[k, l]
     if G.group_id == "so3":
         x = np.clip(2.0 * x * x - 1.0, -1.0, 1.0)
-    levels = np.asarray([p.label[0] for p in irreps])
+    levels = labels[:, 0]
     top = int(levels.max())
     phi = np.arccos(x)
     pair = np.where(k == l, 1.0, 2.0)
@@ -693,8 +697,8 @@ def _kernel_table(d: np.ndarray) -> np.ndarray:
     return table
 
 
-def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.ndarray:
-    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per row c of masses and torus irrep m.
+def _torus_profile(atoms, masses, labels: np.ndarray) -> np.ndarray:
+    """|sum_k c_k exp(-2 pi i m.x_k)|^2 per row c of masses and label row m.
 
     With A_d[k, j] = exp(-2 pi i j x_kd), the sum at m is
     sum_k c_k prod_d A_d[k, m_d].  Frequencies are cut into tiles of _TILE
@@ -705,7 +709,6 @@ def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.nd
     GEMV).  Each L serves every tile t_D under it.  The atoms go in chunks
     of at most _TORUS_ATOMS (_chunks), whose GEMMs are summed pairwise.
     """
-    labels = np.asarray([p.label for p in irreps], dtype=np.int64)
     dim = labels.shape[1]
     tile, offset = np.divmod(labels, _TILE)
     low = tile.min(axis=0)
@@ -727,7 +730,7 @@ def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.nd
     bounds = np.flatnonzero(np.diff(lead, append=-1)) + 1
     size = _chunks(atoms.shape[0], _TORUS_ATOMS)[1]
     chunks = [slice(lo, lo + size) for lo in range(0, atoms.shape[0], size)]
-    out = np.empty((masses.shape[0], len(irreps)))
+    out = np.empty((masses.shape[0], len(labels)))
     for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
         t, under = tiles[lo], range(lo, hi)
         for c, row in zip(masses, out):
@@ -747,15 +750,15 @@ def _torus_profile(atoms: np.ndarray, masses: np.ndarray, irreps: list) -> np.nd
     return out
 
 
-def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
-    """A-priori bound on |hs_profile - exact value| at each irrep.
+def hs_roundoff(G: groups.GroupDescriptor, labels: np.ndarray) -> np.ndarray:
+    """A-priori bound on |hs_profile - exact value| at each label row's irrep.
 
     It holds for any two probability measures, or one and Haar, of any
     size: it reads them only through sum_k |c_k| <= M = _MASS for the merged
     signed masses c (each weight vector sums to 1 within _WEIGHT_SUM_TOL).
     It holds as well for every row of hs_profile_rows whose masses are the
     correctly rounded values of such a c, as _group_sums forms them for
-    _merged_atoms and empirical_masses.  The exact value is the one for the
+    merged_atoms and empirical_masses.  The exact value is the one for the
     stored masses and, on su2/so3, for the atoms scaled to unit norm.  A
     cut's Fourier sum then errs by at most the sum of d/kappa times these
     bounds over the irreps below it (CutoffSweep.roundoff).  Clamping at 0
@@ -864,12 +867,12 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
       |F| <= M.  |F^|^2 is within Delta (2 M + Delta), and re^2 + im^2 adds
       gamma_2 (M + Delta)^2.
     """
-    if not irreps:
+    if not len(labels):
         return np.zeros(0)
     mass = _MASS
     d_t = groups.torus_dim(G.group_id)
     if d_t is not None:
-        m = np.abs(np.asarray([p.label for p in irreps], dtype=float))
+        m = np.abs(labels.astype(float))
         eta = 2.0 * np.pi * m * gamma(3) + math.sqrt(2.0) * U
         # (1 + g)(1 + e_0) - 1 as a sum of logs, without cancellation
         e = np.expm1(np.sum(np.log1p(eta), axis=1) + math.log1p(U)
@@ -883,7 +886,7 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     dx = 2.0 * nu + nu * nu + gamma(4) * (1.0 + nu) ** 2
     if G.group_id == "so3":
         dx = 4.0 * dx + 3.0 * U + 2.0 * U * U
-    levels = np.asarray([p.label[0] for p in irreps])
+    levels = labels[:, 0]
     n = np.arange(int(levels.max()) + 1)
     T, beta = _SPREAD, _BETA
     # the scale's exponent m^2 tau and the sums of the kernel over the nodes
@@ -908,7 +911,7 @@ def hs_roundoff(G: groups.GroupDescriptor, irreps: list) -> np.ndarray:
     W = ((1.0 + U) * mass) ** 2
     per_level = W * (_level_sums(G, err)
                      + gamma(q_n - 1) * _level_sums(G, 1.0 + err))
-    dims = np.asarray([p.dim for p in irreps], dtype=float)
+    dims = groups.doubled_spins(G, labels) + 1.0
     return per_level[levels] + U * (2.0 + U) * mass ** 2 * dims
 
 
@@ -924,7 +927,7 @@ def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,
     weight grows but attained at no finite weight, so every truncation
     stays strictly below it.
     """
-    blocks = measure_transforms(G, nu, groups.enumerate_irreps(G, M))
+    blocks = measure_transforms(G, nu, groups.spectral_data(G, M)["label"])
     return max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0)
 
 

@@ -313,7 +313,7 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
     are sorted by an integer key, |m|^2 on a torus and two_j or level on
     su2/so3, and then by label, so the weight norm never decreases.
     Membership is decided on the integers too: |m|^2 < (M / 2 pi)^2,
-    two_j < 2M, level < M.
+    two_j < 2M, level < M.  fourier's many-irrep functions take such rows.
     """
     if not (M > 0 and math.isfinite(M)):
         raise ValueError(f"M must be positive and finite, got {M}")
@@ -337,15 +337,17 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
         return {"label": labels, "dim": np.ones_like(key),
                 "casimir": 4.0 * math.pi ** 2 * key,
                 "weight_norm": 2.0 * math.pi * np.sqrt(key.astype(float))}
-    if G.group_id == "su2":
-        key = np.arange(1, math.ceil(2.0 * M))
-        two_j = key
-    else:
-        key = np.arange(1, math.ceil(M))
-        two_j = 2 * key
+    top = math.ceil(2.0 * M) if G.group_id == "su2" else math.ceil(M)
+    labels = np.arange(1, top)[:, None]
+    two_j = doubled_spins(G, labels)
     j = two_j / 2.0
-    return {"label": key[:, None], "dim": two_j + 1,
+    return {"label": labels, "dim": two_j + 1,
             "casimir": j * (j + 1.0), "weight_norm": j}
+
+
+def doubled_spins(G: GroupDescriptor, labels: np.ndarray) -> np.ndarray:
+    """2j of the su2/so3 irreps with these label rows: two_j, or 2 level."""
+    return labels[:, 0] * (2 if G.group_id == "so3" else 1)
 
 
 def enumerate_irreps(G: GroupDescriptor, M: float,
@@ -383,11 +385,11 @@ def load_points(path, expect_group: Optional[str] = None):
     Raises ValueError for malformed content and OSError for unreadable files.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, 1)]
+    lines = [(ln_no, ln) for ln_no, ln in lines if ln]
     if not lines:
         raise ValueError(f"{path}: empty point file")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(lines[0][1])
     if not m:
         raise ValueError(f"{path}: first line must be '# group=<id>'")
     group_id = m.group(1)
@@ -396,7 +398,7 @@ def load_points(path, expect_group: Optional[str] = None):
         raise ValueError(f"{path}: header group {group_id!r} does not match "
                          f"requested {expect_group!r}")
     rows = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         if ln.startswith("#"):
             continue
         parts = ln.split(",")

@@ -9,7 +9,6 @@ remain only as a statistical oracle for the tests.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -253,11 +252,10 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     if g is None:
         g = bound.ModulusOfContinuity.power(1.0)
     # spectral_data rejects a non-finite M, default_m_grid one below the threshold
-    if not groups.enumerate_irreps(G, M):
+    if not len(groups.spectral_data(G, M)["label"]):
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
     sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
-    irreps, ratios = sweep.irreps, sweep.ratios
-    base = fourier.measure_transforms(G, nu, irreps)
+    base = fourier.measure_transforms(G, nu, sweep.labels)
     gap_sweep = None if q_hint is None else bound.CutoffSweep(
         G, g, profile, relaxed=True)
 
@@ -304,7 +302,7 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
             hs_sq[i] = np.vdot(bk, bk).real
         if prev_q is not None and q_hat > prev_q * q1 + _SUBMULT_TOL:
             raise SolverError(f"gap trace not submultiplicative at step {k}")
-        contrib = ratios * hs_sq
+        contrib = sweep.ratios * hs_sq
         cum = np.concatenate(([0.0], np.cumsum(contrib)))
         totals, i_best = sweep.totals(cum)
         # spectral_error: eps_k per diagonalised block, then its HS and
@@ -313,7 +311,7 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         hs_err = np.zeros(len(base))
         hs_err[eig_idx] = root_d * eps_k * (
             2.0 * np.sqrt(hs_sq[eig_idx]) + root_d * eps_k)
-        cum_err = np.concatenate(([0.0], np.cumsum(ratios * hs_err)))
+        cum_err = np.concatenate(([0.0], np.cumsum(sweep.ratios * hs_err)))
         c = np.maximum(cum[sweep.cuts], 0.0)
         total_err = sweep.phis * (
             np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[sweep.cuts], 0.0)))
@@ -342,8 +340,8 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
 
 def sampled_walk_blocks(G: groups.GroupDescriptor,
                         nu: fourier.DiscreteMeasure, k: int, n_paths: int,
-                        seed: int, irreps) -> List[np.ndarray]:
-    """Mean transform blocks of n_paths sampled k-step products.
+                        seed: int, labels: np.ndarray) -> List[np.ndarray]:
+    """Mean transform blocks of n_paths sampled k-step products, per label row.
 
     A statistical oracle of the powering identity for the tests; no
     command calls it (walk --verify checks the identity exactly).  Each
@@ -358,27 +356,23 @@ def sampled_walk_blocks(G: groups.GroupDescriptor,
     for j in range(1, k):
         pos = groups.multiply(G, pos, nu.atoms[idx[:, j]])
     emp = fourier.DiscreteMeasure.uniform(G, pos)
-    return fourier.measure_transforms(G, emp, irreps)
+    return fourier.measure_transforms(G, emp, labels)
 
 
 # ---------------------------------------------------------------------------
 # one HS profile for a cutoff sweep and a short irrep range
 
 
-def _joint_irreps(sweep: bound.CutoffSweep, cutoff: float) -> Tuple[list, int]:
-    """Irreps covering the sweep's and those below cutoff, and the latter's count.
+def _joint_irreps(sweep: bound.CutoffSweep, cutoff: float) -> Tuple[dict, int]:
+    """spectral_data of the sweep's and the sub-cutoff irreps, and the latter's count.
 
-    enumerate_irreps sorts by an integer key, along which the weight norm
-    never decreases, so both ranges are prefixes of the longer list, and
-    slices of one hs_profile over it equal separate calls bit for bit: no
-    irrep's character sum depends on the others in the call.  The irreps
-    below cutoff are counted by weight_norm < cutoff, the rule of the
-    sweep's own cuts.
+    Along its rows the weight norm never decreases, so both ranges are
+    prefixes, and slices of one hs_profile_rows over the label rows equal
+    separate calls bit for bit.  The irreps below cutoff are counted by
+    weight_norm < cutoff, the rule of the sweep's own cuts.
     """
-    irreps = sweep.irreps
-    if cutoff > sweep.grid[-1]:
-        irreps = groups.enumerate_irreps(sweep.G, cutoff)
-    return irreps, bisect.bisect_left(irreps, cutoff, key=lambda p: p.weight_norm)
+    sd = groups.spectral_data(sweep.G, max(cutoff, float(sweep.grid[-1])))
+    return sd, int(np.searchsorted(sd["weight_norm"], cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
     (fourier.empirical_masses), and one fourier.hs_profile_rows call
     profiles every draw of every N on that shared support.  An all-zero row
     (nu_bar equal to the source) has Fourier sum 0.  A Haar draw has its
-    own support and its own hs_profile call.
+    own support and its own hs_profile_rows call, on fourier.merged_atoms.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or min(N_list) < 1:
@@ -447,24 +441,24 @@ def empirical_experiment(G: groups.GroupDescriptor,
     sweep = bound.CutoffSweep(
         G, g, profile,
         None if m_cap is None else bound.default_m_grid(G, cap=m_cap))
-    irreps, n_var = _joint_irreps(
+    sd, n_var = _joint_irreps(
         sweep, _VARIANCE_CUTOFF_FACTOR * G.admissibility_threshold + 0.1)
-    n_sweep = len(sweep.irreps)
+    labels, n_sweep = sd["label"], len(sweep.labels)
     children = np.random.SeedSequence(seed).generate_state(
         len(N_list) * n_reps, dtype=np.uint64).reshape(len(N_list), n_reps)
     # profiles[i, r] and same[i, r]: the draw r of size N_list[i]
     if haar_source:
-        profiles = np.asarray([[fourier.hs_profile(G, fourier.DiscreteMeasure.uniform(
-            G, groups.haar_sample(G, int(s), N)), None, irreps) for s in row]
-            for N, row in zip(N_list, children)])
+        profiles = np.asarray([[fourier.hs_profile_rows(G, *fourier.merged_atoms(
+            fourier.DiscreteMeasure.uniform(G, groups.haar_sample(G, int(s), N)), None),
+            labels)[0] for s in row] for N, row in zip(N_list, children)])
         same = np.zeros(children.shape, dtype=bool)
     else:
         picks = [[np.random.default_rng(int(s)).choice(
             source.size, size=N, p=source.weights) for s in row]
             for N, row in zip(N_list, children)]
         masses = np.stack([fourier.empirical_masses(source, p) for row in picks for p in row])
-        profiles = fourier.hs_profile_rows(G, source.atoms, masses, irreps).reshape(
-            children.shape + (len(irreps),))
+        profiles = fourier.hs_profile_rows(G, source.atoms, masses, labels).reshape(
+            children.shape + (len(labels),))
         same = ~np.any(masses, axis=1).reshape(children.shape)
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
@@ -486,8 +480,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
                         f"bound {rep.total} below LP cost {cost} at N={N}")
                 oracles.append(cost)
         var_mean = var_acc / n_reps
-        ratios = tuple((str(p.label), float(var_mean[j] * N / p.dim))
-                       for j, p in enumerate(irreps[:n_var]))
+        ratios = tuple((str(tuple(label)), float(v * N / d)) for label, v, d in zip(
+            labels[:n_var].tolist(), var_mean, sd["dim"][:n_var].tolist()))
         totals = [r.total for r in reports]
         rows.append(EmpiricalRow(
             N=N, n_reps=n_reps,
@@ -551,11 +545,11 @@ def equidistribution_audit(G: groups.GroupDescriptor, points, g,
     """
     nu = fourier.DiscreteMeasure.uniform(G, points)
     sweep = bound.CutoffSweep(G, g, profile, M_grid)
-    irreps, n_gap = _joint_irreps(sweep, gap_m)
-    hs = fourier.hs_profile(G, nu, None, irreps)
-    best_m, rep = sweep.best(hs[:len(sweep.irreps)])
-    prof = tuple((str(p_.label), float(p_.weight_norm), int(p_.dim), float(e))
-                 for p_, e in zip(irreps[:n_gap], hs))
+    sd, n_gap = _joint_irreps(sweep, gap_m)
+    hs = fourier.hs_profile_rows(G, *fourier.merged_atoms(nu, None), sd["label"])[0]
+    best_m, rep = sweep.best(hs[:len(sweep.labels)])
+    rows = zip(*(sd[key][:n_gap].tolist() for key in ("label", "weight_norm", "dim")), hs)
+    prof = tuple((str(tuple(label)), wn, d, float(e)) for label, wn, d, e in rows)
     return AuditReport(
         group_id=G.group_id, n_points=nu.size, g_descriptor=g.descriptor(),
         profile_id=rep.profile_id, best_m=best_m, report=rep,

@@ -396,7 +396,7 @@ class TestWgBound:
         grid = bound.default_m_grid(any_group, cap=8.0 * any_group.admissibility_threshold)
         sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid)
         hs = sweep.hs_profile(nu1, nu2)
-        bounds = fourier.hs_roundoff(any_group, sweep.irreps)
+        bounds = fourier.hs_roundoff(any_group, sweep.labels)
         for i in range(grid.size):
             rep = sweep.report(i, hs)
             k = rep.irreps_used

@@ -390,15 +390,15 @@ class TestWalkCommand:
         groups.save_points(pts, "so3", rot)
         real, shifted_labels = fourier.measure_transforms, []
 
-        def shifted(G, nu, irreps):
-            blocks = real(G, nu, irreps)
+        def shifted(G, nu, labels):
+            blocks = real(G, nu, labels)
             if nu.size != len(rot):
                 return blocks
-            for i, p in enumerate(irreps):
-                if p.label == (1,):
+            for i, label in enumerate(map(tuple, labels.tolist())):
+                if label == (1,):
                     blocks[i] = blocks[i].copy()
                     blocks[i][0, 0] += 1e-9
-                    shifted_labels.append(p.label)
+                    shifted_labels.append(label)
             return blocks
 
         monkeypatch.setattr(fourier, "measure_transforms", shifted)
@@ -537,6 +537,40 @@ class TestOracleCommand:
             "oracle", "--group", "torus(1)", "--points", a,
             "--out", str(tmp_path)])
         assert res.exit_code == cli.EXIT_CONFIG
+
+
+def test_numeric_path_builds_no_irrep(tmp_path, monkeypatch):
+    # bound, empirical, audit and walk read the spectrum as the label rows
+    # of groups.spectral_data; kernel still takes the Irrep API
+    built, init = [], groups.Irrep.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Irrep, "__init__", counted)
+    files = {}
+    for name, gid, n in (("t2a", "torus(2)", 8), ("t2b", "torus(2)", 6),
+                         ("su2", "su2", 6), ("so3", "so3", 12)):
+        files[name] = str(tmp_path / f"{name}.csv")
+        groups.save_points(files[name], gid,
+                           groups.haar_sample(groups.descriptor(gid), 60 + n, n))
+    files["lps5"] = str(tmp_path / "lps5.csv")
+    groups.save_points(files["lps5"], "so3", walks.lps_generators(5).rotations)
+    configs = [
+        dict(command="bound", group="torus(2)", points=(files["t2a"], files["t2b"]),
+             verify=True),
+        dict(command="empirical", group="su2", points=(files["su2"],), n_list="4,8",
+             reps=2, verify=True),
+        dict(command="audit", group="so3", points=(files["so3"],)),
+        dict(command="walk", group="so3", points=(files["lps5"],), M=6.5, reps=2,
+             verify=True)]
+    for i, fields in enumerate(configs):
+        assert cli.run(cli.RunConfig(out=str(tmp_path / str(i)), **fields)) == 0
+    assert built == []
+    assert cli.run(cli.RunConfig(command="kernel", group="su2", M=4.0,
+                                 out=str(tmp_path / "kernel"))) == 0
+    assert len(built) == 8    # the trivial irrep and 2j = 1..7
 
 
 class TestExitPaths:

@@ -18,6 +18,11 @@ def _irreps(gid, M):
     return G, groups.enumerate_irreps(G, M)
 
 
+def _labels(irreps):
+    # the label rows of groups.spectral_data for a list of Irreps
+    return np.asarray([p.label for p in irreps])
+
+
 def test_discrete_measure_validation():
     G = groups.descriptor("torus(1)")
     with pytest.raises(ValueError, match="sum to 1"):
@@ -191,7 +196,7 @@ def _stacked_blocks(G, nu, irreps):
 
 
 def _assert_blocks_match_stack(G, nu, irreps):
-    blocks = fourier.measure_transforms(G, nu, irreps)
+    blocks = fourier.measure_transforms(G, nu, _labels(irreps))
     assert [b.shape for b in blocks] == [(p.dim, p.dim) for p in irreps]
     for p, blk, ref in zip(irreps, blocks, _stacked_blocks(G, nu, irreps)):
         assert np.max(np.abs(blk - ref)) < 1e-14, p.label
@@ -230,7 +235,7 @@ def _assert_within_transform_error(G, irreps, seed):
     # one atom and 300 atoms, against the long-double evaluation
     for n_atoms in (1, 300):
         nu = random_measure(G, n_atoms, seed)
-        blocks = fourier.measure_transforms(G, nu, irreps)
+        blocks = fourier.measure_transforms(G, nu, _labels(irreps))
         for p, blk, ref in zip(irreps, blocks, _longdouble_blocks(nu, irreps)):
             assert ref.dtype == np.clongdouble
             err = np.max(np.abs(blk - ref))
@@ -286,9 +291,10 @@ def test_measure_transforms_memory_stays_within_budget():
     for p in irreps:
         fourier._jy_eigenbasis(p.dim - 1)    # cached eigenbases are not temporaries
     out = sum(16 * p.dim ** 2 for p in irreps)
+    labels = _labels(irreps)
     tracemalloc.start()
     try:
-        blocks = fourier.measure_transforms(G, nu, irreps)
+        blocks = fourier.measure_transforms(G, nu, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,7 +410,7 @@ def test_hs_profile_within_roundoff_of_longdouble_oracle(gid, M, n1, n2, support
     irreps = irreps[-1 - (len(irreps) - 1) // stride * stride::stride]
     hs = fourier.hs_profile(G, nu1, nu2, irreps)
     ref = longdouble_profile(gid, *_signed(nu1, nu2), [p.label for p in irreps])
-    excess = np.abs(hs - ref) - fourier.hs_roundoff(G, irreps)
+    excess = np.abs(hs - ref) - fourier.hs_roundoff(G, _labels(irreps))
     assert np.all(excess <= 0), (int(np.argmax(excess)), float(excess.max()))
 
 
@@ -438,7 +444,7 @@ def test_hs_profile_merges_repeated_atoms(any_group):
     # masses rounded once: within the rounding bound of both values
     merged = fourier.DiscreteMeasure(G.group_id, base[used], counts[used] / 12)
     assert np.all(np.abs(prof - fourier.hs_profile(G, merged, other, irreps))
-                  <= 2 * fourier.hs_roundoff(G, irreps))
+                  <= 2 * fourier.hs_roundoff(G, _labels(irreps)))
 
 
 def test_empirical_masses_round_each_atom_once():
@@ -507,16 +513,17 @@ def test_hs_profile_rows_are_independent(gid, M, n, monkeypatch):
     masses = a - b
     masses[5] = 0.0
     irreps = groups.enumerate_irreps(G, M)
-    alone = [fourier.hs_profile_rows(G, atoms, m[None], irreps)[0].tolist()
+    labels = groups.spectral_data(G, M)["label"]
+    alone = [fourier.hs_profile_rows(G, atoms, m[None], labels)[0].tolist()
              for m in masses]
-    assert alone[5] == [0.0] * len(irreps)
+    assert alone[5] == [0.0] * len(labels)
     for R in (1, 3, 48):
-        assert fourier.hs_profile_rows(G, atoms, masses[:R], irreps).tolist() \
+        assert fourier.hs_profile_rows(G, atoms, masses[:R], labels).tolist() \
             == alone[:R], R
     # groups of 5 rows: boundaries after rows 4, 9, ...
-    per_row = 8 * fourier._row_doubles(n * (n + 1) // 2, max(p.label[0] for p in irreps))
+    per_row = 8 * fourier._row_doubles(n * (n + 1) // 2, int(labels[:, 0].max()))
     monkeypatch.setattr(fourier, "_ROW_BYTES", 5 * per_row)
-    assert fourier.hs_profile_rows(G, atoms, masses, irreps).tolist() == alone
+    assert fourier.hs_profile_rows(G, atoms, masses, labels).tolist() == alone
     # one row is the distance between the two measures it is made of, by
     # the character route and by the blocks
     nu1 = fourier.DiscreteMeasure(gid, atoms, a[0])

@@ -346,6 +346,17 @@ def test_point_file_errors(tmp_path):
     inf.write_text("# group=su2\n1,0,0,0\n0,-inf,0,0\n")
     with pytest.raises(ValueError, match="inf.csv:3: non-finite"):
         groups.load_points(inf)
+    # blank lines count: errors name the line of the file
+    blank = tmp_path / "blank.csv"
+    blank.write_text("# group=su2\n1,0,0,0\n\n\n1,0,nan,0\n")
+    with pytest.raises(ValueError, match="blank.csv:5: non-finite"):
+        groups.load_points(blank)
+    blank.write_text("\n# group=torus(2)\n\n0.5\n")
+    with pytest.raises(ValueError, match="blank.csv:4: expected 2 fields"):
+        groups.load_points(blank)
+    blank.write_text("\n\n# group=torus(1)\n0.5\n  \nx\n")
+    with pytest.raises(ValueError, match="blank.csv:6: could not convert"):
+        groups.load_points(blank)
     with pytest.raises(OSError):
         groups.load_points(tmp_path / "nope.csv")
 

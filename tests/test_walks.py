@@ -235,18 +235,18 @@ class TestSpectralEngine:
         assert found is None or found[2] >= 1e-6
         transform, kicked = fourier.measure_transforms, []
 
-        def perturbed(G, nu_, irreps):
-            blocks = transform(G, nu_, irreps)
-            for i, p in enumerate(irreps):
-                if p.label == p3.label:
+        def perturbed(G, nu_, labels):
+            blocks = transform(G, nu_, labels)
+            for i, label in enumerate(map(tuple, labels.tolist())):
+                if label == p3.label:
                     blocks[i] = blocks[i] + kick
-                    kicked.append(p.label)
+                    kicked.append(label)
             return blocks
 
         monkeypatch.setattr(fourier, "measure_transforms", perturbed)
         states = walks.walk_evolve(G_SO3, nu, 24, 6.5)
         assert kicked == [p3.label]
-        blocks = perturbed(G_SO3, nu, groups.enumerate_irreps(G_SO3, 6.5))
+        blocks = perturbed(G_SO3, nu, groups.spectral_data(G_SO3, 6.5)["label"])
         ref = _powering_reference(G_SO3, nu, 24, 6.5, blocks)
         for s, (q, fs, _) in zip(states, ref):
             assert abs(s.q_hat - q) <= 1e-12 * q + s.spectral_error, s.step
@@ -328,7 +328,7 @@ class TestSampledWalkBlocks:
         irreps = groups.enumerate_irreps(G_SO3, 2.5)
         k, n_paths = 5, 10 ** 4
         sampled = walks.sampled_walk_blocks(G_SO3, nu, k, n_paths, 314,
-                                            irreps)
+                                            groups.spectral_data(G_SO3, 2.5)["label"])
         for p, s_blk in zip(irreps, sampled):
             exact = np.linalg.matrix_power(
                 fourier.measure_transform(G_SO3, nu, p), k)
@@ -340,7 +340,8 @@ class TestSampledWalkBlocks:
     def test_single_step_single_path(self):
         nu = fourier.DiscreteMeasure.uniform(G_T1, [[0.25]])
         irreps = groups.enumerate_irreps(G_T1, 7.0)
-        blocks = walks.sampled_walk_blocks(G_T1, nu, 1, 1, 0, irreps)
+        blocks = walks.sampled_walk_blocks(G_T1, nu, 1, 1, 0,
+                                           groups.spectral_data(G_T1, 7.0)["label"])
         exact = [fourier.measure_transform(G_T1, nu, p) for p in irreps]
         for s_blk, e_blk in zip(blocks, exact):
             np.testing.assert_allclose(s_blk, e_blk, atol=1e-12)
@@ -402,9 +403,9 @@ class TestEmpiricalExperiment:
         rows = walks.empirical_experiment(G, src, N_list, reps, LINEAR,
                                           seed=seed, m_cap=cap)
         assert len(calls) == 1
-        (_, atoms, masses, irreps), profiles = calls[0]
-        assert atoms is src.atoms and profiles.shape == (len(N_list) * reps, len(irreps))
-        slack = fourier.hs_roundoff(G, irreps)
+        (_, atoms, masses, labels), profiles = calls[0]
+        assert atoms is src.atoms and profiles.shape == (len(N_list) * reps, len(labels))
+        slack = fourier.hs_roundoff(G, labels)
         children = np.random.SeedSequence(seed).generate_state(
             len(N_list) * reps, dtype=np.uint64).reshape(len(N_list), reps)
         for i, N in enumerate(N_list):
@@ -412,7 +413,7 @@ class TestEmpiricalExperiment:
                 picks = np.random.default_rng(int(children[i, r])).choice(
                     src.size, size=N, p=src.weights)
                 nu_bar = fourier.DiscreteMeasure.uniform(G, src.atoms[picks])
-                old = fourier.hs_profile(G, nu_bar, src, irreps)
+                old = hs_profile_rows(G, *fourier.merged_atoms(nu_bar, src), labels)[0]
                 assert np.all(np.abs(profiles[i * reps + r] - old) <= slack)
         for row, expect in zip(rows, oracle):
             got = (row.oracle_mean, row.oracle_min, row.oracle_max)

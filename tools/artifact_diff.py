@@ -91,7 +91,7 @@ def _inputs(src: str) -> dict:
 
 
 def configs(f: dict) -> dict:
-    """Name -> RunConfig fields, 52 configurations that succeed."""
+    """Name -> RunConfig fields, 54 configurations that succeed."""
     c = {}
     for gid in GROUPS:
         pair = (f[gid, "a"], f[gid, "b"])
@@ -142,6 +142,11 @@ def configs(f: dict) -> dict:
                             M=140.0, reps=16)
     c["walk-su2"] = dict(command="walk", group="su2", points=(f["su2_walk"],),
                          M=8.0, reps=10)
+    # walk --verify on the half-integer spins of su2 and on the torus
+    c["walk-su2-verify"] = dict(command="walk", group="su2", points=(f["su2_walk"],),
+                                M=8.0, reps=10, verify=True)
+    c["walk-golden-verify"] = dict(command="walk", group="torus(1)",
+                                   points=(f["golden"],), M=140.0, reps=16, verify=True)
     c["empirical-su2"] = dict(command="empirical", group="su2", n_list="8,16",
                               reps=4, points=(f["su2", "source"],), verify=True)
     c["empirical-so3-haar"] = dict(command="empirical", group="so3",
