@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import bound, fourier, groups, transport
-from ._util import DominanceError, SolverError, U, pairwise_sum, tolerance_union
+from ._util import (DominanceError, SolverError, U, gamma, pairwise_sum,
+                    tolerance_union)
 
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
@@ -25,6 +27,8 @@ _SUBMULT_TOL = 1e-9
 # diagonalised once; the part itself enters their eigenvalue error bound
 _HERMITIAN_TOL = 1e-12
 _INVERSE_MATCH_TOL = 1e-12
+# steps whose (steps x irreps) arrays walk_evolve forms at once
+_STEP_BLOCK = 64
 # irreps tested against the dim/N variance law: a few multiples of the
 # lowest weight norm, which scales with the admissibility threshold
 _VARIANCE_CUTOFF_FACTOR = 5.0
@@ -133,19 +137,92 @@ def csv_row(record, header) -> list:
     return ["" if v is None else v for v in (getattr(record, k) for k in header)]
 
 
+def _real_type(d: int) -> bool:
+    """Whether a walk block of dimension d belongs to an irrep of real type.
+
+    An su2/so3 irrep of dimension d = 2j + 1 is of real type when j is an
+    integer, so when d is odd (every so3 irrep, the integer spins of su2);
+    the half-integer spins are quaternionic.  Torus irreps (d = 1) are
+    complex and take the 1x1 route of _diagonalise.
+    """
+    return d > 1 and d % 2 == 1
+
+
+@lru_cache(maxsize=64)
+def _real_basis(d: int):
+    """The real spherical-harmonic basis of a real-type level, d = 2l + 1.
+
+    Returns (a, c, scale).  With row and column i holding the weight
+    m = i - l, the unitary U = (diag(a) + J diag(c)) diag(sigma), J the
+    reversal, has two nonzero entries per column (Ivanic & Ruedenberg 1996):
+    column l is e_0, column l + m is (e_m + (-1)^m e_-m) / sqrt 2 and column
+    l - m is i (e_m - (-1)^m e_-m) / sqrt 2, for m = 1..l.  So a and c hold
+    0, +-1 and +-i, sigma is 1 at the centre and 1/sqrt 2 elsewhere, and
+    scale[i, j] = sigma_i sigma_j is 1, 0.5 or the rounded 1/sqrt 2.
+    The transform blocks of these levels satisfy conj(B) = C B C with
+    C = antidiag((-1)^m), and U = C conj(U), so U^* B U is real.
+    """
+    m = np.arange(d) - d // 2
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    a = np.where(m < 0, -1j * sign, 1.0 + 0j)
+    c = np.where(m > 0, sign + 0j, np.where(m < 0, 1j, 0j))
+    off = m != 0
+    scale = np.where(off[:, None] & off[None, :], 0.5,
+                     np.where(off[:, None] | off[None, :], math.sqrt(0.5), 1.0))
+    for arr in (a, c, scale):
+        arr.flags.writeable = False
+    return a, c, scale
+
+
+def _walk_form(b: np.ndarray) -> np.ndarray:
+    """A transform block in the basis its walk works in.
+
+    For a real-type level (_real_type) this is fl(U^* b U) in the real basis
+    of _real_basis, formed by two gathers, with the exact factors of a and c
+    and one scaling; its imaginary part is rounding, and the walk powers its
+    real part (_diagonalise charges both).  Other blocks are returned as
+    they are.
+    """
+    if not _real_type(b.shape[0]):
+        return b
+    a, c, scale = _real_basis(b.shape[0])
+    x = b * a + b[:, ::-1] * c
+    return scale * (np.conj(a)[:, None] * x + np.conj(c)[:, None] * x[::-1])
+
+
 def _diagonalise(b: np.ndarray):
     """Eigenvalues, eigenvectors and eigenvalue error bound of a walk block.
 
-    Returns (lam, V, delta) with B ~ V diag(lam) V^*, or None when B is
-    left to the powering route.  The k-th power of a block on this route
-    is read off its eigenvalue moduli: the spectral norm of B^k is q^k
-    with q = max |lam_i|, and its squared HS norm is sum |lam_i|^2k.
-    delta bounds how far each |lam_i| may sit from an exact modulus.
-    Below, |X| is the spectral norm, |X|_F >= |X| the Frobenius norm and
-    u = 2^-53 (_util.U).
+    b is a transform block in its walk form (_walk_form).  Returns
+    (lam, V, delta) with B ~ V diag(lam) V^*, or None when B is left to the
+    powering route; B is b, or the real part of b on a real-type level.
+    The k-th power of a block on this route is read off its eigenvalue
+    moduli: the spectral norm of B^k is q^k with q = max |lam_i|, and its
+    squared HS norm is sum |lam_i|^2k.  delta bounds how far each |lam_i|
+    may sit from an exact modulus of the transform block.  Below, |X| is
+    the spectral norm, |X|_F >= |X| the Frobenius norm and u = 2^-53
+    (_util.U).
 
     * A 1x1 block is its own eigenvalue; delta = 4 u |b| covers the
       rounding of |b| and of its k-th power.
+    * On a real-type level, b = fl(U^* t U) for the transform block t and
+      the exact unitary U of _real_basis, and Y = U^* t U is unitarily
+      similar to t, so the powers of Y and of t have the same norms.  Each
+      real component of an entry of Y is a sum of at most four terms
+      +-Re or +-Im of entries of t times sigma_i sigma_j: the factors of a
+      and c are exact, each of the two gathers adds one rounding, and the
+      scaling by 0.5 is exact, while by the rounded 1/sqrt 2 (where one of
+      i, j is the centre, which has one gather sum only) it adds two.  So
+      each component errs by at most gamma_3 times the sum of its terms'
+      moduli, and an entry by sqrt 2 gamma_3 (W^T T W)_ij, with W and T
+      the matrices of the moduli of U's and t's entries.  W has the 2x2
+      blocks (1/sqrt 2) [[1, 1], [1, 1]] and a 1 at the centre, so
+      |W| = sqrt 2, and the basis change errs by
+      |fl(Y) - Y|_F <= 2 sqrt 2 gamma_3 |t|_F.
+      beta = 3 gamma_3 |b|_F bounds that, the rounding of the computed
+      norm and |t|_F <= |b|_F + |fl(Y) - Y|_F included.  The imaginary part
+      iota = |Im b|_F is dropped: B = Re b, so Y = B + i Im b - (fl(Y) - Y)
+      lies within iota + beta of B.  On other levels iota = beta = 0.
     * A d x d block is taken when its anti-Hermitian part A = B - H,
       H = (B + B^*)/2, has alpha = |A|_F <= _HERMITIAN_TOL; eigh then
       diagonalises H.  The residual rho = |HV - V diag(lam)|_F and the
@@ -157,44 +234,75 @@ def _diagonalise(b: np.ndarray):
       Q^*HQ - diag(lam) = (P diag(lam) - diag(lam) P) P^-1 + Q^* R P^-1
       is Hermitian of norm at most (2 eta q + rho) / (1 - eta), and
       Weyl's inequality puts each eigenvalue of H within that distance of
-      its lam_i.  Adding A moves B^k from H^k by at most
-      (|H| + alpha)^k - |H|^k.  So with
-      delta = alpha + (2 eta q + rho) / (1 - eta) + 4 u q:
+      its lam_i.  The transform block is unitarily similar to H plus a
+      matrix of spectral norm at most kappa = alpha + iota + beta (A, the
+      dropped imaginary part and the basis change), which moves its k-th
+      power from H^k by at most (|H| + kappa)^k - |H|^k.  So with
+      delta = kappa + (2 eta q + rho) / (1 - eta) + 4 u q:
 
           | |B^k| - q^k |                        <= (q + delta)^k - q^k = eps_k
-          | |B^k|_F - (sum |lam_i|^2k)^(1/2) |   <= sqrt(d) eps_k.
+          | |B^k|_F - (sum |lam_i|^2k)^(1/2) |   <= sqrt(d) eps_k,
 
-      The first adds the eigenvalue shift of H, at most
-      (q + delta - alpha)^k - q^k by convexity of x^k, to the shift from
-      A; the second pairs the sorted eigenvalues in l2 and adds the same
-      shift from A, at most sqrt(d) times its spectral norm.
+      B^k here standing for the power of the transform block.  The first
+      adds the eigenvalue shift of H, at most (q + delta - kappa)^k - q^k
+      by convexity of x^k, to the shift from kappa; the second pairs the
+      sorted eigenvalues in l2 and adds the same shift from kappa, at most
+      sqrt(d) times its spectral norm.
+
+    The norms alpha and iota are taken as computed.
     """
     d = b.shape[0]
     if d == 1:
         return b[0], np.ones((1, 1)), 4.0 * U * abs(b[0, 0])
+    kappa = 0.0
+    if _real_type(d):
+        kappa = float(np.linalg.norm(b.imag)) + 3.0 * gamma(3) * float(np.linalg.norm(b))
+        b = b.real
     H = 0.5 * (b + b.conj().T)
     alpha = float(np.linalg.norm(b - H))
     if alpha > _HERMITIAN_TOL:
         return None
+    kappa += alpha
     lam, V = np.linalg.eigh(H)
-    gamma = 4.0 * (d + 2) * U
+    gamma_p = 4.0 * (d + 2) * U
     v_f = float(np.linalg.norm(V))
     rho = float(np.linalg.norm(H @ V - V * lam)) \
-        + gamma * float(np.linalg.norm(H)) * v_f
-    eta = float(np.linalg.norm(V.conj().T @ V - np.eye(d))) + gamma * v_f ** 2
+        + gamma_p * float(np.linalg.norm(H)) * v_f
+    eta = float(np.linalg.norm(V.conj().T @ V - np.eye(d))) + gamma_p * v_f ** 2
     if eta >= 1.0:
         return None
     q = float(np.max(np.abs(lam)))
-    return lam, V, alpha + (2.0 * eta * q + rho) / (1.0 - eta) + 4.0 * U * q
+    return lam, V, kappa + (2.0 * eta * q + rho) / (1.0 - eta) + 4.0 * U * q
 
 
-def _power_gap(q: np.ndarray, delta: np.ndarray, k: int) -> np.ndarray:
-    """(q + delta)^k - q^k elementwise, without cancellation.
+def _powers(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rows x ** k for the steps ks, each bitwise x ** k for a Python int k.
+
+    numpy squares x ** 2 (it does not call pow), so row k = 2 does too.
+    """
+    out = x ** ks[:, None]
+    out[ks == 2] = np.square(x)
+    return out
+
+
+def _power_gap(q: np.ndarray, delta: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(q + delta)^k - q^k elementwise, one row per step k, without cancellation.
 
     Raising q raises the gap, so q below delta (or zero) is lifted to it.
     """
     q = np.maximum(q, np.maximum(delta, np.finfo(float).tiny))
-    return q ** k * np.expm1(k * np.log1p(delta / q))
+    return _powers(q, ks) * np.expm1(ks[:, None] * np.log1p(delta / q))
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of each row, [0, x0, x0 + x1, ...], summed left to right."""
+    return np.concatenate((np.zeros((x.shape[0], 1)), np.cumsum(x, axis=1)), axis=1)
+
+
+def _grid_totals(sweep: bound.CutoffSweep, cum: np.ndarray):
+    """CutoffSweep.totals of each row of prefix sums: the totals and each row's argmin."""
+    totals = sweep.psis + sweep.phis * np.sqrt(np.maximum(cum[:, sweep.cuts], 0.0))
+    return totals, np.argmin(totals, axis=1)
 
 
 def _carried_powers(blocks):
@@ -221,22 +329,39 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     below M, the full Fourier sum below M, and the best exact bound total
     over the default cutoff grid, which ends at M and holds those irreps.
 
+    Blocks of real-type irreps (every so3 irrep and the integer spins of
+    su2, _real_type) are moved once into the real spherical-harmonic basis
+    (_real_basis, _walk_form), where they are real up to rounding; the walk
+    powers, diagonalises and rechecks their real parts in real arithmetic.
+    Half-integer su2 spins and torus characters stay complex.
+
     Blocks that are 1x1 (every torus irrep) or Hermitian within
     _HERMITIAN_TOL (every block of a symmetric step set) are diagonalised
-    once (_diagonalise); each step then powers one flat vector of
-    eigenvalue moduli.  Other blocks are multiplied out step by step and
-    their norms taken from the powered matrices.  Every 8 steps each
-    block's power is rechecked against the carried reference
-    R_8j = R_8(j-1) B^8 (_carried_powers), and the gap trace is checked
-    for submultiplicativity; either failure raises SolverError.  Each
-    state's spectral_error carries the eigenvalue error bounds of
-    _diagonalise through the k-th power: it bounds how far q_hat,
-    fourier_sum and exact_total may sit from the values of the exact
-    block powers (0 when no block is diagonalised).
+    once (_diagonalise).  Step k then reads only the eigenvalue moduli to
+    the power k, so the steps go through in blocks of _STEP_BLOCK as
+    (steps x irreps) and (steps x grid) arrays: gap trace, HS sums, prefix
+    sums, totals and their argmin, error bounds and relaxed totals.  Other
+    blocks are multiplied out step by step and their norms taken from the
+    powered matrices.  On such a block the dropped imaginary part of a
+    real-type level moves the norms only at second order (it and the
+    powered real part are real matrices, so the first-order change of each
+    squared norm is imaginary and drops out) and, like the products'
+    rounding, is not charged.  Every 8 steps each block's power is
+    rechecked against the carried reference R_8j = R_8(j-1) B^8
+    (_carried_powers), and the gap trace is checked for
+    submultiplicativity; either failure raises SolverError.  Each state's
+    spectral_error carries the eigenvalue error bounds of _diagonalise
+    through the k-th power: it bounds how far q_hat, fourier_sum and
+    exact_total may sit from the values of the exact block powers (0 when
+    no block is diagonalised).
     Each state's tolerances are those of its walk CSV row: the recheck and
     submultiplicativity slacks, walk_spectral (= spectral_error), and the
     psi_quadrature and float_slack entries that a bound report carries at
-    exact_m and exact_total (bound._tolerances).
+    exact_m and exact_total (bound._tolerances).  power_recheck and
+    gap_submultiplicative are the thresholds of those two checks, not
+    parts of a certified total, and a walk row carries no "total" entry
+    yet: what must be added to exact_total for a certified bound still
+    lacks the transforms' own rounding and a bound for the powering route.
 
     With ``q_hint`` each state adds a gap-relaxed total computed under the
     hypothesis that the step-k gap over the full dual is at most q_hint**k,
@@ -255,12 +380,13 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     if not len(groups.spectral_data(G, M)["label"]):
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
     sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
-    base = fourier.measure_transforms(G, nu, sweep.labels)
+    base = [_walk_form(b) for b in fourier.measure_transforms(G, nu, sweep.labels)]
     gap_sweep = None if q_hint is None else bound.CutoffSweep(
         G, g, profile, relaxed=True)
 
     route = [_diagonalise(b) for b in base]
-    powered = {i: b for i, (b, r) in enumerate(zip(base, route)) if r is None}
+    base = [b.real.copy() if _real_type(b.shape[0]) else b for b in base]
+    pow_idx = [i for i, r in enumerate(route) if r is None]
     eig = [(i, r) for i, r in enumerate(route) if r is not None]
     eig_idx = np.asarray([i for i, _ in eig], dtype=int)
     lams = [r[0] for _, r in eig]
@@ -273,68 +399,89 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     # eigen-route blocks of one dimension, stacked for the recheck
     stacks = {}
     for i, (lam, V, _) in eig:
-        stacks.setdefault(lam.size, []).append((base[i], V, lam))
+        stacks.setdefault(lam.size, []).append((base[i], V, V.conj().T, lam))
     stacks = [tuple(np.stack(col) for col in zip(*grp))
               for grp in stacks.values()]
-    refs = _carried_powers(list(powered.values()) + [B for B, _, _ in stacks])
+    refs = _carried_powers([base[i] for i in pow_idx] + [s[0] for s in stacks])
+
+    def recheck(k: int, powered: list) -> float:
+        """Largest entry drift of the step-k powers from their references."""
+        got = powered + [(V * lam[:, None, :] ** k) @ Vh for _, V, Vh, lam in stacks]
+        return float(max(np.max(np.abs(a - r)) for a, r in zip(got, next(refs))))
 
     states: List[WalkState] = []
-    q1 = prev_q = None
-    for k in range(1, k_max + 1):
-        if k > 1:
-            powered = {i: bk @ base[i] for i, bk in powered.items()}
-        check = None
-        if k % _POWER_RECHECK_EVERY == 0:
-            got = list(powered.values()) + [
-                (V * lam[:, None, :] ** k) @ V.conj().transpose(0, 2, 1)
-                for _, V, lam in stacks]
-            check = float(max(np.max(np.abs(a - r))
-                              for a, r in zip(got, next(refs))))
-            if check > _POWER_TOL:
-                raise SolverError(
-                    f"powered blocks drifted {check:.3e} at step {k}")
-        pk = mods ** k
-        hs_sq = np.empty(len(base))
-        hs_sq[eig_idx] = np.add.reduceat(pk * pk, starts)
-        q_hat = float(np.max(pk, initial=0.0))
-        for i, bk in powered.items():
-            q_hat = max(q_hat, float(np.linalg.norm(bk, 2)))
-            hs_sq[i] = np.vdot(bk, bk).real
-        if prev_q is not None and q_hat > prev_q * q1 + _SUBMULT_TOL:
-            raise SolverError(f"gap trace not submultiplicative at step {k}")
+    powered = [base[i] for i in pow_idx]
+    # q_hat(0) = 1: the check at step 1 then always holds
+    q1, q_prev = None, 1.0
+    for k0 in range(1, k_max + 1, _STEP_BLOCK):
+        ks = np.arange(k0, min(k0 + _STEP_BLOCK, k_max + 1))
+        n, steps = ks.size, ks.tolist()
+        pk = _powers(mods, ks)
+        hs_sq = np.empty((n, len(base)))
+        # one 1-d reduceat, whose segments are those of each row's own
+        hs_sq[:, eig_idx] = np.add.reduceat(
+            (pk * pk).ravel(), (starts + mods.size * np.arange(n)[:, None]).ravel()
+        ).reshape(n, eig_idx.size)
+        q_hat = np.max(pk, axis=1, initial=0.0)
+        if not pow_idx:
+            checks = {k: recheck(k, []) for k in steps if k % _POWER_RECHECK_EVERY == 0}
+        else:  # the powering route, step by step
+            checks = {}
+            for j, k in enumerate(steps):
+                if k > 1:
+                    powered = [bk @ base[i] for bk, i in zip(powered, pow_idx)]
+                q_hat[j] = max(q_hat[j], *(np.linalg.norm(bk, 2) for bk in powered))
+                hs_sq[j, pow_idx] = [np.vdot(bk, bk).real for bk in powered]
+                if k % _POWER_RECHECK_EVERY == 0:
+                    checks[k] = recheck(k, powered)
+        if q1 is None:
+            q1 = float(q_hat[0])
+        prev = np.concatenate(([q_prev], q_hat[:-1]))
+        unsub = ks[q_hat > prev * q1 + _SUBMULT_TOL]
+        drift = [k for k, c in checks.items() if c > _POWER_TOL]
+        if drift and (not unsub.size or drift[0] <= unsub[0]):
+            raise SolverError(
+                f"powered blocks drifted {checks[drift[0]]:.3e} at step {drift[0]}")
+        if unsub.size:
+            raise SolverError(f"gap trace not submultiplicative at step {unsub[0]}")
+        q_prev = float(q_hat[-1])
         contrib = sweep.ratios * hs_sq
-        cum = np.concatenate(([0.0], np.cumsum(contrib)))
-        totals, i_best = sweep.totals(cum)
+        cum = _prefix(contrib)
+        totals, best = _grid_totals(sweep, cum)
         # spectral_error: eps_k per diagonalised block, then its HS and
         # Fourier-sum consequences and the largest shift of a total
-        eps_k = _power_gap(q_eig, delta, k)
-        hs_err = np.zeros(len(base))
-        hs_err[eig_idx] = root_d * eps_k * (
-            2.0 * np.sqrt(hs_sq[eig_idx]) + root_d * eps_k)
-        cum_err = np.concatenate(([0.0], np.cumsum(sweep.ratios * hs_err)))
-        c = np.maximum(cum[sweep.cuts], 0.0)
+        eps = _power_gap(q_eig, delta, ks)
+        hs_err = np.zeros((n, len(base)))
+        hs_err[:, eig_idx] = root_d * eps * (
+            2.0 * np.sqrt(hs_sq[:, eig_idx]) + root_d * eps)
+        cum_err = _prefix(sweep.ratios * hs_err)
+        c = np.maximum(cum[:, sweep.cuts], 0.0)
         total_err = sweep.phis * (
-            np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[sweep.cuts], 0.0)))
-        spectral = float(max(np.max(eps_k, initial=0.0), cum_err[-1],
-                             np.max(total_err)))
-        total = float(totals[i_best])
-        tol = bound._tolerances(sweep._psi[i_best]["quad_error"], total)
-        fields = dict(
-            step=k, q_hat=q_hat, fourier_sum=float(pairwise_sum(contrib)),
-            exact_m=float(sweep.grid[i_best]), exact_total=total,
-            power_check=check, spectral_error=spectral, tolerances={
-                "power_recheck": _POWER_TOL, "walk_spectral": spectral,
-                "gap_submultiplicative": _SUBMULT_TOL,
-                **{t: tol[t] for t in ("psi_quadrature", "float_slack")}})
+            np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[:, sweep.cuts], 0.0)))
+        spectral = np.maximum(np.maximum(np.max(eps, axis=1, initial=0.0),
+                                         cum_err[:, -1]), np.max(total_err, axis=1))
+        total = totals[np.arange(n), best]
+        columns = dict(step=steps, q_hat=q_hat.tolist(),
+                       fourier_sum=pairwise_sum(contrib.T).tolist(),
+                       exact_m=sweep.grid[best].tolist(), exact_total=total.tolist(),
+                       power_check=[checks.get(k) for k in steps],
+                       spectral_error=spectral.tolist())
         if gap_sweep is not None:
-            qk = float(q_hint) ** k
-            rm, rrep = gap_sweep.best(q=qk)
-            fields.update(relaxed_q=qk, relaxed_m=rm,
-                          relaxed_total=rrep.total)
-        states.append(WalkState(**fields))
-        if q1 is None:
-            q1 = q_hat
-        prev_q = q_hat
+            # Python's float power per step, as bound.optimized_gap_bound is given
+            qk = np.asarray([float(q_hint) ** k for k in steps])
+            r_totals, r_best = _grid_totals(
+                gap_sweep, (qk * qk)[:, None] * gap_sweep.gap_prefix)
+            columns.update(relaxed_q=qk.tolist(),
+                           relaxed_m=gap_sweep.grid[r_best].tolist(),
+                           relaxed_total=r_totals[np.arange(n), r_best].tolist())
+        for j, i in enumerate(best.tolist()):
+            fields = {key: col[j] for key, col in columns.items()}
+            tol = bound._tolerances(sweep._psi[i]["quad_error"], fields["exact_total"])
+            fields["tolerances"] = {
+                "power_recheck": _POWER_TOL, "walk_spectral": fields["spectral_error"],
+                "gap_submultiplicative": _SUBMULT_TOL,
+                **{t: tol[t] for t in ("psi_quadrature", "float_slack")}}
+            states.append(WalkState(**fields))
     return states
 
 

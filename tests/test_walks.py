@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wgbound import bound, fourier, groups, transport, walks
-from wgbound._util import SolverError
+from wgbound._util import SolverError, gamma
 
 from conftest import harmonic_block, random_measure
 
@@ -159,6 +159,12 @@ class TestWalkEvolve:
             walks.walk_evolve(G_SO3, nu, 2, 0.5)
 
 
+def _real_basis_matrix(d):
+    """The unitary U of walks._real_basis as a dense matrix."""
+    a, c, scale = walks._real_basis(d)
+    return (np.diag(a) + np.diag(c)[::-1]) * np.sqrt(np.diag(scale))
+
+
 def _powering_reference(G, nu, k_max, M, blocks=None):
     """q_hat, Fourier sum and best cutoff per step from explicit powers."""
     irreps = groups.enumerate_irreps(G, M)
@@ -212,7 +218,7 @@ class TestSpectralEngine:
         nu = fourier.DiscreteMeasure.uniform(G, groups.haar_sample(G, 2024, 3))
         for p in groups.enumerate_irreps(G, 10.5):
             b = fourier.measure_transform(G, nu, p)
-            assert walks._diagonalise(b) is None, p.label
+            assert walks._diagonalise(walks._walk_form(b)) is None, p.label
         states = walks.walk_evolve(G, nu, 16, 10.5)
         assert states[7].power_check <= walks._POWER_TOL
         assert states[15].power_check <= walks._POWER_TOL
@@ -231,7 +237,7 @@ class TestSpectralEngine:
         E = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         kick = 1e-6 * (E - E.conj().T) / np.linalg.norm(E - E.conj().T)
         b = fourier.measure_transform(G_SO3, nu, p3) + kick
-        found = walks._diagonalise(b)
+        found = walks._diagonalise(walks._walk_form(b))
         assert found is None or found[2] >= 1e-6
         transform, kicked = fourier.measure_transforms, []
 
@@ -293,6 +299,11 @@ class TestSpectralEngine:
               fourier.DiscreteMeasure.uniform(G, groups.haar_sample(G, 2024, 3)))
         direct = {p.dim: fourier.measure_transform(G, nu, p)
                   for p in groups.enumerate_irreps(G, M)}
+        # the walk powers the real part of a real-type level in its real basis
+        for d, b in direct.items():
+            if walks._real_type(d):
+                u = _real_basis_matrix(d)
+                direct[d] = (u.conj().T @ b @ u).real
         carried, seen = walks._carried_powers, []
 
         def spy(blocks):
@@ -320,6 +331,108 @@ class TestSpectralEngine:
             assert abs(s.q_hat - q) <= s.spectral_error
             assert abs(s.fourier_sum - fs) <= s.spectral_error
             assert s.spectral_error < 1e-13 and s.exact_m == m
+
+
+def _symmetric_measure(G, n, seed):
+    """n Haar atoms and their inverses, uniform: every block is Hermitian."""
+    atoms = groups.haar_sample(G, seed, n)
+    return fourier.DiscreteMeasure.uniform(
+        G, np.concatenate([atoms, groups.inverse(G, atoms)]))
+
+
+class TestRealBasis:
+    def test_basis_is_unitary_and_fixed_by_conjugation(self):
+        # u = C conj(u) with C = antidiag((-1)^m) makes U^* B U real for
+        # every B with conj(B) = C B C
+        for ell in range(1, 41):
+            d = 2 * ell + 1
+            u = _real_basis_matrix(d)
+            i = np.arange(d)
+            C = np.zeros((d, d))
+            C[i, d - 1 - i] = (-1.0) ** (i - ell)
+            np.testing.assert_array_equal(u, C @ u.conj())
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-15, ell
+            assert np.count_nonzero(u) == 2 * d - 1
+
+    @pytest.mark.parametrize("G", [G_SO3, G_SU2], ids=["so3", "su2"])
+    def test_delta_covers_imaginary_part_and_basis_rounding(self, G):
+        # the matrix _diagonalise diagonalises, H, sits from the exact
+        # real-basis block U^* b U (long double) by at most what delta
+        # charges; the basis change alone stays within beta
+        nu = _symmetric_measure(G, 4, 91)
+        labels = groups.spectral_data(G, 40.5)["label"]
+        real = 0
+        for b in fourier.measure_transforms(G, nu, labels):
+            d = b.shape[0]
+            y = walks._walk_form(b)
+            found = walks._diagonalise(y)
+            assert found is not None, d
+            if not walks._real_type(d):
+                # half-integer spins are quaternionic: complex, as given
+                assert d % 2 == 0 and y is b and np.iscomplexobj(found[1])
+                continue
+            real += 1
+            assert not np.iscomplexobj(found[1])
+            a, c, scale = walks._real_basis(d)
+            sigma = np.sqrt(np.asarray(np.diag(scale), dtype=np.longdouble))
+            u = (np.diag(a).astype(np.clongdouble)
+                 + np.diag(c)[::-1].astype(np.clongdouble)) * sigma
+            exact = u.conj().T @ b.astype(np.clongdouble) @ u
+            beta = 3.0 * gamma(3) * np.linalg.norm(y)
+            assert float(np.linalg.norm(y - exact)) <= beta, d
+            H = 0.5 * (y.real + y.real.T)
+            assert float(np.linalg.norm(exact - H)) <= found[2], d
+        assert real == 40
+
+    @pytest.mark.parametrize("part", ["hermitian", "anti-hermitian"])
+    def test_conjugation_breaking_kick_is_charged(self, monkeypatch, part):
+        # a 1e-6 kick i X in the real basis, X real, breaks conj(B) = C B C
+        # while the real part stays symmetric: the block keeps the eigen
+        # route, and delta carries the dropped imaginary part
+        nu = walks.lps_generators(5).measure()
+        rng = np.random.default_rng(8)
+        E = rng.normal(size=(7, 7))
+        X = E - E.T if part == "hermitian" else E + E.T
+        u = _real_basis_matrix(7)
+        kick = u @ (1e-6j * X / np.linalg.norm(X)) @ u.conj().T
+        b = fourier.measure_transform(
+            G_SO3, nu, groups.enumerate_irreps(G_SO3, 3.5)[2]) + kick
+        found = walks._diagonalise(walks._walk_form(b))
+        assert found is None or found[2] >= 1e-6
+        transform = fourier.measure_transforms
+
+        def perturbed(G, nu_, labels):
+            return [blk + kick if blk.shape[0] == 7 else blk
+                    for blk in transform(G, nu_, labels)]
+
+        monkeypatch.setattr(fourier, "measure_transforms", perturbed)
+        states = walks.walk_evolve(G_SO3, nu, 24, 6.5)
+        blocks = perturbed(G_SO3, nu, groups.spectral_data(G_SO3, 6.5)["label"])
+        ref = _powering_reference(G_SO3, nu, 24, 6.5, blocks)
+        assert states[0].spectral_error >= 1e-6
+        for s, (q, fs, _) in zip(states, ref):
+            assert abs(s.q_hat - q) <= 1e-12 * q + s.spectral_error, s.step
+            assert abs(s.fourier_sum - fs) <= 1e-12 * fs + s.spectral_error
+
+    @pytest.mark.parametrize("G, points, M, hint", [
+        (G_SO3, None, 25.5, math.sqrt(5) / 3),
+        (G_T1, [[0.0], [(math.sqrt(5) - 1) / 2]], 140.0, 0.8)],
+        ids=["so3-lps5", "torus(1)-golden"])
+    def test_states_do_not_depend_on_the_step_blocks(self, G, points, M, hint):
+        # the first 16 states of a walk across many step blocks are those
+        # of a 16-step walk, bit for bit
+        nu = (walks.lps_generators(5).measure() if points is None
+              else fourier.DiscreteMeasure.uniform(G, points))
+        long = walks.walk_evolve(G, nu, 600, M, q_hint=hint)
+        assert 600 > 2 * walks._STEP_BLOCK and len(long) == 600
+        assert long[:16] == walks.walk_evolve(G, nu, 16, M, q_hint=hint)
+
+    def test_step_powers_match_scalar_powers(self):
+        x = np.random.default_rng(3).random(300)
+        ks = np.arange(1, 151)
+        rows = walks._powers(x, ks)
+        for k, row in zip(ks.tolist(), rows):
+            np.testing.assert_array_equal(row, x ** k)
 
 
 class TestSampledWalkBlocks:

@@ -80,6 +80,7 @@ def _inputs(src: str) -> dict:
     f["so3_9"] = _write("inputs/so3_9.csv", "so3", _points("so3", 9, 56))
     f["so3_5"] = _write("inputs/so3_5.csv", "so3", _points("so3", 5, 57))
     f["su2_walk"] = _write("inputs/su2_walk.csv", "su2", _points("su2", 6, 58))
+    f["so3_walk"] = _write("inputs/so3_walk.csv", "so3", _points("so3", 3, 59))
     f["golden"] = _write("inputs/golden.csv", "torus(1)", [[0.0], [GOLDEN]])
     f["lps5"] = "inputs/lps_p5_so3.csv"
     shutil.copyfile(os.path.join(src, "wgbound", "data", "lps_p5_so3.csv"), f["lps5"])
@@ -91,7 +92,7 @@ def _inputs(src: str) -> dict:
 
 
 def configs(f: dict) -> dict:
-    """Name -> RunConfig fields, 54 configurations that succeed."""
+    """Name -> RunConfig fields, 55 configurations that succeed."""
     c = {}
     for gid in GROUPS:
         pair = (f[gid, "a"], f[gid, "b"])
@@ -147,6 +148,9 @@ def configs(f: dict) -> dict:
                                 M=8.0, reps=10, verify=True)
     c["walk-golden-verify"] = dict(command="walk", group="torus(1)",
                                    points=(f["golden"],), M=140.0, reps=16, verify=True)
+    # a non-symmetric so3 step set: its blocks take the powering route
+    c["walk-so3-verify"] = dict(command="walk", group="so3", points=(f["so3_walk"],),
+                                M=10.5, reps=16, verify=True)
     c["empirical-su2"] = dict(command="empirical", group="su2", n_list="8,16",
                               reps=4, points=(f["su2", "source"],), verify=True)
     c["empirical-so3-haar"] = dict(command="empirical", group="so3",
