@@ -16,7 +16,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._util import SolverError, config_hash, golden_min, pairwise_sum
+from ._util import (DominanceError, SolverError, config_hash, golden_min,
+                    pairwise_sum)
 from . import fourier, groups, smoothing
 from .groups import GroupDescriptor
 from .smoothing import budget_interval, bump_profile, bump_transform, kernel_degree
@@ -413,50 +414,8 @@ class BoundReport:
                 "" if seed is None else seed]
 
 
-def _tolerances(quad_error: float, total: float,
-                fourier_roundoff: Optional[float] = None) -> Dict[str, float]:
-    """Tolerance entries of a total psi + phi * sqrt(sum).
-
-    psi_quadrature is psi_detailed's quadrature error estimate at the
-    cutoff.  fourier_roundoff, phi * sqrt(delta) for a Fourier sum read from
-    fourier.hs_profile, covers that sum's rounding: it errs by at most
-    delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
-
-    float_slack, 1e-11 * max(1, total), covers the rounding of the rest of
-    the assembly, all of it on nonnegative terms.  psi's main part is a
-    pairwise sum of fewer than 2^14 node terms w * g, each within 4u, so it
-    errs by under 18u relative; the tail and main + tail add 4u.  phi is
-    about ten operations, 10u.  A relaxed report's Fourier sum is a prefix
-    sum of nonnegative terms, under 20u, which the square root halves.
-    sqrt, product and sum add 3u.  So the computed total is within 60u <
-    7e-15 of total, and float_slack exceeds that by a factor of over 1,000;
-    the floor 1e-11 keeps an absolute allowance for totals below 1.
-    """
-    tol = {"psi_quadrature": quad_error, "float_slack": 1e-11 * max(1.0, total)}
-    if fourier_roundoff is not None:
-        tol["fourier_roundoff"] = fourier_roundoff
-    tol["total"] = sum(tol.values())
-    return tol
-
-
-def _assemble(G: GroupDescriptor, g, M: float, pd: dict, ph: float,
-              profile_id: str, fourier_sum: float, irreps_used: int,
-              variant: str, roundoff: Optional[float] = None) -> BoundReport:
-    """Report from psi_detailed output pd, phi value ph and the Fourier sum.
-
-    roundoff is the bound delta on the Fourier sum's rounding error, or
-    None when the sum is not read from hs_profile.
-    """
-    fs = max(float(fourier_sum), 0.0)
-    total = pd["value"] + ph * math.sqrt(fs)
-    return BoundReport(
-        group_id=G.group_id, g_descriptor=g.descriptor(), M=float(M),
-        m0=pd["m0"], psi=pd["value"], phi=ph, fourier_sum=fs, total=total,
-        irreps_used=irreps_used, profile_id=profile_id,
-        tolerances=_tolerances(pd["quad_error"], total,
-                               None if roundoff is None else ph * math.sqrt(roundoff)),
-        variant=variant, tail_warning=pd["tail_warning"])
-
+# terms per block of CutoffSweep.prefix (see CutoffSweep.tolerances)
+_PREFIX_BLOCK = 4096
 
 _GRID_CAPS = {"torus(1)": 1e3, "torus(2)": 400.0, "torus(3)": 200.0,
               "su2": 400.0, "so3": 400.0}
@@ -482,17 +441,18 @@ def default_m_grid(G: GroupDescriptor, cap: Optional[float] = None) -> np.ndarra
 class CutoffSweep:
     """psi and phi on a sorted, admissible cutoff grid, evaluated once.
 
-    The bound total at grid[i] is psis[i] + phis[i] * sqrt(cum[cuts[i]]),
-    where cum holds prefix sums of the Fourier sum over the spectrum below
-    the top of the grid and cuts[i] counts that spectrum below grid[i].
-    Both kinds hold labels, the label rows of groups.spectral_data.  An
-    exact sweep weights squared HS distances by d/kappa and also holds
-    roundoff, the prefix sums of d/kappa times fourier.hs_roundoff, which
-    bound the rounding of each cut's Fourier sum.  A relaxed sweep (the gap
-    corollary) uses d^2/kappa scaled by q^2, on a longer grid; its d^2/kappa
-    prefix sums, gap_prefix, are built once here and scaled by q^2 in best
-    and report.  At one fixed cutoff M it is CutoffSweep(G, g, profile, [M],
-    relaxed=True).report(0, q=q).
+    The one place where bound totals are formed.  The total at grid[i] is
+    psis[i] + phis[i] * sqrt(cum[cuts[i]]), where cum holds prefix sums of
+    the Fourier sum over the spectrum below the top of the grid and cuts[i]
+    counts that spectrum below grid[i].  Both kinds hold labels, the label
+    rows of groups.spectral_data.  An exact sweep weights squared HS
+    distances by d/kappa and also holds roundoff, the prefix sums of d/kappa
+    times fourier.hs_roundoff at the cuts, which bound the rounding of each
+    cut's Fourier sum.  A relaxed sweep (the gap corollary) uses d^2/kappa
+    scaled by q^2, on a longer grid; its d^2/kappa prefix sums at the cuts,
+    gap_prefix, are built once here and scaled by q^2 in gap_totals and
+    report.  No prefix over the whole spectrum is kept.  At one fixed
+    cutoff M it is CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).
     """
 
     def __init__(self, G: GroupDescriptor, g, profile="paper_bump",
@@ -510,10 +470,10 @@ class CutoffSweep:
         sd = groups.spectral_data(G, top)
         self.labels = sd["label"]
         self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
-        self.roundoff = None if relaxed else self.prefix(
-            fourier.hs_roundoff(G, self.labels))
-        self.gap_prefix = self.prefix() if relaxed else None
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
+        self.roundoff = None if relaxed else self.prefix(
+            fourier.hs_roundoff(G, self.labels))[self.cuts]
+        self.gap_prefix = self.prefix()[self.cuts] if relaxed else None
         self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
         self.psis = np.asarray([pd["value"] for pd in self._psi])
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
@@ -526,13 +486,72 @@ class CutoffSweep:
                                        self.labels)[0]
 
     def prefix(self, values=1.0) -> np.ndarray:
-        """Prefix sums [0, r0 v0, r0 v0 + r1 v1, ...] of ratios times values."""
-        return np.concatenate(([0.0], np.cumsum(self.ratios * values)))
+        """Prefix sums [0, r0 v0, r0 v0 + r1 v1, ...] of ratios times values.
 
-    def totals(self, cum: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Totals at every grid point, and the first index of the least."""
-        totals = self.psis + self.phis * np.sqrt(np.maximum(cum[self.cuts], 0.0))
-        return totals, int(np.argmin(totals))
+        A stack (..., n) of rows gives (..., n + 1), each row summed as
+        alone: left to right within blocks of _PREFIX_BLOCK terms, each
+        block then adding the running sum of the blocks before it.
+        """
+        terms = self.ratios * values
+        *lead, n = terms.shape
+        width = max(1, min(n, _PREFIX_BLOCK))
+        blocks = np.zeros((*lead, -(-n // width), width))
+        flat = blocks.reshape(*lead, -1)
+        flat[..., :n] = terms
+        np.cumsum(blocks, axis=-1, out=blocks)
+        blocks[..., 1:, :] += np.cumsum(blocks[..., :-1, -1:], axis=-2)
+        return np.concatenate((np.zeros((*lead, 1)), flat[..., :n]), axis=-1)
+
+    def totals(self, cum: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Totals at every grid point from prefix sums cum (..., n + 1), and
+        the first index of the least along the last axis."""
+        return self._totals_at(cum[..., self.cuts])
+
+    def gap_totals(self, q) -> Tuple[np.ndarray, np.ndarray]:
+        """totals of a relaxed sweep under the gap q, or a stack of gaps."""
+        q = np.asarray(q, dtype=float)[..., None]
+        return self._totals_at(q * q * self.gap_prefix)
+
+    def _totals_at(self, fs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        totals = self.psis + self.phis * np.sqrt(np.maximum(fs, 0.0))
+        return totals, np.argmin(totals, axis=-1)
+
+    def tolerances(self, i: int, total: float,
+                   fourier_roundoff: Optional[float] = None) -> Dict[str, float]:
+        """Tolerance entries of a total psi + phi * sqrt(sum) at grid[i].
+
+        psi_quadrature is psi_detailed's quadrature error estimate at the
+        cutoff.  fourier_roundoff, phi * sqrt(delta) for a Fourier sum read
+        from fourier.hs_profile, covers that sum's rounding: it errs by at
+        most delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
+
+        float_slack, 1e-11 * max(1, total), covers the rounding of the rest
+        of the assembly, all of it on nonnegative terms.  psi's main part is
+        a pairwise sum of fewer than 2^14 node terms w * g, each within 4u,
+        so it errs by under 18u relative; the tail and main + tail add 4u.
+        phi is about ten operations, 10u.  sqrt, product and sum add 3u.
+
+        A relaxed Fourier sum is q^2 times a prefix of n terms d^2/kappa,
+        each within u.  prefix sums within blocks of B = _PREFIX_BLOCK and
+        adds the running sum of the earlier block totals, so a term passes
+        through at most B - 1 additions in its block, ceil(n/B) - 1 in the
+        running sum and one where the two meet.  A sum of nonnegative terms
+        in which each takes part in at most m additions errs by at most
+        gamma_m relative (Higham 2002, ch. 4), so the prefix errs by at most
+        gamma_(B - 1 + ceil(n/B)), and q^2 adds 2u.  The largest sweep,
+        torus(3)'s gap grid, has n = 2,110,866 rows in 516 blocks: gamma_4611
+        < 5.2e-13, where a plain cumulative sum would allow gamma_(n - 1) =
+        2.3e-10.  The square root halves that, and phi * sqrt(fs) <= total,
+        so all of the assembly errs by under 3e-13 * max(1, total), a
+        thirtieth of float_slack; its floor 1e-11 keeps an absolute
+        allowance for totals below 1.
+        """
+        tol = {"psi_quadrature": self._psi[i]["quad_error"],
+               "float_slack": 1e-11 * max(1.0, total)}
+        if fourier_roundoff is not None:
+            tol["fourier_roundoff"] = fourier_roundoff
+        tol["total"] = sum(tol.values())
+        return tol
 
     def report(self, i: int, hs_sq=None, q: Optional[float] = None) -> BoundReport:
         """The certified report at grid[i].
@@ -545,24 +564,43 @@ class CutoffSweep:
         k = int(self.cuts[i])
         roundoff = None
         if self.relaxed:
-            fs = q * q * float(self.gap_prefix[k])
+            fs = q * q * float(self.gap_prefix[i])
         elif hs_sq is None:
             fs = 0.0
         else:
             fs = float(pairwise_sum(self.ratios[:k] * np.maximum(hs_sq[:k], 0.0)))
-            roundoff = float(self.roundoff[k])
-        return _assemble(self.G, self.g, float(self.grid[i]), self._psi[i],
-                         float(self.phis[i]), self.profile_id, fs, k,
-                         "gap_relaxed" if self.relaxed else "exact", roundoff)
+            roundoff = float(self.roundoff[i])
+        fs = max(fs, 0.0)
+        pd, ph = self._psi[i], float(self.phis[i])
+        total = pd["value"] + ph * math.sqrt(fs)
+        return BoundReport(
+            group_id=self.G.group_id, g_descriptor=self.g.descriptor(),
+            M=float(self.grid[i]), m0=pd["m0"], psi=pd["value"], phi=ph,
+            fourier_sum=fs, total=total, irreps_used=k, profile_id=self.profile_id,
+            tolerances=self.tolerances(
+                i, total, None if roundoff is None else ph * math.sqrt(roundoff)),
+            variant="gap_relaxed" if self.relaxed else "exact",
+            tail_warning=pd["tail_warning"])
 
     def best(self, hs_sq=None, q: Optional[float] = None) -> Tuple[float, BoundReport]:
         """Least total over the grid, ties to the smaller cutoff, and its report."""
         if self.relaxed:
-            cum = q * q * self.gap_prefix
+            i = self.gap_totals(q)[1]
         else:
-            cum = self.prefix(0.0 if hs_sq is None else np.maximum(hs_sq, 0.0))
-        i = self.totals(cum)[1]
-        return float(self.grid[i]), self.report(i, hs_sq, q)
+            i = self.totals(self.prefix(
+                0.0 if hs_sq is None else np.maximum(hs_sq, 0.0)))[1]
+        return float(self.grid[i]), self.report(int(i), hs_sq, q)
+
+
+def check_dominance(reports, oracle_cost: float, slack: float) -> None:
+    """Raise DominanceError where total + tolerance + slack < oracle_cost;
+    slack is how far the oracle may sit above the distance it stands for
+    (transport.GAP_TOL for the exact LP, or a proxy's distance from Haar)."""
+    for rep in reports:
+        if rep.total + rep.tolerance + slack < oracle_cost:
+            raise DominanceError(
+                f"bound total {rep.total!r} at M={rep.M:g} is below the "
+                f"oracle cost {oracle_cost!r} less the slack {slack:g}")
 
 
 def wg_bound(G: GroupDescriptor, g, nu1, nu2, M: float,

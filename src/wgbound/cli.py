@@ -264,16 +264,6 @@ def _cmd_oracle(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     return write_json_artifact(cfg, result, tolerances)
 
 
-def _check_dominance(reports, oracle_cost: Optional[float]):
-    if oracle_cost is None:
-        return
-    for rep in reports:
-        if rep.total + rep.tolerance + transport.GAP_TOL < oracle_cost:
-            raise DominanceError(
-                f"bound total {rep.total!r} at M={rep.M:g} is below the "
-                f"oracle cost {oracle_cost!r}")
-
-
 def _cmd_bound(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
     g = parse_modulus(cfg.g)
     nu1 = _load_measure(cfg.points[0], G)
@@ -287,9 +277,9 @@ def _cmd_bound(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
         oracle_cost = transport.exact_wasserstein(G, g, nu1, nu2).cost
     if cfg.M is not None:
         rep = bound.wg_bound(G, g, nu1, nu2, cfg.M, profile_id)
-        _check_dominance([rep], oracle_cost)
         result = rep.as_json_dict()
         if oracle_cost is not None:
+            bound.check_dominance([rep], oracle_cost, transport.GAP_TOL)
             result["oracle_cost"] = oracle_cost
         click.echo(f"total={rep.total:.9g} (psi={rep.psi:.9g})")
         return write_json_artifact(cfg, result, rep.tolerances)
@@ -297,12 +287,12 @@ def _cmd_bound(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
         G, g, profile_id, parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None)
     hs = sweep.hs_profile(nu1, nu2)
     reports = [sweep.report(i, hs) for i in range(sweep.grid.size)]
-    _check_dominance(reports, oracle_cost)
-    best = min(reports, key=lambda r: (r.total, r.M))
-    click.echo(f"best M={best.M:g} total={best.total:.9g}")
     tolerances = tolerance_union(reports)
     if oracle_cost is not None:
+        bound.check_dominance(reports, oracle_cost, transport.GAP_TOL)
         tolerances["oracle_duality_gap"] = transport.GAP_TOL
+    best = min(reports, key=lambda r: (r.total, r.M))
+    click.echo(f"best M={best.M:g} total={best.total:.9g}")
     return write_csv_artifact(cfg, bound.CSV_HEADER,
                               [r.csv_row(cfg.seed) for r in reports], tolerances)
 
@@ -327,10 +317,7 @@ def _cmd_audit(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
         w1 = transport.circle_w1(nu, lattice)
         # proxy lattice sits 1/(4n) from Haar, so dominance keeps that slack
         slack = 1.0 / (4.0 * _AUDIT_PROXY_N)
-        if rep.report.total + rep.report.tolerance + slack < w1:
-            raise DominanceError(
-                f"audit bound {rep.report.total!r} is below the circle "
-                f"oracle {w1!r} minus lattice slack")
+        bound.check_dominance([rep.report], w1, slack)
         result["oracle"] = {"circle_w1_vs_lattice": w1,
                             "lattice_n": _AUDIT_PROXY_N, "haar_slack": slack}
         tolerances["haar_lattice_slack"] = slack

@@ -202,12 +202,6 @@ def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
     return D
 
 
-def irrep_matrix(G: groups.GroupDescriptor, irrep: groups.Irrep,
-                 x: np.ndarray) -> np.ndarray:
-    """Unitary matrix of one irrep at one element."""
-    return irrep_matrices(G, irrep, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def characters(G: groups.GroupDescriptor, irrep: groups.Irrep,
                X: np.ndarray) -> np.ndarray:
     """Character values at a batch of elements."""
@@ -222,11 +216,6 @@ def characters(G: groups.GroupDescriptor, irrep: groups.Irrep,
     for _ in range(irrep.dim - 1):
         u0, u1 = u1, x2 * u1 - u0
     return u1
-
-
-def character(G: groups.GroupDescriptor, irrep: groups.Irrep, x) -> complex:
-    val = characters(G, irrep, np.asarray(x, dtype=float)[None, :])[0]
-    return complex(val)
 
 
 def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
@@ -983,22 +972,18 @@ def casimir_residual(G: groups.GroupDescriptor, irrep: groups.Irrep, h: float,
         raise ValueError("negative casimir")
     if not (h > 0):
         raise ValueError("step h must be positive")
-    probes = [groups.identity(G)]
-    probes.extend(groups.haar_sample(G, _PROBE_SEED, 8))
-    dim_alg = G.n
-    basis = np.eye(dim_alg)
+    probes = np.concatenate(([groups.identity(G)], groups.haar_sample(G, _PROBE_SEED, 8)))
     stencil = _STENCILS[order]
+    # the stencil's points along each basis vector of the algebra, in the
+    # order they are summed
+    steps = groups.exp_map(G, np.asarray(
+        [shift * h * e for e in np.eye(G.n) for shift, _ in stencil]))
+    coefs = [coef for _ in range(G.n) for _, coef in stencil]
     worst = 0.0
-    for x in probes:
-        base = irrep_matrix(G, irrep, x)
+    for x, base in zip(probes, irrep_matrices(G, irrep, probes)):
         acc = np.zeros_like(base)
-        for k in range(dim_alg):
-            for shift, coef in stencil:
-                if shift == 0:
-                    acc += coef * base
-                    continue
-                step = groups.exp_map(G, shift * h * basis[k])
-                acc += coef * irrep_matrix(G, irrep, groups.multiply(G, x, step))
+        for coef, U in zip(coefs, irrep_matrices(G, irrep, groups.multiply(G, x, steps))):
+            acc += coef * U
         lap = acc / (h * h)
         defect = np.linalg.norm(lap + irrep.casimir * base, "fro")
         worst = max(worst, defect / (irrep.casimir * np.linalg.norm(base, "fro")))

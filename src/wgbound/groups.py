@@ -224,11 +224,6 @@ def class_cosines(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     return dots
 
 
-def geodesic_distance(G: GroupDescriptor, x, y) -> float:
-    """Bi-invariant geodesic distance between two elements."""
-    return float(pairwise_distance(G, x, y)[0, 0])
-
-
 def pairwise_distance(G: GroupDescriptor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Distance matrix between two stacks of elements, shape (len(X), len(Y)).
 

@@ -65,11 +65,6 @@ def _costs(G: GroupDescriptor, g, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(g(groups.pairwise_distance(G, x, y)), dtype=float)
 
 
-def cost_matrix(G: GroupDescriptor, g, nu1: DiscreteMeasure,
-                nu2: DiscreteMeasure) -> np.ndarray:
-    return _costs(G, g, nu1.atoms, nu2.atoms)
-
-
 def _full_plan(nu1: DiscreteMeasure, nu2: DiscreteMeasure, keep1, keep2,
                plan: np.ndarray, dual_row: np.ndarray, dual_col: np.ndarray,
                cost: float, status: str) -> TransportPlan:

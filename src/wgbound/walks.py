@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import bound, fourier, groups, transport
-from ._util import (DominanceError, SolverError, U, gamma, pairwise_sum,
-                    tolerance_union)
+from ._util import SolverError, U, gamma, pairwise_sum, tolerance_union
 
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
@@ -294,17 +293,6 @@ def _power_gap(q: np.ndarray, delta: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return _powers(q, ks) * np.expm1(ks[:, None] * np.log1p(delta / q))
 
 
-def _prefix(x: np.ndarray) -> np.ndarray:
-    """Prefix sums of each row, [0, x0, x0 + x1, ...], summed left to right."""
-    return np.concatenate((np.zeros((x.shape[0], 1)), np.cumsum(x, axis=1)), axis=1)
-
-
-def _grid_totals(sweep: bound.CutoffSweep, cum: np.ndarray):
-    """CutoffSweep.totals of each row of prefix sums: the totals and each row's argmin."""
-    totals = sweep.psis + sweep.phis * np.sqrt(np.maximum(cum[:, sweep.cuts], 0.0))
-    return totals, np.argmin(totals, axis=1)
-
-
 def _carried_powers(blocks):
     """Recheck references R_8, R_16, ... of each block or block stack B.
 
@@ -340,7 +328,11 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     once (_diagonalise).  Step k then reads only the eigenvalue moduli to
     the power k, so the steps go through in blocks of _STEP_BLOCK as
     (steps x irreps) and (steps x grid) arrays: gap trace, HS sums, prefix
-    sums, totals and their argmin, error bounds and relaxed totals.  Other
+    sums, totals and their argmin, error bounds and relaxed totals.  The
+    sweeps form the prefix sums, totals and argmins of a whole block
+    (CutoffSweep.prefix, totals, gap_totals), and the gap sweep keeps its
+    prefix sums at its cuts only, so a block's arrays scale with the irreps
+    below M and with the grids, not with the gap sweep's spectrum.  Other
     blocks are multiplied out step by step and their norms taken from the
     powered matrices.  On such a block the dropped imaginary part of a
     real-type level moves the norms only at second order (it and the
@@ -357,7 +349,7 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     Each state's tolerances are those of its walk CSV row: the recheck and
     submultiplicativity slacks, walk_spectral (= spectral_error), and the
     psi_quadrature and float_slack entries that a bound report carries at
-    exact_m and exact_total (bound._tolerances).  power_recheck and
+    exact_m and exact_total (CutoffSweep.tolerances).  power_recheck and
     gap_submultiplicative are the thresholds of those two checks, not
     parts of a certified total, and a walk row carries no "total" entry
     yet: what must be added to exact_total for a certified bound still
@@ -445,16 +437,15 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         if unsub.size:
             raise SolverError(f"gap trace not submultiplicative at step {unsub[0]}")
         q_prev = float(q_hat[-1])
-        contrib = sweep.ratios * hs_sq
-        cum = _prefix(contrib)
-        totals, best = _grid_totals(sweep, cum)
+        cum = sweep.prefix(hs_sq)
+        totals, best = sweep.totals(cum)
         # spectral_error: eps_k per diagonalised block, then its HS and
         # Fourier-sum consequences and the largest shift of a total
         eps = _power_gap(q_eig, delta, ks)
         hs_err = np.zeros((n, len(base)))
         hs_err[:, eig_idx] = root_d * eps * (
             2.0 * np.sqrt(hs_sq[:, eig_idx]) + root_d * eps)
-        cum_err = _prefix(sweep.ratios * hs_err)
+        cum_err = sweep.prefix(hs_err)
         c = np.maximum(cum[:, sweep.cuts], 0.0)
         total_err = sweep.phis * (
             np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[:, sweep.cuts], 0.0)))
@@ -462,21 +453,20 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
                                          cum_err[:, -1]), np.max(total_err, axis=1))
         total = totals[np.arange(n), best]
         columns = dict(step=steps, q_hat=q_hat.tolist(),
-                       fourier_sum=pairwise_sum(contrib.T).tolist(),
+                       fourier_sum=pairwise_sum((sweep.ratios * hs_sq).T).tolist(),
                        exact_m=sweep.grid[best].tolist(), exact_total=total.tolist(),
                        power_check=[checks.get(k) for k in steps],
                        spectral_error=spectral.tolist())
         if gap_sweep is not None:
             # Python's float power per step, as bound.optimized_gap_bound is given
             qk = np.asarray([float(q_hint) ** k for k in steps])
-            r_totals, r_best = _grid_totals(
-                gap_sweep, (qk * qk)[:, None] * gap_sweep.gap_prefix)
+            r_totals, r_best = gap_sweep.gap_totals(qk)
             columns.update(relaxed_q=qk.tolist(),
                            relaxed_m=gap_sweep.grid[r_best].tolist(),
                            relaxed_total=r_totals[np.arange(n), r_best].tolist())
         for j, i in enumerate(best.tolist()):
             fields = {key: col[j] for key, col in columns.items()}
-            tol = bound._tolerances(sweep._psi[i]["quad_error"], fields["exact_total"])
+            tol = sweep.tolerances(i, fields["exact_total"])
             fields["tolerances"] = {
                 "power_recheck": _POWER_TOL, "walk_spectral": fields["spectral_error"],
                 "gap_submultiplicative": _SUBMULT_TOL,
@@ -574,6 +564,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
     profiles every draw of every N on that shared support.  An all-zero row
     (nu_bar equal to the source) has Fourier sum 0.  A Haar draw has its
     own support and its own hs_profile_rows call, on fourier.merged_atoms.
+    One stacked CutoffSweep.prefix and totals give every draw's best
+    cutoff, and the sweep reports each draw there.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or min(N_list) < 1:
@@ -607,24 +599,23 @@ def empirical_experiment(G: groups.GroupDescriptor,
         profiles = fourier.hs_profile_rows(G, source.atoms, masses, labels).reshape(
             children.shape + (len(labels),))
         same = ~np.any(masses, axis=1).reshape(children.shape)
+    # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
+    hs_sweep = np.where(same[..., None], 0.0, np.maximum(profiles[..., :n_sweep], 0.0))
+    best = sweep.totals(sweep.prefix(hs_sweep))[1]
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
-        reports, ms, oracles = [], [], []
+        reports, oracles = [], []
         var_acc = np.zeros(n_var)
         for r in range(n_reps):
             hs = profiles[i, r]
             var_acc += hs[:n_var]
-            # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
-            best_m, rep = sweep.best(None if same[i, r] else hs[:n_sweep])
+            rep = sweep.report(int(best[i, r]), None if same[i, r] else hs[:n_sweep])
             reports.append(rep)
-            ms.append(best_m)
             if with_oracle and not haar_source:
                 nu_bar = fourier.DiscreteMeasure.uniform(G, source.atoms[picks[i][r]])
                 cost = transport.exact_wasserstein(G, g, nu_bar, source).cost
                 # the LP cost is certified to within GAP_TOL, as in bound --verify
-                if rep.total + rep.tolerance + transport.GAP_TOL < cost:
-                    raise DominanceError(
-                        f"bound {rep.total} below LP cost {cost} at N={N}")
+                bound.check_dominance([rep], cost, transport.GAP_TOL)
                 oracles.append(cost)
         var_mean = var_acc / n_reps
         ratios = tuple((str(tuple(label)), float(v * N / d)) for label, v, d in zip(
@@ -635,7 +626,7 @@ def empirical_experiment(G: groups.GroupDescriptor,
             bound_mean=float(np.mean(totals)),
             bound_min=float(np.min(totals)),
             bound_max=float(np.max(totals)),
-            best_m_mean=float(np.mean(ms)),
+            best_m_mean=float(np.mean(sweep.grid[best[i]])),
             variance_ratios=ratios,
             oracle_mean=float(np.mean(oracles)) if oracles else None,
             oracle_min=float(np.min(oracles)) if oracles else None,

@@ -151,13 +151,12 @@ def test_05_derived_rep_lemma_suite():
         D = fourier.derived_rep(G, p, X)
         assert np.linalg.norm(D, 2) <= lam * np.linalg.norm(X) + 1e-8
         # first-order Taylor remainder of the one-parameter subgroup
-        U = fourier.irrep_matrix(G, p, groups.exp_map(G, u * X))
+        U = fourier.irrep_matrices(G, p, groups.exp_map(G, u * X)[None, :])[0]
         rem = np.linalg.norm(U - eye - u * D, 2)
         assert rem <= 0.5 * u * u * np.linalg.norm(D, 2) ** 2 + 1e-8
         # discrete Laplace increment identity with cubic/quartic error cap
         acc = np.zeros((p.dim, p.dim), dtype=complex)
-        for k in range(3):
-            Uk = fourier.irrep_matrix(G, p, groups.exp_map(G, u * basis[k]))
+        for Uk in fourier.irrep_matrices(G, p, groups.exp_map(G, u * basis)):
             A = Uk - eye
             acc += A.conj().T @ A
         E = acc - u * u * p.casimir * eye

@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 from wgbound import bound, fourier, groups, smoothing, transport
+from wgbound._util import gamma
 
 from conftest import random_measure
 
@@ -537,11 +538,12 @@ class TestGapBounds:
         assert rep.total == rep.psi + rep.phi * math.sqrt(rep.fourier_sum)
 
     def test_gap_prefix_built_once(self, monkeypatch):
-        # best and report scale the prefix built with the sweep; neither
-        # rebuilds it, and the sums are those of a fresh prefix, bit for bit
+        # best and report scale the prefix built with the sweep, kept at
+        # its cuts; neither rebuilds it, and the sums are those of a fresh
+        # prefix, bit for bit
         sweep = bound.CutoffSweep(groups.descriptor("so3"), LINEAR, relaxed=True)
         fresh = sweep.prefix()
-        assert np.array_equal(sweep.gap_prefix, fresh)
+        assert np.array_equal(sweep.gap_prefix, fresh[sweep.cuts])
         calls = []
         monkeypatch.setattr(bound.CutoffSweep, "prefix",
                             lambda self, *args: calls.append(args))
@@ -552,6 +554,46 @@ class TestGapBounds:
             assert sweep.report(0, q=q).fourier_sum == \
                 q * q * float(fresh[sweep.cuts[0]])
         assert calls == []
+
+    def test_stacked_rows_match_single_rows(self):
+        # prefix, totals and gap_totals of a stack equal row-by-row calls
+        # bit for bit, with the 12,744 labels of torus(2) in four blocks
+        G = groups.descriptor("torus(2)")
+        sweep = bound.CutoffSweep(G, LINEAR)
+        assert sweep.labels.shape[0] > 3 * bound._PREFIX_BLOCK
+        rows = np.random.default_rng(6).random((2, 3, sweep.labels.shape[0]))
+        cum = sweep.prefix(rows)
+        totals, best = sweep.totals(cum)
+        for idx in np.ndindex(rows.shape[:-1]):
+            one = sweep.prefix(rows[idx])
+            assert np.array_equal(cum[idx], one)
+            t, i = sweep.totals(one)
+            assert np.array_equal(totals[idx], t) and best[idx] == i
+        gap_sweep = bound.CutoffSweep(G, LINEAR, relaxed=True)
+        qs = 0.8 ** np.arange(1, 17)
+        totals, best = gap_sweep.gap_totals(qs)
+        for q, t, i in zip(qs, totals, best):
+            one_t, one_i = gap_sweep.gap_totals(float(q))
+            assert np.array_equal(t, one_t) and i == one_i
+
+    def test_prefix_within_its_derived_bound(self):
+        # at every cut of the torus(3) gap sweep (2,110,866 rows), the
+        # blocked prefix sum stays within gamma_(B - 1 + ceil(n/B)) of an
+        # exactly rounded reference (CutoffSweep.tolerances); a plain
+        # cumulative sum drifts by about 1e-11 there
+        sweep = bound.CutoffSweep(groups.descriptor("torus(3)"), LINEAR,
+                                  relaxed=True)
+        n, block = sweep.ratios.size, bound._PREFIX_BLOCK
+        assert n == 2110866
+        bound_rel = gamma(block - 1 + -(-n // block))
+        got = sweep.prefix()[sweep.cuts]
+        assert np.array_equal(got, sweep.gap_prefix)
+        terms, segments, lo = sweep.ratios.tolist(), [], 0
+        for c, value in zip(sweep.cuts.tolist(), got):
+            segments.append(math.fsum(terms[lo:c]))
+            lo = c
+            ref = math.fsum(segments)
+            assert abs(value - ref) <= bound_rel * ref, c
 
     def test_optimized_gap_bound_monotone_in_q(self):
         totals = [bound.optimized_gap_bound(G_SU2, LINEAR, q)[1].total

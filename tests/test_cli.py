@@ -495,21 +495,21 @@ class TestEmpiricalCommand:
         # an LP cost above a draw's total + tolerance by less than GAP_TOL is
         # within the LP's own certificate, as bound --verify allows
         a, _ = circle_pair
-        best, reports = bound.CutoffSweep.best, []
+        report, reports = bound.CutoffSweep.report, []
         real = transport.exact_wasserstein
 
         def recorded(self, *args, **kw):
-            reports.append(best(self, *args, **kw))
+            reports.append(report(self, *args, **kw))
             return reports[-1]
 
         def above(G, g, nu1, nu2, **kw):
             plan = real(G, g, nu1, nu2, **kw)
-            rep = reports[-1][1]
+            rep = reports[-1]
             object.__setattr__(plan, "cost", rep.total + rep.tolerance
                                + excess * transport.GAP_TOL)
             return plan
 
-        monkeypatch.setattr(bound.CutoffSweep, "best", recorded)
+        monkeypatch.setattr(bound.CutoffSweep, "report", recorded)
         monkeypatch.setattr(transport, "exact_wasserstein", above)
         res = runner.invoke(cli.main, [
             "empirical", "--group", "torus(1)", "--points", a, "--n-list", "4,8",

@@ -44,14 +44,12 @@ def test_discrete_measure_validation():
 def test_irrep_matrix_unitary_homomorphism(gid, M):
     G, reps = _irreps(gid, M)
     x, y = groups.haar_sample(G, 31, 2)
+    pts = np.stack([x, y, groups.multiply(G, x, y), groups.identity(G)])
     for p in reps:
-        Ux = fourier.irrep_matrix(G, p, x)
-        Uy = fourier.irrep_matrix(G, p, y)
+        Ux, Uy, Uxy, Ue = fourier.irrep_matrices(G, p, pts)
         eye = np.eye(p.dim)
         assert np.linalg.norm(Ux @ Ux.conj().T - eye) < 1e-10
-        Uxy = fourier.irrep_matrix(G, p, groups.multiply(G, x, y))
         assert np.linalg.norm(Uxy - Ux @ Uy) < 1e-9
-        Ue = fourier.irrep_matrix(G, p, groups.identity(G))
         np.testing.assert_allclose(Ue, eye, atol=1e-12)
 
 
@@ -60,7 +58,7 @@ def test_su2_defining_representation():
     p = groups.enumerate_irreps(G, 1.0)[0]
     assert p.dim == 2
     q = groups.haar_sample(G, 17, 1)[0]
-    U = fourier.irrep_matrix(G, p, q)
+    U = fourier.irrep_matrices(G, p, q[None, :])[0]
     assert np.linalg.det(U) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(U).real == pytest.approx(2.0 * q[0], abs=1e-12)
     assert abs(np.trace(U).imag) < 1e-12
@@ -77,11 +75,11 @@ def test_irrep_matrix_is_exponential_of_derived_rep(gid, M):
     rng = np.random.default_rng(8)
     X = rng.normal(size=G.n)
     X /= np.linalg.norm(X)
-    for u in (0.3, 1.2):
-        pt = groups.exp_map(G, u * X)
-        for p in reps:
-            U = fourier.irrep_matrix(G, p, pt)
-            D = fourier.derived_rep(G, p, X)
+    us = (0.3, 1.2)
+    pts = groups.exp_map(G, np.multiply.outer(us, X))
+    for p in reps:
+        D = fourier.derived_rep(G, p, X)
+        for u, U in zip(us, fourier.irrep_matrices(G, p, pts)):
             assert np.linalg.norm(U - expm(u * D)) < 1e-9
 
 
@@ -117,30 +115,30 @@ def test_degenerate_euler_inputs(gid):
     axes += [rng.normal(size=3) for _ in range(3)]
     axes += [np.array([0.0, 0.0, -1.0]), np.array([-1.0, 0.0, 0.0])]
     cases += [(np.pi, n / np.linalg.norm(n)) for n in axes]
-    h = groups.haar_sample(G, 13, 1)[0]
+    h = groups.haar_sample(G, 13, 1)
+    qs = groups.canonicalize(G, np.stack(
+        [np.concatenate([[np.cos(u / 2)], np.sin(u / 2) * n]) for u, n in cases]))
+    both = np.concatenate([qs, h])
     for p in groups.enumerate_irreps(G, 8.0):
-        Uh = fourier.irrep_matrix(G, p, h)
-        for u, n in cases:
-            q = groups.canonicalize(
-                G, np.concatenate([[np.cos(u / 2)], np.sin(u / 2) * n]))
-            U = fourier.irrep_matrix(G, p, q)
+        Uh = fourier.irrep_matrices(G, p, h)[0]
+        Uq = fourier.irrep_matrices(G, p, qs)
+        Uqh = fourier.irrep_matrices(G, p, groups.multiply(G, qs, h))
+        for (u, n), U, Ux in zip(cases, Uq, Uqh):
             R = expm(u * fourier.derived_rep(G, p, n))
             assert np.max(np.abs(U - R)) < 1e-12
-            Uqh = fourier.irrep_matrix(G, p, groups.multiply(G, q, h))
-            assert np.max(np.abs(Uqh - U @ Uh)) < 1e-12
-            if gid == "su2":
-                sign = (-1) ** (p.dim - 1)
-                for x in (q, h):
-                    neg = fourier.irrep_matrix(G, p, -x)
-                    pos = fourier.irrep_matrix(G, p, x)
-                    assert np.max(np.abs(neg - sign * pos)) < 1e-12
+            assert np.max(np.abs(Ux - U @ Uh)) < 1e-12
+        if gid == "su2":
+            sign = (-1) ** (p.dim - 1)
+            neg = fourier.irrep_matrices(G, p, -both)
+            pos = fourier.irrep_matrices(G, p, both)
+            assert np.max(np.abs(neg - sign * pos)) < 1e-12
 
 
 def test_torus_weight_eigenphases():
     G = groups.descriptor("torus(2)")
     p = next(r for r in groups.enumerate_irreps(G, 16.0) if r.label == (2, -1))
     x = np.array([0.3, 0.7])
-    U = fourier.irrep_matrix(G, p, x)
+    U = fourier.irrep_matrices(G, p, x[None, :])[0]
     assert U.shape == (1, 1)
     assert U[0, 0] == pytest.approx(np.exp(2j * np.pi * (2 * 0.3 - 0.7)), abs=1e-12)
 
@@ -149,15 +147,14 @@ def test_torus_weight_eigenphases():
 def test_character_closed_form_and_class_invariance(gid, M):
     G, reps = _irreps(gid, M)
     x, y = groups.haar_sample(G, 77, 2)
+    conj = groups.multiply(G, groups.multiply(G, y, x), groups.inverse(G, y))
+    pts = np.stack([x, conj, groups.identity(G)])
     for p in reps:
-        chi = fourier.character(G, p, x)
-        assert chi == pytest.approx(np.trace(fourier.irrep_matrix(G, p, x)),
-                                    abs=1e-9)
-        conj = groups.multiply(G, groups.multiply(G, y, x),
-                               groups.inverse(G, y))
-        assert fourier.character(G, p, conj) == pytest.approx(chi, abs=1e-10)
-        assert fourier.character(G, p, groups.identity(G)) \
-            == pytest.approx(p.dim, abs=1e-12)
+        chi, chi_conj, chi_e = fourier.characters(G, p, pts)
+        assert chi == pytest.approx(
+            np.trace(fourier.irrep_matrices(G, p, pts[:1])[0]), abs=1e-9)
+        assert chi_conj == pytest.approx(chi, abs=1e-10)
+        assert chi_e == pytest.approx(p.dim, abs=1e-12)
         if gid in ("su2", "so3"):
             assert abs(np.imag(chi)) < 1e-10
 
@@ -592,7 +589,7 @@ def test_first_order_taylor_bound(rank_one_group):
             X = rng.normal(size=3)
             X /= np.linalg.norm(X)
             u = rng.uniform(-1.0, 1.0)
-            U = fourier.irrep_matrix(G, p, groups.exp_map(G, u * X))
+            U = fourier.irrep_matrices(G, p, groups.exp_map(G, u * X)[None, :])[0]
             D = fourier.derived_rep(G, p, X)
             lhs = np.linalg.norm(U - np.eye(p.dim) - u * D, 2)
             assert lhs <= 0.5 * u * u * np.linalg.norm(D, 2) ** 2 + 1e-9
@@ -606,8 +603,7 @@ def test_laplace_identity_error_bound(rank_one_group):
         for _ in range(6):
             u = rng.uniform(-1.0, 1.0)
             acc = np.zeros((p.dim, p.dim), dtype=complex)
-            for k in range(3):
-                U = fourier.irrep_matrix(G, p, groups.exp_map(G, u * basis[k]))
+            for U in fourier.irrep_matrices(G, p, groups.exp_map(G, u * basis)):
                 A = U - np.eye(p.dim)
                 acc += A.conj().T @ A
             E = acc - u * u * p.casimir * np.eye(p.dim)
@@ -665,7 +661,7 @@ def test_translation_energy_below_squared_modulus():
         h = groups.exp_map(G, u * X)
         lhs = 0.0
         for coef, p in zip(b, reps):
-            U = fourier.irrep_matrix(G, p, h)
+            U = fourier.irrep_matrices(G, p, h[None, :])[0]
             f_hat = (coef / p.dim) * np.eye(p.dim)
             lhs += p.dim * np.linalg.norm(f_hat @ (U - np.eye(p.dim))) ** 2
         xs = groups.haar_sample(G, 900, 4096)

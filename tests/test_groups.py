@@ -121,38 +121,40 @@ def test_geodesic_closed_forms():
     su2 = groups.descriptor("su2")
     e = groups.identity(su2)
     minus_e = np.array([-1.0, 0.0, 0.0, 0.0])
-    assert groups.geodesic_distance(su2, e, minus_e) == pytest.approx(2 * math.pi)
+    assert groups.pairwise_distance(su2, e, minus_e)[0, 0] == pytest.approx(2 * math.pi)
     t1 = groups.descriptor("torus(1)")
-    assert groups.geodesic_distance(t1, [0.1], [0.9]) == pytest.approx(0.2)
+    assert groups.pairwise_distance(t1, [0.1], [0.9])[0, 0] == pytest.approx(0.2)
     so3 = groups.descriptor("so3")
     q = np.array([math.cos(0.3), math.sin(0.3), 0.0, 0.0])
-    assert groups.geodesic_distance(so3, groups.identity(so3), q) \
+    assert groups.pairwise_distance(so3, groups.identity(so3), q)[0, 0] \
         == pytest.approx(0.6)
 
 
 def test_metric_axioms_and_biinvariance(any_group):
-    x, y, z = groups.haar_sample(any_group, 7, 3)
-    d = groups.geodesic_distance
-    assert d(any_group, x, x) == pytest.approx(0.0, abs=1e-9)
-    assert d(any_group, x, y) == pytest.approx(d(any_group, y, x), abs=1e-10)
-    assert d(any_group, x, y) <= d(any_group, x, z) + d(any_group, z, y) + 1e-9
-    zx = groups.multiply(any_group, z, x)
-    zy = groups.multiply(any_group, z, y)
-    xz = groups.multiply(any_group, x, z)
-    yz = groups.multiply(any_group, y, z)
-    assert d(any_group, zx, zy) == pytest.approx(d(any_group, x, y), abs=1e-10)
-    assert d(any_group, xz, yz) == pytest.approx(d(any_group, x, y), abs=1e-10)
+    pts = groups.haar_sample(any_group, 7, 3)
+    x, y, z = pts
+    d = groups.pairwise_distance(any_group, pts, pts)
+    assert d[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert d[0, 1] == pytest.approx(d[1, 0], abs=1e-10)
+    assert d[0, 1] <= d[0, 2] + d[2, 1] + 1e-9
+    zx, zy = groups.multiply(any_group, z, pts[:2])
+    xz, yz = groups.multiply(any_group, pts[:2], z)
+    moved = groups.pairwise_distance(any_group, [zx, xz], [zy, yz])
+    assert moved[0, 0] == pytest.approx(d[0, 1], abs=1e-10)
+    assert moved[1, 1] == pytest.approx(d[0, 1], abs=1e-10)
 
 
 def test_exponential_is_unit_speed(any_group):
     rng = np.random.default_rng(3)
     e = groups.identity(any_group)
+    us, pts = [], []
     for _ in range(25):
         X = rng.normal(size=any_group.n)
         X /= np.linalg.norm(X)
-        u = rng.uniform(-math.pi, math.pi)
-        pt = groups.exp_map(any_group, u * X)
-        assert groups.geodesic_distance(any_group, e, pt) <= abs(u) + 1e-10
+        us.append(rng.uniform(-math.pi, math.pi))
+        pts.append(groups.exp_map(any_group, us[-1] * X))
+    dist = groups.pairwise_distance(any_group, e, np.stack(pts))[0]
+    assert np.all(dist <= np.abs(us) + 1e-10)
 
 
 def test_pairwise_distance_matches_scalar(any_group):
@@ -295,10 +297,10 @@ def test_canonicalize_is_idempotent(gid):
 def test_torus_distance_shift_invariant(k, m):
     G = groups.descriptor("torus(1)")
     x, y = 0.37, 0.81
-    d0 = groups.geodesic_distance(G, [x], [y])
-    d1 = groups.geodesic_distance(G, [(x + 0.11 * k) % 1], [(y + 0.11 * k) % 1])
+    d0, d1, d2 = np.diagonal(groups.pairwise_distance(
+        G, [[x], [(x + 0.11 * k) % 1], [x + m]], [[y], [(y + 0.11 * k) % 1], [y]]))
     assert d0 == pytest.approx(d1, abs=1e-10)
-    assert groups.geodesic_distance(G, [x + m], [y]) == pytest.approx(d0, abs=1e-10)
+    assert d2 == pytest.approx(d0, abs=1e-10)
 
 
 @pytest.mark.parametrize("gid,label", [

@@ -341,8 +341,7 @@ def test_smoothing_approximation_property(rank_one_group):
     kc = smoothing.kernel_coefficients(G, M)
     pts, w = fourier.weyl_quadrature(G, 2 ** 14)
     e = groups.identity(G)
-    dist = np.array([groups.geodesic_distance(G, e, pt) for pt in
-                     pts[:: len(pts) // 512]])
+    dist = groups.pairwise_distance(G, e, pts[:: len(pts) // 512])[0]
     sample = pts[:: len(pts) // 512]
     f_all = np.minimum(
         2.0 * np.arccos(np.clip(np.abs(pts[:, 0]) if G.group_id == "so3"

@@ -45,7 +45,7 @@ class TestExactWasserstein:
 
     def test_point_masses(self, any_group):
         x, y = groups.haar_sample(any_group, 2, 2)
-        d = groups.geodesic_distance(any_group, x, y)
+        d = groups.pairwise_distance(any_group, x, y)[0, 0]
         for g in (LINEAR, bound.ModulusOfContinuity.power(0.5)):
             plan = transport.exact_wasserstein(any_group, g, delta(any_group, x),
                                                delta(any_group, y))
@@ -57,7 +57,7 @@ class TestExactWasserstein:
         plan = transport.exact_wasserstein(G_T1, LINEAR, nu1, nu2)
         assert plan.cost == pytest.approx(0.25, abs=1e-12)
         # brute force over the one-parameter coupling polytope
-        C = transport.cost_matrix(G_T1, LINEAR, nu1, nu2)
+        C = LINEAR(groups.pairwise_distance(G_T1, nu1.atoms, nu2.atoms))
         best = min(
             float((C * np.array([[t, 0.5 - t], [0.5 - t, t]])).sum())
             for t in np.linspace(0.0, 0.5, 2001))
@@ -74,7 +74,7 @@ class TestExactWasserstein:
         f, h = plan.dual_potentials
         dual = float(f @ nu1.weights + h @ nu2.weights)
         assert abs(plan.cost - dual) <= transport.GAP_TOL
-        C = transport.cost_matrix(any_group, LINEAR, nu1, nu2)
+        C = LINEAR(groups.pairwise_distance(any_group, nu1.atoms, nu2.atoms))
         assert np.all(f[:, None] + h[None, :] <= C + 1e-9)
 
     @pytest.mark.parametrize("gid", ["su2", "torus(2)"])
@@ -88,7 +88,7 @@ class TestExactWasserstein:
                 nu2 = random_measure(G, n2, 2 * seed + 1, weighted)
                 plan = transport.exact_wasserstein(G, LINEAR, nu1, nu2)
                 f, h = plan.dual_potentials
-                C = transport.cost_matrix(G, LINEAR, nu1, nu2)
+                C = LINEAR(groups.pairwise_distance(G, nu1.atoms, nu2.atoms))
                 assert np.max(f[:, None] + h[None, :] - C) \
                     <= transport.GAP_TOL * max(1.0, C.max())
                 dual = float(f @ nu1.weights + h @ nu2.weights)
@@ -194,7 +194,7 @@ class TestAssignmentRoute:
     def test_brute_force_permutations(self, any_group, n1, n2):
         nu1 = random_measure(any_group, n1, 80 + n1, weighted=False)
         nu2 = random_measure(any_group, n2, 90 + n2, weighted=False)
-        C = transport.cost_matrix(any_group, LINEAR, nu1, nu2)
+        C = LINEAR(groups.pairwise_distance(any_group, nu1.atoms, nu2.atoms))
         L = max(n1, n2)
         big = np.repeat(np.repeat(C, L // n1, axis=0), L // n2, axis=1)
         best = min(big[np.arange(L), list(p)].mean()
@@ -225,9 +225,8 @@ class TestAssignmentRoute:
             nu_bar = fourier.DiscreteMeasure.uniform(any_group,
                                                      source.atoms[picks])
             plan = transport.exact_wasserstein(any_group, LINEAR, nu_bar, source)
-            assert plan.cost == pytest.approx(
-                _linprog_cost(transport.cost_matrix(any_group, LINEAR, nu_bar,
-                                                    source)), abs=1e-12)
+            C = LINEAR(groups.pairwise_distance(any_group, nu_bar.atoms, source.atoms))
+            assert plan.cost == pytest.approx(_linprog_cost(C), abs=1e-12)
         # a lattice against its half-step shift: every atom has two nearest
         # atoms at the same distance
         n = 8
@@ -242,7 +241,7 @@ class TestAssignmentRoute:
     def test_against_linprog(self, n1):
         nu1 = random_measure(G_SU2, n1, 96, weighted=False)
         nu2 = random_measure(G_SU2, 128, 97, weighted=False)
-        C = transport.cost_matrix(G_SU2, LINEAR, nu1, nu2)
+        C = LINEAR(groups.pairwise_distance(G_SU2, nu1.atoms, nu2.atoms))
         plan = transport.exact_wasserstein(G_SU2, LINEAR, nu1, nu2)
         assert plan.cost == pytest.approx(_linprog_cost(C), abs=1e-12)
 

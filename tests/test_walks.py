@@ -1,6 +1,7 @@
 """Rotation-set walks, empirical sweeps, and equidistribution audits."""
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,35 @@ class TestWalkEvolve:
             s = states[k - 1]
             assert (s.relaxed_q, s.relaxed_m, s.relaxed_total) == \
                 (q ** k, m, rep.total)
+
+    def test_relaxed_totals_are_the_gap_sweeps_best(self):
+        # torus(2) at 0.8^16: the relaxed cut climbs past the first prefix
+        # block to the top of the gap grid
+        G = groups.descriptor("torus(2)")
+        nu = random_measure(G, 3, 44, weighted=False)
+        states = walks.walk_evolve(G, nu, 16, 10.0, q_hint=0.8)
+        gap_sweep = bound.CutoffSweep(G, LINEAR, relaxed=True)
+        assert states[-1].relaxed_m == gap_sweep.grid[-1]
+        for s in states:
+            m, rep = gap_sweep.best(q=0.8 ** s.step)
+            assert (s.relaxed_q, s.relaxed_m, s.relaxed_total) == \
+                (0.8 ** s.step, m, rep.total), s.step
+
+    def test_relaxed_walk_memory_does_not_grow_with_steps(self):
+        # the gap sweep keeps its prefix sums at its cuts, so a 64-step
+        # block scales a (steps x grid) array, not (steps x 318,348)
+        G = groups.descriptor("torus(2)")
+        nu = random_measure(G, 3, 45, weighted=False)
+        walks.walk_evolve(G, nu, 1, 10.0, q_hint=0.8)    # warm the caches
+        peaks = []
+        for k_max in (1, 64):
+            tracemalloc.start()
+            try:
+                walks.walk_evolve(G, nu, k_max, 10.0, q_hint=0.8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_golden_rotation_polynomial_decay(self):
         golden = (math.sqrt(5) - 1) / 2

@@ -92,7 +92,7 @@ def _inputs(src: str) -> dict:
 
 
 def configs(f: dict) -> dict:
-    """Name -> RunConfig fields, 55 configurations that succeed."""
+    """Name -> RunConfig fields, 57 configurations that succeed."""
     c = {}
     for gid in GROUPS:
         pair = (f[gid, "a"], f[gid, "b"])
@@ -139,6 +139,11 @@ def configs(f: dict) -> dict:
                          ("su2", f["su2_walk"], 8.0)):
         c[f"walk-{gid}-gap"] = dict(command="walk", group=gid, points=(step,),
                                     M=M, reps=8, gap_hint=0.8)
+    # at step 16, q^16 ~ 0.028: the relaxed cut reaches the top of the gap grid
+    for gid, M in (("torus(2)", 10.0), ("torus(3)", 8.0)):
+        c[f"walk-{gid}-gap-deep"] = dict(command="walk", group=gid,
+                                         points=(f[gid, "b"],), M=M, reps=16,
+                                         gap_hint=0.8)
     c["walk-golden"] = dict(command="walk", group="torus(1)", points=(f["golden"],),
                             M=140.0, reps=16)
     c["walk-su2"] = dict(command="walk", group="su2", points=(f["su2_walk"],),
