@@ -438,21 +438,39 @@ def default_m_grid(G: GroupDescriptor, cap: Optional[float] = None) -> np.ndarra
     return np.geomspace(lo, hi, n_pts)
 
 
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Prefix sums [0, t0, t0 + t1, ...] along the last axis of terms.
+
+    A stack (..., n) of rows gives (..., n + 1), each row summed as alone:
+    left to right within blocks of _PREFIX_BLOCK terms, each block then
+    adding the running sum of the blocks before it.
+    """
+    *lead, n = terms.shape
+    width = max(1, min(n, _PREFIX_BLOCK))
+    blocks = np.zeros((*lead, -(-n // width), width))
+    flat = blocks.reshape(*lead, -1)
+    flat[..., :n] = terms
+    np.cumsum(blocks, axis=-1, out=blocks)
+    blocks[..., 1:, :] += np.cumsum(blocks[..., :-1, -1:], axis=-2)
+    return np.concatenate((np.zeros((*lead, 1)), flat[..., :n]), axis=-1)
+
+
 class CutoffSweep:
     """psi and phi on a sorted, admissible cutoff grid, evaluated once.
 
     The one place where bound totals are formed.  The total at grid[i] is
     psis[i] + phis[i] * sqrt(cum[cuts[i]]), where cum holds prefix sums of
     the Fourier sum over the spectrum below the top of the grid and cuts[i]
-    counts that spectrum below grid[i].  Both kinds hold labels, the label
-    rows of groups.spectral_data.  An exact sweep weights squared HS
-    distances by d/kappa and also holds roundoff, the prefix sums of d/kappa
+    counts that spectrum below grid[i].  An exact sweep holds labels, the
+    label rows of groups.spectral_data, and ratios, d/kappa per row, which
+    weight squared HS distances, and roundoff, the prefix sums of d/kappa
     times fourier.hs_roundoff at the cuts, which bound the rounding of each
     cut's Fourier sum.  A relaxed sweep (the gap corollary) uses d^2/kappa
-    scaled by q^2, on a longer grid; its d^2/kappa prefix sums at the cuts,
-    gap_prefix, are built once here and scaled by q^2 in gap_totals and
-    report.  No prefix over the whole spectrum is kept.  At one fixed
-    cutoff M it is CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).
+    scaled by q^2, on a longer grid; it keeps only its d^2/kappa prefix sums
+    at the cuts, gap_prefix, built once here and scaled by q^2 in gap_totals
+    and report, and its labels, ratios and roundoff are None.  No prefix
+    over the whole spectrum is kept.  At one fixed cutoff M it is
+    CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).
     """
 
     def __init__(self, G: GroupDescriptor, g, profile="paper_bump",
@@ -468,12 +486,12 @@ class CutoffSweep:
         self.profile_id = bump_profile(profile).profile_id
         top = float(grid[-1])
         sd = groups.spectral_data(G, top)
-        self.labels = sd["label"]
-        self.ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
+        ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
+        self.labels, self.ratios = (None, None) if relaxed else (sd["label"], ratios)
         self.roundoff = None if relaxed else self.prefix(
             fourier.hs_roundoff(G, self.labels))[self.cuts]
-        self.gap_prefix = self.prefix()[self.cuts] if relaxed else None
+        self.gap_prefix = _prefix_sums(ratios)[self.cuts] if relaxed else None
         self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
         self.psis = np.asarray([pd["value"] for pd in self._psi])
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
@@ -485,22 +503,9 @@ class CutoffSweep:
         return fourier.hs_profile_rows(self.G, *fourier.merged_atoms(nu1, nu2),
                                        self.labels)[0]
 
-    def prefix(self, values=1.0) -> np.ndarray:
-        """Prefix sums [0, r0 v0, r0 v0 + r1 v1, ...] of ratios times values.
-
-        A stack (..., n) of rows gives (..., n + 1), each row summed as
-        alone: left to right within blocks of _PREFIX_BLOCK terms, each
-        block then adding the running sum of the blocks before it.
-        """
-        terms = self.ratios * values
-        *lead, n = terms.shape
-        width = max(1, min(n, _PREFIX_BLOCK))
-        blocks = np.zeros((*lead, -(-n // width), width))
-        flat = blocks.reshape(*lead, -1)
-        flat[..., :n] = terms
-        np.cumsum(blocks, axis=-1, out=blocks)
-        blocks[..., 1:, :] += np.cumsum(blocks[..., :-1, -1:], axis=-2)
-        return np.concatenate((np.zeros((*lead, 1)), flat[..., :n]), axis=-1)
+    def prefix(self, values) -> np.ndarray:
+        """_prefix_sums of an exact sweep's ratios times values."""
+        return _prefix_sums(self.ratios * values)
 
     def totals(self, cum: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Totals at every grid point from prefix sums cum (..., n + 1), and
@@ -532,7 +537,7 @@ class CutoffSweep:
         phi is about ten operations, 10u.  sqrt, product and sum add 3u.
 
         A relaxed Fourier sum is q^2 times a prefix of n terms d^2/kappa,
-        each within u.  prefix sums within blocks of B = _PREFIX_BLOCK and
+        each within u.  _prefix_sums sums within blocks of B = _PREFIX_BLOCK and
         adds the running sum of the earlier block totals, so a term passes
         through at most B - 1 additions in its block, ceil(n/B) - 1 in the
         running sum and one where the two meet.  A sum of nonnegative terms

@@ -14,10 +14,10 @@ Euler factorization ``q = exp(a e3) exp(b e2) exp(c e3)`` and one
 eigendecomposition of the e2 generator per spin (the eigenvalue method for
 Wigner-d matrices, Risbo 1996; Feng, Wang, Yang & Jin 2015).
 
-Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.  On
-su2/so3 the character of the d-dimensional irrep is U_{d-1}(cos(theta/2)),
-from the three-term Chebyshev recurrence.  Functions of many irreps take
-the label rows of groups.spectral_data, the others one groups.Irrep.
+Torus irreps are the characters ``exp(2*pi*i m.x)`` as 1x1 blocks.
+Functions of many irreps take the label rows of groups.spectral_data, the
+others one groups.Irrep.  The routes that check these, among them
+characters, Weyl quadrature and derived representations, are in oracles.
 measure_transforms gives a measure's Fourier blocks at many irreps as
 plain complex (d, d) arrays, whose norms are numpy's (np.linalg.norm), and
 measure_transform is its one-irrep call.  On su2/so3 every block of one
@@ -147,24 +147,19 @@ def product_measure(G: groups.GroupDescriptor, nu1: DiscreteMeasure,
 # irreducible matrices
 
 
-def _spin_ladder(two_j: int) -> np.ndarray:
-    """Real ladder L with L[k+1, k] = sqrt((2j - k)(k + 1))."""
-    k = np.arange(two_j)
-    L = np.zeros((two_j + 1, two_j + 1))
-    L[k + 1, k] = np.sqrt((two_j - k) * (k + 1.0))
-    return L
-
-
 @lru_cache(maxsize=256)
 def _jy_eigenbasis(two_j: int):
     """Weights m = k - j and eigenvectors V of -i A2 for one spin.
 
-    ``A2 = derived_rep(e2)`` is real and skew-symmetric, so ``-i A2`` is
-    Hermitian.  It is conjugate to the e3 generator ``diag(m)`` by a
-    rotation, so its eigenvalues are exactly the weights, in the ascending
-    order eigh returns, and ``expm(beta A2) = V diag(exp(i beta m)) V^*``.
+    The e2 generator A2 = (L - L^T) / 2, L[k+1, k] = sqrt((2j - k)(k + 1)),
+    is real and skew-symmetric, so ``-i A2`` is Hermitian.  It is conjugate
+    to the e3 generator ``diag(m)`` by a rotation, so its eigenvalues are
+    exactly the weights, in the ascending order eigh returns, and
+    ``expm(beta A2) = V diag(exp(i beta m)) V^*``.
     """
-    L = _spin_ladder(two_j)
+    k = np.arange(two_j)
+    L = np.zeros((two_j + 1, two_j + 1))
+    L[k + 1, k] = np.sqrt((two_j - k) * (k + 1.0))
     V = np.linalg.eigh(-0.5j * (L - L.T))[1]
     return np.arange(two_j + 1) - two_j / 2.0, V
 
@@ -191,7 +186,8 @@ def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if groups.torus_dim(G.group_id) is not None:
-        return characters(G, irrep, X).reshape(-1, 1, 1)
+        m = np.asarray(irrep.label, dtype=float)
+        return np.exp(2j * np.pi * (X @ m)).reshape(-1, 1, 1)
     a, b, c = _euler_angles(X)
     m, V = _jy_eigenbasis(irrep.dim - 1)
     n, d = X.shape[0], irrep.dim
@@ -200,22 +196,6 @@ def irrep_matrices(G: groups.GroupDescriptor, irrep: groups.Irrep,
     D *= np.exp(1j * a[:, None] * m[None, :])[:, :, None]
     D *= np.exp(1j * c[:, None] * m[None, :])[:, None, :]
     return D
-
-
-def characters(G: groups.GroupDescriptor, irrep: groups.Irrep,
-               X: np.ndarray) -> np.ndarray:
-    """Character values at a batch of elements."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d_t = groups.torus_dim(G.group_id)
-    if d_t is not None:
-        m = np.asarray(irrep.label, dtype=float)
-        return np.exp(2j * np.pi * (X @ m))
-    # U_{d-1}(cos(theta/2)) by the three-term recurrence
-    x2 = 2.0 * groups.class_cosines(G, X, groups.identity(G))[:, 0]
-    u0, u1 = np.zeros_like(x2), np.ones_like(x2)
-    for _ in range(irrep.dim - 1):
-        u0, u1 = u1, x2 * u1 - u0
-    return u1
 
 
 def measure_transform(G: groups.GroupDescriptor, nu: DiscreteMeasure,
@@ -918,120 +898,3 @@ def spectral_gap_estimate(G: groups.GroupDescriptor, nu: DiscreteMeasure,
     """
     blocks = measure_transforms(G, nu, groups.spectral_data(G, M)["label"])
     return max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0)
-
-
-# ---------------------------------------------------------------------------
-# derived representation
-
-
-def derived_rep(G: groups.GroupDescriptor, irrep: groups.Irrep,
-                X: np.ndarray) -> np.ndarray:
-    """Derivative of the irrep at the identity along algebra vector X.
-
-    Always skew-Hermitian; for X in the maximal torus direction the
-    eigenvalues are i * (weight values).
-    """
-    X = np.asarray(X, dtype=float)
-    d_t = groups.torus_dim(G.group_id)
-    if d_t is not None:
-        m = np.asarray(irrep.label, dtype=float)
-        return np.array([[2j * np.pi * float(m @ X)]])
-    two_j = irrep.dim - 1
-    L = _spin_ladder(two_j)
-    A1 = -0.5j * (L + L.T)
-    A2 = 0.5 * (L - L.T)
-    A3 = 1j * np.diag(np.arange(two_j + 1) - two_j / 2.0)
-    return X[0] * A1 + X[1] * A2 + X[2] * A3
-
-
-# ---------------------------------------------------------------------------
-# Laplacian consistency oracle
-
-_PROBE_SEED = 20240817  # fixed so the oracle is deterministic
-
-_STENCILS = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: ((-2, -1.0 / 12), (-1, 16.0 / 12), (0, -30.0 / 12), (1, 16.0 / 12), (2, -1.0 / 12)),
-}
-
-
-def casimir_residual(G: groups.GroupDescriptor, irrep: groups.Irrep, h: float,
-                     order: int = 4) -> float:
-    """Relative defect of the finite-difference Laplacian on irrep entries.
-
-    Applies a central second-difference stencil (order 2 or 4) along an
-    orthonormal basis of the Lie algebra at the identity and eight fixed
-    pseudo-random probe points, and compares against ``-casimir * matrix``.
-    Returns the worst relative Frobenius defect over the probes.
-    """
-    if order not in _STENCILS:
-        raise ValueError(f"stencil order must be one of {sorted(_STENCILS)}")
-    if irrep.casimir == 0:
-        return 0.0  # trivial irrep: constant entries, zero Laplacian exactly
-    if irrep.casimir < 0:
-        raise ValueError("negative casimir")
-    if not (h > 0):
-        raise ValueError("step h must be positive")
-    probes = np.concatenate(([groups.identity(G)], groups.haar_sample(G, _PROBE_SEED, 8)))
-    stencil = _STENCILS[order]
-    # the stencil's points along each basis vector of the algebra, in the
-    # order they are summed
-    steps = groups.exp_map(G, np.asarray(
-        [shift * h * e for e in np.eye(G.n) for shift, _ in stencil]))
-    coefs = [coef for _ in range(G.n) for _, coef in stencil]
-    worst = 0.0
-    for x, base in zip(probes, irrep_matrices(G, irrep, probes)):
-        acc = np.zeros_like(base)
-        for coef, U in zip(coefs, irrep_matrices(G, irrep, groups.multiply(G, x, steps))):
-            acc += coef * U
-        lap = acc / (h * h)
-        defect = np.linalg.norm(lap + irrep.casimir * base, "fro")
-        worst = max(worst, defect / (irrep.casimir * np.linalg.norm(base, "fro")))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# quadrature over conjugacy classes
-
-
-def weyl_quadrature(G: groups.GroupDescriptor, n_nodes: int = 2 ** 14):
-    """Nodes and weights integrating class functions exactly up to aliasing.
-
-    Returns (points, weights) with points encoded like group elements.  For
-    the torus this is a product grid over [0,1)^d; for su2/so3 it is a
-    uniform angular grid against the class density, exact for characters of
-    spin (dimension) well below ``n_nodes``.
-    """
-    d_t = groups.torus_dim(G.group_id)
-    if d_t is not None:
-        per_axis = max(2, round(n_nodes ** (1.0 / d_t)))
-        axes = [np.arange(per_axis) / per_axis] * d_t
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        return pts, w
-    n = int(n_nodes)
-    # rotation angles span [0, 4pi) on su2, where -1 is not the identity
-    span = 4.0 * np.pi if G.group_id == "su2" else 2.0 * np.pi
-    theta = span * (np.arange(n) + 0.5) / n
-    w = (2.0 / n) * np.sin(theta / 2.0) ** 2
-    pts = np.zeros((n, 4))
-    pts[:, 0] = np.cos(theta / 2.0)
-    pts[:, 3] = np.sin(theta / 2.0)
-    if G.group_id == "so3":
-        pts = groups.canonicalize(G, pts)
-    return pts, w
-
-
-def class_coefficients(G: groups.GroupDescriptor, values: np.ndarray,
-                       irreps: list, quad=None) -> np.ndarray:
-    """Inner products <f, chi_pi> of sampled class-function values."""
-    if quad is None:
-        quad = weyl_quadrature(G)
-    pts, w = quad
-    values = np.asarray(values)
-    out = np.empty(len(irreps), dtype=complex)
-    for i, p in enumerate(irreps):
-        chi = characters(G, p, pts)
-        out[i] = pairwise_sum(w * values * np.conj(chi))
-    return out

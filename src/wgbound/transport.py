@@ -5,14 +5,12 @@ when both sides have equal weights and the larger size is a multiple of
 the smaller, and by the HiGHS LP otherwise; both routes return a coupling
 with dual potentials that pass one certificate (duality gap, dual
 feasibility, marginals).  Also a log-domain entropic solver with feasible
-rounding, the circle closed form, semi-discrete Haar estimation, and
-Voronoi quantization.
+rounding and the circle closed form; Monte Carlo estimates are in oracles.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +22,6 @@ from .fourier import DiscreteMeasure
 from .groups import GroupDescriptor
 
 _SIZE_LIMIT = 10 ** 6
-# distances per block of voronoi_quantization: 16 MB of float64
-_BLOCK_ENTRIES = 1 << 21
 GAP_TOL = 1e-9
 MARGINAL_TOL = 1e-10
 
@@ -299,104 +295,3 @@ def circle_w1(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> float:
     cw = np.cumsum(l)
     median = v[np.searchsorted(cw, 0.5 * cw[-1])]
     return float(np.abs(vals - median) @ lens)
-
-
-@dataclass(frozen=True)
-class HaarDistanceEstimate:
-    """Monte Carlo estimate of the distance from a measure to Haar.
-
-    Biased upward by roughly the empirical Haar sample's own distance to
-    Haar, of scale g(n_samples^(-1/dim)); the band is [min, max] over reps.
-    """
-
-    estimate: float
-    band: Tuple[float, float]
-    values: Tuple[float, ...]
-    n_samples: int
-    n_reps: int
-
-    def as_json_dict(self) -> dict:
-        return {"estimate": self.estimate, "band": list(self.band),
-                "values": list(self.values), "n_samples": self.n_samples,
-                "n_reps": self.n_reps}
-
-
-def haar_oracle_distance(G: GroupDescriptor, g, nu: DiscreteMeasure,
-                         n_samples: int, n_reps: int,
-                         seed: int) -> HaarDistanceEstimate:
-    """Estimate W_g(nu, Haar) by transport against empirical Haar samples."""
-    if n_samples < nu.size:
-        raise ValueError(
-            f"need n_samples >= {nu.size} atoms, got {n_samples}")
-    child_seeds = np.random.SeedSequence(seed).generate_state(n_reps)
-    costs = []
-    for s in child_seeds:
-        sample = groups.haar_sample(G, int(s), n_samples)
-        emp = DiscreteMeasure.uniform(G, sample)
-        costs.append(exact_wasserstein(G, g, nu, emp).cost)
-    costs_arr = np.asarray(costs)
-    return HaarDistanceEstimate(
-        estimate=float(costs_arr.mean()),
-        band=(float(costs_arr.min()), float(costs_arr.max())),
-        values=tuple(float(c) for c in costs_arr),
-        n_samples=n_samples, n_reps=n_reps)
-
-
-@dataclass(frozen=True)
-class QuantizationEstimate:
-    """Monte Carlo value of the optimal quantization cost on a point set."""
-
-    value: float
-    stderr: float
-    n_samples: int
-    cell_masses: Optional[np.ndarray] = None
-
-    def as_json_dict(self) -> dict:
-        out = {"value": self.value, "stderr": self.stderr,
-               "n_samples": self.n_samples}
-        if self.cell_masses is not None:
-            out["cell_masses"] = self.cell_masses.tolist()
-        return out
-
-
-def voronoi_quantization(G: GroupDescriptor, g, A, n_samples: int, seed: int,
-                         return_cell_masses: bool = False) -> QuantizationEstimate:
-    """Monte Carlo estimate of the mean cost to the nearest point of A.
-
-    This integral equals the smallest W_g distance to Haar among measures
-    supported on A, attained by weighting each atom with its Voronoi cell
-    mass.  Samples come in chunks of 2^14, one child seed each; the
-    distances of a chunk are formed in row blocks of a power of two with at
-    most _BLOCK_ENTRIES entries, which split the chunk evenly.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] == 0:
-        raise ValueError("A must be nonempty")
-    total = 0.0
-    total_sq = 0.0
-    counts = np.zeros(A.shape[0])
-    done = 0
-    chunk = 1 << 14
-    rows = 1 << max(0, (_BLOCK_ENTRIES // A.shape[0]).bit_length() - 1)
-    child_seeds = np.random.SeedSequence(seed).generate_state(
-        (n_samples + chunk - 1) // chunk)
-    for s in child_seeds:
-        take = min(chunk, n_samples - done)
-        pts = groups.haar_sample(G, int(s), take)
-        nearest = np.empty(take, dtype=np.intp)
-        best = np.empty(take)
-        for lo in range(0, take, rows):
-            dists = groups.pairwise_distance(G, pts[lo:lo + rows], A)
-            nearest[lo:lo + rows] = dists.argmin(axis=1)
-            best[lo:lo + rows] = dists.min(axis=1)
-        vals = np.asarray(g(best), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        np.add.at(counts, nearest, 1.0)
-        done += take
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    stderr = math.sqrt(var / n_samples)
-    masses = counts / n_samples if return_cell_masses else None
-    return QuantizationEstimate(value=mean, stderr=stderr,
-                                n_samples=n_samples, cell_masses=masses)

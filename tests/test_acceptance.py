@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from wgbound import bound, fourier, groups, smoothing, transport, walks
+from wgbound import bound, fourier, groups, oracles, smoothing, transport, walks
 
 from conftest import harmonic_block, random_measure
 
@@ -110,13 +110,13 @@ def test_04_representation_theory_oracles():
                     else abs(p.label[0]) <= 6)]
         assert reps
         for p in reps:
-            assert fourier.casimir_residual(G, p, h=1e-3) <= 1e-5, p.label
+            assert oracles.casimir_residual(G, p, h=1e-3) <= 1e-5, p.label
     # character orthonormality under the class quadrature
     for gid in ("torus(1)", "torus(2)", "torus(3)", "su2", "so3"):
         G = groups.descriptor(gid)
-        pts, w = fourier.weyl_quadrature(G, 2 ** 14)
+        pts, w = oracles.weyl_quadrature(G, 2 ** 14)
         reps = groups.enumerate_irreps(G, 5.0, include_trivial=True)[:4]
-        chars = [fourier.characters(G, p, pts) for p in reps]
+        chars = [oracles.characters(G, p, pts) for p in reps]
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
                 val = np.sum(w * ci * np.conj(cj))
@@ -127,10 +127,10 @@ def test_04_representation_theory_oracles():
                                        else 30.0)
         rng = np.random.default_rng(404)
         b = rng.normal(size=len(reps))
-        pts, w = fourier.weyl_quadrature(G, 2 ** 14)
+        pts, w = oracles.weyl_quadrature(G, 2 ** 14)
         f = np.zeros(len(pts), dtype=complex)
         for coef, p in zip(b, reps):
-            f += coef * fourier.characters(G, p, pts)
+            f += coef * oracles.characters(G, p, pts)
         l2 = float(np.real(np.sum(w * np.abs(f) ** 2)))
         assert abs(l2 - float(np.sum(b ** 2))) <= 1e-8, G.group_id
 
@@ -148,7 +148,7 @@ def test_05_derived_rep_lemma_suite():
         lam = p.weight_norm
         eye = np.eye(p.dim)
         # operator norm of the derived representation
-        D = fourier.derived_rep(G, p, X)
+        D = oracles.derived_rep(G, p, X)
         assert np.linalg.norm(D, 2) <= lam * np.linalg.norm(X) + 1e-8
         # first-order Taylor remainder of the one-parameter subgroup
         U = fourier.irrep_matrices(G, p, groups.exp_map(G, u * X)[None, :])[0]
@@ -166,7 +166,7 @@ def test_05_derived_rep_lemma_suite():
 
 def test_06_fourier_decay_budget():
     # spectral-sum dominance for the clipped-distance power function
-    pts, w = fourier.weyl_quadrature(G_SU2, 2 ** 14)
+    pts, w = oracles.weyl_quadrature(G_SU2, 2 ** 14)
     e = np.array([[1.0, 0.0, 0.0, 0.0]])
     dist = groups.pairwise_distance(G_SU2, pts, e)[:, 0]
     for p_exp in (0.5, 1.0):
@@ -174,7 +174,7 @@ def test_06_fourier_decay_budget():
         f = np.minimum(dist, 1.0) ** p_exp
         for M in (2.0, 5.0, 10.0):
             reps = groups.enumerate_irreps(G_SU2, M)
-            coefs = fourier.class_coefficients(G_SU2, f, reps, quad=(pts, w))
+            coefs = oracles.class_coefficients(G_SU2, f, reps, quad=(pts, w))
             lhs = float(np.sum([p.casimir * abs(c) ** 2
                                 for p, c in zip(reps, coefs)]))
             budget = bound.fourier_decay_budget(3, g, M)
@@ -205,7 +205,7 @@ def test_07_rate_slopes():
     values = []
     for N in sizes:
         A = groups.haar_sample(G_SO3, 555_000 + N, N)
-        values.append(transport.voronoi_quantization(
+        values.append(oracles.voronoi_quantization(
             G_SO3, LINEAR, A, 2 ** 15, seed=9_000 + N).value)
     slope_b = _log_slope(sizes, values)
     assert -0.45 <= slope_b <= -0.22, slope_b

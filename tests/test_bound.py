@@ -1,5 +1,6 @@
 """Moduli of continuity, psi/phi, the main bound, and gap-based variants."""
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath as mp
@@ -542,11 +543,13 @@ class TestGapBounds:
         # its cuts; neither rebuilds it, and the sums are those of a fresh
         # prefix, bit for bit
         sweep = bound.CutoffSweep(groups.descriptor("so3"), LINEAR, relaxed=True)
-        fresh = sweep.prefix()
+        sd = groups.spectral_data(sweep.G, float(sweep.grid[-1]))
+        fresh = bound._prefix_sums(sd["dim"] ** 2 / sd["casimir"])
         assert np.array_equal(sweep.gap_prefix, fresh[sweep.cuts])
         calls = []
         monkeypatch.setattr(bound.CutoffSweep, "prefix",
                             lambda self, *args: calls.append(args))
+        monkeypatch.setattr(bound, "_prefix_sums", lambda *args: calls.append(args))
         for q in (0.9, 0.5, 0.1):
             m, rep = sweep.best(q=q)
             k = int(sweep.cuts[list(sweep.grid).index(m)])
@@ -554,6 +557,20 @@ class TestGapBounds:
             assert sweep.report(0, q=q).fourier_sum == \
                 q * q * float(fresh[sweep.cuts[0]])
         assert calls == []
+
+    def test_relaxed_sweep_keeps_no_spectrum(self):
+        # a relaxed sweep keeps its d^2/kappa prefix sums at the cuts only,
+        # not the label rows and ratios of torus(2)'s gap grid (7.3 MB)
+        G = groups.descriptor("torus(2)")
+        bound.CutoffSweep(G, LINEAR, relaxed=True)  # warms the psi tables
+        tracemalloc.start()
+        try:
+            sweep = bound.CutoffSweep(G, LINEAR, relaxed=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sweep.gap_prefix.size == sweep.grid.size
+        assert held < 1e6
 
     def test_stacked_rows_match_single_rows(self):
         # prefix, totals and gap_totals of a stack equal row-by-row calls
@@ -583,12 +600,14 @@ class TestGapBounds:
         # cumulative sum drifts by about 1e-11 there
         sweep = bound.CutoffSweep(groups.descriptor("torus(3)"), LINEAR,
                                   relaxed=True)
-        n, block = sweep.ratios.size, bound._PREFIX_BLOCK
+        sd = groups.spectral_data(sweep.G, float(sweep.grid[-1]))
+        ratios = sd["dim"] ** 2 / sd["casimir"]
+        n, block = ratios.size, bound._PREFIX_BLOCK
         assert n == 2110866
         bound_rel = gamma(block - 1 + -(-n // block))
-        got = sweep.prefix()[sweep.cuts]
+        got = bound._prefix_sums(ratios)[sweep.cuts]
         assert np.array_equal(got, sweep.gap_prefix)
-        terms, segments, lo = sweep.ratios.tolist(), [], 0
+        terms, segments, lo = ratios.tolist(), [], 0
         for c, value in zip(sweep.cuts.tolist(), got):
             segments.append(math.fsum(terms[lo:c]))
             lo = c

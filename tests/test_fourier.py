@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_chebyu
 
-from wgbound import fourier, groups
+from wgbound import fourier, groups, oracles
 from wgbound._util import pairwise_sum
 
 from conftest import longdouble_profile, random_measure
@@ -78,7 +78,7 @@ def test_irrep_matrix_is_exponential_of_derived_rep(gid, M):
     us = (0.3, 1.2)
     pts = groups.exp_map(G, np.multiply.outer(us, X))
     for p in reps:
-        D = fourier.derived_rep(G, p, X)
+        D = oracles.derived_rep(G, p, X)
         for u, U in zip(us, fourier.irrep_matrices(G, p, pts)):
             assert np.linalg.norm(U - expm(u * D)) < 1e-9
 
@@ -124,7 +124,7 @@ def test_degenerate_euler_inputs(gid):
         Uq = fourier.irrep_matrices(G, p, qs)
         Uqh = fourier.irrep_matrices(G, p, groups.multiply(G, qs, h))
         for (u, n), U, Ux in zip(cases, Uq, Uqh):
-            R = expm(u * fourier.derived_rep(G, p, n))
+            R = expm(u * oracles.derived_rep(G, p, n))
             assert np.max(np.abs(U - R)) < 1e-12
             assert np.max(np.abs(Ux - U @ Uh)) < 1e-12
         if gid == "su2":
@@ -150,7 +150,7 @@ def test_character_closed_form_and_class_invariance(gid, M):
     conj = groups.multiply(G, groups.multiply(G, y, x), groups.inverse(G, y))
     pts = np.stack([x, conj, groups.identity(G)])
     for p in reps:
-        chi, chi_conj, chi_e = fourier.characters(G, p, pts)
+        chi, chi_conj, chi_e = oracles.characters(G, p, pts)
         assert chi == pytest.approx(
             np.trace(fourier.irrep_matrices(G, p, pts[:1])[0]), abs=1e-9)
         assert chi_conj == pytest.approx(chi, abs=1e-10)
@@ -168,7 +168,7 @@ def test_characters_match_scipy_chebyshev(gid):
                                                          [0.0, 0, 0, 1]]))])
     cos_half = groups.class_cosines(G, X, groups.identity(G))[:, 0]
     for p in groups.enumerate_irreps(G, 200.0, include_trivial=True)[::7]:
-        assert fourier.characters(G, p, X).tolist() \
+        assert oracles.characters(G, p, X).tolist() \
             == eval_chebyu(p.dim - 1, cos_half).tolist(), p.label
 
 
@@ -552,12 +552,12 @@ def test_derived_rep_structure(rank_one_group):
     rng = np.random.default_rng(10)
     for p in groups.enumerate_irreps(G, 4.0):
         X = rng.normal(size=3)
-        D = fourier.derived_rep(G, p, X)
+        D = oracles.derived_rep(G, p, X)
         assert np.linalg.norm(D + D.conj().T) < 1e-9
-        np.testing.assert_allclose(fourier.derived_rep(G, p, np.zeros(3)),
+        np.testing.assert_allclose(oracles.derived_rep(G, p, np.zeros(3)),
                                    np.zeros((p.dim, p.dim)), atol=1e-15)
         # torus direction: eigenvalues i*mu over the weight multiset
-        D3 = fourier.derived_rep(G, p, np.array([0.0, 0.0, 1.0]))
+        D3 = oracles.derived_rep(G, p, np.array([0.0, 0.0, 1.0]))
         eig = np.sort(np.linalg.eigvals(D3).imag)
         expected = np.sort([mu[0] for mu in p.weights])
         np.testing.assert_allclose(eig, expected, atol=1e-10)
@@ -567,7 +567,7 @@ def test_derived_rep_structure(rank_one_group):
 def test_derived_rep_torus_exact():
     G = groups.descriptor("torus(2)")
     p = next(r for r in groups.enumerate_irreps(G, 15.0) if r.label == (1, -2))
-    D = fourier.derived_rep(G, p, np.array([0.4, 0.1]))
+    D = oracles.derived_rep(G, p, np.array([0.4, 0.1]))
     assert D[0, 0] == pytest.approx(2j * np.pi * (0.4 - 0.2), abs=1e-15)
 
 
@@ -576,7 +576,7 @@ def test_sugiura_operator_norm_bound(rank_one_group):
     for p in groups.enumerate_irreps(rank_one_group, 4.0):
         for _ in range(20):
             X = rng.normal(size=3)
-            D = fourier.derived_rep(rank_one_group, p, X)
+            D = oracles.derived_rep(rank_one_group, p, X)
             assert np.linalg.norm(D, 2) \
                 <= p.weight_norm * np.linalg.norm(X) + 1e-8
 
@@ -590,7 +590,7 @@ def test_first_order_taylor_bound(rank_one_group):
             X /= np.linalg.norm(X)
             u = rng.uniform(-1.0, 1.0)
             U = fourier.irrep_matrices(G, p, groups.exp_map(G, u * X)[None, :])[0]
-            D = fourier.derived_rep(G, p, X)
+            D = oracles.derived_rep(G, p, X)
             lhs = np.linalg.norm(U - np.eye(p.dim) - u * D, 2)
             assert lhs <= 0.5 * u * u * np.linalg.norm(D, 2) ** 2 + 1e-9
 
@@ -613,20 +613,20 @@ def test_laplace_identity_error_bound(rank_one_group):
 
 
 def test_weyl_quadrature_constants(any_group):
-    pts, w = fourier.weyl_quadrature(any_group, 4096)
+    pts, w = oracles.weyl_quadrature(any_group, 4096)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     for p in groups.enumerate_irreps(any_group, 5.0):
-        chi = fourier.characters(any_group, p, pts)
+        chi = oracles.characters(any_group, p, pts)
         assert abs(pairwise_sum(w * chi)) < 1e-9  # nontrivial chars integrate to 0
 
 
 def test_character_orthogonality(any_group):
-    pts, w = fourier.weyl_quadrature(any_group, 4096)
+    pts, w = oracles.weyl_quadrature(any_group, 4096)
     reps = groups.enumerate_irreps(any_group, 5.0, include_trivial=True)[:4]
     for i, p in enumerate(reps):
-        chi_p = fourier.characters(any_group, p, pts)
+        chi_p = oracles.characters(any_group, p, pts)
         for q in reps[i:]:
-            chi_q = fourier.characters(any_group, q, pts)
+            chi_q = oracles.characters(any_group, q, pts)
             val = pairwise_sum(w * chi_p * np.conj(chi_q))
             assert abs(val - (1.0 if p is q else 0.0)) < 1e-8
 
@@ -636,13 +636,13 @@ def test_parseval_band_limited(rank_one_group):
     reps = groups.enumerate_irreps(G, 4.0)
     rng = np.random.default_rng(50)
     b = rng.normal(size=len(reps))
-    pts, w = fourier.weyl_quadrature(G, 2 ** 14)
+    pts, w = oracles.weyl_quadrature(G, 2 ** 14)
     f = np.zeros(len(pts), dtype=complex)
     for coef, p in zip(b, reps):
-        f += coef * fourier.characters(G, p, pts)
+        f += coef * oracles.characters(G, p, pts)
     l2 = float(np.real(pairwise_sum(w * np.abs(f) ** 2)))
     assert l2 == pytest.approx(float(np.sum(b ** 2)), abs=1e-8)
-    coefs = fourier.class_coefficients(G, f, reps, quad=(pts, w))
+    coefs = oracles.class_coefficients(G, f, reps, quad=(pts, w))
     np.testing.assert_allclose(coefs.real, b, atol=1e-8)
     np.testing.assert_allclose(coefs.imag, np.zeros_like(b), atol=1e-8)
 
@@ -653,7 +653,7 @@ def test_translation_energy_below_squared_modulus():
     G = groups.descriptor("su2")
     reps = groups.enumerate_irreps(G, 2.5)
     b = np.array([0.6, -0.3, 0.2, 0.1])
-    pts, w = fourier.weyl_quadrature(G, 2 ** 12)
+    pts, w = oracles.weyl_quadrature(G, 2 ** 12)
     rng = np.random.default_rng(61)
     X = rng.normal(size=3)
     X /= np.linalg.norm(X)
@@ -669,8 +669,8 @@ def test_translation_energy_below_squared_modulus():
         fx = np.zeros(len(xs), dtype=complex)
         fxh = np.zeros(len(xs), dtype=complex)
         for coef, p in zip(b, reps):
-            fx += coef * fourier.characters(G, p, xs)
-            fxh += coef * fourier.characters(G, p, xh)
+            fx += coef * oracles.characters(G, p, xs)
+            fxh += coef * oracles.characters(G, p, xh)
         sup = float(np.max(np.abs(fxh - fx)))
         # sampled sup slightly underestimates the true one; 1% headroom
         assert lhs <= (1.01 * sup) ** 2 + 1e-10

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 import wgbound
-from wgbound import bound, fourier, groups, smoothing
+from wgbound import bound, groups, oracles, smoothing
 from wgbound._util import SolverError, pairwise_sum
 
 
@@ -339,7 +339,7 @@ def test_smoothing_approximation_property(rank_one_group):
     g = bound.ModulusOfContinuity.power(1.0)
     M = 12.0
     kc = smoothing.kernel_coefficients(G, M)
-    pts, w = fourier.weyl_quadrature(G, 2 ** 14)
+    pts, w = oracles.weyl_quadrature(G, 2 ** 14)
     e = groups.identity(G)
     dist = groups.pairwise_distance(G, e, pts[:: len(pts) // 512])[0]
     sample = pts[:: len(pts) // 512]
@@ -347,11 +347,11 @@ def test_smoothing_approximation_property(rank_one_group):
         2.0 * np.arccos(np.clip(np.abs(pts[:, 0]) if G.group_id == "so3"
                                 else pts[:, 0], -1.0, 1.0)), 1.0)
     reps = groups.enumerate_irreps(G, M, include_trivial=True)
-    coefs = fourier.class_coefficients(G, f_all, reps, quad=(pts, w))
+    coefs = oracles.class_coefficients(G, f_all, reps, quad=(pts, w))
     f_on_sample = np.minimum(dist, 1.0)
     smooth = np.zeros(len(sample), dtype=complex)
     for c, p in zip(coefs, reps):
-        chi = fourier.characters(G, p, sample)
+        chi = oracles.characters(G, p, sample)
         smooth += c * (kc.coeffs[p] / p.dim) * chi
     sup_dev = float(np.max(np.abs(smooth.real - f_on_sample)))
     psi_val = bound.psi(G, g, M)
@@ -397,11 +397,11 @@ def test_budget_dominates_band_energy_small():
     G = groups.descriptor("su2")
     p_exp = 0.5
     g = bound.ModulusOfContinuity.power(p_exp)
-    pts, w = fourier.weyl_quadrature(G, 2 ** 13)
+    pts, w = oracles.weyl_quadrature(G, 2 ** 13)
     theta = 2.0 * np.arccos(np.clip(pts[:, 0], -1.0, 1.0))
     f = np.minimum(theta, 1.0) ** p_exp
     M = 5.0
     reps = groups.enumerate_irreps(G, M)
-    coefs = fourier.class_coefficients(G, f, reps, quad=(pts, w))
+    coefs = oracles.class_coefficients(G, f, reps, quad=(pts, w))
     lhs = float(sum(p.casimir * abs(c) ** 2 for c, p in zip(coefs, reps)))
     assert lhs <= bound.fourier_decay_budget(3, g, M)

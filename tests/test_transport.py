@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from wgbound import bound, fourier, groups, transport
+from wgbound import bound, fourier, groups, oracles, transport
 from wgbound._util import SolverError
 
 from conftest import random_measure
@@ -330,7 +330,7 @@ class TestHaarOracle:
     def test_zero_modulus(self):
         g0 = bound.ModulusOfContinuity.table([1.0], [0.0])
         nu = random_measure(G_SU2, 3, 50)
-        est = transport.haar_oracle_distance(G_SU2, g0, nu, 8, 4, seed=1)
+        est = oracles.haar_oracle_distance(G_SU2, g0, nu, 8, 4, seed=1)
         assert est.estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_band_shrinks_with_reps(self):
@@ -339,8 +339,8 @@ class TestHaarOracle:
         for reps in (16, 64):
             med = []
             for s in (0, 1, 2):
-                est = transport.haar_oracle_distance(G_SU2, LINEAR, nu, 8,
-                                                     reps, seed=s)
+                est = oracles.haar_oracle_distance(G_SU2, LINEAR, nu, 8,
+                                                   reps, seed=s)
                 med.append(est.band[1] - est.band[0])
             widths[reps] = float(np.median(med))
         assert widths[64] >= widths[16]  # more reps widen min/max envelopes
@@ -351,48 +351,48 @@ class TestHaarOracle:
         n_samples = 32
         atoms = groups.haar_sample(G_SU2, 77, n_samples)
         nu = fourier.DiscreteMeasure.uniform(G_SU2, atoms)
-        est = transport.haar_oracle_distance(G_SU2, LINEAR, nu, n_samples,
-                                             8, seed=3)
+        est = oracles.haar_oracle_distance(G_SU2, LINEAR, nu, n_samples,
+                                           8, seed=3)
         scale = float(n_samples ** (-1.0 / 3.0))
         assert 0.5 * scale < est.estimate < 8.0 * scale
 
     def test_sample_size_validation(self):
         nu = random_measure(G_SU2, 9, 52)
         with pytest.raises(ValueError, match="n_samples"):
-            transport.haar_oracle_distance(G_SU2, LINEAR, nu, 4, 2, seed=0)
+            oracles.haar_oracle_distance(G_SU2, LINEAR, nu, 4, 2, seed=0)
 
 
 class TestVoronoiQuantization:
     def test_decreases_with_denser_sets(self):
         small = groups.haar_sample(G_SU2, 60, 128)
         dense = groups.haar_sample(G_SU2, 60, 1024)
-        v_small = transport.voronoi_quantization(G_SU2, LINEAR, small,
-                                                 2 ** 13, seed=9).value
-        v_dense = transport.voronoi_quantization(G_SU2, LINEAR, dense,
-                                                 2 ** 13, seed=9).value
+        v_small = oracles.voronoi_quantization(G_SU2, LINEAR, small,
+                                               2 ** 13, seed=9).value
+        v_dense = oracles.voronoi_quantization(G_SU2, LINEAR, dense,
+                                               2 ** 13, seed=9).value
         assert v_dense < v_small
 
     def test_weighted_measure_consistency(self):
         G = groups.descriptor("so3")
         A = groups.haar_sample(G, 61, 12)
-        est = transport.voronoi_quantization(G, LINEAR, A, 2 ** 13, seed=10,
-                                             return_cell_masses=True)
+        est = oracles.voronoi_quantization(G, LINEAR, A, 2 ** 13, seed=10,
+                                           return_cell_masses=True)
         assert est.cell_masses is not None
         assert est.cell_masses.sum() == pytest.approx(1.0, abs=1e-12)
         nu = fourier.DiscreteMeasure(G.group_id, A, est.cell_masses)
-        oracle = transport.haar_oracle_distance(G, LINEAR, nu, 64, 4, seed=11)
+        oracle = oracles.haar_oracle_distance(G, LINEAR, nu, 64, 4, seed=11)
         assert oracle.estimate >= est.value - 3.0 * est.stderr
 
     def test_stderr_reported(self):
         A = groups.haar_sample(G_SU2, 62, 6)
-        est = transport.voronoi_quantization(G_SU2, LINEAR, A, 2 ** 12, seed=12)
+        est = oracles.voronoi_quantization(G_SU2, LINEAR, A, 2 ** 12, seed=12)
         assert est.value > 0 and 0 < est.stderr < est.value
         assert est.n_samples == 2 ** 12
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            transport.voronoi_quantization(G_SU2, LINEAR, np.zeros((0, 4)),
-                                           64, seed=0)
+            oracles.voronoi_quantization(G_SU2, LINEAR, np.zeros((0, 4)),
+                                         64, seed=0)
 
     def test_row_blocks_match_full_matrix(self, monkeypatch):
         # 64-row blocks against one distance matrix per chunk of 2^14
@@ -400,9 +400,9 @@ class TestVoronoiQuantization:
         G = groups.descriptor("so3")
         A = groups.haar_sample(G, 63, 40)
         n = 20000
-        monkeypatch.setattr(transport, "_BLOCK_ENTRIES", 100 * A.shape[0])
-        est = transport.voronoi_quantization(G, LINEAR, A, n, seed=13,
-                                             return_cell_masses=True)
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 100 * A.shape[0])
+        est = oracles.voronoi_quantization(G, LINEAR, A, n, seed=13,
+                                           return_cell_masses=True)
         seeds = np.random.SeedSequence(13).generate_state(2)
         pts = [groups.haar_sample(G, int(s), k) for s, k in zip(seeds, (1 << 14, n - (1 << 14)))]
         dists = [groups.pairwise_distance(G, x, A) for x in pts]

@@ -17,7 +17,8 @@ byte-identical, failure records included.  Where artifacts differ it lists
 JSON keys or CSV columns found on one side only, cells that changed and are
 not numbers, and for every numeric field the largest move next to the B
 artifact's own ``tolerances``.  List entries are folded into one field ([]
-in the name); differing failure records are printed whole.
+in the name); differing failure records are printed whole.  It exits 1
+when any artifact differs or is missing on either side, and 0 otherwise.
 
 The script needs only the standard library and what wgbound needs; wgbound
 does not import it.
@@ -326,7 +327,7 @@ def compare(a: str, b: str) -> int:
         for ln in _compare_one(pa, pb):
             print(ln)
     print(f"{same} of {len(names)} artifacts byte-identical")
-    return 0
+    return 0 if same == len(names) else 1
 
 
 def main(argv=None) -> int:
