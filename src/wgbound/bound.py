@@ -36,7 +36,10 @@ class ModulusOfContinuity:
     """Nondecreasing subadditive cost profile g with g(0+) = 0.
 
     Two kinds: exact powers t^p with 0 < p <= 1, and piecewise-linear
-    tables through the origin, constant beyond the last knot.
+    tables through the origin, constant beyond the last knot.  Two moduli
+    are equal, and hash alike, when they have the same kind and the same
+    p, or the same knots and values bit for bit; a table's knots and values
+    are read-only copies, so that key cannot go stale.
     """
 
     def __init__(self, kind: str, p: Optional[float] = None,
@@ -48,8 +51,8 @@ class ModulusOfContinuity:
             self.p = float(p)
             self.knots = self.values = None
         elif kind == "table":
-            knots = np.asarray(knots, dtype=float)
-            values = np.asarray(values, dtype=float)
+            knots = np.array(knots, dtype=float)
+            values = np.array(values, dtype=float)
             if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
                 raise ValueError("table modulus needs matching 1-d knots/values")
             if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
@@ -62,6 +65,7 @@ class ModulusOfContinuity:
             self.knots = knots
             self.values = values
             self._validate_subadditive()
+            knots.flags.writeable = values.flags.writeable = False
         else:
             raise ValueError(f"unknown modulus kind {kind!r}")
 
@@ -106,6 +110,19 @@ class ModulusOfContinuity:
         if self.kind == "power":
             return 1.0 if self.p == 1.0 else None
         return float(self.values[0] / self.knots[0])
+
+    def _key(self) -> tuple:
+        if self.kind == "power":
+            return ("power", self.p)
+        return ("table", self.knots.tobytes(), self.values.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, ModulusOfContinuity):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def descriptor(self) -> str:
         if self.kind == "power":
@@ -252,25 +269,37 @@ def _weighted_sums(x: np.ndarray, w: np.ndarray, g, m0s) -> list:
                                                  / degrees[lo:lo + 8]))]
 
 
+@lru_cache(maxsize=32)
+def _psi_memo(group_id: str, profile_id: str, g) -> dict:
+    """The psi details evaluated so far for one (group, profile, modulus), by m0."""
+    return {}
+
+
 def _psi_details(G: GroupDescriptor, g, ts, profile_id: str) -> list:
     """psi_detailed at every cutoff in ts.
 
-    Each table is summed once for all of them: pairwise_sum reduces every
-    column on its own, so each entry equals a one-cutoff call bit for bit.
+    psi depends on a cutoff t only through its kernel degree m0, so the
+    details are memoised per (group, profile, modulus) and m0; a modulus
+    keys its memo by content (ModulusOfContinuity.__eq__).  The degrees the
+    memo lacks are evaluated in one pass, each table summed once for all of
+    them: pairwise_sum reduces every column on its own, so each entry
+    equals a one-cutoff call bit for bit, whatever else was asked before.
+    Every entry is a fresh dict.
     """
     for t in ts:
         if t < G.admissibility_threshold:
             raise ValueError(
                 f"t={t} below admissibility threshold {G.admissibility_threshold}")
     m0s = [kernel_degree(G, t) for t in ts]
+    memo = _psi_memo(G.group_id, profile_id, g)
+    new = sorted(set(m0s).difference(memo))
     tables = _psi_nodes(G.group_id, profile_id)
     r, R, A, a_f, tf = tables["meta"]
-    mains, coarse, charges = (_weighted_sums(*tables[tag], g, m0s)
+    mains, coarse, charges = (_weighted_sums(*tables[tag], g, new)
                               for tag in ("fine", "coarse", "charge"))
     # tail beyond radius R: |F(a_f x)| <= C_k/(a_f x)^k and g(s) <= g(1)(s+1)
     g1 = float(np.asarray(g(1.0), dtype=float))
-    out = []
-    for m0, main, c, charge in zip(m0s, mains, coarse, charges):
+    for m0, main, c, charge in zip(new, mains, coarse, charges):
         tail = math.inf
         for k in smoothing._TAIL_ORDERS:
             if k - r - 1 <= 0:
@@ -281,15 +310,15 @@ def _psi_details(G: GroupDescriptor, g, ts, profile_id: str) -> list:
             tail = min(tail, val)
         if not math.isfinite(tail):
             raise RuntimeError("no valid tail majorant order")
-        out.append({
+        memo[m0] = {
             "value": main + tail,
             "main": main,
             "tail": tail,
             "quad_error": abs(main - c) + charge,
             "tail_warning": bool(main > 0 and tail > 0.1 * main),
             "m0": m0,
-        })
-    return out
+        }
+    return [dict(memo[m0]) for m0 in m0s]
 
 
 def psi(G: GroupDescriptor, g, t: float, profile="paper_bump") -> float:
@@ -470,7 +499,10 @@ class CutoffSweep:
     at the cuts, gap_prefix, built once here and scaled by q^2 in gap_totals
     and report, and its labels, ratios and roundoff are None.  No prefix
     over the whole spectrum is kept.  At one fixed cutoff M it is
-    CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).
+    CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).  psi
+    depends on a cutoff only through its kernel degree m0 and is memoised
+    per (group, profile, modulus) (_psi_details), so a sweep evaluates only
+    the degrees that no earlier sweep or psi call has asked for.
     """
 
     def __init__(self, G: GroupDescriptor, g, profile="paper_bump",

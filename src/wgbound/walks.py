@@ -340,7 +340,9 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     squared norm is imaginary and drops out) and, like the products'
     rounding, is not charged.  Every 8 steps each block's power is
     rechecked against the carried reference R_8j = R_8(j-1) B^8
-    (_carried_powers), and the gap trace is checked for
+    (_carried_powers); the checks of a step block are formed together, each
+    stack of eigen-route blocks of one dimension reconstructed at all of
+    its check steps in one broadcast product.  The gap trace is checked for
     submultiplicativity; either failure raises SolverError.  Each state's
     spectral_error carries the eigenvalue error bounds of _diagonalise
     through the k-th power: it bounds how far q_hat, fourier_sum and
@@ -396,10 +398,21 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
               for grp in stacks.values()]
     refs = _carried_powers([base[i] for i in pow_idx] + [s[0] for s in stacks])
 
-    def recheck(k: int, powered: list) -> float:
-        """Largest entry drift of the step-k powers from their references."""
-        got = powered + [(V * lam[:, None, :] ** k) @ Vh for _, V, Vh, lam in stacks]
-        return float(max(np.max(np.abs(a - r)) for a, r in zip(got, next(refs))))
+    def recheck(kc: np.ndarray, powered: list) -> dict:
+        """Largest entry drift of the powers at the check steps kc from their
+        references, by step; powered holds the powering route's blocks at
+        each step of kc.  Each stack is reconstructed at all of kc at once."""
+        if not kc.size:
+            return {}
+        drawn = [next(refs) for _ in kc]
+        drift = np.zeros(kc.size)
+        for j, (_, V, Vh, lam) in enumerate(stacks):
+            got = (V * lam[:, None, :] ** kc[:, None, None, None]) @ Vh
+            ref = np.stack([r[len(pow_idx) + j] for r in drawn])
+            drift = np.maximum(drift, np.max(np.abs(got - ref), axis=(1, 2, 3)))
+        for c, (blocks, r) in enumerate(zip(powered, drawn)):
+            drift[c] = max(drift[c], *(np.max(np.abs(a - b)) for a, b in zip(blocks, r)))
+        return dict(zip(kc.tolist(), drift.tolist()))
 
     states: List[WalkState] = []
     powered = [base[i] for i in pow_idx]
@@ -415,17 +428,17 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
             (pk * pk).ravel(), (starts + mods.size * np.arange(n)[:, None]).ravel()
         ).reshape(n, eig_idx.size)
         q_hat = np.max(pk, axis=1, initial=0.0)
-        if not pow_idx:
-            checks = {k: recheck(k, []) for k in steps if k % _POWER_RECHECK_EVERY == 0}
-        else:  # the powering route, step by step
-            checks = {}
+        kc = ks[ks % _POWER_RECHECK_EVERY == 0]
+        at_checks = []
+        if pow_idx:  # the powering route, step by step
             for j, k in enumerate(steps):
                 if k > 1:
                     powered = [bk @ base[i] for bk, i in zip(powered, pow_idx)]
                 q_hat[j] = max(q_hat[j], *(np.linalg.norm(bk, 2) for bk in powered))
                 hs_sq[j, pow_idx] = [np.vdot(bk, bk).real for bk in powered]
                 if k % _POWER_RECHECK_EVERY == 0:
-                    checks[k] = recheck(k, powered)
+                    at_checks.append(powered)
+        checks = recheck(kc, at_checks)
         if q1 is None:
             q1 = float(q_hat[0])
         prev = np.concatenate(([q_prev], q_hat[:-1]))

@@ -70,6 +70,27 @@ class TestModulus:
         g = bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.4])
         assert g.initial_slope() == pytest.approx(0.5)
 
+    def test_equality_is_by_content(self):
+        a = bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.4])
+        b = bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.4])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.41])
+        assert LINEAR == bound.ModulusOfContinuity.power(1)
+        assert hash(LINEAR) == hash(bound.ModulusOfContinuity.power(1))
+        assert LINEAR != bound.ModulusOfContinuity.power(0.5)
+        assert a != LINEAR and LINEAR != "power:1"
+
+    def test_table_is_read_only(self):
+        knots = np.array([0.5, 1.0])
+        g = bound.ModulusOfContinuity.table(knots, [0.25, 0.4])
+        with pytest.raises(ValueError, match="read-only"):
+            g.knots[0] = 0.4
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[1] = 0.5
+        # the caller's array is not the modulus's, and stays writable
+        knots[0] = 0.4
+        assert g.knots[0] == 0.5
+
     @given(st.floats(0.01, 1.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
     @settings(max_examples=80, deadline=None)
     def test_power_subadditive_monotone(self, p, t, u):
@@ -125,6 +146,61 @@ class TestPsi:
         assert d["tail"] >= 0 and d["quad_error"] >= 0
         assert d["m0"] == 6
         assert not d["tail_warning"]
+
+
+class TestPsiMemo:
+    @pytest.mark.parametrize("relaxed", [(False, True), (True, False)],
+                             ids=["default-first", "gap-first"])
+    def test_sweeps_read_cold_psi(self, any_group, relaxed):
+        # each memoised entry equals a psi_detailed call on an empty memo,
+        # bit for bit, whichever sweep asked for its degree first
+        bound._psi_memo.cache_clear()
+        sweeps = [bound.CutoffSweep(any_group, LINEAR, relaxed=r) for r in relaxed]
+        for sweep in sweeps:
+            for M, pd in zip(sweep.grid.tolist(), sweep._psi):
+                bound._psi_memo.cache_clear()
+                assert pd == bound.psi_detailed(any_group, LINEAR, M), M
+
+    def test_returned_dicts_are_fresh(self):
+        first = bound.psi_detailed(G_SU2, LINEAR, 9.0)
+        kept = dict(first)
+        first["value"] = first["main"] = -1.0
+        sweep = bound.CutoffSweep(G_SU2, LINEAR, "paper_bump", [9.0, 9.5])
+        sweep._psi[1]["quad_error"] = -1.0
+        assert sweep._psi[0] == kept
+        assert bound.psi_detailed(G_SU2, LINEAR, 9.5) == kept
+
+    def test_each_modulus_reads_its_own_psi(self):
+        grid = bound.default_m_grid(G_SU2)
+        half = bound.ModulusOfContinuity.power(0.5)
+        bound._psi_memo.cache_clear()
+        ones = bound.CutoffSweep(G_SU2, LINEAR, "paper_bump", grid)
+        halves = bound.CutoffSweep(G_SU2, half, "paper_bump", grid)
+        bound._psi_memo.cache_clear()
+        cold = bound.CutoffSweep(G_SU2, half, "paper_bump", grid)
+        assert np.array_equal(halves.psis, cold.psis)
+        assert np.all(halves.psis != ones.psis)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LINEAR,
+        lambda: bound.ModulusOfContinuity.table([0.5, 1.0], [0.25, 0.4])],
+        ids=["power", "equal-tables"])
+    def test_second_sweep_sums_no_column(self, monkeypatch, make):
+        columns, weighted = [], bound._weighted_sums
+
+        def spy(x, w, g, m0s):
+            columns.append(len(m0s))
+            return weighted(x, w, g, m0s)
+
+        monkeypatch.setattr(bound, "_weighted_sums", spy)
+        bound._psi_memo.cache_clear()
+        first = bound.CutoffSweep(G_SU2, make())
+        degrees = {bound.kernel_degree(G_SU2, M) for M in first.grid}
+        assert sum(columns) == 3 * len(degrees) < 3 * first.grid.size
+        columns.clear()
+        second = bound.CutoffSweep(G_SU2, make())
+        assert sum(columns) == 0
+        assert np.array_equal(first.psis, second.psis)
 
 
 # psi on the rank-one groups by routes of its own: F(X) = 2 int_0^1 eta(y)

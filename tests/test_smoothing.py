@@ -11,7 +11,7 @@ from scipy import integrate
 
 import wgbound
 from wgbound import bound, groups, oracles, smoothing
-from wgbound._util import SolverError, pairwise_sum
+from wgbound._util import SolverError
 
 
 @pytest.fixture(params=smoothing.PROFILE_IDS)

@@ -1,7 +1,6 @@
 """Exact transport (assignment and LP routes), entropic approximation, circle
 formula, estimators."""
 import itertools
-import math
 
 import numpy as np
 import pytest

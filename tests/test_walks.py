@@ -304,6 +304,32 @@ class TestSpectralEngine:
         with pytest.raises(SolverError, match="drifted .* at step 8"):
             walks.walk_evolve(G_SO3, walks.lps_generators(5).measure(), 8, 6.5)
 
+    def test_recheck_catches_drift_at_a_later_check(self, monkeypatch):
+        # a symmetric pair of small rotations about one axis: every block
+        # has the top eigenvalue 1.  That of the 3x3 block is raised so that
+        # its reconstruction drifts by 0.75 _POWER_TOL at step 8 and by
+        # twice that at step 16, the second check of the first step block
+        half = 0.005
+        nu = fourier.DiscreteMeasure.uniform(G_SO3, [
+            [math.cos(half), 0.0, 0.0, math.sin(half)],
+            [math.cos(half), 0.0, 0.0, -math.sin(half)]])
+        diagonalise = walks._diagonalise
+
+        def raised(b):
+            found = diagonalise(b)
+            if found is not None and b.shape[0] == 3:
+                lam, V, delta = found
+                i = int(np.argmax(lam))
+                assert abs(lam[i] - 1.0) < 1e-12
+                lam = lam.copy()
+                lam[i] *= 1.0 + 0.75 * walks._POWER_TOL / (8.0 * np.max(V[:, i] ** 2))
+                return lam, V, delta
+            return found
+
+        monkeypatch.setattr(walks, "_diagonalise", raised)
+        with pytest.raises(SolverError, match="drifted .* at step 16"):
+            walks.walk_evolve(G_SO3, nu, 24, 6.5)
+
     def test_recheck_catches_perturbed_powered_block(self, monkeypatch):
         # the reference of one powered block is built from that block
         # moved by 1e-6, so it disagrees with the powering route
