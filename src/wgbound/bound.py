@@ -443,7 +443,7 @@ class BoundReport:
                 "" if seed is None else seed]
 
 
-# terms per block of CutoffSweep.prefix (see CutoffSweep.tolerances)
+# terms per block of _prefix_sums (see CutoffSweep.tolerances)
 _PREFIX_BLOCK = 4096
 
 _GRID_CAPS = {"torus(1)": 1e3, "torus(2)": 400.0, "torus(3)": 200.0,
@@ -487,22 +487,20 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
 class CutoffSweep:
     """psi and phi on a sorted, admissible cutoff grid, evaluated once.
 
-    The one place where bound totals are formed.  The total at grid[i] is
-    psis[i] + phis[i] * sqrt(cum[cuts[i]]), where cum holds prefix sums of
-    the Fourier sum over the spectrum below the top of the grid and cuts[i]
-    counts that spectrum below grid[i].  An exact sweep holds labels, the
-    label rows of groups.spectral_data, and ratios, d/kappa per row, which
-    weight squared HS distances, and roundoff, the prefix sums of d/kappa
-    times fourier.hs_roundoff at the cuts, which bound the rounding of each
-    cut's Fourier sum.  A relaxed sweep (the gap corollary) uses d^2/kappa
-    scaled by q^2, on a longer grid; it keeps only its d^2/kappa prefix sums
-    at the cuts, gap_prefix, built once here and scaled by q^2 in gap_totals
-    and report, and its labels, ratios and roundoff are None.  No prefix
-    over the whole spectrum is kept.  At one fixed cutoff M it is
-    CutoffSweep(G, g, profile, [M], relaxed=True).report(0, q=q).  psi
-    depends on a cutoff only through its kernel degree m0 and is memoised
-    per (group, profile, modulus) (_psi_details), so a sweep evaluates only
-    the degrees that no earlier sweep or psi call has asked for.
+    The one place where bound totals and their argmin are formed.  A
+    caller hands it fs, the Fourier sum at each cut: fs[i] sums over the
+    spectrum below grid[i], and the total there is psis[i] + phis[i] *
+    sqrt(fs[i]).  An exact sweep forms its sums in sums, as prefix sums of
+    d/kappa times squared HS distances read at its cuts, the counts of its
+    label rows (groups.spectral_data) below each grid point.  It holds
+    labels, ratios (d/kappa per row) and roundoff, the sums of
+    fourier.hs_roundoff, which bound the rounding of each Fourier sum.  A
+    relaxed sweep (the gap corollary) uses d^2/kappa scaled by q^2, on a
+    longer grid; it keeps only gap_prefix, its d^2/kappa sums at the cuts,
+    which gap_sums scales, and its labels, ratios and roundoff are None.
+    psi depends on a cutoff only through its kernel degree m0 and is
+    memoised per (group, profile, modulus) (_psi_details), so a sweep
+    evaluates only the degrees that no earlier sweep or psi call asked for.
     """
 
     def __init__(self, G: GroupDescriptor, g, profile="paper_bump",
@@ -521,46 +519,48 @@ class CutoffSweep:
         self.cuts = np.searchsorted(sd["weight_norm"], grid, "left")
         ratios = sd["dim"] ** (2 if relaxed else 1) / sd["casimir"]
         self.labels, self.ratios = (None, None) if relaxed else (sd["label"], ratios)
-        self.roundoff = None if relaxed else self.prefix(
-            fourier.hs_roundoff(G, self.labels))[self.cuts]
+        self.roundoff = None if relaxed else self.sums(
+            fourier.hs_roundoff(G, self.labels))
         self.gap_prefix = _prefix_sums(ratios)[self.cuts] if relaxed else None
         self._psi = _psi_details(G, g, grid.tolist(), self.profile_id)
         self.psis = np.asarray([pd["value"] for pd in self._psi])
         self.phis = np.asarray([phi(G.n, g, float(M)) for M in grid])
 
-    def hs_profile(self, nu1, nu2) -> Optional[np.ndarray]:
-        """Squared HS distances over the labels; None for identical measures."""
+    def fourier_sums(self, nu1, nu2) -> Optional[np.ndarray]:
+        """sums of the squared HS distances of nu1 and nu2 (None for Haar)
+        over the labels; None for identical measures."""
         if nu2 is not None and nu1.identical_to(nu2):
             return None
-        return fourier.hs_profile_rows(self.G, *fourier.merged_atoms(nu1, nu2),
-                                       self.labels)[0]
+        return self.sums(fourier.hs_profile_rows(
+            self.G, *fourier.merged_atoms(nu1, nu2), self.labels)[0])
 
-    def prefix(self, values) -> np.ndarray:
-        """_prefix_sums of an exact sweep's ratios times values."""
-        return _prefix_sums(self.ratios * values)
+    def sums(self, values) -> np.ndarray:
+        """Fourier sums (..., grid) at the cuts of an exact sweep, from
+        nonnegative values (..., len(labels)): _prefix_sums of ratios times
+        values."""
+        return _prefix_sums(self.ratios * values)[..., self.cuts]
 
-    def totals(self, cum: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Totals at every grid point from prefix sums cum (..., n + 1), and
-        the first index of the least along the last axis."""
-        return self._totals_at(cum[..., self.cuts])
-
-    def gap_totals(self, q) -> Tuple[np.ndarray, np.ndarray]:
-        """totals of a relaxed sweep under the gap q, or a stack of gaps."""
+    def gap_sums(self, q) -> np.ndarray:
+        """Fourier sums at the cuts of a relaxed sweep under the gap q, or
+        under each of a stack of gaps: q^2 times gap_prefix."""
         q = np.asarray(q, dtype=float)[..., None]
-        return self._totals_at(q * q * self.gap_prefix)
+        return q * q * self.gap_prefix
 
-    def _totals_at(self, fs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def totals(self, fs) -> Tuple[np.ndarray, np.ndarray]:
+        """Totals at every grid point from the sums fs (..., grid) at the
+        cuts, and the first index of the least along the last axis."""
         totals = self.psis + self.phis * np.sqrt(np.maximum(fs, 0.0))
         return totals, np.argmin(totals, axis=-1)
 
     def tolerances(self, i: int, total: float,
                    fourier_roundoff: Optional[float] = None) -> Dict[str, float]:
-        """Tolerance entries of a total psi + phi * sqrt(sum) at grid[i].
+        """Tolerance entries of a total psi + phi * sqrt(fs) at grid[i].
 
         psi_quadrature is psi_detailed's quadrature error estimate at the
-        cutoff.  fourier_roundoff, phi * sqrt(delta) for a Fourier sum read
-        from fourier.hs_profile, covers that sum's rounding: it errs by at
-        most delta, and sqrt(a + delta) <= sqrt(a) + sqrt(delta).
+        cutoff.  fourier_roundoff, phi * sqrt(delta) for a Fourier sum of
+        squared HS distances from fourier.hs_profile_rows, covers their
+        rounding: it moves the sum by at most delta, and sqrt(a + delta) <=
+        sqrt(a) + sqrt(delta).
 
         float_slack, 1e-11 * max(1, total), covers the rounding of the rest
         of the assembly, all of it on nonnegative terms.  psi's main part is
@@ -568,20 +568,23 @@ class CutoffSweep:
         so it errs by under 18u relative; the tail and main + tail add 4u.
         phi is about ten operations, 10u.  sqrt, product and sum add 3u.
 
-        A relaxed Fourier sum is q^2 times a prefix of n terms d^2/kappa,
-        each within u.  _prefix_sums sums within blocks of B = _PREFIX_BLOCK and
-        adds the running sum of the earlier block totals, so a term passes
-        through at most B - 1 additions in its block, ceil(n/B) - 1 in the
-        running sum and one where the two meet.  A sum of nonnegative terms
-        in which each takes part in at most m additions errs by at most
-        gamma_m relative (Higham 2002, ch. 4), so the prefix errs by at most
-        gamma_(B - 1 + ceil(n/B)), and q^2 adds 2u.  The largest sweep,
-        torus(3)'s gap grid, has n = 2,110,866 rows in 516 blocks: gamma_4611
-        < 5.2e-13, where a plain cumulative sum would allow gamma_(n - 1) =
-        2.3e-10.  The square root halves that, and phi * sqrt(fs) <= total,
-        so all of the assembly errs by under 3e-13 * max(1, total), a
-        thirtieth of float_slack; its floor 1e-11 keeps an absolute
-        allowance for totals below 1.
+        A Fourier sum is a prefix of n nonnegative terms, each within gamma_6
+        of its exact value: d/kappa (kappa from a rounded 4 pi^2 on a torus,
+        then the division) times a computed HS distance, or d^2/kappa, which
+        gap_sums scales by q^2 (2u more).  _prefix_sums sums within blocks of
+        B = _PREFIX_BLOCK and adds the running sum of the earlier block
+        totals, so a term passes through at most B - 1 additions in its
+        block, ceil(n/B) - 1 in the running sum and one where the two meet.
+        A sum of nonnegative terms in which each takes part in at most m
+        additions errs by at most gamma_m relative (Higham 2002, ch. 4), so
+        the sum errs by at most gamma_(B - 1 + ceil(n/B) + 8).  The largest
+        exact sweep, torus(3) up to 200, has n = 135,042 rows: gamma_4136;
+        the largest relaxed one, torus(3)'s gap grid, n = 2,110,866 rows in
+        516 blocks: gamma_4619 < 5.2e-13, where a plain cumulative sum would
+        allow gamma_(n - 1) = 2.3e-10.  The square root halves that, and
+        phi * sqrt(fs) <= total, so all of the assembly errs by under 3e-13
+        * max(1, total), a thirtieth of float_slack; its floor 1e-11 keeps
+        an absolute allowance for totals below 1.
         """
         tol = {"psi_quadrature": self._psi[i]["quad_error"],
                "float_slack": 1e-11 * max(1.0, total)}
@@ -590,43 +593,31 @@ class CutoffSweep:
         tol["total"] = sum(tol.values())
         return tol
 
-    def report(self, i: int, hs_sq=None, q: Optional[float] = None) -> BoundReport:
-        """The certified report at grid[i].
+    def report(self, i: int, fs: Optional[float] = None) -> BoundReport:
+        """The certified report at grid[i] from the Fourier sum fs there.
 
-        Exact: d/kappa * hs_sq summed pairwise over the irreps below
-        grid[i], with the fourier_roundoff entry from roundoff, or 0 when
-        hs_sq is None (identical measures).  Relaxed: q^2 times the
-        d^2/kappa prefix sum.
+        None stands for identical measures: sum 0 and no fourier_roundoff
+        entry.  An exact sweep's sums carry fourier_roundoff from roundoff.
         """
-        k = int(self.cuts[i])
-        roundoff = None
-        if self.relaxed:
-            fs = q * q * float(self.gap_prefix[i])
-        elif hs_sq is None:
-            fs = 0.0
-        else:
-            fs = float(pairwise_sum(self.ratios[:k] * np.maximum(hs_sq[:k], 0.0)))
-            roundoff = float(self.roundoff[i])
-        fs = max(fs, 0.0)
+        roundoff = None if fs is None or self.relaxed else float(self.roundoff[i])
+        fs = max(0.0 if fs is None else float(fs), 0.0)
         pd, ph = self._psi[i], float(self.phis[i])
         total = pd["value"] + ph * math.sqrt(fs)
         return BoundReport(
             group_id=self.G.group_id, g_descriptor=self.g.descriptor(),
             M=float(self.grid[i]), m0=pd["m0"], psi=pd["value"], phi=ph,
-            fourier_sum=fs, total=total, irreps_used=k, profile_id=self.profile_id,
+            fourier_sum=fs, total=total, irreps_used=int(self.cuts[i]),
+            profile_id=self.profile_id,
             tolerances=self.tolerances(
                 i, total, None if roundoff is None else ph * math.sqrt(roundoff)),
             variant="gap_relaxed" if self.relaxed else "exact",
             tail_warning=pd["tail_warning"])
 
-    def best(self, hs_sq=None, q: Optional[float] = None) -> Tuple[float, BoundReport]:
-        """Least total over the grid, ties to the smaller cutoff, and its report."""
-        if self.relaxed:
-            i = self.gap_totals(q)[1]
-        else:
-            i = self.totals(self.prefix(
-                0.0 if hs_sq is None else np.maximum(hs_sq, 0.0)))[1]
-        return float(self.grid[i]), self.report(int(i), hs_sq, q)
+    def best(self, fs=None) -> Tuple[float, BoundReport]:
+        """Least total over the grid from the sums fs at the cuts, ties to
+        the smaller cutoff, and its report; None for identical measures."""
+        i = int(self.totals(0.0 if fs is None else fs)[1])
+        return float(self.grid[i]), self.report(i, None if fs is None else fs[i])
 
 
 def check_dominance(reports, oracle_cost: float, slack: float) -> None:
@@ -650,14 +641,14 @@ def wg_bound(G: GroupDescriptor, g, nu1, nu2, M: float,
         raise ValueError(
             f"M={M} below admissibility threshold {G.admissibility_threshold}")
     sweep = CutoffSweep(G, g, profile, [M])
-    return sweep.report(0, sweep.hs_profile(nu1, nu2))
+    return sweep.best(sweep.fourier_sums(nu1, nu2))[1]
 
 
 def optimize_M(G: GroupDescriptor, g, nu1, nu2, profile="paper_bump",
                M_grid=None) -> Tuple[float, BoundReport]:
     """Grid argmin of the bound total; ties go to the smaller cutoff."""
     sweep = CutoffSweep(G, g, profile, M_grid)
-    return sweep.best(sweep.hs_profile(nu1, nu2))
+    return sweep.best(sweep.fourier_sums(nu1, nu2))
 
 
 # ---------------------------------------------------------------------------
@@ -671,4 +662,5 @@ def optimized_gap_bound(G: GroupDescriptor, g, q: float, profile="paper_bump",
     Scalar spectral sums only, so the grid may extend far beyond what exact
     block enumeration could afford.
     """
-    return CutoffSweep(G, g, profile, M_grid, relaxed=True).best(q=q)
+    sweep = CutoffSweep(G, g, profile, M_grid, relaxed=True)
+    return sweep.best(sweep.gap_sums(q))

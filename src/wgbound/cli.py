@@ -285,14 +285,15 @@ def _cmd_bound(cfg: RunConfig, G: groups.GroupDescriptor) -> str:
         return write_json_artifact(cfg, result, rep.tolerances)
     sweep = bound.CutoffSweep(
         G, g, profile_id, parse_m_grid(cfg.M_grid, G) if cfg.M_grid else None)
-    hs = sweep.hs_profile(nu1, nu2)
-    reports = [sweep.report(i, hs) for i in range(sweep.grid.size)]
+    fs = sweep.fourier_sums(nu1, nu2)
+    reports = [sweep.report(i, None if fs is None else fs[i])
+               for i in range(sweep.grid.size)]
     tolerances = tolerance_union(reports)
     if oracle_cost is not None:
         bound.check_dominance(reports, oracle_cost, transport.GAP_TOL)
         tolerances["oracle_duality_gap"] = transport.GAP_TOL
-    best = min(reports, key=lambda r: (r.total, r.M))
-    click.echo(f"best M={best.M:g} total={best.total:.9g}")
+    best_m, best = sweep.best(fs)
+    click.echo(f"best M={best_m:g} total={best.total:.9g}")
     return write_csv_artifact(cfg, bound.CSV_HEADER,
                               [r.csv_row(cfg.seed) for r in reports], tolerances)
 

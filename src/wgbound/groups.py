@@ -307,8 +307,10 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
     convention), ``dim`` (integers), ``casimir`` and ``weight_norm``.  Rows
     are sorted by an integer key, |m|^2 on a torus and two_j or level on
     su2/so3, and then by label, so the weight norm never decreases.
-    Membership is decided on the integers too: |m|^2 < (M / 2 pi)^2,
-    two_j < 2M, level < M.  fourier's many-irrep functions take such rows.
+    Membership is decided on the integers, two_j < 2M and level < M, and on
+    a torus by weight_norm < M, the rule of CutoffSweep's cuts, among the
+    rows with |m|^2 < (M / 2 pi)^2.  fourier's many-irrep functions take
+    such rows.
     """
     if not (M > 0 and math.isfinite(M)):
         raise ValueError(f"M must be positive and finite, got {M}")
@@ -327,11 +329,12 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
         # among equal |m|^2
         keep = np.flatnonzero((nsq > 0) & (nsq < radius * radius))
         idx = keep[np.argsort(nsq[keep], kind="stable")]
+        norm = 2.0 * math.pi * np.sqrt(nsq[idx].astype(float))
+        idx = idx[:np.searchsorted(norm, M)]
         key = nsq[idx]
         labels = np.stack(np.unravel_index(idx, (2 * mb + 1,) * d), axis=1) - mb
         return {"label": labels, "dim": np.ones_like(key),
-                "casimir": 4.0 * math.pi ** 2 * key,
-                "weight_norm": 2.0 * math.pi * np.sqrt(key.astype(float))}
+                "casimir": 4.0 * math.pi ** 2 * key, "weight_norm": norm[:idx.size]}
     top = math.ceil(2.0 * M) if G.group_id == "su2" else math.ceil(M)
     labels = np.arange(1, top)[:, None]
     two_j = doubled_spins(G, labels)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import bound, fourier, groups, transport
-from ._util import SolverError, U, gamma, pairwise_sum, tolerance_union
+from ._util import SolverError, U, gamma, tolerance_union
 
 _POWER_RECHECK_EVERY = 8
 _POWER_TOL = 1e-9
@@ -327,27 +327,26 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
     _HERMITIAN_TOL (every block of a symmetric step set) are diagonalised
     once (_diagonalise).  Step k then reads only the eigenvalue moduli to
     the power k, so the steps go through in blocks of _STEP_BLOCK as
-    (steps x irreps) and (steps x grid) arrays: gap trace, HS sums, prefix
-    sums, totals and their argmin, error bounds and relaxed totals.  The
-    sweeps form the prefix sums, totals and argmins of a whole block
-    (CutoffSweep.prefix, totals, gap_totals), and the gap sweep keeps its
-    prefix sums at its cuts only, so a block's arrays scale with the irreps
-    below M and with the grids, not with the gap sweep's spectrum.  Other
-    blocks are multiplied out step by step and their norms taken from the
-    powered matrices.  On such a block the dropped imaginary part of a
-    real-type level moves the norms only at second order (it and the
-    powered real part are real matrices, so the first-order change of each
-    squared norm is imaginary and drops out) and, like the products'
-    rounding, is not charged.  Every 8 steps each block's power is
-    rechecked against the carried reference R_8j = R_8(j-1) B^8
-    (_carried_powers); the checks of a step block are formed together, each
-    stack of eigen-route blocks of one dimension reconstructed at all of
-    its check steps in one broadcast product.  The gap trace is checked for
-    submultiplicativity; either failure raises SolverError.  Each state's
-    spectral_error carries the eigenvalue error bounds of _diagonalise
-    through the k-th power: it bounds how far q_hat, fourier_sum and
-    exact_total may sit from the values of the exact block powers (0 when
-    no block is diagonalised).
+    (steps x irreps) and (steps x grid) arrays: gap trace, HS sums, Fourier
+    sums at the cuts, totals and their argmin, error bounds and relaxed
+    totals, all formed by the sweeps (CutoffSweep.sums, gap_sums, totals),
+    so a block's arrays scale with the irreps below M and with the grids,
+    not with the gap sweep's spectrum.  fourier_sum is the sum at the top
+    cut, over every irrep below M.  Other blocks are multiplied out step by
+    step and their norms taken from the powered matrices.  On such a block
+    the dropped imaginary part of a real-type level moves the norms only
+    at second order (it and the powered real part are real matrices, so
+    the first-order change of each squared norm is imaginary and drops
+    out) and, like the products' rounding, is not charged.  Every 8 steps
+    each block's power is rechecked against the carried reference R_8j =
+    R_8(j-1) B^8 (_carried_powers); the checks of a step block are formed
+    together, each stack of eigen-route blocks of one dimension
+    reconstructed at all of its check steps in one broadcast product.  The
+    gap trace is checked for submultiplicativity; either failure raises
+    SolverError.  Each state's spectral_error carries the eigenvalue error
+    bounds of _diagonalise through the k-th power: it bounds how far q_hat,
+    fourier_sum and exact_total may sit from the values of the exact block
+    powers (0 when no block is diagonalised).
     Each state's tolerances are those of its walk CSV row: the recheck and
     submultiplicativity slacks, walk_spectral (= spectral_error), and the
     psi_quadrature and float_slack entries that a bound report carries at
@@ -450,30 +449,28 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         if unsub.size:
             raise SolverError(f"gap trace not submultiplicative at step {unsub[0]}")
         q_prev = float(q_hat[-1])
-        cum = sweep.prefix(hs_sq)
-        totals, best = sweep.totals(cum)
+        fs = sweep.sums(hs_sq)
+        totals, best = sweep.totals(fs)
         # spectral_error: eps_k per diagonalised block, then its HS and
         # Fourier-sum consequences and the largest shift of a total
         eps = _power_gap(q_eig, delta, ks)
         hs_err = np.zeros((n, len(base)))
         hs_err[:, eig_idx] = root_d * eps * (
             2.0 * np.sqrt(hs_sq[:, eig_idx]) + root_d * eps)
-        cum_err = sweep.prefix(hs_err)
-        c = np.maximum(cum[:, sweep.cuts], 0.0)
-        total_err = sweep.phis * (
-            np.sqrt(c) - np.sqrt(np.maximum(c - cum_err[:, sweep.cuts], 0.0)))
+        fs_err = sweep.sums(hs_err)
+        total_err = sweep.phis * (np.sqrt(fs) - np.sqrt(np.maximum(fs - fs_err, 0.0)))
         spectral = np.maximum(np.maximum(np.max(eps, axis=1, initial=0.0),
-                                         cum_err[:, -1]), np.max(total_err, axis=1))
+                                         fs_err[:, -1]), np.max(total_err, axis=1))
         total = totals[np.arange(n), best]
         columns = dict(step=steps, q_hat=q_hat.tolist(),
-                       fourier_sum=pairwise_sum((sweep.ratios * hs_sq).T).tolist(),
+                       fourier_sum=fs[:, -1].tolist(),
                        exact_m=sweep.grid[best].tolist(), exact_total=total.tolist(),
                        power_check=[checks.get(k) for k in steps],
                        spectral_error=spectral.tolist())
         if gap_sweep is not None:
             # Python's float power per step, as bound.optimized_gap_bound is given
             qk = np.asarray([float(q_hint) ** k for k in steps])
-            r_totals, r_best = gap_sweep.gap_totals(qk)
+            r_totals, r_best = gap_sweep.totals(gap_sweep.gap_sums(qk))
             columns.update(relaxed_q=qk.tolist(),
                            relaxed_m=gap_sweep.grid[r_best].tolist(),
                            relaxed_total=r_totals[np.arange(n), r_best].tolist())
@@ -577,8 +574,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
     profiles every draw of every N on that shared support.  An all-zero row
     (nu_bar equal to the source) has Fourier sum 0.  A Haar draw has its
     own support and its own hs_profile_rows call, on fourier.merged_atoms.
-    One stacked CutoffSweep.prefix and totals give every draw's best
-    cutoff, and the sweep reports each draw there.
+    One stacked CutoffSweep.sums and totals give every draw's Fourier sums
+    and best cutoff, and the sweep reports each draw there.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or min(N_list) < 1:
@@ -612,9 +609,9 @@ def empirical_experiment(G: groups.GroupDescriptor,
         profiles = fourier.hs_profile_rows(G, source.atoms, masses, labels).reshape(
             children.shape + (len(labels),))
         same = ~np.any(masses, axis=1).reshape(children.shape)
-    # identical measures have Fourier sum 0, as CutoffSweep.hs_profile says
-    hs_sweep = np.where(same[..., None], 0.0, np.maximum(profiles[..., :n_sweep], 0.0))
-    best = sweep.totals(sweep.prefix(hs_sweep))[1]
+    # identical measures have Fourier sum 0, as CutoffSweep.fourier_sums says
+    fs = sweep.sums(np.where(same[..., None], 0.0, profiles[..., :n_sweep]))
+    best = sweep.totals(fs)[1]
     rows: List[EmpiricalRow] = []
     for i, N in enumerate(N_list):
         reports, oracles = [], []
@@ -622,7 +619,8 @@ def empirical_experiment(G: groups.GroupDescriptor,
         for r in range(n_reps):
             hs = profiles[i, r]
             var_acc += hs[:n_var]
-            rep = sweep.report(int(best[i, r]), None if same[i, r] else hs[:n_sweep])
+            b = int(best[i, r])
+            rep = sweep.report(b, None if same[i, r] else fs[i, r, b])
             reports.append(rep)
             if with_oracle and not haar_source:
                 nu_bar = fourier.DiscreteMeasure.uniform(G, source.atoms[picks[i][r]])
@@ -698,7 +696,7 @@ def equidistribution_audit(G: groups.GroupDescriptor, points, g,
     sweep = bound.CutoffSweep(G, g, profile, M_grid)
     sd, n_gap = _joint_irreps(sweep, gap_m)
     hs = fourier.hs_profile_rows(G, *fourier.merged_atoms(nu, None), sd["label"])[0]
-    best_m, rep = sweep.best(hs[:len(sweep.labels)])
+    best_m, rep = sweep.best(sweep.sums(hs[:len(sweep.labels)]))
     rows = zip(*(sd[key][:n_gap].tolist() for key in ("label", "weight_norm", "dim")), hs)
     prof = tuple((str(tuple(label)), wn, d, float(e)) for label, wn, d, e in rows)
     return AuditReport(

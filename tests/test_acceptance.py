@@ -38,7 +38,6 @@ def test_01_certified_dominance_trials():
         G = groups.descriptor(gid)
         grid = np.geomspace(G.admissibility_threshold * 1.02,
                             _TRIAL_M_MAX[gid], 10)
-        irreps = groups.enumerate_irreps(G, float(grid[-1]))
         for _ in range(25):
             rng = np.random.default_rng(9_000_000 + trial)
             n1, n2 = (int(v) for v in rng.integers(2, 65, size=2))
@@ -47,10 +46,10 @@ def test_01_certified_dominance_trials():
             p = 0.5 if trial % 2 == 0 else 1.0
             g = bound.ModulusOfContinuity.power(p)
             cost = transport.exact_wasserstein(G, g, nu1, nu2).cost
-            hs = fourier.hs_profile(G, nu1, nu2, irreps)
             sweep = bound.CutoffSweep(G, g, "paper_bump", grid)
+            fs = sweep.fourier_sums(nu1, nu2)
             for i, M in enumerate(grid):
-                rep = sweep.report(i, hs)
+                rep = sweep.report(i, fs[i])
                 if rep.total + rep.tolerance + transport.GAP_TOL < cost:
                     violations.append((gid, trial, float(M), rep.total, cost))
             trial += 1

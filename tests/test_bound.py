@@ -473,10 +473,10 @@ class TestWgBound:
         nu2 = random_measure(any_group, 4, 79)
         grid = bound.default_m_grid(any_group, cap=8.0 * any_group.admissibility_threshold)
         sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid)
-        hs = sweep.hs_profile(nu1, nu2)
+        fs = sweep.fourier_sums(nu1, nu2)
         bounds = fourier.hs_roundoff(any_group, sweep.labels)
         for i in range(grid.size):
-            rep = sweep.report(i, hs)
+            rep = sweep.report(i, fs[i])
             k = rep.irreps_used
             delta = float(np.sum(sweep.ratios[:k] * bounds[:k]))
             assert rep.tolerances["fourier_roundoff"] == pytest.approx(
@@ -487,7 +487,25 @@ class TestWgBound:
         assert "fourier_roundoff" not in sweep.report(0, None).tolerances
         relaxed = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid,
                                     relaxed=True)
-        assert "fourier_roundoff" not in relaxed.report(0, q=0.5).tolerances
+        assert "fourier_roundoff" not in relaxed.report(
+            0, relaxed.gap_sums(0.5)[0]).tolerances
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["exact", "relaxed"])
+    def test_reports_carry_the_swept_totals(self, any_group, relaxed):
+        # each report's total is the one totals formed and best minimised,
+        # bit for bit; an HS profile in place of one sum raises
+        grid = bound.default_m_grid(any_group, cap=8.0 * any_group.admissibility_threshold)
+        sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid, relaxed=relaxed)
+        fs = sweep.gap_sums(0.7) if relaxed else sweep.fourier_sums(
+            random_measure(any_group, 6, 82), random_measure(any_group, 5, 83))
+        totals, best = sweep.totals(fs)
+        for i in range(sweep.grid.size):
+            rep = sweep.report(i, fs[i])
+            assert (rep.fourier_sum, rep.total) == (fs[i], totals[i]), i
+        m, rep = sweep.best(fs)
+        assert (m, rep.total) == (sweep.grid[best], totals.min())
+        with pytest.raises(TypeError):
+            sweep.report(0, fs)
 
     def test_admissibility_raises(self):
         nu = random_measure(G_SU2, 3, 1)
@@ -500,16 +518,16 @@ class TestWgBound:
         top = 6.0 * any_group.admissibility_threshold
         grid = bound.default_m_grid(any_group, cap=top)
         sweep = bound.CutoffSweep(any_group, LINEAR, "paper_bump", grid)
-        hs = sweep.hs_profile(nu1, nu2)
+        fs = sweep.fourier_sums(nu1, nu2)
         for i, M in enumerate(grid):
             alone = bound.wg_bound(any_group, LINEAR, nu1, nu2, float(M))
             # a sweep topped at M sees the same irreps as wg_bound at M
             own = bound.CutoffSweep(any_group, LINEAR, "paper_bump",
                                     grid[:i + 1])
-            assert own.report(i, own.hs_profile(nu1, nu2)) == alone
+            assert own.report(i, own.fourier_sums(nu1, nu2)[i]) == alone
             # the full sweep reuses one profile over more irreps; no
             # irrep's value depends on how many the profile holds
-            assert sweep.report(i, hs) == alone
+            assert sweep.report(i, fs[i]) == alone
 
     def test_dominates_circle_oracle_trials(self):
         g = LINEAR
@@ -587,7 +605,8 @@ class TestOptimizeM:
 
 def relaxed_at(G, g, M, q):
     """The gap-relaxed bound at one fixed cutoff: a one-point relaxed sweep."""
-    return bound.CutoffSweep(G, g, "paper_bump", [M], relaxed=True).report(0, q=q)
+    sweep = bound.CutoffSweep(G, g, "paper_bump", [M], relaxed=True)
+    return sweep.report(0, sweep.gap_sums(q)[0])
 
 
 class TestGapBounds:
@@ -623,14 +642,14 @@ class TestGapBounds:
         fresh = bound._prefix_sums(sd["dim"] ** 2 / sd["casimir"])
         assert np.array_equal(sweep.gap_prefix, fresh[sweep.cuts])
         calls = []
-        monkeypatch.setattr(bound.CutoffSweep, "prefix",
+        monkeypatch.setattr(bound.CutoffSweep, "sums",
                             lambda self, *args: calls.append(args))
         monkeypatch.setattr(bound, "_prefix_sums", lambda *args: calls.append(args))
         for q in (0.9, 0.5, 0.1):
-            m, rep = sweep.best(q=q)
+            m, rep = sweep.best(sweep.gap_sums(q))
             k = int(sweep.cuts[list(sweep.grid).index(m)])
             assert rep.fourier_sum == q * q * float(fresh[k])
-            assert sweep.report(0, q=q).fourier_sum == \
+            assert sweep.report(0, sweep.gap_sums(q)[0]).fourier_sum == \
                 q * q * float(fresh[sweep.cuts[0]])
         assert calls == []
 
@@ -649,24 +668,24 @@ class TestGapBounds:
         assert held < 1e6
 
     def test_stacked_rows_match_single_rows(self):
-        # prefix, totals and gap_totals of a stack equal row-by-row calls
+        # sums, gap_sums and totals of a stack equal row-by-row calls
         # bit for bit, with the 12,744 labels of torus(2) in four blocks
         G = groups.descriptor("torus(2)")
         sweep = bound.CutoffSweep(G, LINEAR)
         assert sweep.labels.shape[0] > 3 * bound._PREFIX_BLOCK
         rows = np.random.default_rng(6).random((2, 3, sweep.labels.shape[0]))
-        cum = sweep.prefix(rows)
-        totals, best = sweep.totals(cum)
+        fs = sweep.sums(rows)
+        totals, best = sweep.totals(fs)
         for idx in np.ndindex(rows.shape[:-1]):
-            one = sweep.prefix(rows[idx])
-            assert np.array_equal(cum[idx], one)
+            one = sweep.sums(rows[idx])
+            assert np.array_equal(fs[idx], one)
             t, i = sweep.totals(one)
             assert np.array_equal(totals[idx], t) and best[idx] == i
         gap_sweep = bound.CutoffSweep(G, LINEAR, relaxed=True)
         qs = 0.8 ** np.arange(1, 17)
-        totals, best = gap_sweep.gap_totals(qs)
+        totals, best = gap_sweep.totals(gap_sweep.gap_sums(qs))
         for q, t, i in zip(qs, totals, best):
-            one_t, one_i = gap_sweep.gap_totals(float(q))
+            one_t, one_i = gap_sweep.totals(gap_sweep.gap_sums(float(q)))
             assert np.array_equal(t, one_t) and i == one_i
 
     def test_prefix_within_its_derived_bound(self):

@@ -161,6 +161,24 @@ class TestBoundCommand:
         assert lines[3].split(",") == list(bound.CSV_HEADER)
         assert len(lines) == 4 + 6
 
+    @pytest.mark.parametrize("second", [1, 0], ids=["pair", "identical"])
+    def test_best_is_the_sweeps_argmin(self, runner, tmp_path, circle_pair, second):
+        # the rows carry the sweep's totals and the echoed best M is their argmin
+        paths = [circle_pair[0], circle_pair[second]]
+        res = runner.invoke(cli.main, [
+            "bound", "--group", "torus(1)", "--points", paths[0], "--points",
+            paths[1], "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        lines = open(read_artifact(res.output)).read().splitlines()
+        rows = [dict(zip(lines[3].split(","), ln.split(","))) for ln in lines[4:]]
+        nu1, nu2 = (fourier.DiscreteMeasure.uniform(
+            G_T1, groups.load_points(p)[1]) for p in paths)
+        sweep = bound.CutoffSweep(G_T1, bound.ModulusOfContinuity.power(1.0))
+        fs = sweep.fourier_sums(nu1, nu2)
+        totals, best = sweep.totals(0.0 if fs is None else fs)
+        assert [float(r["total"]) for r in rows] == totals.tolist()
+        assert f"best M={sweep.grid[best]:g} total={totals[best]:.9g}" in res.output
+
     def test_single_m_json(self, runner, tmp_path, circle_pair):
         a, _ = circle_pair
         res = runner.invoke(cli.main, [

@@ -102,6 +102,21 @@ def test_torus_spectrum_in_integer_order():
                                                  for k, _ in expected]
 
 
+def test_torus_rows_below_the_cutoff():
+    # the integer test alone admits rows whose rounded norm is M or above
+    # at some M = 2 pi sqrt(k), which no cut of a sweep at M counts
+    for gid, M, n in (("torus(2)", 2 * math.pi * math.sqrt(2), 4),
+                      ("torus(1)", 26 * math.pi, 24)):
+        assert groups.spectral_data(groups.descriptor(gid), M)["label"].shape[0] == n
+    for gid in ("torus(1)", "torus(2)", "torus(3)"):
+        G = groups.descriptor(gid)
+        for k in range(1, 400):
+            M = 2 * math.pi * math.sqrt(k)
+            for cut in (np.nextafter(M, 0.0), M, np.nextafter(M, math.inf)):
+                norms = groups.spectral_data(G, float(cut))["weight_norm"]
+                assert np.all(norms < cut), (gid, k, cut)
+
+
 def test_derived_weights(any_group):
     # reference definitions: torus weight 2 pi m; spin weights -j..j by 1
     for p in groups.enumerate_irreps(any_group, 9.0, include_trivial=True):

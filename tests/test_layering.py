@@ -1,5 +1,6 @@
 """The oracles stay apart: no command imports them, and they reach the
-routes they check through public names only."""
+routes they check through public names only.  The commands hand a cutoff
+sweep its Fourier sums and read none of its cuts or prefixes."""
 import ast
 import os
 import subprocess
@@ -69,3 +70,14 @@ def test_oracles_read_no_private_name():
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in whole):
             assert not node.attr.startswith("_"), f"{node.value.id}.{node.attr}"
+
+
+def test_commands_hand_sweeps_sums_only():
+    # walks and cli pass a CutoffSweep the Fourier sums at its cuts and
+    # read no cut, ratio, roundoff or prefix of it
+    hidden = {"cuts", "ratios", "roundoff", "gap_prefix"}
+    for name in ("walks.py", "cli.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & hidden, (name, read & hidden)

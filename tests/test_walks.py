@@ -134,7 +134,7 @@ class TestWalkEvolve:
         gap_sweep = bound.CutoffSweep(G, LINEAR, relaxed=True)
         assert states[-1].relaxed_m == gap_sweep.grid[-1]
         for s in states:
-            m, rep = gap_sweep.best(q=0.8 ** s.step)
+            m, rep = gap_sweep.best(gap_sweep.gap_sums(0.8 ** s.step))
             assert (s.relaxed_q, s.relaxed_m, s.relaxed_total) == \
                 (0.8 ** s.step, m, rep.total), s.step
 
@@ -153,6 +153,25 @@ class TestWalkEvolve:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_fourier_sum_is_the_sum_at_the_top_cut(self, monkeypatch):
+        # at M = 26 pi the top cut counts every irrep the walk powers, so
+        # fourier_sum is the last of the sums that exact_total was taken from
+        sums, seen = bound.CutoffSweep.sums, []
+
+        def spy(self, values):
+            seen.append((self, sums(self, values)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(bound.CutoffSweep, "sums", spy)
+        golden = (math.sqrt(5) - 1) / 2
+        nu = fourier.DiscreteMeasure.uniform(G_T1, [[0.0], [golden]])
+        states = walks.walk_evolve(G_T1, nu, 20, 26 * math.pi)
+        sweep, fs = seen[1]  # the sweep's own roundoff sums come first
+        assert sweep.cuts[-1] == len(sweep.labels)
+        totals, best = sweep.totals(fs)
+        assert [s.exact_total for s in states] == totals[np.arange(20), best].tolist()
+        assert [s.fourier_sum for s in states] == fs[:, -1].tolist()
 
     def test_golden_rotation_polynomial_decay(self):
         golden = (math.sqrt(5) - 1) / 2
@@ -209,7 +228,7 @@ def _powering_reference(G, nu, k_max, M, blocks=None):
         q = max(float(np.linalg.norm(bk, 2)) for bk in powers)
         contrib = ratios * np.asarray([np.linalg.norm(bk) ** 2
                                        for bk in powers])
-        i = sweep.totals(np.concatenate(([0.0], np.cumsum(contrib))))[1]
+        i = sweep.totals(np.concatenate(([0.0], np.cumsum(contrib)))[sweep.cuts])[1]
         out.append((q, float(np.sum(contrib)), float(sweep.grid[i])))
     return out
 
