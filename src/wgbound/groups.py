@@ -307,9 +307,10 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
     convention), ``dim`` (integers), ``casimir`` and ``weight_norm``.  Rows
     are sorted by an integer key, |m|^2 on a torus and two_j or level on
     su2/so3, and then by label, so the weight norm never decreases.
-    Membership is decided on the integers, two_j < 2M and level < M, and on
-    a torus by weight_norm < M, the rule of CutoffSweep's cuts, among the
-    rows with |m|^2 < (M / 2 pi)^2.  fourier's many-irrep functions take
+    A row belongs exactly when its weight_norm is below M, the rule of
+    CutoffSweep's cuts: on su2/so3 two_j < 2M or level < M, and on a torus
+    2 pi sqrt(|m|^2) as computed, which only the candidates |m|^2 <=
+    floor((M / 2 pi)^2) + 1 can pass.  fourier's many-irrep functions take
     such rows.
     """
     if not (M > 0 and math.isfinite(M)):
@@ -317,9 +318,10 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
     d = torus_dim(G.group_id)
     if d is not None:
         radius = M / (2.0 * math.pi)
-        mb = math.floor(radius)
-        if d == 3 and mb > 120:
+        if d == 3 and math.floor(radius) > 120:
             raise ValueError("torus(3) spectral enumeration above M~750 is too large")
+        wide = math.floor(radius * radius) + 1
+        mb = math.isqrt(wide)
         axis = np.arange(-mb, mb + 1)
         nsq = axis * axis
         for _ in range(d - 1):
@@ -327,7 +329,7 @@ def spectral_data(G: GroupDescriptor, M: float) -> dict:
         nsq = nsq.ravel()
         # flat grid indices run in label order, and the stable sort keeps it
         # among equal |m|^2
-        keep = np.flatnonzero((nsq > 0) & (nsq < radius * radius))
+        keep = np.flatnonzero((nsq > 0) & (nsq <= wide))
         idx = keep[np.argsort(nsq[keep], kind="stable")]
         norm = 2.0 * math.pi * np.sqrt(nsq[idx].astype(float))
         idx = idx[:np.searchsorted(norm, M)]
@@ -348,17 +350,12 @@ def doubled_spins(G: GroupDescriptor, labels: np.ndarray) -> np.ndarray:
     return labels[:, 0] * (2 if G.group_id == "so3" else 1)
 
 
-def enumerate_irreps(G: GroupDescriptor, M: float,
-                     include_trivial: bool = False) -> list:
-    """The rows of `spectral_data(G, M)` as `Irrep` objects, in its order.
-
-    ``include_trivial`` prepends the trivial representation.
-    """
+def enumerate_irreps(G: GroupDescriptor, M: float) -> list:
+    """The rows of `spectral_data(G, M)` as `Irrep` objects, in its order."""
     sd = spectral_data(G, M)
     rows = zip(zip(*sd["label"].T.tolist()), sd["dim"].tolist(),
                sd["casimir"].tolist(), sd["weight_norm"].tolist())
-    out = [Irrep(G.group_id, *row) for row in rows]
-    return [trivial_irrep(G)] + out if include_trivial else out
+    return [Irrep(G.group_id, *row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

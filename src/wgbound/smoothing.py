@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._util import SolverError, U, cosine_sum, cosine_tables, pairwise_sum
-from .groups import GroupDescriptor, Irrep, enumerate_irreps
+from . import groups
+from .groups import GroupDescriptor
 
 PROFILE_IDS = ("paper_bump", "plateau")
 
@@ -496,19 +497,19 @@ def weyl_density_coeffs(G: GroupDescriptor) -> Dict[tuple, int]:
 
 @dataclass(frozen=True)
 class KernelCoefficients:
-    """Coefficients a_pi of the smoothing polynomial at degree cutoff M."""
+    """Coefficients a_pi at degree cutoff M on the rows of kernel_coefficients."""
 
     group_id: str
     profile_id: str
     M: float
     m0: int
-    coeffs: Dict[Irrep, float]
+    labels: np.ndarray
+    dims: np.ndarray
+    a: np.ndarray
 
     def as_json_dict(self) -> dict:
-        entries = [
-            {"label": list(p.label), "a": a, "dim": p.dim}
-            for p, a in self.coeffs.items()
-        ]
+        entries = [{"label": label, "a": a, "dim": dim} for label, a, dim
+                   in zip(self.labels.tolist(), self.a.tolist(), self.dims.tolist())]
         return {"group": self.group_id, "profile": self.profile_id,
                 "M": self.M, "M0": self.m0, "entries": entries}
 
@@ -522,8 +523,18 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
                         profile="paper_bump") -> KernelCoefficients:
     """Coefficients a_pi of the central smoothing polynomial of degree < M.
 
-    a_pi is a finite double sum of bump samples over the weights of pi and
-    the root lattice, weighted by the Weyl density coefficients.
+    a_pi = sum_mu sum_lam c_lam eta(|mu / (a m0) - lam / a|) / |W|, over
+    the weights mu of pi with multiplicity and the Weyl density's
+    coefficients c_lam (weyl_density_coeffs), on the trivial row and then
+    the rows of groups.spectral_data(G, M).  On a torus the density is 1
+    and pi has the one weight 2 pi m: a_pi = eta(|2 pi m / (a m0)|).  On
+    su2/so3 spin j has the weights n/2, n = -2j, -2j + 2, .., 2j, and a
+    sample depends on its weight alone, so g(n) = sum_lam c_lam eta(|(n/2)
+    / (a m0) - lam / a|) is tabulated once over the doubled weights n =
+    -top..top, top the largest 2j, and a_pi = g[top - 2j : top + 2j + 1 :
+    2].sum() / |W|.  Each g(n) is the dot product of the same samples, and
+    each window sums them in the ascending order of pi's weight list, so
+    a_pi carries the bits of the same sum formed irrep by irrep.
     """
     if M < G.admissibility_threshold:
         raise ValueError(
@@ -531,19 +542,22 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
             f"for {G.group_id}")
     prof = bump_profile(profile)
     m0 = kernel_degree(G, M)
-    dens = weyl_density_coeffs(G)
-    lams = np.asarray(list(dens.keys()), dtype=float)
-    cs = np.asarray([dens[tuple(l)] for l in lams], dtype=float)
-    wsc = 1.0 / G.weyl_order
-    coeffs: Dict[Irrep, float] = {}
-    for p in enumerate_irreps(G, M, include_trivial=True):
-        mu = np.asarray(p.weights, dtype=float)            # (dim, rank)
-        # arguments mu/(a m0) - lam/a for all weight/lattice pairs
-        args = mu[:, None, :] / (G.a * m0) - lams[None, :, :] / G.a
-        vals = prof.radial(np.linalg.norm(args, axis=-1))
-        coeffs[p] = float(np.dot(vals, cs).sum() * wsc)
+    sd = groups.spectral_data(G, M)
+    labels = np.concatenate((np.zeros((1, G.r), dtype=int), sd["label"]))
+    dims = np.concatenate(([1], sd["dim"]))
+    if not G.positive_roots:
+        a = prof.radial(np.linalg.norm(2.0 * math.pi * labels / (G.a * m0), axis=-1))
+    else:
+        dens = weyl_density_coeffs(G)
+        two_j = groups.doubled_spins(G, labels)
+        top = int(two_j[-1])
+        args = (np.arange(-top, top + 1)[:, None, None] / 2.0 / (G.a * m0)
+                - np.asarray(list(dens), dtype=float) / G.a)
+        g = np.dot(prof.radial(np.linalg.norm(args, axis=-1)),
+                   np.asarray(list(dens.values()), dtype=float))
+        a = np.asarray([g[top - t:top + t + 1:2].sum() for t in two_j.tolist()]) / G.weyl_order
     return KernelCoefficients(group_id=G.group_id, profile_id=prof.profile_id,
-                              M=float(M), m0=m0, coeffs=coeffs)
+                              M=float(M), m0=m0, labels=labels, dims=dims, a=a)
 
 
 # ---------------------------------------------------------------------------

@@ -369,10 +369,13 @@ def walk_evolve(G: groups.GroupDescriptor, nu: fourier.DiscreteMeasure,
         raise ValueError("measure/group mismatch")
     if g is None:
         g = bound.ModulusOfContinuity.power(1.0)
-    # spectral_data rejects a non-finite M, default_m_grid one below the threshold
-    if not len(groups.spectral_data(G, M)["label"]):
+    # below the threshold default_m_grid refuses a cutoff that has irreps
+    # under it, and spectral_data refuses a non-finite one
+    admissible = G.admissibility_threshold <= M < math.inf
+    if admissible or len(groups.spectral_data(G, M)["label"]):
+        sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
+    if not admissible or not len(sweep.labels):
         raise ValueError(f"no irreps below M={M}; raise the cutoff")
-    sweep = bound.CutoffSweep(G, g, profile, bound.default_m_grid(G, cap=M))
     base = [_walk_form(b) for b in fourier.measure_transforms(G, nu, sweep.labels)]
     gap_sweep = None if q_hint is None else bound.CutoffSweep(
         G, g, profile, relaxed=True)

@@ -89,15 +89,13 @@ def test_03_kernel_coefficient_invariants():
         for profile_id in smoothing.PROFILE_IDS:
             for M in (5.0, 10.0, 20.0):
                 kc = smoothing.kernel_coefficients(G, M, profile_id)
-                triv = groups.trivial_irrep(G)
-                assert abs(kc.coeffs[triv] - 1.0) <= 1e-12, (gid, profile_id, M)
-                for p, a in kc.coeffs.items():
-                    assert abs(a) <= p.dim + 1e-10, (gid, profile_id, M, p.label)
+                norms = np.concatenate(([0.0], groups.spectral_data(G, M)["weight_norm"]))
+                assert kc.labels[0].tolist() == [0] * G.r and kc.dims[0] == 1
+                assert abs(kc.a[0] - 1.0) <= 1e-12, (gid, profile_id, M)
+                assert np.all(np.abs(kc.a) <= kc.dims + 1e-10), (gid, profile_id, M)
                 if profile_id == "plateau":
-                    lim = G.a * kc.m0 / 2.0
-                    for p, a in kc.coeffs.items():
-                        if p.weight_norm <= lim:
-                            assert abs(a - p.dim) <= 1e-10, (gid, M, p.label)
+                    flat = norms <= G.a * kc.m0 / 2.0
+                    assert np.all(np.abs(kc.a - kc.dims)[flat] <= 1e-10), (gid, M)
 
 
 def test_04_representation_theory_oracles():
@@ -114,7 +112,7 @@ def test_04_representation_theory_oracles():
     for gid in ("torus(1)", "torus(2)", "torus(3)", "su2", "so3"):
         G = groups.descriptor(gid)
         pts, w = oracles.weyl_quadrature(G, 2 ** 14)
-        reps = groups.enumerate_irreps(G, 5.0, include_trivial=True)[:4]
+        reps = ([groups.trivial_irrep(G)] + groups.enumerate_irreps(G, 5.0))[:4]
         chars = [oracles.characters(G, p, pts) for p in reps]
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):

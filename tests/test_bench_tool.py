@@ -45,6 +45,18 @@ def test_median_gap_must_exceed_the_parent_iqr():
     assert not s["gain"]
 
 
+def test_median_gap_must_exceed_a_tenth_of_the_bound():
+    # a peak RSS in 4 KB pages: near-zero IQR, every pair a win by a page
+    # or two, yet a 0.09 MB shift is under a tenth of a 5% bound (0.7 MB)
+    parent = [140.70 + 0.004 * (i % 3) for i in range(10)]
+    change = [p - 0.09 for p in parent]
+    s = bench.paired(parent, change, "lower", 0.05, NONE_FAILED)
+    assert s["wins"] == 10 and s["parent_iqr"] < 0.09
+    assert not s["gain"]
+    assert bench.paired(parent, [p - 0.8 for p in parent], "lower", 0.05,
+                        NONE_FAILED)["gain"]
+
+
 def test_higher_is_better_and_the_bound():
     parent = [10.0] * 10
     assert bench.paired(parent, [12.0] * 10, "higher", 0.05, NONE_FAILED)["gain"]

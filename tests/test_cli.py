@@ -558,8 +558,8 @@ class TestOracleCommand:
 
 
 def test_numeric_path_builds_no_irrep(tmp_path, monkeypatch):
-    # bound, empirical, audit and walk read the spectrum as the label rows
-    # of groups.spectral_data; kernel still takes the Irrep API
+    # bound, empirical, audit, walk and kernel read the spectrum as the
+    # label rows of groups.spectral_data
     built, init = [], groups.Irrep.__init__
 
     def counted(self, *args, **kwargs):
@@ -582,13 +582,12 @@ def test_numeric_path_builds_no_irrep(tmp_path, monkeypatch):
              reps=2, verify=True),
         dict(command="audit", group="so3", points=(files["so3"],)),
         dict(command="walk", group="so3", points=(files["lps5"],), M=6.5, reps=2,
-             verify=True)]
+             verify=True),
+        dict(command="kernel", group="su2", M=4.0),
+        dict(command="kernel", group="torus(3)", M=20.0)]
     for i, fields in enumerate(configs):
         assert cli.run(cli.RunConfig(out=str(tmp_path / str(i)), **fields)) == 0
     assert built == []
-    assert cli.run(cli.RunConfig(command="kernel", group="su2", M=4.0,
-                                 out=str(tmp_path / "kernel"))) == 0
-    assert len(built) == 8    # the trivial irrep and 2j = 1..7
 
 
 class TestExitPaths:

@@ -167,7 +167,7 @@ def test_characters_match_scipy_chebyshev(gid):
                         groups.canonicalize(G, np.array([[-1.0, 0, 0, 0],
                                                          [0.0, 0, 0, 1]]))])
     cos_half = groups.class_cosines(G, X, groups.identity(G))[:, 0]
-    for p in groups.enumerate_irreps(G, 200.0, include_trivial=True)[::7]:
+    for p in ([groups.trivial_irrep(G)] + groups.enumerate_irreps(G, 200.0))[::7]:
         assert oracles.characters(G, p, X).tolist() \
             == eval_chebyu(p.dim - 1, cos_half).tolist(), p.label
 
@@ -175,7 +175,7 @@ def test_characters_match_scipy_chebyshev(gid):
 def test_measure_transform_point_mass_and_trivial(any_group):
     e = groups.identity(any_group)
     nu = fourier.DiscreteMeasure.uniform(any_group, [e])
-    reps = groups.enumerate_irreps(any_group, 7.0, include_trivial=True)
+    reps = [groups.trivial_irrep(any_group)] + groups.enumerate_irreps(any_group, 7.0)
     for p in reps:
         blk = fourier.measure_transform(any_group, nu, p)
         assert blk.shape == (p.dim, p.dim) and blk.dtype == complex
@@ -244,7 +244,7 @@ def test_measure_transform_chunks_match_one_stack():
     # takes the half cube in one tile, from two chunks of at most 197 atoms
     G = groups.descriptor("so3")
     nu = random_measure(G, 300, 21)
-    irreps = groups.enumerate_irreps(G, 25.5, include_trivial=True)
+    irreps = [groups.trivial_irrep(G)] + groups.enumerate_irreps(G, 25.5)
     assert irreps[-1].dim == 51
     blocks = _assert_blocks_match_stack(G, nu, irreps)
     one = fourier.measure_transform(G, nu, irreps[-1])
@@ -272,7 +272,7 @@ def test_measure_transforms_small_budget(monkeypatch, gid):
     # so every tile, its mirror and the chunk sums take many pieces
     monkeypatch.setattr(fourier, "_TRANSFORM_BYTES", 1 << 16)
     G = groups.descriptor(gid)
-    irreps = (groups.enumerate_irreps(G, 25.5, include_trivial=True)
+    irreps = ([groups.trivial_irrep(G)] + groups.enumerate_irreps(G, 25.5)
               if gid == "so3" else _mixed_su2_irreps(G))
     _assert_blocks_match_stack(G, random_measure(G, 300, 24), irreps)
 
@@ -622,7 +622,7 @@ def test_weyl_quadrature_constants(any_group):
 
 def test_character_orthogonality(any_group):
     pts, w = oracles.weyl_quadrature(any_group, 4096)
-    reps = groups.enumerate_irreps(any_group, 5.0, include_trivial=True)[:4]
+    reps = ([groups.trivial_irrep(any_group)] + groups.enumerate_irreps(any_group, 5.0))[:4]
     for i, p in enumerate(reps):
         chi_p = oracles.characters(any_group, p, pts)
         for q in reps[i:]:

@@ -60,9 +60,9 @@ def test_enumerate_irreps_sorted_and_trivial_flag(any_group):
     norms = [p.weight_norm for p in reps]
     assert norms == sorted(norms)
     assert all(0 < v < 8.0 for v in norms)
-    with_triv = groups.enumerate_irreps(any_group, 8.0, include_trivial=True)
-    assert len(with_triv) == len(reps) + 1
-    assert with_triv[0].casimir == 0 and with_triv[0].dim == 1
+    # the trivial irrep is not a row; callers that need it prepend it
+    triv = groups.trivial_irrep(any_group)
+    assert triv.casimir == 0 and triv.dim == 1 and triv not in reps
 
 
 def test_casimir_between_weight_norm_bounds(any_group):
@@ -103,23 +103,31 @@ def test_torus_spectrum_in_integer_order():
 
 
 def test_torus_rows_below_the_cutoff():
-    # the integer test alone admits rows whose rounded norm is M or above
-    # at some M = 2 pi sqrt(k), which no cut of a sweep at M counts
+    # a row belongs exactly when its computed weight norm is below M: the
+    # rounded radius test alone admits rows at or above M at some M = 2 pi
+    # sqrt(k), and drops some below it at their neighbouring doubles
     for gid, M, n in (("torus(2)", 2 * math.pi * math.sqrt(2), 4),
-                      ("torus(1)", 26 * math.pi, 24)):
-        assert groups.spectral_data(groups.descriptor(gid), M)["label"].shape[0] == n
+                      ("torus(1)", 26 * math.pi, 24),
+                      ("torus(2)", np.nextafter(2 * math.pi * math.sqrt(17), math.inf), 56),
+                      ("torus(1)", np.nextafter(38 * math.pi, math.inf), 38)):
+        assert groups.spectral_data(groups.descriptor(gid), float(M))["label"].shape[0] == n
     for gid in ("torus(1)", "torus(2)", "torus(3)"):
         G = groups.descriptor(gid)
+        # brute force over a box past every cutoff's radius, sqrt(399) < 22
+        axis = np.arange(-22, 23)
+        nsq = sum(np.meshgrid(*[axis * axis] * G.r, indexing="ij")).ravel()
+        norms = np.sort(2.0 * math.pi * np.sqrt(nsq[nsq > 0].astype(float)))
         for k in range(1, 400):
             M = 2 * math.pi * math.sqrt(k)
             for cut in (np.nextafter(M, 0.0), M, np.nextafter(M, math.inf)):
-                norms = groups.spectral_data(G, float(cut))["weight_norm"]
-                assert np.all(norms < cut), (gid, k, cut)
+                rows = groups.spectral_data(G, float(cut))["weight_norm"]
+                assert np.all(rows < cut), (gid, k, cut)
+                assert rows.size == np.searchsorted(norms, cut), (gid, k, cut)
 
 
 def test_derived_weights(any_group):
     # reference definitions: torus weight 2 pi m; spin weights -j..j by 1
-    for p in groups.enumerate_irreps(any_group, 9.0, include_trivial=True):
+    for p in [groups.trivial_irrep(any_group)] + groups.enumerate_irreps(any_group, 9.0):
         if any_group.group_id.startswith("torus"):
             lam = tuple(2.0 * math.pi * v for v in p.label)
             weights = (lam,)
@@ -323,8 +331,7 @@ def test_torus_distance_shift_invariant(k, m):
 ])
 def test_casimir_residual_small(gid, label):
     G = groups.descriptor(gid)
-    reps = groups.enumerate_irreps(G, 10.0, include_trivial=True)
-    p = next(r for r in reps if r.label == label)
+    p = next(r for r in groups.enumerate_irreps(G, 10.0) if r.label == label)
     assert oracles.casimir_residual(G, p, 1e-3) < 1e-5
 
 

@@ -298,16 +298,49 @@ def test_kernel_coefficient_invariants(any_group, profile, M):
     if M < any_group.admissibility_threshold:
         pytest.skip("inadmissible")
     kc = smoothing.kernel_coefficients(any_group, M, profile)
-    triv = groups.trivial_irrep(any_group)
-    assert kc.coeffs[triv] == pytest.approx(1.0, abs=1e-12)
-    for p, a in kc.coeffs.items():
-        assert abs(a) <= p.dim + 1e-10
-        assert p.weight_norm < M
+    sd = groups.spectral_data(any_group, M)
+    # the trivial row, then the rows of spectral_data
+    assert kc.labels.tolist() == [[0] * any_group.r] + sd["label"].tolist()
+    assert kc.dims.tolist() == [1] + sd["dim"].tolist()
+    norms = np.concatenate(([0.0], sd["weight_norm"]))
+    assert kc.a[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(kc.a) <= kc.dims + 1e-10)
+    assert np.all(norms < M)
     if profile.profile_id == "plateau":
-        lim = any_group.a * kc.m0 / 2.0
-        for p, a in kc.coeffs.items():
-            if p.weight_norm <= lim:
-                assert a == pytest.approx(p.dim, abs=1e-10)
+        flat = norms <= any_group.a * kc.m0 / 2.0
+        np.testing.assert_allclose(kc.a[flat], kc.dims[flat], rtol=0, atol=1e-10)
+
+
+def _irrep_kernel_sums(G, M, profile):
+    """a_pi summed irrep by irrep over Irrep.weights, trivial irrep first."""
+    prof = smoothing.bump_profile(profile)
+    m0 = smoothing.kernel_degree(G, M)
+    dens = smoothing.weyl_density_coeffs(G)
+    lams = np.asarray(list(dens), dtype=float)
+    cs = np.asarray(list(dens.values()), dtype=float)
+    out = []
+    for p in [groups.trivial_irrep(G)] + groups.enumerate_irreps(G, M):
+        mu = np.asarray(p.weights, dtype=float)
+        args = mu[:, None, :] / (G.a * m0) - lams[None, :, :] / G.a
+        vals = prof.radial(np.linalg.norm(args, axis=-1))
+        out.append((list(p.label), p.dim, float(np.dot(vals, cs).sum() / G.weyl_order)))
+    return out
+
+
+@pytest.mark.parametrize("gid,M", [("su2", 2.296)]
+                         + [(gid, M) for M in (6.0, 20.0) for gid in
+                            ("torus(1)", "torus(2)", "torus(3)", "su2", "so3")]
+                         + [("torus(3)", 60.0), ("su2", 400.0), ("so3", 400.0)])
+def test_kernel_rows_match_the_irrep_sums(gid, M, profile):
+    # the label-row route forms the same samples, summed in the same order,
+    # as a sum over each irrep's weights: bit for bit.  At su2 M = 2.296
+    # every coefficient but the trivial one is 0
+    G = groups.descriptor(gid)
+    kc = smoothing.kernel_coefficients(G, M, profile)
+    rows = list(zip(kc.labels.tolist(), kc.dims.tolist(), kc.a.tolist()))
+    assert rows == _irrep_kernel_sums(G, M, profile)
+    if M == 2.296:
+        assert kc.a.tolist() == [1.0] + [0.0] * (len(rows) - 1)
 
 
 def test_kernel_coefficients_below_threshold_raises():
@@ -321,8 +354,7 @@ def test_kernel_json_schema():
     kc = smoothing.kernel_coefficients(G, 6.0)
     d = kc.as_json_dict()
     assert d["group"] == "so3" and d["M0"] == kc.m0
-    assert {e["label"][0] for e in d["entries"]} \
-        == {p.label[0] for p in kc.coeffs}
+    assert {e["label"][0] for e in d["entries"]} == set(kc.labels[:, 0].tolist())
 
 
 def test_psi_decreases_in_m_for_plateau():
@@ -346,13 +378,14 @@ def test_smoothing_approximation_property(rank_one_group):
     f_all = np.minimum(
         2.0 * np.arccos(np.clip(np.abs(pts[:, 0]) if G.group_id == "so3"
                                 else pts[:, 0], -1.0, 1.0)), 1.0)
-    reps = groups.enumerate_irreps(G, M, include_trivial=True)
+    reps = [groups.trivial_irrep(G)] + groups.enumerate_irreps(G, M)
+    assert [p.label for p in reps] == [tuple(row) for row in kc.labels.tolist()]
     coefs = oracles.class_coefficients(G, f_all, reps, quad=(pts, w))
     f_on_sample = np.minimum(dist, 1.0)
     smooth = np.zeros(len(sample), dtype=complex)
-    for c, p in zip(coefs, reps):
+    for c, p, a in zip(coefs, reps, kc.a.tolist()):
         chi = oracles.characters(G, p, sample)
-        smooth += c * (kc.coeffs[p] / p.dim) * chi
+        smooth += c * (a / p.dim) * chi
     sup_dev = float(np.max(np.abs(smooth.real - f_on_sample)))
     psi_val = bound.psi(G, g, M)
     assert sup_dev <= psi_val / 2.0 + 1e-6

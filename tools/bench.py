@@ -32,8 +32,9 @@ operations, and per end-to-end metric each side's median and quartiles
 over its runs, the change's wins, losses and ties, the parent's IQR and
 two verdicts (paired()): "gain" by the rule a speed claim must meet (at
 least 10 pairs, the change better in at least 9 of 10 of them, ties
-counting for neither, the medians apart by more than the parent's IQR,
-and no larger share of failed operations than the parent's), and
+counting for neither, the medians apart by more than the parent's IQR
+and by more than a tenth of the metric's bound, and no larger share of
+failed operations than the parent's), and
 "within_bound" (the change's median no worse than the parent's by more
 than the metric's bound).
 
@@ -90,10 +91,14 @@ def paired(parent, change, better: str, bound: float, failed: tuple) -> dict:
     A pair is a win when the change is better (lower or higher, as
     `better` says), a loss when it is worse, and a tie otherwise.  "gain"
     holds when there are at least PAIRS pairs, the change wins at least 9
-    in 10 of them, its median is better than the parent's by more than the
-    parent's IQR, and its share of failed operations, failed[1], is no
-    larger than the parent's, failed[0]; "within_bound" when its median is
-    no worse than the parent's by more than bound times the parent's median.
+    in 10 of them, its median is better than the parent's by more than
+    the larger of the parent's IQR and a tenth of bound times the parent's
+    median, and its share of failed operations, failed[1], is no larger
+    than the parent's, failed[0]; "within_bound" when its median is no
+    worse than the parent's by more than bound times the parent's median.
+    The floor on the effect keeps a metric whose IQR is near zero, such
+    as a peak RSS counted in pages, from reading a shift of a page or two
+    as a gain.
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("paired() needs two equal lists of at least 2 runs")
@@ -110,7 +115,8 @@ def paired(parent, change, better: str, bound: float, failed: tuple) -> dict:
             "losses": sum(g < 0 for g in gains), "ties": sum(g == 0 for g in gains),
             "parent_iqr": iqr,
             "median_change": -sign * ahead / sides["parent"]["median"],
-            "gain": (len(gains) >= PAIRS and 10 * wins >= 9 * len(gains) and ahead > iqr
+            "gain": (len(gains) >= PAIRS and 10 * wins >= 9 * len(gains)
+                     and ahead > max(iqr, 0.1 * bound * sides["parent"]["median"])
                      and failed[1] <= failed[0]),
             "within_bound": -ahead <= bound * sides["parent"]["median"]}
 
