@@ -17,8 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._util import SolverError, U, cosine_sum, cosine_tables, pairwise_sum
-from . import groups
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, doubled_spins, spectral_data
 
 PROFILE_IDS = ("paper_bump", "plateau")
 
@@ -542,14 +541,14 @@ def kernel_coefficients(G: GroupDescriptor, M: float,
             f"for {G.group_id}")
     prof = bump_profile(profile)
     m0 = kernel_degree(G, M)
-    sd = groups.spectral_data(G, M)
+    sd = spectral_data(G, M)
     labels = np.concatenate((np.zeros((1, G.r), dtype=int), sd["label"]))
     dims = np.concatenate(([1], sd["dim"]))
     if not G.positive_roots:
         a = prof.radial(np.linalg.norm(2.0 * math.pi * labels / (G.a * m0), axis=-1))
     else:
         dens = weyl_density_coeffs(G)
-        two_j = groups.doubled_spins(G, labels)
+        two_j = doubled_spins(G, labels)
         top = int(two_j[-1])
         args = (np.arange(-top, top + 1)[:, None, None] / 2.0 / (G.a * m0)
                 - np.asarray(list(dens), dtype=float) / G.a)
